@@ -99,6 +99,8 @@ def _read_json(path: Path) -> Any:
         raise BundleError(f"{path.name}: file not found in {path.parent}") from None
     except OSError as exc:
         raise BundleError(f"{path.name}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _fail(path.name, f"byte {exc.start}", "not valid UTF-8") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -161,6 +163,8 @@ def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> Defec
     where = f"record {index}"
     data = _expect_object(obj, file, where, _DEFECT_KEYS, {"id", "description", "class"})
     record_id = _parse_string(data["id"], file, f"{where}: id")
+    if not record_id:
+        raise _fail(file, f"{where}: id", "must be a nonempty string")
     where = f"record '{record_id}'"
     defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
     effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
@@ -223,9 +227,17 @@ def load_effort_file(path: Path | str) -> EffortModel:
     if duration is not None:
         duration = _parse_number(duration, path.name, "test_duration")
     try:
-        return EffortModel(kind=kind, test_count=count, test_duration=duration)
+        model = EffortModel(kind=kind, test_count=count, test_duration=duration)
     except ValueError as exc:
         raise _fail(path.name, "top level", str(exc)) from exc
+    try:
+        total = total_effort(model)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise _fail(path.name, "test_count",
+                    "total testing effort (test_count x test_duration) is beyond floating-point range")
+    return model
 
 
 def load_rtm_file(path: Path | str) -> tuple[RtmEntry, ...]:
@@ -237,6 +249,8 @@ def load_rtm_file(path: Path | str) -> tuple[RtmEntry, ...]:
         data = _expect_object(obj, path.name, where, {"req_id", "description", "status"},
                               {"req_id", "description", "status"})
         req_id = _parse_string(data["req_id"], path.name, f"{where}: req_id")
+        if not req_id:
+            raise _fail(path.name, f"{where}: req_id", "must be a nonempty string")
         if req_id in seen:
             raise _fail(path.name, f"entry '{req_id}'", "duplicate req_id")
         seen.add(req_id)
@@ -490,7 +504,14 @@ def load_bundle(
 
     effort_total = total_effort(effort)
     unit = effort.rate_unit.value
+    growth = config["rate_method"] is RateMethod.SRGM
     for record in defects:
+        if growth and record.detection_effort <= 0.0:
+            raise _fail(
+                "defects.json", f"record '{record.id}': detection_effort",
+                f"must be positive for rate_method 'srgm' (the growth model fits detection "
+                f"efforts), got {record.detection_effort!r}; record it or use rate_method 'bounded'",
+            )
         if record.detection_effort > effort_total:
             raise _fail(
                 "defects.json", f"record '{record.id}'",

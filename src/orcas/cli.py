@@ -24,7 +24,7 @@ from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
-from .growth import SrgmModel, fit_srgm, go_mean, mo_mean, windowed_srgm_stability
+from .growth import SrgmModel, fit_srgm, windowed_srgm_stability
 from .report import canonical_json_bytes, emit_report, report_from_json, run_assessment
 
 _MODEL_NAMES = {
@@ -158,26 +158,22 @@ def _cmd_causality_build(args) -> int:
 def _cmd_srgm_fit(args) -> int:
     events, horizon = load_history_file(args.history)
     model = _MODEL_NAMES[args.model]
-    fit = fit_srgm(events, model, horizon=horizon)
-    out = {"fit": fit.to_dict(), "events": len(events)}
     effective_horizon = horizon if horizon is not None else events[-1]
-    out["horizon"] = effective_horizon
+    verdict = None
     if args.stability_windows:
-        verdict, _ = windowed_srgm_stability(
+        verdict, window_fits = windowed_srgm_stability(
             events, model, effective_horizon, args.stability_windows, args.stability_threshold)
+        # The last stability window spans the whole horizon: it is the fit.
+        fit = window_fits[-1][1]
+    else:
+        fit = fit_srgm(events, model, horizon=horizon)
+    out = {"fit": fit.to_dict(), "events": len(events), "horizon": effective_horizon}
+    if verdict is not None:
         out["stability"] = verdict.to_dict()
     if args.curve_samples > 0:
         k = args.curve_samples
-        params = fit.params
-        if model is SrgmModel.GOEL_OKUMOTO:
-            curve = [[effective_horizon * i / k,
-                      go_mean(effective_horizon * i / k, params["a"], params["b"])]
-                     for i in range(k + 1)]
-        else:
-            curve = [[effective_horizon * i / k,
-                      mo_mean(effective_horizon * i / k, params["lambda0"], params["theta"])]
-                     for i in range(k + 1)]
-        out["curve"] = curve
+        out["curve"] = [[effective_horizon * i / k, fit.mean_at(effective_horizon * i / k)]
+                        for i in range(k + 1)]
     _write_output(canonical_json_bytes(out), args.output)
     if not fit.converged:
         print(f"warning: fit did not converge: {fit.diagnostic}", file=sys.stderr)

@@ -23,9 +23,12 @@ produce bit-identical parameters.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
     DefectClass,
@@ -266,19 +269,24 @@ _BOUNDARY_RATE = 1e-9
 
 
 def _validate_events(events: Sequence[float], horizon: float | None) -> tuple[list[float], float]:
-    events = [float(t) for t in events]
+    events = list(map(float, events))
     if len(events) < 2:
         raise OrcasError("insufficient failure data: at least 2 detection events are required")
-    previous = 0.0
-    for t in events:
-        if not math.isfinite(t) or t <= 0.0:
-            raise OrcasError(f"detection efforts must be positive and finite, got {t!r}")
-        if t < previous:
-            raise OrcasError("detection efforts must be nondecreasing")
-        previous = t
+    ordered = all(map(operator.le, events, islice(events, 1, None)))
+    if not (ordered and events[0] > 0.0 and all(map(math.isfinite, events))):
+        # Name the first offending event.
+        previous = 0.0
+        for t in events:
+            if not math.isfinite(t) or t <= 0.0:
+                raise OrcasError(f"detection efforts must be positive and finite, got {t!r}")
+            if t < previous:
+                raise OrcasError("detection efforts must be nondecreasing")
+            previous = t
     if horizon is None:
         horizon = events[-1]
     horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise OrcasError(f"observation horizon must be finite, got {horizon!r}")
     if horizon < events[-1]:
         raise OrcasError(f"observation horizon {horizon!r} is before the last event {events[-1]!r}")
     return events, horizon
@@ -293,7 +301,71 @@ def _no_growth_diagnostic(n: int, total: float, horizon: float) -> str:
     )
 
 
-def _fit_go(events: list[float], horizon: float) -> SrgmFit:
+def _solve_score(
+    score: Callable[[float], float],
+    score_prime: Callable[[float], float],
+    lo: float,
+    T: float,
+    start: float | None,
+) -> float:
+    """Root of a profile score that is positive at the bracket floor ``lo``
+    and negative past the root.
+
+    Cold (``start`` is None), the upper end doubles up from 1/T. Warm,
+    ``start`` is a nearby root (that of a nested window): the bracket
+    doubles up or halves down from it and Newton begins at its end
+    nearest the root. A score that is NaN, or an upper end that
+    overflows, raises instead of solving on garbage.
+    """
+
+    def value(x: float) -> float:
+        s = score(x)
+        if math.isnan(s):
+            raise OrcasError(
+                f"growth-model score is not a number at {x!r}: the detection "
+                f"efforts are beyond floating-point range"
+            )
+        return s
+
+    def upper(x: float) -> float:
+        if math.isinf(x):
+            raise OrcasError(
+                "growth-model score has no root below the largest float: the "
+                "detection efforts are beyond floating-point range"
+            )
+        return x
+
+    value(lo)
+    x0 = None
+    if start is None or not lo < start < math.inf:
+        hi = upper(1.0 / T)
+        while value(hi) > 0.0:
+            hi = upper(2.0 * hi)
+    elif value(start) > 0.0:
+        lo, hi = start, upper(2.0 * start)
+        while value(hi) > 0.0:
+            lo, hi = hi, upper(2.0 * hi)
+        x0 = lo
+    else:
+        hi, x = start, 0.5 * start
+        while x > lo and value(x) <= 0.0:
+            hi, x = x, 0.5 * x
+        lo = max(lo, x)
+        x0 = hi
+    return newton_bisection(score, score_prime, lo, hi, x0=x0)
+
+
+def _finite(fit: SrgmFit) -> SrgmFit:
+    values = (*fit.params.values(), fit.log_likelihood, fit.current_intensity)
+    if not all(map(math.isfinite, values)):
+        raise OrcasError(
+            f"growth fit is beyond floating-point range: parameters {dict(fit.params)!r}, "
+            f"log-likelihood {fit.log_likelihood!r}"
+        )
+    return fit
+
+
+def _fit_go(events: list[float], horizon: float, start: float | None) -> SrgmFit:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
@@ -317,7 +389,7 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
     if n * T / 2.0 - effort_sum <= 0.0 or score(lo) <= 0.0:
         b0 = _BOUNDARY_RATE / T
         a0 = n / -math.expm1(-b0 * T)
-        return SrgmFit(
+        return _finite(SrgmFit(
             model=SrgmModel.GOEL_OKUMOTO,
             params={"a": a0, "b": b0},
             predicted_total=a0,
@@ -325,48 +397,63 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
             log_likelihood=go_log_likelihood(events, T, a0, b0),
             converged=False,
             diagnostic=_no_growth_diagnostic(n, effort_sum, T),
-        )
-    hi = 1.0 / T
-    while score(hi) > 0.0:
-        hi *= 2.0
-    b = newton_bisection(score, score_prime, lo, hi)
+        ))
+    b = _solve_score(score, score_prime, lo, T, start)
     a = n / -math.expm1(-b * T)
-    return SrgmFit(
+    return _finite(SrgmFit(
         model=SrgmModel.GOEL_OKUMOTO,
         params={"a": a, "b": b},
         predicted_total=a,
         current_intensity=go_intensity(T, a, b),
         log_likelihood=go_log_likelihood(events, T, a, b),
         converged=True,
-    )
+    ))
 
 
-def _fit_mo(events: list[float], horizon: float) -> SrgmFit:
+def _fit_mo(events: list[float], horizon: float, start: float | None) -> SrgmFit:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
+    # Both score sums come from q_i = t_i/(beta*t_i + 1): one pass over the
+    # events per beta. The solver asks for score and derivative at each
+    # iterate and re-evaluates the bracket ends, so the sums are kept per
+    # beta, and q for the two latest betas until its squares are summed.
+    sums: dict[float, float] = {}
+    square_sums: dict[float, float] = {}
+    recent_q: dict[float, list[float]] = {}
+
+    def q_at(beta: float) -> list[float]:
+        q = recent_q.get(beta)
+        if q is None:
+            if len(recent_q) == 2:
+                del recent_q[next(iter(recent_q))]
+            q = recent_q[beta] = [t / (beta * t + 1.0) for t in events]
+        return q
 
     def score(beta: float) -> float:
         # Profile score in beta = lambda0*theta after substituting
         # lambda0 = n*beta/ln(beta*T + 1).
+        q_sum = sums.get(beta)
+        if q_sum is None:
+            q_sum = sums[beta] = math.fsum(q_at(beta))
         u = math.log1p(beta * T)
-        return n / beta - n * T / ((beta * T + 1.0) * u) - math.fsum(t / (beta * t + 1.0) for t in events)
+        return n / beta - n * T / ((beta * T + 1.0) * u) - q_sum
 
     def score_prime(beta: float) -> float:
+        q2_sum = square_sums.get(beta)
+        if q2_sum is None:
+            q = q_at(beta)
+            q2_sum = square_sums[beta] = math.fsum(map(operator.mul, q, q))
         u = beta * T + 1.0
         lu = math.log1p(beta * T)
-        return (
-            -n / (beta * beta)
-            + n * T * T * (lu + 1.0) / (u * lu) ** 2
-            + math.fsum((t / (beta * t + 1.0)) ** 2 for t in events)
-        )
+        return -n / (beta * beta) + n * T * T * (lu + 1.0) / (u * lu) ** 2 + q2_sum
 
     lo = _BRACKET_FLOOR / T
     if n * T / 2.0 - effort_sum <= 0.0 or score(lo) <= 0.0:
         beta0 = _BOUNDARY_RATE / T
         lambda0 = n * beta0 / math.log1p(beta0 * T)
         theta0 = math.log1p(beta0 * T) / n
-        return SrgmFit(
+        return _finite(SrgmFit(
             model=SrgmModel.MUSA_OKUMOTO,
             params={"lambda0": lambda0, "theta": theta0},
             predicted_total=math.inf,
@@ -374,37 +461,56 @@ def _fit_mo(events: list[float], horizon: float) -> SrgmFit:
             log_likelihood=mo_log_likelihood(events, T, lambda0, theta0),
             converged=False,
             diagnostic=_no_growth_diagnostic(n, effort_sum, T),
-        )
-    hi = 1.0 / T
-    while score(hi) > 0.0:
-        hi *= 2.0
-    beta = newton_bisection(score, score_prime, lo, hi)
+        ))
+    beta = _solve_score(score, score_prime, lo, T, start)
     lambda0 = n * beta / math.log1p(beta * T)
     theta = math.log1p(beta * T) / n
-    return SrgmFit(
+    return _finite(SrgmFit(
         model=SrgmModel.MUSA_OKUMOTO,
         params={"lambda0": lambda0, "theta": theta},
         predicted_total=math.inf,
         current_intensity=mo_intensity(T, lambda0, theta),
         log_likelihood=mo_log_likelihood(events, T, lambda0, theta),
         converged=True,
-    )
+    ))
 
 
-def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = None) -> SrgmFit:
+_FITTERS = {SrgmModel.GOEL_OKUMOTO: _fit_go, SrgmModel.MUSA_OKUMOTO: _fit_mo}
+
+
+def fit_srgm(
+    events: Sequence[float],
+    model: SrgmModel,
+    horizon: float | None = None,
+    *,
+    warm_start: SrgmFit | None = None,
+) -> SrgmFit:
     """Maximum-likelihood fit to an ordered detection-effort history.
 
     ``horizon`` is the total observed effort and defaults to the last
     event. When the history shows no growth signal (events not
     front-loaded), the score equation has no root: the returned fit has
     ``converged=False`` and a diagnostic instead of a fabricated optimum.
+
+    ``warm_start`` is a converged fit of the same model to a nested
+    window of the same history. Its profiled root (b, or lambda0*theta)
+    barely moves between such windows, so the root solve starts there
+    instead of searching up from 1/horizon. The result agrees with the
+    cold fit to the resolution of the score equation (1e-12 relative
+    unless the history is near the constant-rate limit).
     """
     events, horizon = _validate_events(events, horizon)
-    if model is SrgmModel.GOEL_OKUMOTO:
-        return _fit_go(events, horizon)
-    if model is SrgmModel.MUSA_OKUMOTO:
-        return _fit_mo(events, horizon)
-    raise OrcasError(f"unknown growth model {model!r}")
+    start = None
+    if warm_start is not None and warm_start.converged and warm_start.model is model:
+        params = warm_start.params
+        start = params["b"] if model is SrgmModel.GOEL_OKUMOTO else params["lambda0"] * params["theta"]
+    fitter = _FITTERS.get(model)
+    if fitter is None:
+        raise OrcasError(f"unknown growth model {model!r}")
+    try:
+        return fitter(events, horizon, start)
+    except (ArithmeticError, ValueError) as exc:
+        raise OrcasError(f"growth fit is beyond floating-point range: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -480,30 +586,37 @@ def windowed_srgm_stability(
 ) -> tuple[StabilityVerdict, list[tuple[float, SrgmFit]]]:
     """Refit over expanding effort windows and run the stability check.
 
-    Window k ends at k/windows of the horizon and uses every event up to
-    that point. The tracked prediction is the expected total defect count:
-    the asymptote for the exponential model, and the mean function
-    evaluated at the full horizon for the unbounded logarithmic model.
+    Window k ends at k/windows of the horizon (the last at exactly the
+    horizon) and uses every event up to that point, so the last window's
+    fit is the full-horizon fit. The tracked prediction is the expected
+    total defect count: the asymptote for the exponential model, and the
+    mean function evaluated at the full horizon for the unbounded
+    logarithmic model.
+
+    The full window is solved first, from cold, and so equals
+    ``fit_srgm(events, model, horizon)``; each shorter window's solve
+    starts from the root of the window after it.
     """
     if windows < 2:
         raise OrcasError(f"stability needs at least 2 windows, got {windows}")
     events, horizon = _validate_events(events, horizon)
-    window_fits: list[tuple[float, SrgmFit]] = []
-    series: list[tuple[float, float]] = []
-    for k in range(1, windows + 1):
-        end = horizon * k / windows
-        prefix = [t for t in events if t <= end]
-        if len(prefix) < 2:
+    ends = [horizon * k / windows for k in range(1, windows)] + [horizon]
+    counts = [bisect_right(events, end) for end in ends]
+    for end, count in zip(ends, counts):
+        if count < 2:
             raise OrcasError(
                 f"stability window ending at effort {end:.6g} contains "
-                f"{len(prefix)} event(s); need at least 2 (reduce the window "
+                f"{count} event(s); need at least 2 (reduce the window "
                 f"count or use bounded estimation)"
             )
-        fit = fit_srgm(prefix, model, horizon=end)
-        if model is SrgmModel.GOEL_OKUMOTO:
-            predicted = fit.predicted_total
-        else:
-            predicted = fit.mean_at(horizon)
+    window_fits: list[tuple[float, SrgmFit]] = []
+    fit = None
+    for end, count in zip(reversed(ends), reversed(counts)):
+        fit = fit_srgm(events[:count], model, horizon=end, warm_start=fit)
         window_fits.append((end, fit))
-        series.append((end, predicted))
+    window_fits.reverse()
+    series = [
+        (end, fit.predicted_total if model is SrgmModel.GOEL_OKUMOTO else fit.mean_at(horizon))
+        for end, fit in window_fits
+    ]
     return stability(series, threshold), window_fits

@@ -31,7 +31,6 @@ from .growth import (
     RateMethod,
     SrgmFit,
     bounded_class_rates,
-    fit_srgm,
     srgm_class_rates,
     windowed_srgm_stability,
 )
@@ -127,13 +126,14 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
     for cls in sorted(per_class_events, key=lambda c: c.value):
         events = sorted(per_class_events[cls])
         try:
-            fit = fit_srgm(events, bundle.srgm_model, horizon=horizon)
-            verdict, _ = windowed_srgm_stability(
+            verdict, window_fits = windowed_srgm_stability(
                 events, bundle.srgm_model, horizon,
                 bundle.stability_windows, bundle.stability_threshold,
             )
         except OrcasError as exc:
             raise OrcasError(f"class '{cls.value}': {exc}") from exc
+        # The last stability window spans the whole horizon: it is the fit.
+        fit = window_fits[-1][1]
         fits[cls] = fit
         all_stable = all_stable and verdict.stable
         growth_per_class[cls.value] = {

@@ -5,6 +5,13 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .errors import OrcasError
+
+
+def _midpoint(a: float, b: float) -> float:
+    # Equal to 0.5*(a + b) whenever that sum does not overflow.
+    return 0.5 * a + 0.5 * b
+
 
 def newton_bisection(
     func: Callable[[float], float],
@@ -13,12 +20,18 @@ def newton_bisection(
     hi: float,
     rtol: float = 1e-15,
     max_iter: int = 200,
+    *,
+    x0: float | None = None,
 ) -> float:
     """Find the root of ``func`` bracketed by [lo, hi].
 
-    ``func(lo)`` and ``func(hi)`` must have opposite signs. The bracket is
-    maintained throughout, so a wild Newton step can never escape it; the
-    result is deterministic for identical inputs.
+    ``func(lo)`` and ``func(hi)`` must have opposite signs. Iteration
+    starts from ``x0`` when given (a point of the bracket, such as a
+    nearby root already known) and from the bracket midpoint otherwise.
+    The bracket is maintained throughout, so a wild Newton step can never
+    escape it; the result is deterministic for identical inputs. Running
+    out of ``max_iter`` iterations raises :class:`OrcasError` instead of
+    returning an unconverged iterate.
     """
     flo = func(lo)
     fhi = func(hi)
@@ -29,7 +42,8 @@ def newton_bisection(
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"root not bracketed: f({lo!r})={flo!r}, f({hi!r})={fhi!r}")
 
-    x = 0.5 * (lo + hi)
+    x = _midpoint(lo, hi) if x0 is None else x0
+    fx = flo
     for _ in range(max_iter):
         fx = func(x)
         if fx == 0.0:
@@ -46,8 +60,11 @@ def newton_bisection(
         else:
             candidate = lo  # force bisection
         if not (min(lo, hi) < candidate < max(lo, hi)):
-            candidate = 0.5 * (lo + hi)
+            candidate = _midpoint(lo, hi)
         if abs(candidate - x) <= rtol * abs(x):
             return candidate
         x = candidate
-    return x
+    raise OrcasError(
+        f"root solve did not converge in {max_iter} iterations: bracket "
+        f"[{min(lo, hi)!r}, {max(lo, hi)!r}], |f| = {abs(fx)!r}"
+    )

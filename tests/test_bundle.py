@@ -298,3 +298,44 @@ def test_csv_converter_output_loads_as_defects_file(tmp_path):
     out.write_text(json.dumps([r.to_dict() for r in records]), encoding="utf-8")
     from orcas.bundle import load_defects_file
     assert load_defects_file(out) == records
+
+
+def test_empty_ids_rejected_with_context(tmp_path):
+    defects = [{"id": "", "description": "x", "class": "checking", "detection_effort": 1.0}]
+    with pytest.raises(BundleError, match=r"defects\.json: record 0: id: must be a nonempty"):
+        load_bundle(write_bundle(tmp_path / "b", defects=defects))
+    rtm = [{"req_id": "", "description": "x", "status": "complete"}]
+    with pytest.raises(BundleError, match=r"rtm\.json: entry 0: req_id: must be a nonempty"):
+        load_bundle(write_bundle(tmp_path / "c", rtm=rtm))
+
+
+def test_non_utf8_file_rejected_with_context(tmp_path):
+    directory = write_bundle(tmp_path / "b")
+    (directory / "config.json").write_bytes(b'{"structural_coverage": 1.0, "system_kind": "\xff"}')
+    with pytest.raises(BundleError, match=r"config\.json: byte 45: not valid UTF-8"):
+        load_bundle(directory)
+
+
+@pytest.mark.parametrize("effort", [
+    {"kind": "continuous", "test_count": 10**400, "test_duration": 1.0},
+    {"kind": "on-demand", "test_count": 10**400},
+    {"kind": "continuous", "test_count": 10**300, "test_duration": 1e10},
+])
+def test_total_effort_beyond_float_range_rejected(tmp_path, effort):
+    with pytest.raises(BundleError, match=r"effort\.json: test_count: .*floating-point range"):
+        load_bundle(write_bundle(tmp_path / "b", effort=effort))
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "D-2", "description": "x", "class": "checking"},
+    {"id": "D-2", "description": "x", "class": "checking", "detection_effort": 0.0},
+])
+def test_srgm_bundle_requires_detection_efforts(tmp_path, record):
+    defects = [{"id": "D-1", "description": "x", "class": "checking", "detection_effort": 1.0},
+               record]
+    config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"}
+    with pytest.raises(BundleError,
+                       match=r"defects\.json: record 'D-2': detection_effort: must be positive"):
+        load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
+    # The bounded method does not use detection efforts.
+    load_bundle(write_bundle(tmp_path / "c", defects=defects))

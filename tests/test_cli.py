@@ -8,6 +8,7 @@ import pytest
 
 from conftest import nhpp_exponential_events, write_bundle
 from orcas.fixtures import vcu_dir
+from orcas.growth import SrgmFit, fit_srgm
 
 
 def run_cli(*args, **kwargs):
@@ -199,3 +200,60 @@ def test_convert_defects_csv(tmp_path):
     # converted output is a valid defects.json for a bundle
     directory = write_bundle(tmp_path / "b", defects=records)
     assert run_cli("validate", directory).returncode == 0
+
+
+def test_srgm_fit_curve_is_the_fitted_mean(tmp_path):
+    rng = random.Random(3)
+    events = sorted(
+        t for _ in range(4) for t in nhpp_exponential_events(50.0, 0.02, 300.0, rng))
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"events": events, "horizon": 300.0}), encoding="utf-8")
+    for model in ("go", "mo"):
+        result = run_cli("srgm", "fit", history, "--model", model,
+                         "--stability-windows", "4", "--curve-samples", "4")
+        assert result.returncode == 0
+        out = json.loads(result.stdout)
+        fit = SrgmFit.from_dict(out["fit"])
+        assert out["curve"] == [[300.0 * i / 4, fit.mean_at(300.0 * i / 4)] for i in range(5)]
+        # The fit is the last stability window, which spans the whole horizon.
+        assert out["stability"]["series"][-1][0] == 300.0
+        assert fit == fit_srgm(events, fit.model, horizon=300.0)
+
+
+def assert_one_error_line(result, prefix):
+    stderr = result.stderr.decode()
+    assert result.returncode == 1
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"orcas: error: {prefix}")
+
+
+def test_validate_rejects_empty_defect_id(tmp_path):
+    defects = [{"id": "", "description": "x", "class": "checking", "detection_effort": 1.0}]
+    result = run_cli("validate", write_bundle(tmp_path / "b", defects=defects))
+    assert_one_error_line(result, "defects.json: record 0: id: ")
+
+
+def test_validate_rejects_non_utf8_rtm(tmp_path):
+    directory = write_bundle(tmp_path / "b")
+    raw = (directory / "rtm.json").read_bytes()
+    (directory / "rtm.json").write_bytes(raw.replace(b"thing", b"th\xffing", 1))
+    result = run_cli("validate", directory)
+    assert_one_error_line(result, "rtm.json: byte ")
+
+
+def test_validate_rejects_test_count_beyond_float_range(tmp_path):
+    directory = write_bundle(tmp_path / "b")
+    (directory / "effort.json").write_text(
+        '{"kind": "continuous", "test_count": 1' + "0" * 400 + ', "test_duration": 1.0}',
+        encoding="utf-8")
+    result = run_cli("validate", directory)
+    assert_one_error_line(result, "effort.json: test_count: ")
+
+
+def test_validate_rejects_srgm_bundle_without_detection_efforts(tmp_path):
+    defects = [{"id": f"D-{i}", "description": "x", "class": "checking"} for i in range(3)]
+    config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"}
+    result = run_cli("validate", write_bundle(tmp_path / "b", defects=defects, config=config))
+    assert_one_error_line(result, "defects.json: record 'D-0': detection_effort: ")

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orcas.domain import DefectClass, DefectRecord, EffortKind, EffortModel, RateUnit
@@ -340,3 +340,177 @@ def test_class_rates_validation():
     with pytest.raises(ValueError):
         ClassRates(rates={DefectClass.TIMING: -1.0}, unit=RateUnit.PER_HOUR,
                    method=RateMethod.BOUNDED)
+
+
+# ---------------------------------------------------------------------------
+# Oracle, boundary and warm-start properties of the fitters
+# ---------------------------------------------------------------------------
+
+
+def nhpp_logarithmic_events(lambda0: float, theta: float, horizon: float,
+                            rng: random.Random) -> list[float]:
+    """Arrival efforts of the logarithmic-mean process, by inversion of
+    m(t) = ln(lambda0*theta*t + 1)/theta over unit-rate Poisson sums."""
+    events, s = [], 0.0
+    ceiling = math.log1p(lambda0 * theta * horizon) / theta
+    while True:
+        s += rng.expovariate(1.0)
+        if s >= ceiling:
+            return events
+        events.append(math.expm1(theta * s) / (lambda0 * theta))
+
+
+# Histories drawn with a clear growth signal: the profiled root times the
+# horizon (b*T, or lambda0*theta*T) is 2 to 8, with 60 to 400 events
+# expected. Short histories near the constant-rate limit can have a
+# logarithmic-model score with several roots.
+growth_histories = st.tuples(
+    st.sampled_from(list(SrgmModel)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=60.0, max_value=400.0),
+    st.floats(min_value=2.0, max_value=8.0),
+    st.floats(min_value=-2.0, max_value=6.0),
+)
+
+
+def sample_history(spec) -> tuple[SrgmModel, list[float], float]:
+    model, seed, expected, growth, log_horizon = spec
+    rng = random.Random(seed)
+    horizon = 10.0 ** log_horizon
+    if model is SrgmModel.GOEL_OKUMOTO:
+        a = expected / -math.expm1(-growth)
+        events = nhpp_exponential_events(a, growth / horizon, horizon, rng)
+    else:
+        theta = math.log1p(growth) / expected
+        events = nhpp_logarithmic_events(growth / horizon / theta, theta, horizon, rng)
+    return model, events, horizon
+
+
+def independent_negative_log_likelihood(model: SrgmModel, events: list[float], horizon: float):
+    """-ln L of the event-time likelihood, sum(ln m'(t_i)) - m(T), over
+    log-parameters; written from the model definitions with numpy."""
+    np = pytest.importorskip("numpy")
+    t = np.asarray(events)
+
+    if model is SrgmModel.GOEL_OKUMOTO:
+        def nll(p):
+            a, b = np.exp(p)
+            return -(np.sum(np.log(a * b) - b * t) - a * (1.0 - np.exp(-b * horizon)))
+    else:
+        def nll(p):
+            lam, theta = np.exp(p)
+            return -(np.sum(np.log(lam / (lam * theta * t + 1.0)))
+                     - np.log(lam * theta * horizon + 1.0) / theta)
+    return nll
+
+
+@settings(max_examples=25, deadline=None)
+@given(growth_histories)
+def test_fits_match_scipy_optimum_of_independent_likelihood(spec):
+    optimize = pytest.importorskip("scipy.optimize")
+    model, events, horizon = sample_history(spec)
+    fit = fit_srgm(events, model, horizon=horizon)
+    assert fit.converged
+    nll = independent_negative_log_likelihood(model, events, horizon)
+    n = len(events)
+    # A start that knows nothing of the fitter: n events over the horizon.
+    start = [math.log(n), -math.log(horizon)] if model is SrgmModel.GOEL_OKUMOTO else \
+        [math.log(n / horizon), math.log(1.0 / n)]
+    options = {"xatol": 1e-12, "fatol": 1e-13, "maxiter": 20000, "maxfev": 40000}
+    for _ in range(2):
+        # A simplex a factor e wide in each parameter; the restart from
+        # the first answer guards against a simplex that collapsed early.
+        simplex = [start, [start[0] + 1.0, start[1]], [start[0], start[1] + 1.0]]
+        result = optimize.minimize(nll, start, method="Nelder-Mead",
+                                   options={**options, "initial_simplex": simplex})
+        start = list(result.x)
+    names = ("a", "b") if model is SrgmModel.GOEL_OKUMOTO else ("lambda0", "theta")
+    for name, log_value in zip(names, result.x):
+        assert fit.params[name] == pytest.approx(math.exp(log_value), rel=1e-6)
+    assert -result.fun <= fit.log_likelihood + 1e-9 * abs(fit.log_likelihood)
+
+
+@given(
+    st.sampled_from(list(SrgmModel)),
+    st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=2, max_size=60),
+    st.floats(min_value=-3.0, max_value=6.0),
+)
+def test_no_growth_boundary_gives_unconverged_fit(model, fractions, log_horizon):
+    # Mean detection effort at or past half the horizon: n*T/2 <= sum(t_i).
+    horizon = 10.0 ** log_horizon
+    events = sorted(f * horizon for f in fractions)
+    assert len(events) * horizon / 2.0 <= math.fsum(events)
+    fit = fit_srgm(events, model, horizon=horizon)
+    assert not fit.converged
+    assert "no reliability growth" in fit.diagnostic
+    assert all(math.isfinite(v) for v in fit.params.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(growth_histories, st.sampled_from([3, 5, 6, 7]))
+def test_window_fits_end_at_horizon_and_match_cold_fits(spec, windows):
+    model, events, horizon = sample_history(spec)
+    verdict, window_fits = windowed_srgm_stability(events, model, horizon, windows)
+    assert verdict.series[-1][0] == horizon
+    assert [end for end, _ in window_fits] == [end for end, _ in verdict.series]
+    # The last window is the full-horizon fit itself, solved from cold.
+    assert window_fits[-1][1] == fit_srgm(events, model, horizon=horizon)
+    # The shorter windows start from the next window's root: they agree
+    # with fits solved from scratch to 1e-12, or to the score's own
+    # resolution where that is coarser. Near the constant-rate limit
+    # (root*end -> 0) the profile score cancels to about 12*eps/(root*end)^2
+    # relative, so any two solves can differ by that much.
+    for end, warm in window_fits[:-1]:
+        prefix = [t for t in events if t <= end]
+        cold = fit_srgm(prefix, model, horizon=end)
+        assert warm.converged == cold.converged
+        params = cold.params
+        root = params["b"] if model is SrgmModel.GOEL_OKUMOTO else params["lambda0"] * params["theta"]
+        tolerance = max(1e-12, 1e-13 / (root * end) ** 2)
+        for name, value in params.items():
+            assert warm.params[name] == pytest.approx(value, rel=tolerance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(SrgmModel)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=50),
+    st.floats(min_value=-323.0, max_value=307.5),
+    st.sampled_from([None, 1.0, 1.5, 4.0]),
+)
+def test_extreme_scales_give_a_finite_fit_or_an_error(model, seed, n, exponent, horizon_factor):
+    # Detection efforts from near the smallest subnormal to near the
+    # largest float: the bracket search may not overflow into inf, nor may
+    # a fit carry non-finite parameters.
+    rng = random.Random(seed)
+    scale = 10.0 ** exponent
+    events = sorted(rng.expovariate(1.0) * scale for _ in range(n))
+    if events[0] <= 0.0 or math.isinf(events[-1]):
+        return
+    horizon = None if horizon_factor is None else events[-1] * horizon_factor
+    if horizon is not None and math.isinf(horizon):
+        return
+    try:
+        fit = fit_srgm(events, model, horizon=horizon)
+    except OrcasError:
+        return
+    assert all(math.isfinite(v) and v > 0.0 for v in fit.params.values())
+    assert math.isfinite(fit.log_likelihood)
+    assert math.isfinite(fit.current_intensity)
+    if fit.converged:
+        assert fit.mean_at(horizon if horizon is not None else events[-1]) == \
+            pytest.approx(n, rel=1e-6)
+
+
+@pytest.mark.parametrize("model", list(SrgmModel))
+def test_extreme_scale_histories(model):
+    # The same history in units of 1e-300 fits; in units of 1e300 the
+    # score overflows to NaN and the fit says so.
+    rng = random.Random(7)
+    base = nhpp_exponential_events(40.0, 3.0, 1.0, rng)
+    tiny = fit_srgm([t * 1e-300 for t in base], model, horizon=1e-300)
+    assert tiny.converged
+    assert all(math.isfinite(v) for v in tiny.params.values())
+    with pytest.raises(OrcasError, match="floating-point range"):
+        fit_srgm([t * 1e300 for t in base], model, horizon=1e300)
