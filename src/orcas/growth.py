@@ -23,11 +23,10 @@ produce bit-identical parameters.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
@@ -269,19 +268,16 @@ _BOUNDARY_RATE = 1e-9
 
 
 def _validate_events(events: Sequence[float], horizon: float | None) -> tuple[list[float], float]:
-    events = list(map(float, events))
+    events = [float(t) for t in events]
     if len(events) < 2:
         raise OrcasError("insufficient failure data: at least 2 detection events are required")
-    ordered = all(map(operator.le, events, islice(events, 1, None)))
-    if not (ordered and events[0] > 0.0 and all(map(math.isfinite, events))):
-        # Name the first offending event.
-        previous = 0.0
-        for t in events:
-            if not math.isfinite(t) or t <= 0.0:
-                raise OrcasError(f"detection efforts must be positive and finite, got {t!r}")
-            if t < previous:
-                raise OrcasError("detection efforts must be nondecreasing")
-            previous = t
+    previous = 0.0
+    for t in events:
+        if not math.isfinite(t) or t <= 0.0:
+            raise OrcasError(f"detection efforts must be positive and finite, got {t!r}")
+        if t < previous:
+            raise OrcasError("detection efforts must be nondecreasing")
+        previous = t
     if horizon is None:
         horizon = events[-1]
     horizon = float(horizon)
@@ -306,15 +302,12 @@ def _solve_score(
     score_prime: Callable[[float], float],
     lo: float,
     T: float,
-    start: float | None,
 ) -> float:
     """Root of a profile score that is positive at the bracket floor ``lo``
     and negative past the root.
 
-    Cold (``start`` is None), the upper end doubles up from 1/T. Warm,
-    ``start`` is a nearby root (that of a nested window): the bracket
-    doubles up or halves down from it and Newton begins at its end
-    nearest the root. A score that is NaN, or an upper end that
+    The upper bracket end doubles up from 1/T until the score is no
+    longer positive there. A score that is NaN, or an upper end that
     overflows, raises instead of solving on garbage.
     """
 
@@ -327,32 +320,16 @@ def _solve_score(
             )
         return s
 
-    def upper(x: float) -> float:
-        if math.isinf(x):
-            raise OrcasError(
-                "growth-model score has no root below the largest float: the "
-                "detection efforts are beyond floating-point range"
-            )
-        return x
-
     value(lo)
-    x0 = None
-    if start is None or not lo < start < math.inf:
-        hi = upper(1.0 / T)
-        while value(hi) > 0.0:
-            hi = upper(2.0 * hi)
-    elif value(start) > 0.0:
-        lo, hi = start, upper(2.0 * start)
-        while value(hi) > 0.0:
-            lo, hi = hi, upper(2.0 * hi)
-        x0 = lo
-    else:
-        hi, x = start, 0.5 * start
-        while x > lo and value(x) <= 0.0:
-            hi, x = x, 0.5 * x
-        lo = max(lo, x)
-        x0 = hi
-    return newton_bisection(score, score_prime, lo, hi, x0=x0)
+    hi = 1.0 / T
+    while not math.isinf(hi) and value(hi) > 0.0:
+        hi *= 2.0
+    if math.isinf(hi):
+        raise OrcasError(
+            "growth-model score has no root below the largest float: the "
+            "detection efforts are beyond floating-point range"
+        )
+    return newton_bisection(score, score_prime, lo, hi)
 
 
 def _finite(fit: SrgmFit) -> SrgmFit:
@@ -365,7 +342,7 @@ def _finite(fit: SrgmFit) -> SrgmFit:
     return fit
 
 
-def _fit_go(events: list[float], horizon: float, start: float | None) -> SrgmFit:
+def _fit_go(events: list[float], horizon: float) -> SrgmFit:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
@@ -398,7 +375,7 @@ def _fit_go(events: list[float], horizon: float, start: float | None) -> SrgmFit
             converged=False,
             diagnostic=_no_growth_diagnostic(n, effort_sum, T),
         ))
-    b = _solve_score(score, score_prime, lo, T, start)
+    b = _solve_score(score, score_prime, lo, T)
     a = n / -math.expm1(-b * T)
     return _finite(SrgmFit(
         model=SrgmModel.GOEL_OKUMOTO,
@@ -410,43 +387,37 @@ def _fit_go(events: list[float], horizon: float, start: float | None) -> SrgmFit
     ))
 
 
-def _fit_mo(events: list[float], horizon: float, start: float | None) -> SrgmFit:
+def _fit_mo(events: list[float], horizon: float) -> SrgmFit:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
-    # Both score sums come from q_i = t_i/(beta*t_i + 1): one pass over the
-    # events per beta. The solver asks for score and derivative at each
-    # iterate and re-evaluates the bracket ends, so the sums are kept per
-    # beta, and q for the two latest betas until its squares are summed.
-    sums: dict[float, float] = {}
-    square_sums: dict[float, float] = {}
-    recent_q: dict[float, list[float]] = {}
-
+    # Both score sums come from q_i = t_i/(beta*t_i + 1). The solver
+    # re-evaluates the score at the bracket ends and asks for the
+    # derivative right after the score at each iterate, so the score sum
+    # is kept per beta and q for the latest beta: one pass per beta.
+    @lru_cache(maxsize=1)
     def q_at(beta: float) -> list[float]:
-        q = recent_q.get(beta)
-        if q is None:
-            if len(recent_q) == 2:
-                del recent_q[next(iter(recent_q))]
-            q = recent_q[beta] = [t / (beta * t + 1.0) for t in events]
-        return q
+        return [t / (beta * t + 1.0) for t in events]
+
+    @lru_cache(maxsize=None)
+    def q_sum(beta: float) -> float:
+        return math.fsum(q_at(beta))
 
     def score(beta: float) -> float:
         # Profile score in beta = lambda0*theta after substituting
         # lambda0 = n*beta/ln(beta*T + 1).
-        q_sum = sums.get(beta)
-        if q_sum is None:
-            q_sum = sums[beta] = math.fsum(q_at(beta))
         u = math.log1p(beta * T)
-        return n / beta - n * T / ((beta * T + 1.0) * u) - q_sum
+        return n / beta - n * T / ((beta * T + 1.0) * u) - q_sum(beta)
 
     def score_prime(beta: float) -> float:
-        q2_sum = square_sums.get(beta)
-        if q2_sum is None:
-            q = q_at(beta)
-            q2_sum = square_sums[beta] = math.fsum(map(operator.mul, q, q))
+        q = q_at(beta)
         u = beta * T + 1.0
         lu = math.log1p(beta * T)
-        return -n / (beta * beta) + n * T * T * (lu + 1.0) / (u * lu) ** 2 + q2_sum
+        return (
+            -n / (beta * beta)
+            + n * T * T * (lu + 1.0) / (u * lu) ** 2
+            + math.fsum([x * x for x in q])
+        )
 
     lo = _BRACKET_FLOOR / T
     if n * T / 2.0 - effort_sum <= 0.0 or score(lo) <= 0.0:
@@ -462,7 +433,7 @@ def _fit_mo(events: list[float], horizon: float, start: float | None) -> SrgmFit
             converged=False,
             diagnostic=_no_growth_diagnostic(n, effort_sum, T),
         ))
-    beta = _solve_score(score, score_prime, lo, T, start)
+    beta = _solve_score(score, score_prime, lo, T)
     lambda0 = n * beta / math.log1p(beta * T)
     theta = math.log1p(beta * T) / n
     return _finite(SrgmFit(
@@ -478,38 +449,21 @@ def _fit_mo(events: list[float], horizon: float, start: float | None) -> SrgmFit
 _FITTERS = {SrgmModel.GOEL_OKUMOTO: _fit_go, SrgmModel.MUSA_OKUMOTO: _fit_mo}
 
 
-def fit_srgm(
-    events: Sequence[float],
-    model: SrgmModel,
-    horizon: float | None = None,
-    *,
-    warm_start: SrgmFit | None = None,
-) -> SrgmFit:
+def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = None) -> SrgmFit:
     """Maximum-likelihood fit to an ordered detection-effort history.
 
     ``horizon`` is the total observed effort and defaults to the last
     event. When the history shows no growth signal (events not
     front-loaded), the score equation has no root: the returned fit has
     ``converged=False`` and a diagnostic instead of a fabricated optimum.
-
-    ``warm_start`` is a converged fit of the same model to a nested
-    window of the same history. Its profiled root (b, or lambda0*theta)
-    barely moves between such windows, so the root solve starts there
-    instead of searching up from 1/horizon. The result agrees with the
-    cold fit to the resolution of the score equation (1e-12 relative
-    unless the history is near the constant-rate limit).
     """
     events, horizon = _validate_events(events, horizon)
-    start = None
-    if warm_start is not None and warm_start.converged and warm_start.model is model:
-        params = warm_start.params
-        start = params["b"] if model is SrgmModel.GOEL_OKUMOTO else params["lambda0"] * params["theta"]
     fitter = _FITTERS.get(model)
     if fitter is None:
         raise OrcasError(f"unknown growth model {model!r}")
     try:
-        return fitter(events, horizon, start)
-    except (ArithmeticError, ValueError) as exc:
+        return fitter(events, horizon)
+    except ArithmeticError as exc:
         raise OrcasError(f"growth fit is beyond floating-point range: {exc}") from exc
 
 
@@ -588,35 +542,30 @@ def windowed_srgm_stability(
 
     Window k ends at k/windows of the horizon (the last at exactly the
     horizon) and uses every event up to that point, so the last window's
-    fit is the full-horizon fit. The tracked prediction is the expected
-    total defect count: the asymptote for the exponential model, and the
-    mean function evaluated at the full horizon for the unbounded
-    logarithmic model.
-
-    The full window is solved first, from cold, and so equals
-    ``fit_srgm(events, model, horizon)``; each shorter window's solve
-    starts from the root of the window after it.
+    fit is ``fit_srgm(events, model, horizon)``, the full-horizon fit. The
+    tracked prediction is the expected total defect count: the asymptote
+    for the exponential model, and the mean function evaluated at the full
+    horizon for the unbounded logarithmic model.
     """
     if windows < 2:
         raise OrcasError(f"stability needs at least 2 windows, got {windows}")
     events, horizon = _validate_events(events, horizon)
-    ends = [horizon * k / windows for k in range(1, windows)] + [horizon]
-    counts = [bisect_right(events, end) for end in ends]
-    for end, count in zip(ends, counts):
-        if count < 2:
+    window_fits: list[tuple[float, SrgmFit]] = []
+    series: list[tuple[float, float]] = []
+    for k in range(1, windows + 1):
+        end = horizon if k == windows else horizon * k / windows
+        prefix = events[:bisect_right(events, end)]
+        if len(prefix) < 2:
             raise OrcasError(
                 f"stability window ending at effort {end:.6g} contains "
-                f"{count} event(s); need at least 2 (reduce the window "
+                f"{len(prefix)} event(s); need at least 2 (reduce the window "
                 f"count or use bounded estimation)"
             )
-    window_fits: list[tuple[float, SrgmFit]] = []
-    fit = None
-    for end, count in zip(reversed(ends), reversed(counts)):
-        fit = fit_srgm(events[:count], model, horizon=end, warm_start=fit)
+        fit = fit_srgm(prefix, model, horizon=end)
+        if model is SrgmModel.GOEL_OKUMOTO:
+            predicted = fit.predicted_total
+        else:
+            predicted = fit.mean_at(horizon)
         window_fits.append((end, fit))
-    window_fits.reverse()
-    series = [
-        (end, fit.predicted_total if model is SrgmModel.GOEL_OKUMOTO else fit.mean_at(horizon))
-        for end, fit in window_fits
-    ]
+        series.append((end, predicted))
     return stability(series, threshold), window_fits

@@ -20,17 +20,13 @@ def newton_bisection(
     hi: float,
     rtol: float = 1e-15,
     max_iter: int = 200,
-    *,
-    x0: float | None = None,
 ) -> float:
     """Find the root of ``func`` bracketed by [lo, hi].
 
-    ``func(lo)`` and ``func(hi)`` must have opposite signs. Iteration
-    starts from ``x0`` when given (a point of the bracket, such as a
-    nearby root already known) and from the bracket midpoint otherwise.
-    The bracket is maintained throughout, so a wild Newton step can never
-    escape it; the result is deterministic for identical inputs. Running
-    out of ``max_iter`` iterations raises :class:`OrcasError` instead of
+    ``func(lo)`` and ``func(hi)`` must have opposite signs. The bracket is
+    maintained throughout, so a wild Newton step can never escape it; the
+    result is deterministic for identical inputs. Running out of
+    ``max_iter`` iterations raises :class:`OrcasError` instead of
     returning an unconverged iterate.
     """
     flo = func(lo)
@@ -42,7 +38,7 @@ def newton_bisection(
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"root not bracketed: f({lo!r})={flo!r}, f({hi!r})={fhi!r}")
 
-    x = _midpoint(lo, hi) if x0 is None else x0
+    x = _midpoint(lo, hi)
     fx = flo
     for _ in range(max_iter):
         fx = func(x)

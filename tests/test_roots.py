@@ -19,13 +19,6 @@ def test_finds_bracketed_root():
     assert root == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
-def test_start_point_reaches_the_same_root():
-    cold = newton_bisection(square_minus_two, twice, 0.0, 2.0)
-    for x0 in (0.0, 1.0, 1.4, 1.5, 2.0):
-        warm = newton_bisection(square_minus_two, twice, 0.0, 2.0, x0=x0)
-        assert warm == pytest.approx(cold, rel=1e-15)
-
-
 def test_unbracketed_root_rejected():
     with pytest.raises(ValueError, match="not bracketed"):
         newton_bisection(square_minus_two, twice, 2.0, 3.0)
