@@ -28,9 +28,10 @@ import hashlib
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import causality as causality_mod
 from .causality import CausalityMatrix
@@ -43,11 +44,12 @@ from .domain import (
     ModeFamily,
     TestLevel,
     TriggerKind,
+    _trusted_defect_record,
     total_effort,
 )
 from .errors import BundleError, OrcasError
 from .evidence import CoverageStatus, RtmEntry, TcaEntry, validate_tca_entries
-from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
+from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel, stability_windows
 from .quantify import SystemKind, mode_applicability
 
 REQUIRED_FILES = ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json")
@@ -92,19 +94,45 @@ def _fail(file: str, where: str, reason: str) -> BundleError:
     return BundleError(f"{file}: {where}: {reason}")
 
 
-def _read_json(path: Path) -> Any:
+def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
+    """Parse one UTF-8 JSON file. With ``digests``, also record the SHA-256
+    of the bytes parsed under the file's name."""
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise BundleError(f"{path.name}: file not found in {path.parent}") from None
     except OSError as exc:
         raise BundleError(f"{path.name}: cannot read: {exc}") from exc
+    if digests is not None:
+        digests[path.name] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _fail(path.name, f"byte {exc.start}", "not valid UTF-8") from None
+    if "\r" in text:
+        # Universal newlines, as in text-mode reading: the line numbers of
+        # JSON errors count a lone CR as a line end.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(path.name, f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
+    except ValueError:
+        # The integer-literal length limit (sys.get_int_max_str_digits).
+        raise _fail(path.name, "top level",
+                    f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+                    ) from None
+    except RecursionError:
+        raise _fail(path.name, "top level", "invalid JSON: nested too deeply") from None
+    if "\\ud" in text or "\\uD" in text:
+        # A \uD800-\uDFFF escape that is not half of a pair decodes to a
+        # lone surrogate, which no report can encode as UTF-8.
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise _fail(path.name, "top level",
+                        "invalid JSON: a \\u escape is an unpaired UTF-16 surrogate") from None
+    return data
 
 
 def _expect_object(data: Any, file: str, where: str, allowed: set[str], required: set[str]) -> dict:
@@ -136,7 +164,11 @@ def _parse_enum(enum_cls, value: Any, file: str, where: str):
 def _parse_number(value: Any, file: str, where: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(file, where, f"expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise _fail(file, where, "expected a finite number, got an integer beyond floating-point range"
+                    ) from None
     if not math.isfinite(number):
         raise _fail(file, where, f"expected a finite number, got {value!r}")
     if lo is not None and number < lo:
@@ -156,67 +188,103 @@ def _parse_string(value: Any, file: str, where: str) -> str:
 # File loaders
 # ---------------------------------------------------------------------------
 
-_DEFECT_KEYS = {"id", "description", "class", "detection_effort", "observed_modes", "resolution"}
+# The record parsers below make the checks of the generic helpers above,
+# in the same order, on a fast path that formats no message. A value that
+# fails a check is handed to the helper that owns the check, which raises
+# the error, so a `where` string is built only for the record that fails.
+
+_DEFECT_KEYS = frozenset({"id", "description", "class", "detection_effort", "observed_modes",
+                          "resolution"})
+_DEFECT_REQUIRED = frozenset({"id", "description", "class"})
+_CLASSES = {member.value: member for member in DefectClass}
+_MODES = {member.value: member for member in FailureMode}
+_NO_MODES: frozenset[FailureMode] = frozenset()
 
 
 def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> DefectRecord:
-    where = f"record {index}"
-    data = _expect_object(obj, file, where, _DEFECT_KEYS, {"id", "description", "class"})
-    record_id = _parse_string(data["id"], file, f"{where}: id")
+    if not (isinstance(obj, dict) and _DEFECT_KEYS >= obj.keys() >= _DEFECT_REQUIRED):
+        _expect_object(obj, file, f"record {index}", _DEFECT_KEYS, _DEFECT_REQUIRED)
+    record_id = obj["id"]
+    if not isinstance(record_id, str):
+        record_id = _parse_string(record_id, file, f"record {index}: id")
     if not record_id:
-        raise _fail(file, f"{where}: id", "must be a nonempty string")
-    where = f"record '{record_id}'"
-    defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
-    effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
-    raw_modes = data.get("observed_modes", [])
-    if not isinstance(raw_modes, list):
-        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {raw_modes!r}")
-    modes = frozenset(
-        _parse_enum(FailureMode, m, file, f"{where}: observed_modes") for m in raw_modes
-    )
+        raise _fail(file, f"record {index}: id", "must be a nonempty string")
+    value = obj["class"]
+    defect_class = _CLASSES.get(value) if isinstance(value, str) else None
+    if defect_class is None:
+        defect_class = _parse_enum(DefectClass, value, file, f"record '{record_id}': class")
+    effort = obj.get("detection_effort", 0.0)
+    if type(effort) is not float or not 0.0 <= effort < math.inf:
+        effort = _parse_number(effort, file, f"record '{record_id}': detection_effort", lo=0.0)
+    modes = _NO_MODES
+    if "observed_modes" in obj:
+        modes = _parse_modes(obj["observed_modes"], file, record_id)
     if require_modes and not modes:
-        raise _fail(file, where, "corpus records must label at least one observed failure mode")
-    resolution = data.get("resolution")
-    if resolution is not None:
-        resolution = _parse_string(resolution, file, f"{where}: resolution")
-    return DefectRecord(
-        id=record_id,
-        description=_parse_string(data["description"], file, f"{where}: description"),
-        defect_class=defect_class,
-        detection_effort=effort,
-        observed_modes=modes,
-        resolution=resolution,
-    )
+        raise _fail(file, f"record '{record_id}'",
+                    "corpus records must label at least one observed failure mode")
+    resolution = obj.get("resolution")
+    if resolution is not None and not isinstance(resolution, str):
+        resolution = _parse_string(resolution, file, f"record '{record_id}': resolution")
+    description = obj["description"]
+    if not isinstance(description, str):
+        description = _parse_string(description, file, f"record '{record_id}': description")
+    return _trusted_defect_record(record_id, description, defect_class, effort, modes, resolution)
 
 
-def _load_defect_file(path: Path, require_modes: bool) -> tuple[DefectRecord, ...]:
+def _parse_modes(raw_modes: Any, file: str, record_id: str) -> frozenset[FailureMode]:
+    if not isinstance(raw_modes, list):
+        raise _fail(file, f"record '{record_id}': observed_modes",
+                    f"expected an array, got {raw_modes!r}")
+    if not raw_modes:
+        return _NO_MODES
+    try:
+        return frozenset([_MODES[mode] for mode in raw_modes])
+    except (KeyError, TypeError):
+        where = f"record '{record_id}': observed_modes"
+        return frozenset([_parse_enum(FailureMode, mode, file, where) for mode in raw_modes])
+
+
+def _unique_defects(objects: Iterable[tuple[int, Any]], file: str,
+                    require_modes: bool) -> tuple[DefectRecord, ...]:
+    """Parse (index, object) pairs into records with distinct ids."""
     records = []
     seen_ids: set[str] = set()
-    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
-        record = _parse_defect(obj, path.name, index, require_modes)
+    for index, obj in objects:
+        record = _parse_defect(obj, file, index, require_modes)
         if record.id in seen_ids:
-            raise _fail(path.name, f"record '{record.id}'", "duplicate id")
+            raise _fail(file, f"record '{record.id}'", "duplicate id")
         seen_ids.add(record.id)
         records.append(record)
     return tuple(records)
 
 
-def load_defects_file(path: Path | str) -> tuple[DefectRecord, ...]:
-    return _load_defect_file(Path(path), require_modes=False)
+def _load_defect_file(path: Path, require_modes: bool,
+                      digests: dict[str, str] | None) -> tuple[DefectRecord, ...]:
+    objects = _expect_array(_read_json(path, digests), path.name)
+    return _unique_defects(enumerate(objects), path.name, require_modes)
 
 
-def load_corpus_file(path: Path | str) -> tuple[DefectRecord, ...]:
+def load_defects_file(path: Path | str, *,
+                      digests: dict[str, str] | None = None) -> tuple[DefectRecord, ...]:
+    """Defect records from a defects.json file. ``digests``, if given,
+    receives the SHA-256 of the file under its name (as do the other
+    file loaders)."""
+    return _load_defect_file(Path(path), False, digests)
+
+
+def load_corpus_file(path: Path | str, *,
+                     digests: dict[str, str] | None = None) -> tuple[DefectRecord, ...]:
     path = Path(path)
-    records = _load_defect_file(path, require_modes=True)
+    records = _load_defect_file(path, True, digests)
     if not records:
         raise _fail(path.name, "top level", "no corpus records")
     return records
 
 
-def load_effort_file(path: Path | str) -> EffortModel:
+def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None) -> EffortModel:
     path = Path(path)
     data = _expect_object(
-        _read_json(path), path.name, "top level",
+        _read_json(path, digests), path.name, "top level",
         {"kind", "test_count", "test_duration"}, {"kind", "test_count"},
     )
     kind = _parse_enum(EffortKind, data["kind"], path.name, "kind")
@@ -240,32 +308,41 @@ def load_effort_file(path: Path | str) -> EffortModel:
     return model
 
 
-def load_rtm_file(path: Path | str) -> tuple[RtmEntry, ...]:
+_RTM_KEYS = frozenset({"req_id", "description", "status"})
+_STATUSES = {member.value: member for member in CoverageStatus}
+
+
+def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[RtmEntry, ...]:
     path = Path(path)
+    file = path.name
     entries = []
     seen: set[str] = set()
-    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
-        where = f"entry {index}"
-        data = _expect_object(obj, path.name, where, {"req_id", "description", "status"},
-                              {"req_id", "description", "status"})
-        req_id = _parse_string(data["req_id"], path.name, f"{where}: req_id")
+    for index, obj in enumerate(_expect_array(_read_json(path, digests), file)):
+        if not (isinstance(obj, dict) and obj.keys() == _RTM_KEYS):
+            _expect_object(obj, file, f"entry {index}", _RTM_KEYS, _RTM_KEYS)
+        req_id = obj["req_id"]
+        if not isinstance(req_id, str):
+            req_id = _parse_string(req_id, file, f"entry {index}: req_id")
         if not req_id:
-            raise _fail(path.name, f"{where}: req_id", "must be a nonempty string")
+            raise _fail(file, f"entry {index}: req_id", "must be a nonempty string")
         if req_id in seen:
-            raise _fail(path.name, f"entry '{req_id}'", "duplicate req_id")
+            raise _fail(file, f"entry '{req_id}'", "duplicate req_id")
         seen.add(req_id)
-        entries.append(RtmEntry(
-            req_id=req_id,
-            description=_parse_string(data["description"], path.name, f"{where}: description"),
-            status=_parse_enum(CoverageStatus, data["status"], path.name, f"entry '{req_id}': status"),
-        ))
+        description = obj["description"]
+        if not isinstance(description, str):
+            description = _parse_string(description, file, f"entry {index}: description")
+        value = obj["status"]
+        status = _STATUSES.get(value) if isinstance(value, str) else None
+        if status is None:
+            status = _parse_enum(CoverageStatus, value, file, f"entry '{req_id}': status")
+        entries.append(RtmEntry(req_id=req_id, description=description, status=status))
     return tuple(entries)
 
 
-def load_tca_file(path: Path | str) -> tuple[TcaEntry, ...]:
+def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[TcaEntry, ...]:
     path = Path(path)
     entries = []
-    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+    for index, obj in enumerate(_expect_array(_read_json(path, digests), path.name)):
         where = f"entry {index}"
         data = _expect_object(obj, path.name, where, {"level", "activity", "trigger", "status"},
                               {"level", "activity", "trigger", "status"})
@@ -281,9 +358,9 @@ def load_tca_file(path: Path | str) -> tuple[TcaEntry, ...]:
     return tuple(entries)
 
 
-def load_matrix_file(path: Path | str) -> CausalityMatrix:
+def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
     path = Path(path)
-    data = _expect_object(_read_json(path), path.name, "top level",
+    data = _expect_object(_read_json(path, digests), path.name, "top level",
                           {"provenance", "rows", "counts"}, {"provenance", "rows"})
     if not isinstance(data["rows"], dict):
         raise _fail(path.name, "rows", "expected an object mapping class to 4 probabilities")
@@ -356,10 +433,11 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     missing = {"id", "description", "class"} - set(fields)
     if missing:
         raise _fail(path.name, "header", f"missing column(s): {', '.join(sorted(missing))}")
-    records = []
-    seen_ids: set[str] = set()
+    return _unique_defects(_csv_entries(reader, path.name), path.name, require_modes=False)
+
+
+def _csv_entries(reader: csv.DictReader, file: str) -> Iterable[tuple[int, dict]]:
     for line, row in enumerate(reader, start=2):
-        where = f"line {line}"
         entry: dict = {
             "id": (row.get("id") or "").strip(),
             "description": (row.get("description") or "").strip(),
@@ -370,19 +448,15 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
             try:
                 entry["detection_effort"] = float(effort)
             except ValueError:
-                raise _fail(path.name, where, f"detection_effort is not a number: {effort!r}") from None
+                raise _fail(file, f"line {line}",
+                            f"detection_effort is not a number: {effort!r}") from None
         modes = (row.get("observed_modes") or "").strip()
         if modes:
             entry["observed_modes"] = [m.strip() for m in modes.split(";") if m.strip()]
         resolution = (row.get("resolution") or "").strip()
         if resolution:
             entry["resolution"] = resolution
-        record = _parse_defect(entry, path.name, line, require_modes=False)
-        if record.id in seen_ids:
-            raise _fail(path.name, f"record '{record.id}'", "duplicate id")
-        seen_ids.add(record.id)
-        records.append(record)
-    return tuple(records)
+        yield line, entry
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +480,9 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_config(path: Path) -> dict:
+def _parse_config(path: Path, digests: dict[str, str] | None = None) -> dict:
     file = path.name
-    data = _expect_object(_read_json(path), file, "top level", _CONFIG_KEYS,
+    data = _expect_object(_read_json(path, digests), file, "top level", _CONFIG_KEYS,
                           {"structural_coverage", "system_kind"})
     config: dict[str, Any] = {}
     config["structural_coverage"] = _parse_number(
@@ -450,11 +524,13 @@ def _parse_config(path: Path) -> dict:
     return config
 
 
-def resolve_matrix_source(source: str, directory: Path) -> tuple[CausalityMatrix, Path | None]:
+def resolve_matrix_source(source: str, directory: Path, *,
+                          digests: dict[str, str] | None = None) -> tuple[CausalityMatrix, Path | None]:
     """Resolve "builtin", "corpus:<file>" or a matrix file path.
 
     Returns the matrix and the file it came from (None for builtin);
-    relative paths resolve against the bundle directory.
+    relative paths resolve against the bundle directory. ``digests``, if
+    given, receives the SHA-256 of the file read.
     """
     if source == BUILTIN_MATRIX_SOURCE:
         return causality_mod.builtin_causality(), None
@@ -462,7 +538,7 @@ def resolve_matrix_source(source: str, directory: Path) -> tuple[CausalityMatrix
         corpus_path = Path(source[len(CORPUS_SOURCE_PREFIX):])
         if not corpus_path.is_absolute():
             corpus_path = directory / corpus_path
-        corpus = load_corpus_file(corpus_path)
+        corpus = load_corpus_file(corpus_path, digests=digests)
         try:
             matrix = causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
         except OrcasError as exc:
@@ -471,11 +547,7 @@ def resolve_matrix_source(source: str, directory: Path) -> tuple[CausalityMatrix
     matrix_path = Path(source)
     if not matrix_path.is_absolute():
         matrix_path = directory / matrix_path
-    return load_matrix_file(matrix_path), matrix_path
-
-
-def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    return load_matrix_file(matrix_path, digests=digests), matrix_path
 
 
 def load_bundle(
@@ -495,12 +567,13 @@ def load_bundle(
     if not directory.is_dir():
         raise BundleError(f"bundle directory not found: {directory}")
     paths = {name: directory / name for name in REQUIRED_FILES}
+    digests: dict[str, str] = {}
 
-    defects = load_defects_file(paths["defects.json"])
-    effort = load_effort_file(paths["effort.json"])
-    rtm = load_rtm_file(paths["rtm.json"])
-    tca = load_tca_file(paths["tca.json"])
-    config = _parse_config(paths["config.json"])
+    defects = load_defects_file(paths["defects.json"], digests=digests)
+    effort = load_effort_file(paths["effort.json"], digests=digests)
+    rtm = load_rtm_file(paths["rtm.json"], digests=digests)
+    tca = load_tca_file(paths["tca.json"], digests=digests)
+    config = _parse_config(paths["config.json"], digests)
 
     effort_total = total_effort(effort)
     unit = effort.rate_unit.value
@@ -519,6 +592,16 @@ def load_bundle(
                 f"{effort_total!r}; detection efforts must be recorded in the effort model's "
                 f"unit ({unit})",
             )
+    if growth:
+        # The growth fits of the rates stage need these per class.
+        per_class: dict[DefectClass, list[float]] = {}
+        for record in defects:
+            per_class.setdefault(record.defect_class, []).append(record.detection_effort)
+        for cls in sorted(per_class, key=lambda c: c.value):
+            try:
+                stability_windows(sorted(per_class[cls]), effort_total, config["stability_windows"])
+            except OrcasError as exc:
+                raise _fail("defects.json", f"class '{cls.value}'", str(exc)) from exc
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:
@@ -544,11 +627,7 @@ def load_bundle(
         )
 
     source = matrix_source if matrix_source is not None else config["matrix"]
-    matrix, matrix_path = resolve_matrix_source(source, directory)
-
-    digests = {name: _sha256(path) for name, path in paths.items()}
-    if matrix_path is not None and matrix_path.exists():
-        digests[matrix_path.name] = _sha256(matrix_path)
+    matrix, _ = resolve_matrix_source(source, directory, digests=digests)
 
     return AssessmentBundle(
         defects=defects,

@@ -7,7 +7,7 @@ share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable
 
@@ -98,7 +98,7 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefectRecord:
     """One classified defect.
 
@@ -153,6 +153,36 @@ class DefectRecord:
             observed_modes=frozenset(FailureMode(m) for m in data.get("observed_modes", [])),
             resolution=data.get("resolution"),
         )
+
+
+# Slot descriptors set a field even on a frozen instance, without the
+# lookup by name that object.__setattr__ makes.
+_DEFECT_SETTERS = tuple(DefectRecord.__dict__[field.name].__set__ for field in fields(DefectRecord))
+
+
+def _trusted_defect_record(
+    id: str,
+    description: str,
+    defect_class: DefectClass,
+    detection_effort: float,
+    observed_modes: frozenset[FailureMode],
+    resolution: str | None,
+) -> DefectRecord:
+    """A :class:`DefectRecord` built without running ``__post_init__``.
+
+    Only for callers that have already made every check ``__post_init__``
+    makes: a nonempty id, a :class:`DefectClass`, a finite float effort
+    >= 0 and a frozenset of :class:`FailureMode` values.
+    """
+    record = object.__new__(DefectRecord)
+    set_id, set_description, set_class, set_effort, set_modes, set_resolution = _DEFECT_SETTERS
+    set_id(record, id)
+    set_description(record, description)
+    set_class(record, defect_class)
+    set_effort(record, detection_effort)
+    set_modes(record, observed_modes)
+    set_resolution(record, resolution)
+    return record
 
 
 @dataclass(frozen=True)

@@ -267,10 +267,13 @@ _BRACKET_FLOOR = 1e-12
 _BOUNDARY_RATE = 1e-9
 
 
+_TOO_FEW_EVENTS = "insufficient failure data: at least 2 detection events are required"
+
+
 def _validate_events(events: Sequence[float], horizon: float | None) -> tuple[list[float], float]:
     events = [float(t) for t in events]
     if len(events) < 2:
-        raise OrcasError("insufficient failure data: at least 2 detection events are required")
+        raise OrcasError(_TOO_FEW_EVENTS)
     previous = 0.0
     for t in events:
         if not math.isfinite(t) or t <= 0.0:
@@ -458,6 +461,11 @@ def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = 
     ``converged=False`` and a diagnostic instead of a fabricated optimum.
     """
     events, horizon = _validate_events(events, horizon)
+    return _fit_validated(events, model, horizon)
+
+
+def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> SrgmFit:
+    """:func:`fit_srgm` on a history :func:`_validate_events` has returned."""
     fitter = _FITTERS.get(model)
     if fitter is None:
         raise OrcasError(f"unknown growth model {model!r}")
@@ -531,6 +539,32 @@ def srgm_class_rates(
     return ClassRates(rates=rates, unit=unit, method=RateMethod.SRGM)
 
 
+def stability_windows(events: Sequence[float], horizon: float, windows: int) -> list[tuple[float, int]]:
+    """End effort and event count of each expanding stability window.
+
+    ``events`` is a sorted detection history. Window k ends at k/windows
+    of the horizon (the last at exactly the horizon) and holds every event
+    up to its end. Raises :class:`OrcasError` unless there are at least 2
+    windows and 2 events, and every window holds at least 2 events.
+    """
+    if windows < 2:
+        raise OrcasError(f"stability needs at least 2 windows, got {windows}")
+    if len(events) < 2:
+        raise OrcasError(_TOO_FEW_EVENTS)
+    sizes = []
+    for k in range(1, windows + 1):
+        end = horizon if k == windows else horizon * k / windows
+        count = bisect_right(events, end)
+        if count < 2:
+            raise OrcasError(
+                f"stability window ending at effort {end:.6g} contains "
+                f"{count} event(s); need at least 2 (reduce the window "
+                f"count or use bounded estimation)"
+            )
+        sizes.append((end, count))
+    return sizes
+
+
 def windowed_srgm_stability(
     events: Sequence[float],
     model: SrgmModel,
@@ -540,28 +574,18 @@ def windowed_srgm_stability(
 ) -> tuple[StabilityVerdict, list[tuple[float, SrgmFit]]]:
     """Refit over expanding effort windows and run the stability check.
 
-    Window k ends at k/windows of the horizon (the last at exactly the
-    horizon) and uses every event up to that point, so the last window's
-    fit is ``fit_srgm(events, model, horizon)``, the full-horizon fit. The
+    The windows are those of :func:`stability_windows`, so the last
+    window's fit is ``fit_srgm(events, model, horizon)``, the full-horizon
+    fit. The events are validated once; each window fits its prefix. The
     tracked prediction is the expected total defect count: the asymptote
     for the exponential model, and the mean function evaluated at the full
     horizon for the unbounded logarithmic model.
     """
-    if windows < 2:
-        raise OrcasError(f"stability needs at least 2 windows, got {windows}")
     events, horizon = _validate_events(events, horizon)
     window_fits: list[tuple[float, SrgmFit]] = []
     series: list[tuple[float, float]] = []
-    for k in range(1, windows + 1):
-        end = horizon if k == windows else horizon * k / windows
-        prefix = events[:bisect_right(events, end)]
-        if len(prefix) < 2:
-            raise OrcasError(
-                f"stability window ending at effort {end:.6g} contains "
-                f"{len(prefix)} event(s); need at least 2 (reduce the window "
-                f"count or use bounded estimation)"
-            )
-        fit = fit_srgm(prefix, model, horizon=end)
+    for end, count in stability_windows(events, horizon, windows):
+        fit = _fit_validated(events[:count], model, end)
         if model is SrgmModel.GOEL_OKUMOTO:
             predicted = fit.predicted_total
         else:

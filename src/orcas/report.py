@@ -11,6 +11,7 @@ floats), a plain-text summary, or SVG growth-curve plots.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._version import __version__
@@ -99,17 +100,14 @@ def canonical_json_bytes(data) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, OrcasError) and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except StageError:
+        raise
+    except OrcasError as exc:
+        raise StageError(name, exc) from exc
 
 
 def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:

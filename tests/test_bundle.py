@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -339,3 +340,28 @@ def test_srgm_bundle_requires_detection_efforts(tmp_path, record):
         load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
     # The bounded method does not use detection efforts.
     load_bundle(write_bundle(tmp_path / "c", defects=defects))
+
+
+@pytest.mark.parametrize("efforts, windows, reason", [
+    ([5.0], 4, "insufficient failure data: at least 2 detection events"),
+    ([5.0, 90.0], 2, r"stability window ending at effort 50 contains 1 event\(s\)"),
+])
+def test_srgm_class_histories_checked_at_load(tmp_path, efforts, windows, reason):
+    defects = [{"id": f"D-{i}", "description": "x", "class": "checking", "detection_effort": t}
+               for i, t in enumerate(efforts)]
+    config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm",
+              "stability_windows": windows}
+    with pytest.raises(BundleError, match=rf"^defects\.json: class 'checking': {reason}"):
+        load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
+
+
+@pytest.mark.parametrize("source", ["m.json", "corpus:corpus.json"])
+def test_input_digests_are_sha256_of_the_files(tmp_path, source):
+    corpus = [{"id": "c1", "description": "x", "class": "checking", "observed_modes": ["A"]}]
+    directory = write_bundle(tmp_path / "b", **{"corpus.json": corpus,
+                                                "m.json": builtin_causality().to_dict()})
+    bundle = load_bundle(directory, matrix_source=source)
+    name = source.removeprefix("corpus:")
+    assert bundle.input_digests == {
+        file: "sha256:" + hashlib.sha256((directory / file).read_bytes()).hexdigest()
+        for file in ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json", name)}

@@ -1,0 +1,314 @@
+"""Property tests of the bundle loader.
+
+Differential: the record parsers must accept and reject exactly what the
+oracles below accept and reject, with byte-identical messages. The oracles
+are the earlier parsers, which call one generic helper of orcas.bundle per
+check and build records through the validating constructors. Robustness:
+any JSON value or any bytes in any bundle file yields a bundle or a
+BundleError, and nothing else.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from orcas.bundle import (
+    AssessmentBundle,
+    _expect_array,
+    _expect_object,
+    _fail,
+    _parse_enum,
+    _parse_number,
+    _parse_string,
+    _read_json,
+    load_bundle,
+    load_corpus_file,
+    load_defects_file,
+    load_rtm_file,
+)
+from orcas.domain import DefectClass, DefectRecord, FailureMode
+from orcas.errors import BundleError
+from orcas.evidence import CoverageStatus, RtmEntry
+
+from conftest import default_tca_entries, write_bundle
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def write_files(directory, files):
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (directory / name).write_text(json.dumps(content), encoding="utf-8")
+    return directory
+
+
+# ---------------------------------------------------------------------------
+# Oracle: each record checked by one generic helper call per field, in the
+# order of the checks, and built through the validating constructors.
+# ---------------------------------------------------------------------------
+
+_ORACLE_DEFECT_KEYS = {"id", "description", "class", "detection_effort", "observed_modes", "resolution"}
+
+
+def _oracle_parse_defect(obj, file, index, require_modes):
+    where = f"record {index}"
+    data = _expect_object(obj, file, where, _ORACLE_DEFECT_KEYS, {"id", "description", "class"})
+    record_id = _parse_string(data["id"], file, f"{where}: id")
+    if not record_id:
+        raise _fail(file, f"{where}: id", "must be a nonempty string")
+    where = f"record '{record_id}'"
+    defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
+    effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
+    raw_modes = data.get("observed_modes", [])
+    if not isinstance(raw_modes, list):
+        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {raw_modes!r}")
+    modes = frozenset(
+        _parse_enum(FailureMode, m, file, f"{where}: observed_modes") for m in raw_modes
+    )
+    if require_modes and not modes:
+        raise _fail(file, where, "corpus records must label at least one observed failure mode")
+    resolution = data.get("resolution")
+    if resolution is not None:
+        resolution = _parse_string(resolution, file, f"{where}: resolution")
+    return DefectRecord(
+        id=record_id,
+        description=_parse_string(data["description"], file, f"{where}: description"),
+        defect_class=defect_class,
+        detection_effort=effort,
+        observed_modes=modes,
+        resolution=resolution,
+    )
+
+
+def _oracle_load_defect_file(path, require_modes):
+    records = []
+    seen_ids = set()
+    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+        record = _oracle_parse_defect(obj, path.name, index, require_modes)
+        if record.id in seen_ids:
+            raise _fail(path.name, f"record '{record.id}'", "duplicate id")
+        seen_ids.add(record.id)
+        records.append(record)
+    return tuple(records)
+
+
+def _oracle_load_corpus_file(path):
+    records = _oracle_load_defect_file(path, require_modes=True)
+    if not records:
+        raise _fail(path.name, "top level", "no corpus records")
+    return records
+
+
+def _oracle_load_rtm_file(path):
+    entries = []
+    seen = set()
+    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+        where = f"entry {index}"
+        data = _expect_object(obj, path.name, where, {"req_id", "description", "status"},
+                              {"req_id", "description", "status"})
+        req_id = _parse_string(data["req_id"], path.name, f"{where}: req_id")
+        if not req_id:
+            raise _fail(path.name, f"{where}: req_id", "must be a nonempty string")
+        if req_id in seen:
+            raise _fail(path.name, f"entry '{req_id}'", "duplicate req_id")
+        seen.add(req_id)
+        entries.append(RtmEntry(
+            req_id=req_id,
+            description=_parse_string(data["description"], path.name, f"{where}: description"),
+            status=_parse_enum(CoverageStatus, data["status"], path.name, f"entry '{req_id}': status"),
+        ))
+    return tuple(entries)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+# Words the loader gives meaning to, so that drawn values also reach the
+# branches behind a valid enum value or option.
+VOCABULARY = (
+    [m.value for m in DefectClass] + [m.value for m in FailureMode]
+    + [m.value for m in CoverageStatus]
+    + ["", "D-1", "srgm", "bounded", "musa-okumoto", "custom", "control", "continuous",
+       "on-demand", "builtin", "corpus:corpus.json", "matrix.json", "information"]
+)
+
+scalars = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(min_value=10**300, max_value=10**400)
+    | st.floats() | st.text(max_size=8) | st.sampled_from(VOCABULARY)
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(VOCABULARY), children, max_size=4),
+    max_leaves=10,
+)
+@st.composite
+def with_faults(draw, valid, extra_key):
+    """``valid`` with up to two of its keys, or an unknown key, dropped or
+    set to any JSON value: two faults at once test the order of checks."""
+    record = dict(valid)
+    for key in draw(st.sets(st.sampled_from([*valid, extra_key]), max_size=2)):
+        if draw(st.integers(0, 3)) == 0:
+            record.pop(key, None)
+        else:
+            record[key] = draw(json_values)
+    return record
+
+
+@st.composite
+def defect_records(draw):
+    valid = {
+        "id": draw(st.sampled_from(["D-1", "D-2"]) | st.text(max_size=4)),
+        "description": draw(st.text(max_size=6)),
+        "class": draw(st.sampled_from([m.value for m in DefectClass])),
+        "detection_effort": draw(st.floats(min_value=0.0) | st.integers(min_value=0)),
+        "observed_modes": draw(st.lists(st.sampled_from([m.value for m in FailureMode]), max_size=4)),
+        "resolution": draw(st.text(max_size=4)),
+    }
+    return draw(with_faults(valid, "severity"))
+
+
+@st.composite
+def rtm_entries(draw):
+    valid = {
+        "req_id": draw(st.sampled_from(["R-1", "R-2"]) | st.text(max_size=4)),
+        "description": draw(st.text(max_size=6)),
+        "status": draw(st.sampled_from([m.value for m in CoverageStatus])),
+    }
+    return draw(with_faults(valid, "priority"))
+
+
+def documents(items):
+    """A file body: mostly an array of items, sometimes with other JSON
+    values among them, or any JSON value."""
+    return st.one_of(st.lists(items, min_size=1, max_size=4),
+                     st.lists(items | json_values, max_size=3), json_values)
+
+
+def outcome(load, path):
+    """The records a loader returns, or the message of its BundleError."""
+    try:
+        return load(path)
+    except BundleError as exc:
+        return str(exc)
+
+
+def defect_outcome(load, path):
+    result = outcome(load, path)
+    if isinstance(result, str):
+        return result
+    # repr of the effort tells 0.0 from -0.0 and 1 from 1.0.
+    return [(r.id, r.description, r.defect_class, repr(r.detection_effort), r.observed_modes,
+             r.resolution) for r in result]
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+# ---------------------------------------------------------------------------
+
+
+@settings(FUZZ, max_examples=300)
+@given(document=documents(defect_records()))
+def test_defect_and_corpus_loaders_match_oracle(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "defects.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert defect_outcome(load_defects_file, path) == defect_outcome(
+        lambda p: _oracle_load_defect_file(p, require_modes=False), path)
+    assert defect_outcome(load_corpus_file, path) == defect_outcome(_oracle_load_corpus_file, path)
+
+
+@settings(FUZZ, max_examples=300)
+@given(document=documents(rtm_entries()))
+def test_rtm_loader_matches_oracle(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "rtm.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
+
+
+# ---------------------------------------------------------------------------
+# Robustness: load_bundle never lets out anything but a BundleError
+# ---------------------------------------------------------------------------
+
+BASE_FILES = {
+    "defects.json": [
+        {"id": "D-1", "description": "x", "class": "checking", "detection_effort": 10.0,
+         "observed_modes": ["A"]},
+        {"id": "D-2", "description": "y", "class": "checking", "detection_effort": 30.0},
+        {"id": "D-3", "description": "z", "class": "timing", "detection_effort": 20.0,
+         "resolution": "fixed"},
+        {"id": "D-4", "description": "w", "class": "timing", "detection_effort": 40.0},
+    ],
+    "effort.json": {"kind": "continuous", "test_count": 100, "test_duration": 1.0},
+    "rtm.json": [{"req_id": "R-1", "description": "d", "status": "complete"}],
+    "tca.json": default_tca_entries(),
+    "config.json": {"structural_coverage": 1.0, "system_kind": "control",
+                    "rate_method": "srgm", "stability_windows": 2, "matrix": "builtin"},
+    "corpus.json": [{"id": "c1", "description": "x", "class": "checking", "observed_modes": ["B"]}],
+    "matrix.json": {"provenance": "p", "rows": {"checking": [0.25, 0.25, 0.25, 0.25]},
+                    "counts": {"checking": [1, 1, 1, 1]}},
+}
+
+
+@pytest.mark.parametrize("matrix", ["builtin", "corpus:corpus.json", "matrix.json"])
+def test_base_bundle_is_valid(tmp_path, matrix):
+    config = dict(BASE_FILES["config.json"], matrix=matrix)
+    bundle = load_bundle(write_files(tmp_path, {**BASE_FILES, "config.json": config}))
+    assert len(bundle.defects) == 4
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one node (possibly the root) replaced by any JSON value."""
+    if isinstance(doc, (list, dict)) and doc and draw(st.integers(0, 3)) > 0:
+        doc = list(doc) if isinstance(doc, list) else dict(doc)
+        key = draw(st.integers(0, len(doc) - 1) if isinstance(doc, list)
+                   else st.sampled_from(sorted(doc)))
+        doc[key] = draw(mutated(doc[key]))
+        return doc
+    return draw(json_values)
+
+
+@st.composite
+def bundle_edits(draw):
+    name = draw(st.sampled_from(sorted(BASE_FILES)))
+    config = dict(BASE_FILES["config.json"])
+    config["matrix"] = draw(st.sampled_from(["builtin", "corpus:corpus.json", "matrix.json"]))
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        body = draw(st.binary(max_size=40))
+    else:
+        base = config if name == "config.json" else BASE_FILES[name]
+        body = json.dumps(draw(mutated(base))).encode("utf-8")
+    return name, body, config
+
+
+@settings(FUZZ, max_examples=200)
+@given(edit=bundle_edits())
+def test_any_bundle_file_content_loads_or_raises_bundle_error(tmp_path_factory, edit):
+    name, body, config = edit
+    directory = write_files(tmp_path_factory.mktemp("bundle"), {**BASE_FILES, "config.json": config})
+    (directory / name).write_bytes(body)
+    try:
+        bundle = load_bundle(directory)
+    except BundleError:
+        return
+    assert isinstance(bundle, AssessmentBundle)
+    assert all(math.isfinite(r.detection_effort) for r in bundle.defects)
+
+
+@pytest.mark.parametrize("body", [b"", b"\xef\xbb\xbf[]", b"[" * 100_000, b"1" + b"0" * 5000,
+                                  b"[NaN]", b"[1e999]", b'"\\ud800"'],
+                         ids=["empty", "bom", "deep", "long-int", "nan", "inf", "surrogate"])
+def test_edge_bodies_raise_bundle_error(tmp_path, body):
+    directory = write_bundle(tmp_path / "b")
+    (directory / "rtm.json").write_bytes(body)
+    with pytest.raises(BundleError, match=r"^rtm\.json: "):
+        load_bundle(directory)

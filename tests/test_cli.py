@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import shutil
 import subprocess
 import sys
 
@@ -257,3 +258,53 @@ def test_validate_rejects_srgm_bundle_without_detection_efforts(tmp_path):
     config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"}
     result = run_cli("validate", write_bundle(tmp_path / "b", defects=defects, config=config))
     assert_one_error_line(result, "defects.json: record 'D-0': detection_effort: ")
+
+
+_BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("file, text, prefix", [
+    ("defects.json",
+     '[{"id": "D-1", "description": "x", "class": "checking", "detection_effort": %s}]'
+     % _BEYOND_FLOAT,
+     "defects.json: record 'D-1': detection_effort: "),
+    ("config.json", '{"structural_coverage": %s, "system_kind": "control"}' % _BEYOND_FLOAT,
+     "config.json: structural_coverage: "),
+    ("effort.json", '{"kind": "on-demand", "test_count": 1%s}' % ("0" * 5000),
+     "effort.json: top level: "),
+    ("rtm.json", "[" * 100_000 + "]" * 100_000, "rtm.json: top level: "),
+    ("rtm.json", '[{"req_id": "R-1", "description": "\\ud800", "status": "complete"}]',
+     "rtm.json: top level: "),
+], ids=["number-beyond-float", "coverage-beyond-float", "integer-over-4300-digits",
+        "nested-too-deeply", "unpaired-surrogate"])
+def test_validate_rejects_unreadable_values_in_one_short_line(tmp_path, file, text, prefix):
+    directory = write_bundle(tmp_path / "b")
+    (directory / file).write_text(text, encoding="utf-8")
+    result = run_cli("validate", directory)
+    assert_one_error_line(result, prefix)
+    assert len(result.stderr) < 200
+
+
+def test_history_and_matrix_numbers_beyond_float_range(tmp_path):
+    history = tmp_path / "history.json"
+    history.write_text('{"events": [1.0, %s]}' % _BEYOND_FLOAT, encoding="utf-8")
+    assert_one_error_line(run_cli("srgm", "fit", history), "history.json: events[1]: ")
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"provenance": "p", "rows": {"checking": [%s, 0, 0, 0]}}' % _BEYOND_FLOAT,
+                      encoding="utf-8")
+    assert_one_error_line(run_cli("assess", vcu_dir(), "--matrix", matrix), "m.json: rows: checking: ")
+
+
+def test_validate_and_assess_agree_on_srgm_case_study(tmp_path):
+    # The case study's algorithm defects both fall past the first quarter
+    # of the effort, so the first stability window of that class is empty.
+    directory = tmp_path / "vcu"
+    shutil.copytree(vcu_dir(), directory)
+    config = json.loads((directory / "config.json").read_text(encoding="utf-8"))
+    config["rate_method"] = "srgm"
+    (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for command in ("validate", "assess"):
+        assert_one_error_line(
+            run_cli(command, directory),
+            "defects.json: class 'algorithm': stability window ending at effort 2671.75 "
+            "contains 0 event(s)")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -201,13 +202,18 @@ def test_srgm_svg_plots(tmp_path):
 
 
 def test_srgm_single_event_class_fails_with_context(tmp_path):
+    # load_bundle rejects a single-event class (tests/test_bundle.py); a
+    # bundle built in Python still meets the check in the rates stage.
     directory = write_bundle(
         tmp_path / "b",
-        defects=[{"id": "D-1", "description": "x", "class": "checking", "detection_effort": 5.0}],
+        defects=[{"id": f"D-{i}", "description": "x", "class": "checking",
+                  "detection_effort": 5.0 + i} for i in range(2)],
         config={"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"},
     )
+    bundle = load_bundle(directory)
+    bundle = dataclasses.replace(bundle, defects=bundle.defects[:1])
     with pytest.raises(StageError, match="class 'checking'.*insufficient failure data"):
-        run_assessment(load_bundle(directory))
+        run_assessment(bundle)
 
 
 def test_report_from_json_rejects_garbage():
@@ -228,3 +234,16 @@ def test_total_is_finite_sum_of_modes(vcu_report):
     modes = vcu_report.mode_probabilities
     included = [modes.per_mode[m] for m in modes.per_mode if m not in modes.excluded_modes]
     assert modes.total == pytest.approx(math.fsum(included), abs=1e-18)
+
+
+def test_stage_wraps_an_orcas_error_once():
+    from orcas.errors import OrcasError
+    from orcas.report import _stage
+    with pytest.raises(StageError) as err:
+        with _stage("outer"):
+            with _stage("inner"):
+                raise OrcasError("boom")
+    assert str(err.value) == "stage 'inner': boom"
+    with pytest.raises(ValueError, match="not an orcas error"):
+        with _stage("rates"):
+            raise ValueError("not an orcas error")
