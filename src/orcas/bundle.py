@@ -49,7 +49,13 @@ from .domain import (
 )
 from .errors import BundleError, OrcasError
 from .evidence import CoverageStatus, RtmEntry, TcaEntry, validate_tca_entries
-from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel, stability_windows
+from .growth import (
+    DEFAULT_STABILITY_THRESHOLD,
+    RateMethod,
+    SrgmModel,
+    no_growth_diagnostic,
+    stability_windows,
+)
 from .quantify import SystemKind, mode_applicability
 
 REQUIRED_FILES = ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json")
@@ -598,10 +604,14 @@ def load_bundle(
         for record in defects:
             per_class.setdefault(record.defect_class, []).append(record.detection_effort)
         for cls in sorted(per_class, key=lambda c: c.value):
+            events = sorted(per_class[cls])
             try:
-                stability_windows(sorted(per_class[cls]), effort_total, config["stability_windows"])
+                stability_windows(events, effort_total, config["stability_windows"])
+                diagnostic = no_growth_diagnostic(events, config["srgm_model"], effort_total)
             except OrcasError as exc:
                 raise _fail("defects.json", f"class '{cls.value}'", str(exc)) from exc
+            if diagnostic is not None:
+                raise _fail("defects.json", f"class '{cls.value}'", diagnostic)
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:

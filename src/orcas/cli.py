@@ -25,7 +25,7 @@ from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
 from .growth import SrgmModel, fit_srgm, windowed_srgm_stability
-from .report import canonical_json_bytes, emit_report, report_from_json, run_assessment
+from .report import REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json, run_assessment
 
 _MODEL_NAMES = {
     "go": SrgmModel.GOEL_OKUMOTO,
@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
                           help="gate threshold in [0,1] (overrides config.json)")
     p_assess.add_argument("--uniform-missing-rows", action="store_true", default=None,
                           help="substitute uniform causality rows for classes with no data (warned in the report)")
-    p_assess.add_argument("--format", choices=("json", "text", "svg"), default="json")
+    p_assess.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p_assess.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p_causality = sub.add_parser("causality", help="causality-matrix operations")
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", help="re-emit a saved assessment report")
     p_report.add_argument("assessment", help="assessment JSON produced by `orcas assess`")
-    p_report.add_argument("--format", choices=("json", "text", "svg"), default="text")
+    p_report.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_report.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p_convert = sub.add_parser("convert", help="format converters")

@@ -16,17 +16,21 @@ than 10% (default).
 Maximum likelihood is computed by profiling the likelihood down to one
 dimension and solving the resulting score equation with a safeguarded
 Newton/bisection iteration on a bracketed root; the second parameter then
-follows in closed form. This is deterministic: the same events always
-produce bit-identical parameters.
+follows in closed form. For the logarithmic model a 64-bucket summary of
+the events settles most bracket signs and starts the Newton steps, so few
+passes over the events are needed. This is deterministic: the same events
+always produce bit-identical parameters.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
@@ -252,7 +256,7 @@ def mo_log_likelihood(events: Sequence[float], horizon: float, lambda0: float, t
     beta = lambda0 * theta
     return (
         n * math.log(lambda0)
-        - math.fsum(math.log1p(beta * t) for t in events)
+        - math.fsum([math.log1p(beta * t) for t in events])
         - mo_mean(horizon, lambda0, theta)
     )
 
@@ -300,39 +304,48 @@ def _no_growth_diagnostic(n: int, total: float, horizon: float) -> str:
     )
 
 
-def _solve_score(
-    score: Callable[[float], float],
-    score_prime: Callable[[float], float],
-    lo: float,
-    T: float,
-) -> float:
-    """Root of a profile score that is positive at the bracket floor ``lo``
-    and negative past the root.
+def _score_at_floor(
+    n: int, effort_sum: float, T: float, score: Callable[[float], float]
+) -> float | None:
+    """The profile score at the bracket floor, or None when the history
+    shows no growth: its mean detection effort is not below half the
+    horizon, or the score is not positive at the floor. The score then
+    has no root and the likelihood no interior maximum."""
+    if n * T / 2.0 - effort_sum <= 0.0:
+        return None
+    s = score(_BRACKET_FLOOR / T)
+    return None if s <= 0.0 else s
 
-    The upper bracket end doubles up from 1/T until the score is no
-    longer positive there. A score that is NaN, or an upper end that
-    overflows, raises instead of solving on garbage.
-    """
 
-    def value(x: float) -> float:
-        s = score(x)
-        if math.isnan(s):
-            raise OrcasError(
-                f"growth-model score is not a number at {x!r}: the detection "
-                f"efforts are beyond floating-point range"
-            )
-        return s
-
-    value(lo)
-    hi = 1.0 / T
-    while not math.isinf(hi) and value(hi) > 0.0:
-        hi *= 2.0
-    if math.isinf(hi):
+def _not_nan(s: float, x: float) -> float:
+    if math.isnan(s):
         raise OrcasError(
-            "growth-model score has no root below the largest float: the "
-            "detection efforts are beyond floating-point range"
+            f"growth-model score is not a number at {x!r}: the detection "
+            f"efforts are beyond floating-point range"
         )
-    return newton_bisection(score, score_prime, lo, hi)
+    return s
+
+
+def _bracket(sign: Callable[[float], float], s_lo: float, T: float) -> tuple[float, float]:
+    """Upper end ``hi`` of the root bracket [floor, hi] of a profile score
+    that is ``s_lo`` at the bracket floor, and ``sign(hi)``.
+
+    ``sign(x)`` is the score at x, or a stand-in with its sign. ``hi``
+    doubles up from 1/T until the score is no longer positive there. A
+    NaN score, or an upper end that overflows, raises instead of solving
+    on garbage.
+    """
+    _not_nan(s_lo, _BRACKET_FLOOR / T)
+    hi = 1.0 / T
+    while not math.isinf(hi):
+        s = _not_nan(sign(hi), hi)
+        if s <= 0.0:
+            return hi, s
+        hi *= 2.0
+    raise OrcasError(
+        "growth-model score has no root below the largest float: the "
+        "detection efforts are beyond floating-point range"
+    )
 
 
 def _finite(fit: SrgmFit) -> SrgmFit:
@@ -345,11 +358,7 @@ def _finite(fit: SrgmFit) -> SrgmFit:
     return fit
 
 
-def _fit_go(events: list[float], horizon: float) -> SrgmFit:
-    n = len(events)
-    effort_sum = math.fsum(events)
-    T = horizon
-
+def _go_score(n: int, effort_sum: float, T: float) -> Callable[[float], float]:
     def score(b: float) -> float:
         # Profile score equation in b after substituting a = n/(1 - exp(-bT)).
         # Past bT ~ 700 the expm1 term underflows the sum anyway; skip it
@@ -357,6 +366,15 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
         bt = b * T
         tail = n * T / math.expm1(bt) if bt < 700.0 else 0.0
         return n / b - effort_sum - tail
+
+    return score
+
+
+def _fit_go(events: list[float], horizon: float) -> SrgmFit:
+    n = len(events)
+    effort_sum = math.fsum(events)
+    T = horizon
+    score = _go_score(n, effort_sum, T)
 
     def score_prime(b: float) -> float:
         bt = b * T
@@ -366,7 +384,8 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
         return -n / (b * b) + n * T * T * math.exp(bt) / (e * e)
 
     lo = _BRACKET_FLOOR / T
-    if n * T / 2.0 - effort_sum <= 0.0 or score(lo) <= 0.0:
+    s_lo = _score_at_floor(n, effort_sum, T, score)
+    if s_lo is None:
         b0 = _BOUNDARY_RATE / T
         a0 = n / -math.expm1(-b0 * T)
         return _finite(SrgmFit(
@@ -378,7 +397,8 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
             converged=False,
             diagnostic=_no_growth_diagnostic(n, effort_sum, T),
         ))
-    b = _solve_score(score, score_prime, lo, T)
+    hi, s_hi = _bracket(score, s_lo, T)
+    b = newton_bisection(score, score_prime, lo, hi, flo=s_lo, fhi=s_hi)
     a = n / -math.expm1(-b * T)
     return _finite(SrgmFit(
         model=SrgmModel.GOEL_OKUMOTO,
@@ -390,40 +410,108 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
     ))
 
 
+# The Musa-Okumoto summary: at most this many buckets of consecutive
+# events. Relative slack on its bounds of sum(q): the rounding of each
+# q_i, of the bounds and of their sums is below 1e-13.
+_SUMMARY_BUCKETS = 64
+_BOUND_SLACK = 1e-12
+
+
+class _MoProfile:
+    """Musa-Okumoto profile score of one sorted history in
+    beta = lambda0*theta, after substituting lambda0 = n*beta/ln(beta*T + 1):
+
+        score(beta) = n/beta - n*T/((beta*T + 1)*ln(beta*T + 1)) - sum(q_i),
+        q_i = t_i/(beta*t_i + 1).
+
+    :meth:`score` is exact and costs a pass over the events. The other
+    methods read a summary of at most 64 buckets of consecutive events
+    (count, first, last, mean) and cost O(64).
+    """
+
+    def __init__(self, events: list[float], T: float) -> None:
+        self.events = events
+        self.n = len(events)
+        self.T = T
+
+    @cached_property
+    def buckets(self) -> list[tuple[int, float, float, float]]:
+        events, n = self.events, self.n
+        k = min(n, _SUMMARY_BUCKETS)
+        buckets = []
+        start = 0
+        for j in range(1, k + 1):
+            end = n * j // k
+            chunk = events[start:end]
+            buckets.append((end - start, chunk[0], chunk[-1], sum(chunk) / (end - start)))
+            start = end
+        return buckets
+
+    def closed(self, beta: float) -> float:
+        """The score without its sum: n/beta - n*T/((beta*T + 1)*ln(beta*T + 1))."""
+        n, T = self.n, self.T
+        u = math.log1p(beta * T)
+        return n / beta - n * T / ((beta * T + 1.0) * u)
+
+    def score(self, beta: float) -> float:
+        return self.closed(beta) - math.fsum([t / (beta * t + 1.0) for t in self.events])
+
+    def sign(self, beta: float) -> float:
+        """``score(beta)``, or +-1.0 when the summary settles its sign.
+
+        q increases with t, so a bucket's q_i lie between count*q(first)
+        and count*q(last). The score is ``closed - fsum(q)``, rounded
+        once, so its sign is that of ``closed`` against the sum; where
+        ``closed`` clears the bounds by the slack no pass is needed. The
+        bounds are trusted only where every q_i is a normal float.
+        """
+        closed = self.closed(beta)
+        low = high = 0.0
+        for count, first, last, _ in self.buckets:
+            low += count * (first / (beta * first + 1.0))
+            high += count * (last / (beta * last + 1.0))
+        high *= 1.0 + _BOUND_SLACK
+        t0 = self.events[0]
+        if t0 / (beta * t0 + 1.0) >= sys.float_info.min and math.isfinite(high):
+            if closed > high:
+                return 1.0
+            if closed < low * (1.0 - _BOUND_SLACK):
+                return -1.0
+        return self.score(beta)
+
+    def approx(self, beta: float) -> float:
+        """The score with each bucket's events at the bucket mean."""
+        return self.closed(beta) - sum(
+            count * (mean / (beta * mean + 1.0)) for count, _, _, mean in self.buckets)
+
+    def slope(self, beta: float) -> float:
+        """Derivative of :meth:`approx`; it steers Newton steps on the score."""
+        n, T = self.n, self.T
+        u = beta * T + 1.0
+        lu = math.log1p(beta * T)
+        tail = 0.0
+        for count, _, _, mean in self.buckets:
+            q = mean / (beta * mean + 1.0)
+            tail += count * (q * q)
+        return -n / (beta * beta) + n * T * T * (lu + 1.0) / (u * lu) ** 2 + tail
+
+    def estimate(self, a: float, hi: float) -> float | None:
+        """Root of :meth:`approx` in [a, hi], or None where it does not
+        change sign there."""
+        g_a, g_hi = self.approx(a), self.approx(hi)
+        if not g_a > 0.0 > g_hi:
+            return None
+        return newton_bisection(self.approx, self.slope, a, hi, flo=g_a, fhi=g_hi)
+
+
 def _fit_mo(events: list[float], horizon: float) -> SrgmFit:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
-    # Both score sums come from q_i = t_i/(beta*t_i + 1). The solver
-    # re-evaluates the score at the bracket ends and asks for the
-    # derivative right after the score at each iterate, so the score sum
-    # is kept per beta and q for the latest beta: one pass per beta.
-    @lru_cache(maxsize=1)
-    def q_at(beta: float) -> list[float]:
-        return [t / (beta * t + 1.0) for t in events]
-
-    @lru_cache(maxsize=None)
-    def q_sum(beta: float) -> float:
-        return math.fsum(q_at(beta))
-
-    def score(beta: float) -> float:
-        # Profile score in beta = lambda0*theta after substituting
-        # lambda0 = n*beta/ln(beta*T + 1).
-        u = math.log1p(beta * T)
-        return n / beta - n * T / ((beta * T + 1.0) * u) - q_sum(beta)
-
-    def score_prime(beta: float) -> float:
-        q = q_at(beta)
-        u = beta * T + 1.0
-        lu = math.log1p(beta * T)
-        return (
-            -n / (beta * beta)
-            + n * T * T * (lu + 1.0) / (u * lu) ** 2
-            + math.fsum([x * x for x in q])
-        )
-
+    profile = _MoProfile(events, T)
     lo = _BRACKET_FLOOR / T
-    if n * T / 2.0 - effort_sum <= 0.0 or score(lo) <= 0.0:
+    s_lo = _score_at_floor(n, effort_sum, T, profile.score)
+    if s_lo is None:
         beta0 = _BOUNDARY_RATE / T
         lambda0 = n * beta0 / math.log1p(beta0 * T)
         theta0 = math.log1p(beta0 * T) / n
@@ -436,7 +524,11 @@ def _fit_mo(events: list[float], horizon: float) -> SrgmFit:
             converged=False,
             diagnostic=_no_growth_diagnostic(n, effort_sum, T),
         ))
-    beta = _solve_score(score, score_prime, lo, T)
+    hi, s_hi = _bracket(profile.sign, s_lo, T)
+    # Newton on the exact score, from the root of the bucket-mean score in
+    # the last octave the bracket search crossed.
+    start = profile.estimate(lo if hi == 1.0 / T else 0.5 * hi, hi)
+    beta = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
     lambda0 = n * beta / math.log1p(beta * T)
     theta = math.log1p(beta * T) / n
     return _finite(SrgmFit(
@@ -469,8 +561,33 @@ def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> Srg
     fitter = _FITTERS.get(model)
     if fitter is None:
         raise OrcasError(f"unknown growth model {model!r}")
-    try:
+    with _float_range():
         return fitter(events, horizon)
+
+
+def no_growth_diagnostic(events: Sequence[float], model: SrgmModel, horizon: float) -> str | None:
+    """The diagnostic of the unconverged :func:`fit_srgm` of this sorted,
+    valid history, or None when the history has a growth signal.
+
+    This is the fitters' own test, at the cost of at most one pass over
+    the events.
+    """
+    n = len(events)
+    effort_sum = math.fsum(events)
+    if model is SrgmModel.GOEL_OKUMOTO:
+        score = _go_score(n, effort_sum, horizon)
+    else:
+        score = _MoProfile(events, horizon).score
+    with _float_range():
+        if _score_at_floor(n, effort_sum, horizon, score) is None:
+            return _no_growth_diagnostic(n, effort_sum, horizon)
+    return None
+
+
+@contextmanager
+def _float_range():
+    try:
+        yield
     except ArithmeticError as exc:
         raise OrcasError(f"growth fit is beyond floating-point range: {exc}") from exc
 

@@ -39,7 +39,7 @@ from .quantify import ModeProbabilities, combine
 
 SCHEMA_VERSION = 1
 
-REPORT_FORMATS = ("json", "text", "svg-plots")
+REPORT_FORMATS = ("json", "text", "svg")
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,12 @@ def run_assessment(bundle: AssessmentBundle) -> AssessmentReport:
 
 
 def emit_report(report: AssessmentReport, format: str = "json") -> bytes:
-    """Serialize a report. Formats: json, text, svg-plots (alias svg)."""
+    """Serialize a report. Formats: json, text, svg."""
     if format == "json":
         return canonical_json_bytes(report.to_dict())
     if format == "text":
         return text_report(report).encode("utf-8")
-    if format in ("svg-plots", "svg"):
+    if format == "svg":
         return svg_report(report).encode("utf-8")
     raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
 

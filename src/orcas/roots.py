@@ -20,17 +20,26 @@ def newton_bisection(
     hi: float,
     rtol: float = 1e-15,
     max_iter: int = 200,
+    *,
+    start: float | None = None,
+    flo: float | None = None,
+    fhi: float | None = None,
 ) -> float:
     """Find the root of ``func`` bracketed by [lo, hi].
 
-    ``func(lo)`` and ``func(hi)`` must have opposite signs. The bracket is
+    ``func(lo)`` and ``func(hi)`` must have opposite signs. A caller that
+    already knows them passes them as ``flo`` and ``fhi``; only their
+    signs, and whether they are zero, are used. The iteration starts at
+    ``start`` (a point of [lo, hi]), or at the midpoint. The bracket is
     maintained throughout, so a wild Newton step can never escape it; the
     result is deterministic for identical inputs. Running out of
     ``max_iter`` iterations raises :class:`OrcasError` instead of
     returning an unconverged iterate.
     """
-    flo = func(lo)
-    fhi = func(hi)
+    if flo is None:
+        flo = func(lo)
+    if fhi is None:
+        fhi = func(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -38,7 +47,12 @@ def newton_bisection(
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"root not bracketed: f({lo!r})={flo!r}, f({hi!r})={fhi!r}")
 
-    x = _midpoint(lo, hi)
+    if start is None:
+        x = _midpoint(lo, hi)
+    elif min(lo, hi) <= start <= max(lo, hi):
+        x = start
+    else:
+        raise ValueError(f"start {start!r} is outside the bracket [{lo!r}, {hi!r}]")
     fx = flo
     for _ in range(max_iter):
         fx = func(x)

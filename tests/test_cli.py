@@ -260,6 +260,24 @@ def test_validate_rejects_srgm_bundle_without_detection_efforts(tmp_path):
     assert_one_error_line(result, "defects.json: record 'D-0': detection_effort: ")
 
 
+@pytest.mark.parametrize("model", ["goel-okumoto", "musa-okumoto"])
+def test_validate_and_assess_reject_a_class_without_growth(tmp_path, model):
+    # Evenly spaced detections over the 100-hour campaign: the mean effort
+    # (55) is not below half the horizon, so no growth model fits.
+    defects = [{"id": f"D-{i}", "description": "x", "class": "checking",
+                "detection_effort": 10.0 * i} for i in range(1, 11)]
+    config = {"structural_coverage": 1.0, "system_kind": "control",
+              "rate_method": "srgm", "srgm_model": model}
+    directory = write_bundle(tmp_path / "b", defects=defects, config=config)
+    results = [run_cli(command, directory) for command in ("validate", "assess")]
+    for result in results:
+        assert_one_error_line(
+            result,
+            "defects.json: class 'checking': no reliability growth in the event history: "
+            "mean detection effort 55 is not below half the horizon 50")
+    assert results[0].stderr == results[1].stderr
+
+
 _BEYOND_FLOAT = "1" + "0" * 400
 
 

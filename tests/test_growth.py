@@ -24,6 +24,7 @@ from orcas.growth import (
     stability,
     windowed_srgm_stability,
 )
+from orcas.growth import _BRACKET_FLOOR, _bracket, _MoProfile
 
 from conftest import nhpp_exponential_events
 
@@ -538,6 +539,71 @@ def test_window_fit_keeps_the_cold_root_of_a_multi_root_score():
     assert end == 5.0
     assert fit == fit_srgm(events, SrgmModel.MUSA_OKUMOTO, horizon=5.0)
     assert fit.params["lambda0"] * fit.params["theta"] * end == pytest.approx(6.61, rel=1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=2, max_value=5000),
+    st.floats(min_value=-3.0, max_value=6.0),
+    st.floats(min_value=0.3, max_value=4.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+)
+def test_summary_bounds_settle_the_exact_score_sign(n, log_scale, shape, seed, offset):
+    # Histories from front-loaded (shape 4) to back-loaded (shape 0.3),
+    # at time scales 1e-3 to 1e6. The sign the bucket bounds settle must be
+    # the sign of the exact score, on the bracket search's dyadic grid and
+    # within 1e-9 of the root, so the bracket is the all-exact search's.
+    rng = random.Random(seed)
+    horizon = 10.0 ** log_scale
+    events = sorted(horizon * (1.0 - rng.random()) ** shape for _ in range(n))
+    profile = _MoProfile(events, horizon)
+    exact = profile.score
+    betas = [2.0 ** k / horizon for k in range(-41, 64)]
+    fit = fit_srgm(events, SrgmModel.MUSA_OKUMOTO, horizon=horizon)
+    if fit.converged:
+        root = fit.params["lambda0"] * fit.params["theta"]
+        betas += [root * (1.0 + offset), root * (1.0 - 1e-9), root, root * (1.0 + 1e-9)]
+    passes = []
+    profile.score = lambda beta: passes.append(beta) or exact(beta)
+    for beta in betas:
+        settled = profile.sign(beta)
+        score = exact(beta)
+        assert (settled > 0.0, settled < 0.0) == (score > 0.0, score < 0.0), beta
+    # Far from the root the bounds settle the sign without a pass.
+    assert len(passes) < len(betas) // 2
+    floor_score = exact(_BRACKET_FLOOR / horizon)
+    assert _bracket(profile.sign, floor_score, horizon)[0] == \
+        _bracket(exact, floor_score, horizon)[0]
+
+
+@pytest.mark.parametrize("seed, growth", [(11, 5.0), (12, 40.0), (13, 300.0)])
+def test_benchmark_size_fit_matches_high_precision_score_root(seed, growth):
+    # About 4,000 events, so each of the 64 summary buckets holds ~60 and
+    # the bucket-mean start is ~1e-3 off the root. The oracle is the root
+    # of the profile score, n/beta - n*T/((beta*T + 1)*ln(beta*T + 1))
+    # - sum(t_i/(beta*t_i + 1)), solved in 50 digits.
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    horizon = 1000.0
+    theta = math.log1p(growth) / 4000.0
+    events = nhpp_logarithmic_events(growth / horizon / theta, theta, horizon, rng)
+    fit = fit_srgm(events, SrgmModel.MUSA_OKUMOTO, horizon=horizon)
+    assert fit.converged
+    beta = fit.params["lambda0"] * fit.params["theta"]
+    n = len(events)
+    with mp.workdps(50):
+        T = mp.mpf(horizon)
+        ts = [mp.mpf(t) for t in events]
+
+        def score(x):
+            # In units of 1/T: x = beta*T.
+            b = x / T
+            return n / b - n * T / ((x + 1) * mp.log1p(x)) - mp.fsum(t / (b * t + 1) for t in ts)
+
+        # Started from the sampling model's beta*T, not from the fit.
+        oracle = float(mp.findroot(score, mp.mpf(growth)) / T)
+    assert beta == pytest.approx(oracle, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

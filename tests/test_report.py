@@ -99,7 +99,7 @@ def test_text_report_uses_control_labels_for_control_systems(tmp_path):
 
 
 def test_svg_without_fits_has_note(vcu_report):
-    svg = emit_report(vcu_report, "svg-plots").decode("utf-8")
+    svg = emit_report(vcu_report, "svg").decode("utf-8")
     assert svg.startswith("<svg")
     assert "no growth-model fits" in svg
     assert "polyline" not in svg
@@ -196,7 +196,7 @@ def test_srgm_pipeline(tmp_path):
 
 def test_srgm_svg_plots(tmp_path):
     report = run_assessment(load_bundle(srgm_bundle(tmp_path)))
-    svg = emit_report(report, "svg-plots").decode("utf-8")
+    svg = emit_report(report, "svg").decode("utf-8")
     assert svg.count("<polyline") == 2  # observed + fitted curves
     assert "checking" in svg
 

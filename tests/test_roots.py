@@ -43,3 +43,21 @@ def test_bracket_near_the_largest_float_does_not_overflow():
     target = 1.5e308
     root = newton_bisection(lambda x: x - target, lambda x: 1.0, 1e308, 1.7e308)
     assert root == target
+
+
+def test_known_end_values_are_not_evaluated_again():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return square_minus_two(x)
+
+    root = newton_bisection(f, twice, 0.0, 2.0, flo=-2.0, fhi=2.0, start=1.5)
+    assert root == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert seen[0] == 1.5
+    assert 0.0 not in seen and 2.0 not in seen
+
+
+def test_start_outside_the_bracket_is_rejected():
+    with pytest.raises(ValueError, match="outside the bracket"):
+        newton_bisection(square_minus_two, twice, 0.0, 2.0, start=3.0)
