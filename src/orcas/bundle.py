@@ -16,9 +16,13 @@ An assessment bundle is a directory of UTF-8 JSON files:
   corpus.json    optional labeled corpus, same shape as defects.json but
                  observed_modes required nonempty
 
-Everything is parsed and cross-validated before any computation runs;
-the first violation raises :class:`BundleError` naming the file, the
-entry, and the reason. No partial loads.
+Every file is parsed and its records and cross-references validated
+here; the first violation raises :class:`BundleError` naming the file,
+the entry, and the reason. No partial loads. A class history that the
+growth model cannot fit (too few events for the stability windows, or no
+growth signal) is found by the fit itself, in the rates stage of
+:func:`orcas.report.run_assessment`, which raises it as a
+:class:`BundleError` of the same form; ``orcas validate`` runs both.
 """
 
 from __future__ import annotations
@@ -49,13 +53,7 @@ from .domain import (
 )
 from .errors import BundleError, OrcasError
 from .evidence import CoverageStatus, RtmEntry, TcaEntry, validate_tca_entries
-from .growth import (
-    DEFAULT_STABILITY_THRESHOLD,
-    RateMethod,
-    SrgmModel,
-    no_growth_diagnostic,
-    stability_windows,
-)
+from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
 from .quantify import SystemKind, mode_applicability
 
 REQUIRED_FILES = ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json")
@@ -98,6 +96,17 @@ class AssessmentBundle:
 
 def _fail(file: str, where: str, reason: str) -> BundleError:
     return BundleError(f"{file}: {where}: {reason}")
+
+
+# Longest repr of a bad value quoted whole in an error message.
+_QUOTE_LIMIT = 30
+
+
+def _quote(value: Any) -> str:
+    """``repr(value)`` for an error message, cut after ``_QUOTE_LIMIT``
+    characters and marked with "..." where cut."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
 def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
@@ -164,29 +173,29 @@ def _parse_enum(enum_cls, value: Any, file: str, where: str):
         return enum_cls(value)
     except ValueError:
         expected = ", ".join(member.value for member in enum_cls)
-        raise _fail(file, where, f"invalid value {value!r} (expected one of: {expected})") from None
+        raise _fail(file, where, f"invalid value {_quote(value)} (expected one of: {expected})") from None
 
 
 def _parse_number(value: Any, file: str, where: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(file, where, f"expected a number, got {value!r}")
+        raise _fail(file, where, f"expected a number, got {_quote(value)}")
     try:
         number = float(value)
     except OverflowError:
         raise _fail(file, where, "expected a finite number, got an integer beyond floating-point range"
                     ) from None
     if not math.isfinite(number):
-        raise _fail(file, where, f"expected a finite number, got {value!r}")
+        raise _fail(file, where, f"expected a finite number, got {_quote(value)}")
     if lo is not None and number < lo:
-        raise _fail(file, where, f"must be >= {lo}, got {value!r}")
+        raise _fail(file, where, f"must be >= {lo}, got {_quote(value)}")
     if hi is not None and number > hi:
-        raise _fail(file, where, f"must be <= {hi}, got {value!r}")
+        raise _fail(file, where, f"must be <= {hi}, got {_quote(value)}")
     return number
 
 
 def _parse_string(value: Any, file: str, where: str) -> str:
     if not isinstance(value, str):
-        raise _fail(file, where, f"expected a string, got {value!r}")
+        raise _fail(file, where, f"expected a string, got {_quote(value)}")
     return value
 
 
@@ -240,7 +249,7 @@ def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> Defec
 def _parse_modes(raw_modes: Any, file: str, record_id: str) -> frozenset[FailureMode]:
     if not isinstance(raw_modes, list):
         raise _fail(file, f"record '{record_id}': observed_modes",
-                    f"expected an array, got {raw_modes!r}")
+                    f"expected an array, got {_quote(raw_modes)}")
     if not raw_modes:
         return _NO_MODES
     try:
@@ -296,7 +305,7 @@ def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None)
     kind = _parse_enum(EffortKind, data["kind"], path.name, "kind")
     count = data["test_count"]
     if isinstance(count, bool) or not isinstance(count, int):
-        raise _fail(path.name, "test_count", f"expected an integer, got {count!r}")
+        raise _fail(path.name, "test_count", f"expected an integer, got {_quote(count)}")
     duration = data.get("test_duration")
     if duration is not None:
         duration = _parse_number(duration, path.name, "test_duration")
@@ -455,7 +464,7 @@ def _csv_entries(reader: csv.DictReader, file: str) -> Iterable[tuple[int, dict]
                 entry["detection_effort"] = float(effort)
             except ValueError:
                 raise _fail(file, f"line {line}",
-                            f"detection_effort is not a number: {effort!r}") from None
+                            f"detection_effort is not a number: {_quote(effort)}") from None
         modes = (row.get("observed_modes") or "").strip()
         if modes:
             entry["observed_modes"] = [m.strip() for m in modes.split(";") if m.strip()]
@@ -514,12 +523,12 @@ def _parse_config(path: Path, digests: dict[str, str] | None = None) -> dict:
         SrgmModel, data.get("srgm_model", SrgmModel.GOEL_OKUMOTO.value), file, "srgm_model")
     windows = data.get("stability_windows", DEFAULT_STABILITY_WINDOWS)
     if isinstance(windows, bool) or not isinstance(windows, int) or windows < 2:
-        raise _fail(file, "stability_windows", f"expected an integer >= 2, got {windows!r}")
+        raise _fail(file, "stability_windows", f"expected an integer >= 2, got {_quote(windows)}")
     config["stability_windows"] = windows
     config["matrix"] = _parse_string(data.get("matrix", BUILTIN_MATRIX_SOURCE), file, "matrix")
     flag = data.get("uniform_missing_rows", False)
     if not isinstance(flag, bool):
-        raise _fail(file, "uniform_missing_rows", f"expected true or false, got {flag!r}")
+        raise _fail(file, "uniform_missing_rows", f"expected true or false, got {_quote(flag)}")
     config["uniform_missing_rows"] = flag
     if "mode_family" in data:
         config["mode_family"] = _parse_enum(ModeFamily, data["mode_family"], file, "mode_family")
@@ -598,20 +607,6 @@ def load_bundle(
                 f"{effort_total!r}; detection efforts must be recorded in the effort model's "
                 f"unit ({unit})",
             )
-    if growth:
-        # The growth fits of the rates stage need these per class.
-        per_class: dict[DefectClass, list[float]] = {}
-        for record in defects:
-            per_class.setdefault(record.defect_class, []).append(record.detection_effort)
-        for cls in sorted(per_class, key=lambda c: c.value):
-            events = sorted(per_class[cls])
-            try:
-                stability_windows(events, effort_total, config["stability_windows"])
-                diagnostic = no_growth_diagnostic(events, config["srgm_model"], effort_total)
-            except OrcasError as exc:
-                raise _fail("defects.json", f"class '{cls.value}'", str(exc)) from exc
-            if diagnostic is not None:
-                raise _fail("defects.json", f"class '{cls.value}'", diagnostic)
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-  orcas validate <dir>                      check a bundle, report problems
+  orcas validate <dir>                      assess a bundle, emit no report
   orcas assess <dir> [options]              run the pipeline, emit a report
   orcas causality build <corpus> -o FILE    estimate a matrix from a corpus
   orcas srgm fit <history> --model go|mo    fit a growth model
@@ -9,7 +9,8 @@
 
 Exit codes: 0 = assessment proceeds, 2 = defer to the alternate method
 (low confidence), 1 = any error. Usage errors also exit 1 so that 2
-always means "defer".
+always means "defer". `validate` exits 0 for a bundle that `assess` can
+run, whether its gate proceeds or defers.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"orcas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_validate = sub.add_parser("validate", help="validate a bundle directory")
+    p_validate = sub.add_parser("validate", help="check that a bundle directory can be assessed")
     p_validate.add_argument("directory")
 
     p_assess = sub.add_parser("assess", help="run an assessment on a bundle directory")
@@ -123,7 +124,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> int:
+    # `assess` without emission: a bundle validate accepts, assess can run.
     bundle = load_bundle(args.directory)
+    report = run_assessment(bundle)
     print(f"bundle OK: {args.directory}")
     print(f"  defects: {len(bundle.defects)}")
     print(f"  effort: {bundle.effort.test_count} tests "
@@ -131,6 +134,12 @@ def _cmd_validate(args) -> int:
     print(f"  rtm entries: {len(bundle.rtm)}")
     print(f"  tca slots: {len(bundle.tca)}")
     print(f"  matrix: {bundle.matrix.provenance}")
+    print(f"  rates: {bundle.rate_method.value}")
+    evidence = report.evidence
+    print(f"  gate: {evidence.gate.value} (confidence {evidence.confidence:.4f}, "
+          f"threshold {evidence.threshold:.4f})")
+    for note in report.annotations:
+        print(f"  note: {note}")
     return 0
 
 

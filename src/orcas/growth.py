@@ -358,7 +358,11 @@ def _finite(fit: SrgmFit) -> SrgmFit:
     return fit
 
 
-def _go_score(n: int, effort_sum: float, T: float) -> Callable[[float], float]:
+def _fit_go(events: list[float], horizon: float) -> SrgmFit:
+    n = len(events)
+    effort_sum = math.fsum(events)
+    T = horizon
+
     def score(b: float) -> float:
         # Profile score equation in b after substituting a = n/(1 - exp(-bT)).
         # Past bT ~ 700 the expm1 term underflows the sum anyway; skip it
@@ -366,15 +370,6 @@ def _go_score(n: int, effort_sum: float, T: float) -> Callable[[float], float]:
         bt = b * T
         tail = n * T / math.expm1(bt) if bt < 700.0 else 0.0
         return n / b - effort_sum - tail
-
-    return score
-
-
-def _fit_go(events: list[float], horizon: float) -> SrgmFit:
-    n = len(events)
-    effort_sum = math.fsum(events)
-    T = horizon
-    score = _go_score(n, effort_sum, T)
 
     def score_prime(b: float) -> float:
         bt = b * T
@@ -563,25 +558,6 @@ def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> Srg
         raise OrcasError(f"unknown growth model {model!r}")
     with _float_range():
         return fitter(events, horizon)
-
-
-def no_growth_diagnostic(events: Sequence[float], model: SrgmModel, horizon: float) -> str | None:
-    """The diagnostic of the unconverged :func:`fit_srgm` of this sorted,
-    valid history, or None when the history has a growth signal.
-
-    This is the fitters' own test, at the cost of at most one pass over
-    the events.
-    """
-    n = len(events)
-    effort_sum = math.fsum(events)
-    if model is SrgmModel.GOEL_OKUMOTO:
-        score = _go_score(n, effort_sum, horizon)
-    else:
-        score = _MoProfile(events, horizon).score
-    with _float_range():
-        if _score_at_floor(n, effort_sum, horizon, score) is None:
-            return _no_growth_diagnostic(n, effort_sum, horizon)
-    return None
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from ._version import __version__
 from .bundle import AssessmentBundle
 from .causality import merge_causality, uniform_causality
 from .domain import MODE_ORDER, DefectClass, ModeFamily, total_effort
-from .errors import MissingCausalityRowError, OrcasError, StageError
+from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
 from .evidence import (
     CoverageStatus,
     EvidenceSummary,
@@ -104,7 +104,7 @@ def canonical_json_bytes(data) -> bytes:
 def _stage(name: str):
     try:
         yield
-    except StageError:
+    except (StageError, BundleError):
         raise
     except OrcasError as exc:
         raise StageError(name, exc) from exc
@@ -123,15 +123,20 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
     all_stable = True
     for cls in sorted(per_class_events, key=lambda c: c.value):
         events = sorted(per_class_events[cls])
+        # A class history the growth model cannot fit is a fault of the
+        # data: reported as the loader reports one, naming file and class.
+        where = f"defects.json: class '{cls.value}'"
         try:
             verdict, window_fits = windowed_srgm_stability(
                 events, bundle.srgm_model, horizon,
                 bundle.stability_windows, bundle.stability_threshold,
             )
         except OrcasError as exc:
-            raise OrcasError(f"class '{cls.value}': {exc}") from exc
+            raise BundleError(f"{where}: {exc}") from exc
         # The last stability window spans the whole horizon: it is the fit.
         fit = window_fits[-1][1]
+        if not fit.converged:
+            raise BundleError(f"{where}: {fit.diagnostic}")
         fits[cls] = fit
         all_stable = all_stable and verdict.stable
         growth_per_class[cls.value] = {

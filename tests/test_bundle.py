@@ -16,6 +16,7 @@ from orcas.domain import DefectClass, FailureMode, ModeFamily, total_effort
 from orcas.errors import BundleError
 from orcas.growth import RateMethod
 from orcas.quantify import SystemKind
+from orcas.report import run_assessment
 
 from conftest import write_bundle
 
@@ -352,7 +353,7 @@ def test_srgm_class_histories_checked_at_load(tmp_path, efforts, windows, reason
     config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm",
               "stability_windows": windows}
     with pytest.raises(BundleError, match=rf"^defects\.json: class 'checking': {reason}"):
-        load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
+        run_assessment(load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config)))
 
 
 @pytest.mark.parametrize("source", ["m.json", "corpus:corpus.json"])

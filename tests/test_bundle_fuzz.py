@@ -1,20 +1,24 @@
-"""Property tests of the bundle loader.
+"""Property tests of the bundle loader and of `orcas validate`.
 
 Differential: the record parsers must accept and reject exactly what the
 oracles below accept and reject, with byte-identical messages. The oracles
 are the earlier parsers, which call one generic helper of orcas.bundle per
 check and build records through the validating constructors. Robustness:
 any JSON value or any bytes in any bundle file yields a bundle or a
-BundleError, and nothing else.
+BundleError, and nothing else. Agreement: `orcas validate` accepts a
+bundle exactly when `orcas assess` can run on it, and otherwise prints
+the error line that `assess` prints.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orcas.bundle import (
@@ -25,12 +29,14 @@ from orcas.bundle import (
     _parse_enum,
     _parse_number,
     _parse_string,
+    _quote,
     _read_json,
     load_bundle,
     load_corpus_file,
     load_defects_file,
     load_rtm_file,
 )
+from orcas.cli import main
 from orcas.domain import DefectClass, DefectRecord, FailureMode
 from orcas.errors import BundleError
 from orcas.evidence import CoverageStatus, RtmEntry
@@ -67,7 +73,7 @@ def _oracle_parse_defect(obj, file, index, require_modes):
     effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
     raw_modes = data.get("observed_modes", [])
     if not isinstance(raw_modes, list):
-        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {raw_modes!r}")
+        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {_quote(raw_modes)}")
     modes = frozenset(
         _parse_enum(FailureMode, m, file, f"{where}: observed_modes") for m in raw_modes
     )
@@ -312,3 +318,91 @@ def test_edge_bodies_raise_bundle_error(tmp_path, body):
     (directory / "rtm.json").write_bytes(body)
     with pytest.raises(BundleError, match=r"^rtm\.json: "):
         load_bundle(directory)
+
+
+# ---------------------------------------------------------------------------
+# Agreement: validate accepts a bundle iff assess runs on it
+# ---------------------------------------------------------------------------
+
+CLASS_NAMES = [m.value for m in DefectClass]
+MODE_NAMES = [m.value for m in FailureMode]
+
+
+@st.composite
+def assessable_bundles(draw):
+    """Bundle files over the options the rates and causality stages read:
+    both rate methods and growth models, the three matrix sources, classes
+    with and without rows, and histories with and without growth."""
+    config = {
+        "structural_coverage": 1.0,
+        "system_kind": "control",
+        "rate_method": draw(st.sampled_from(["bounded", "srgm"])),
+        "srgm_model": draw(st.sampled_from(["goel-okumoto", "musa-okumoto"])),
+        "stability_windows": draw(st.integers(2, 4)),
+        "matrix": draw(st.sampled_from(["builtin", "matrix.json", "corpus:corpus.json"])),
+        "uniform_missing_rows": draw(st.booleans()),
+    }
+    defects = []
+    for cls in draw(st.lists(st.sampled_from(CLASS_NAMES), max_size=3, unique=True)):
+        # Efforts u**3 of the 100-hour campaign come early (mean 25 hours
+        # for uniform u): mostly a growth signal. Efforts u mostly have none.
+        power = draw(st.sampled_from([1, 3]))
+        for u in draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=10)):
+            defects.append({"id": f"D-{len(defects)}", "description": "x", "class": cls,
+                            "detection_effort": 100.0 * u ** power})
+    rows = draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.tuples(st.sampled_from(CLASS_NAMES), st.sampled_from(MODE_NAMES)),
+                           min_size=1, max_size=6))
+    statuses = draw(st.lists(st.sampled_from([m.value for m in CoverageStatus]), min_size=1,
+                             max_size=3))
+    return {
+        "defects.json": defects,
+        "effort.json": {"kind": "continuous", "test_count": 100, "test_duration": 1.0},
+        "rtm.json": [{"req_id": f"R-{i}", "description": "d", "status": status}
+                     for i, status in enumerate(statuses)],
+        "tca.json": default_tca_entries(),
+        "config.json": config,
+        "matrix.json": {"provenance": "p", "rows": {cls: [0.25] * 4 for cls in rows}},
+        "corpus.json": [{"id": f"c{i}", "description": "x", "class": cls, "observed_modes": [mode]}
+                        for i, (cls, mode) in enumerate(labels)],
+    }
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process CLI command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_RELATIONSHIP_BUNDLE = {**BASE_FILES,
+                        "defects.json": [{"id": "D-1", "description": "x", "class": "relationship",
+                                          "detection_effort": 1.0}],
+                        "config.json": {"structural_coverage": 1.0, "system_kind": "control"}}
+_NO_GROWTH_BUNDLE = {**BASE_FILES,
+                     "defects.json": [{"id": f"D-{i}", "description": "x", "class": "checking",
+                                       "detection_effort": 10.0 * i} for i in range(1, 11)]}
+
+
+@settings(FUZZ, max_examples=150)
+@given(files=assessable_bundles())
+@example(files=_RELATIONSHIP_BUNDLE)
+@example(files={**BASE_FILES, "rtm.json": []})
+@example(files=_NO_GROWTH_BUNDLE)
+@example(files={**_NO_GROWTH_BUNDLE,
+                "config.json": dict(BASE_FILES["config.json"], srgm_model="musa-okumoto")})
+def test_validate_accepts_exactly_what_assess_runs(tmp_path_factory, files):
+    directory = write_files(tmp_path_factory.mktemp("agree"), files)
+    out = directory / "assessment.json"
+    validated, stdout, validate_err = run_main(["validate", str(directory)])
+    assessed, _, assess_err = run_main(["assess", str(directory), "-o", str(out)])
+    assert (validated == 0) == (assessed in (0, 2))
+    if validated == 0:
+        assert validate_err == ""
+        gate = json.loads(out.read_bytes())["evidence"]["gate"]
+        assert f"  gate: {gate} (" in stdout
+    else:
+        assert validated == assessed == 1
+        assert validate_err == assess_err
+        assert validate_err.startswith("orcas: error: ") and validate_err.count("\n") == 1

@@ -27,6 +27,9 @@ def test_validate_fixture():
     assert "defects: 8" in out
     assert "rtm entries: 10" in out
     assert "tca slots: 15" in out
+    assert "  rates: bounded\n" in out
+    assert "  gate: defer-to-BAHAMAS (confidence 0.7667, threshold 0.9000)\n" in out
+    assert "  note: confidence is the weighted mean of the RTM and TCA scores" in out
 
 
 def test_assess_defers_at_default_threshold():
@@ -158,11 +161,20 @@ def test_uniform_missing_rows_flag(tmp_path):
     without = run_cli("assess", directory)
     assert without.returncode == 1
     assert b"no causality row: relationship" in without.stderr
+    validated = run_cli("validate", directory)
+    assert validated.returncode == 1
+    assert validated.stderr == without.stderr
     with_flag = run_cli("assess", directory, "--uniform-missing-rows",
                         "--confidence-threshold", "0.5")
     assert with_flag.returncode == 0
     report = json.loads(with_flag.stdout)
     assert any("uniform" in note for note in report["annotations"])
+    config = {"structural_coverage": 1.0, "system_kind": "control", "uniform_missing_rows": True}
+    write_bundle(directory, defects=[{"id": "D-1", "description": "x", "class": "relationship",
+                                      "detection_effort": 1.0}], config=config)
+    validated = run_cli("validate", directory)
+    assert validated.returncode == 0
+    assert "  note: WARNING: no causality data for class(es) relationship;" in validated.stdout.decode()
 
 
 def test_missing_bundle_dir_exits_1(tmp_path):
@@ -293,8 +305,10 @@ _BEYOND_FLOAT = "1" + "0" * 400
     ("rtm.json", "[" * 100_000 + "]" * 100_000, "rtm.json: top level: "),
     ("rtm.json", '[{"req_id": "R-1", "description": "\\ud800", "status": "complete"}]',
      "rtm.json: top level: "),
+    ("defects.json", '[{"id": "D-1", "description": "x", "class": "%s"}]' % ("x" * 4000),
+     "defects.json: record 'D-1': class: invalid value 'xxx"),
 ], ids=["number-beyond-float", "coverage-beyond-float", "integer-over-4300-digits",
-        "nested-too-deeply", "unpaired-surrogate"])
+        "nested-too-deeply", "unpaired-surrogate", "long-string"])
 def test_validate_rejects_unreadable_values_in_one_short_line(tmp_path, file, text, prefix):
     directory = write_bundle(tmp_path / "b")
     (directory / file).write_text(text, encoding="utf-8")

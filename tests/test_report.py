@@ -6,7 +6,7 @@ import pytest
 
 from orcas.bundle import load_bundle
 from orcas.domain import DefectClass, FailureMode
-from orcas.errors import StageError
+from orcas.errors import BundleError, StageError
 from orcas.evidence import GateDecision
 from orcas.report import (
     AssessmentReport,
@@ -202,8 +202,8 @@ def test_srgm_svg_plots(tmp_path):
 
 
 def test_srgm_single_event_class_fails_with_context(tmp_path):
-    # load_bundle rejects a single-event class (tests/test_bundle.py); a
-    # bundle built in Python still meets the check in the rates stage.
+    # A bundle built in Python, past load_bundle, meets the same check in
+    # the rates stage, raised as the input fault it is.
     directory = write_bundle(
         tmp_path / "b",
         defects=[{"id": f"D-{i}", "description": "x", "class": "checking",
@@ -212,7 +212,7 @@ def test_srgm_single_event_class_fails_with_context(tmp_path):
     )
     bundle = load_bundle(directory)
     bundle = dataclasses.replace(bundle, defects=bundle.defects[:1])
-    with pytest.raises(StageError, match="class 'checking'.*insufficient failure data"):
+    with pytest.raises(BundleError, match="class 'checking'.*insufficient failure data"):
         run_assessment(bundle)
 
 
@@ -244,6 +244,11 @@ def test_stage_wraps_an_orcas_error_once():
             with _stage("inner"):
                 raise OrcasError("boom")
     assert str(err.value) == "stage 'inner': boom"
+    fault = BundleError("defects.json: class 'checking': boom")
+    with pytest.raises(BundleError) as err:
+        with _stage("rates"):
+            raise fault
+    assert err.value is fault
     with pytest.raises(ValueError, match="not an orcas error"):
         with _stage("rates"):
             raise ValueError("not an orcas error")
