@@ -7,7 +7,7 @@ An assessment bundle is a directory of UTF-8 JSON files:
                   "observed_modes"?: [...], "resolution"?}
   effort.json    {"kind": "on-demand"|"continuous", "test_count",
                   "test_duration"? (continuous only, hours per test)}
-  rtm.json       array of {"req_id", "description", "status"}
+  rtm.json       nonempty array of {"req_id", "description", "status"}
   tca.json       array of {"level", "activity", "trigger", "status"};
                  must cover the 15-slot template exactly
   config.json    assessment options (see _parse_config)
@@ -27,13 +27,12 @@ growth signal) is found by the fit itself, in the rates stage of
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -45,6 +44,7 @@ from .domain import (
     EffortKind,
     EffortModel,
     FailureMode,
+    FrozenRecord,
     ModeFamily,
     TestLevel,
     TriggerKind,
@@ -64,10 +64,13 @@ BUILTIN_MATRIX_SOURCE = "builtin"
 CORPUS_SOURCE_PREFIX = "corpus:"
 
 
-@dataclass(frozen=True)
-class AssessmentBundle:
+class AssessmentBundle(FrozenRecord):
     """A fully validated dataset plus effective assessment options."""
 
+    __slots__ = ("defects", "effort", "rtm", "tca", "structural_coverage", "matrix", "matrix_source",
+                 "system_kind", "excluded_modes", "mode_family", "confidence_threshold",
+                 "stability_threshold", "rate_method", "srgm_model", "stability_windows",
+                 "uniform_missing_rows", "rtm_weight", "tca_weight", "input_digests")
     defects: tuple[DefectRecord, ...]
     effort: EffortModel
     rtm: tuple[RtmEntry, ...]
@@ -109,6 +112,9 @@ def _quote(value: Any) -> str:
     return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
+
+
 def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
     """Parse one UTF-8 JSON file. With ``digests``, also record the SHA-256
     of the bytes parsed under the file's name."""
@@ -139,9 +145,10 @@ def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
                     ) from None
     except RecursionError:
         raise _fail(path.name, "top level", "invalid JSON: nested too deeply") from None
-    if "\\ud" in text or "\\uD" in text:
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
         # A \uD800-\uDFFF escape that is not half of a pair decodes to a
-        # lone surrogate, which no report can encode as UTF-8.
+        # lone surrogate, which no report can encode as UTF-8. Most files
+        # hold no backslash, ruled out by one memchr-speed search.
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
@@ -227,35 +234,35 @@ def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> Defec
     value = obj["class"]
     defect_class = _CLASSES.get(value) if isinstance(value, str) else None
     if defect_class is None:
-        defect_class = _parse_enum(DefectClass, value, file, f"record '{record_id}': class")
+        defect_class = _parse_enum(DefectClass, value, file, f"record {_quote(record_id)}: class")
     effort = obj.get("detection_effort", 0.0)
     if type(effort) is not float or not 0.0 <= effort < math.inf:
-        effort = _parse_number(effort, file, f"record '{record_id}': detection_effort", lo=0.0)
+        effort = _parse_number(effort, file, f"record {_quote(record_id)}: detection_effort", lo=0.0)
     modes = _NO_MODES
     if "observed_modes" in obj:
         modes = _parse_modes(obj["observed_modes"], file, record_id)
     if require_modes and not modes:
-        raise _fail(file, f"record '{record_id}'",
+        raise _fail(file, f"record {_quote(record_id)}",
                     "corpus records must label at least one observed failure mode")
     resolution = obj.get("resolution")
     if resolution is not None and not isinstance(resolution, str):
-        resolution = _parse_string(resolution, file, f"record '{record_id}': resolution")
+        resolution = _parse_string(resolution, file, f"record {_quote(record_id)}: resolution")
     description = obj["description"]
     if not isinstance(description, str):
-        description = _parse_string(description, file, f"record '{record_id}': description")
+        description = _parse_string(description, file, f"record {_quote(record_id)}: description")
     return _trusted_defect_record(record_id, description, defect_class, effort, modes, resolution)
 
 
 def _parse_modes(raw_modes: Any, file: str, record_id: str) -> frozenset[FailureMode]:
     if not isinstance(raw_modes, list):
-        raise _fail(file, f"record '{record_id}': observed_modes",
+        raise _fail(file, f"record {_quote(record_id)}: observed_modes",
                     f"expected an array, got {_quote(raw_modes)}")
     if not raw_modes:
         return _NO_MODES
     try:
         return frozenset([_MODES[mode] for mode in raw_modes])
     except (KeyError, TypeError):
-        where = f"record '{record_id}': observed_modes"
+        where = f"record {_quote(record_id)}: observed_modes"
         return frozenset([_parse_enum(FailureMode, mode, file, where) for mode in raw_modes])
 
 
@@ -267,7 +274,7 @@ def _unique_defects(objects: Iterable[tuple[int, Any]], file: str,
     for index, obj in objects:
         record = _parse_defect(obj, file, index, require_modes)
         if record.id in seen_ids:
-            raise _fail(file, f"record '{record.id}'", "duplicate id")
+            raise _fail(file, f"record {_quote(record.id)}", "duplicate id")
         seen_ids.add(record.id)
         records.append(record)
     return tuple(records)
@@ -341,7 +348,7 @@ def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
         if not req_id:
             raise _fail(file, f"entry {index}: req_id", "must be a nonempty string")
         if req_id in seen:
-            raise _fail(file, f"entry '{req_id}'", "duplicate req_id")
+            raise _fail(file, f"entry {_quote(req_id)}", "duplicate req_id")
         seen.add(req_id)
         description = obj["description"]
         if not isinstance(description, str):
@@ -349,8 +356,10 @@ def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
         value = obj["status"]
         status = _STATUSES.get(value) if isinstance(value, str) else None
         if status is None:
-            status = _parse_enum(CoverageStatus, value, file, f"entry '{req_id}': status")
+            status = _parse_enum(CoverageStatus, value, file, f"entry {_quote(req_id)}: status")
         entries.append(RtmEntry(req_id=req_id, description=description, status=status))
+    if not entries:
+        raise _fail(file, "top level", "no entries; an empty traceability matrix cannot be scored")
     return tuple(entries)
 
 
@@ -433,6 +442,7 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     JSON bundle format stays the source of truth; this exists because
     defect logs usually start life in spreadsheets.
     """
+    import csv  # only this converter reads CSV; keep it out of every other command's start-up
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -451,7 +461,7 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     return _unique_defects(_csv_entries(reader, path.name), path.name, require_modes=False)
 
 
-def _csv_entries(reader: csv.DictReader, file: str) -> Iterable[tuple[int, dict]]:
+def _csv_entries(reader: Iterable[dict], file: str) -> Iterable[tuple[int, dict]]:
     for line, row in enumerate(reader, start=2):
         entry: dict = {
             "id": (row.get("id") or "").strip(),
@@ -596,13 +606,13 @@ def load_bundle(
     for record in defects:
         if growth and record.detection_effort <= 0.0:
             raise _fail(
-                "defects.json", f"record '{record.id}': detection_effort",
+                "defects.json", f"record {_quote(record.id)}: detection_effort",
                 f"must be positive for rate_method 'srgm' (the growth model fits detection "
                 f"efforts), got {record.detection_effort!r}; record it or use rate_method 'bounded'",
             )
         if record.detection_effort > effort_total:
             raise _fail(
-                "defects.json", f"record '{record.id}'",
+                "defects.json", f"record {_quote(record.id)}",
                 f"detection_effort {record.detection_effort!r} exceeds total testing effort "
                 f"{effort_total!r}; detection efforts must be recorded in the effort model's "
                 f"unit ({unit})",

@@ -10,10 +10,9 @@ no data: lookups on absent rows raise, they never return silent zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode
+from .domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, FrozenRecord
 from .errors import MissingCausalityRowError, OrcasError
 
 #: Printed probabilities are rounded to 3 decimals, so row sums may be off
@@ -37,8 +36,7 @@ _BUILTIN_ROWS: dict[DefectClass, tuple[float, float, float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class CausalityMatrix:
+class CausalityMatrix(FrozenRecord):
     """Row-stochastic map from defect class to failure-mode probabilities.
 
     ``rows`` holds a 4-tuple per class, indexed by :data:`MODE_ORDER`.
@@ -46,9 +44,11 @@ class CausalityMatrix:
     estimated from a corpus.
     """
 
+    __slots__ = ("rows", "provenance", "counts")
+    _defaults = {"counts": None}
     rows: Mapping[DefectClass, tuple[float, float, float, float]]
     provenance: str
-    counts: Mapping[DefectClass, tuple[int, int, int, int]] | None = None
+    counts: Mapping[DefectClass, tuple[int, int, int, int]] | None
 
     def __post_init__(self) -> None:
         rows = dict(self.rows)

@@ -16,6 +16,7 @@ run, whether its gate proceeds or defers.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -229,4 +230,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # One command per process, whose data lives until exit: the cyclic GC would only
+    # re-traverse the parsed JSON. main() itself leaves the GC as it finds it.
+    gc.disable()
     sys.exit(main())

@@ -7,7 +7,6 @@ share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable
 
@@ -98,8 +97,59 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class DefectRecord:
+class FrozenRecord:
+    """Base of the immutable record types.
+
+    A subclass names its fields in ``__slots__`` and the defaults of
+    trailing fields in ``_defaults``. ``__init__`` takes the fields by
+    position or name, then runs ``__post_init__`` to check them (it may
+    normalize one with ``object.__setattr__``). Instances compare, hash and
+    print by field values; setting or deleting an attribute raises
+    :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or not kwargs.keys() <= set(names[len(args):])
+                or len(values) < len(names)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}, each once; "
+                            f"all but {', '.join(self._defaults) or 'none'} are required")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class DefectRecord(FrozenRecord):
     """One classified defect.
 
     ``detection_effort`` is the cumulative testing effort at which the
@@ -109,12 +159,15 @@ class DefectRecord:
     observed failure mode.
     """
 
+    __slots__ = ("id", "description", "defect_class", "detection_effort", "observed_modes",
+                 "resolution")
+    _defaults = {"observed_modes": frozenset(), "resolution": None}
     id: str
     description: str
     defect_class: DefectClass
     detection_effort: float
-    observed_modes: frozenset[FailureMode] = frozenset()
-    resolution: str | None = None
+    observed_modes: frozenset[FailureMode]
+    resolution: str | None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -157,7 +210,7 @@ class DefectRecord:
 
 # Slot descriptors set a field even on a frozen instance, without the
 # lookup by name that object.__setattr__ makes.
-_DEFECT_SETTERS = tuple(DefectRecord.__dict__[field.name].__set__ for field in fields(DefectRecord))
+_DEFECT_SETTERS = tuple(DefectRecord.__dict__[name].__set__ for name in DefectRecord.__slots__)
 
 
 def _trusted_defect_record(
@@ -185,8 +238,7 @@ def _trusted_defect_record(
     return record
 
 
-@dataclass(frozen=True)
-class EffortModel:
+class EffortModel(FrozenRecord):
     """Total testing effort: a test count, plus hours per test for
     continuous-operation software.
 
@@ -194,9 +246,11 @@ class EffortModel:
     omitted for on-demand (demand counts have no duration).
     """
 
+    __slots__ = ("kind", "test_count", "test_duration")
+    _defaults = {"test_duration": None}
     kind: EffortKind
     test_count: int
-    test_duration: float | None = None
+    test_duration: float | None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, EffortKind):
@@ -218,21 +272,6 @@ class EffortModel:
     @property
     def rate_unit(self) -> RateUnit:
         return RateUnit.PER_HOUR if self.kind is EffortKind.CONTINUOUS else RateUnit.PER_DEMAND
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind.value, "test_count": self.test_count}
-        if self.test_duration is not None:
-            out["test_duration"] = self.test_duration
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EffortModel":
-        duration = data.get("test_duration")
-        return cls(
-            kind=EffortKind(data["kind"]),
-            test_count=data["test_count"],
-            test_duration=None if duration is None else float(duration),
-        )
 
 
 def total_effort(model: EffortModel) -> float:

@@ -12,11 +12,10 @@ instead of standing on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .domain import TestLevel, TriggerKind
+from .domain import FrozenRecord, TestLevel, TriggerKind
 from .errors import OrcasError
 
 
@@ -44,56 +43,45 @@ class GateDecision(str, Enum):
     DEFER = "defer-to-BAHAMAS"
 
 
-@dataclass(frozen=True)
-class RtmEntry:
+class RtmEntry(FrozenRecord):
     """One requirement and how completely tests trace to it."""
 
-    req_id: str
-    description: str
-    status: CoverageStatus
+    __slots__ = ("req_id", "description", "status")
 
-    def __post_init__(self) -> None:
-        if not self.req_id:
+    # Built once per rtm.json entry: an explicit __init__ costs half the generic one.
+    def __init__(self, req_id: str, description: str, status: CoverageStatus) -> None:
+        if not req_id:
             raise ValueError("req_id must be nonempty")
-        if not isinstance(self.status, CoverageStatus):
-            raise ValueError(f"status must be a CoverageStatus, got {self.status!r}")
+        if not isinstance(status, CoverageStatus):
+            raise ValueError(f"status must be a CoverageStatus, got {status!r}")
+        object.__setattr__(self, "req_id", req_id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "status", status)
 
     @property
     def score(self) -> float:
         return STATUS_SCORES[self.status]
 
-    def to_dict(self) -> dict:
-        return {"req_id": self.req_id, "description": self.description, "status": self.status.value}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RtmEntry":
-        return cls(
-            req_id=data["req_id"],
-            description=data["description"],
-            status=CoverageStatus(data["status"]),
-        )
-
-
-@dataclass(frozen=True)
-class TcaEntry:
+class TcaEntry(FrozenRecord):
     """One required (test level, activity, trigger) slot and its status."""
 
-    level: TestLevel
-    activity: str
-    trigger: TriggerKind
-    status: CoverageStatus
+    __slots__ = ("level", "activity", "trigger", "status")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.level, TestLevel):
-            raise ValueError(f"level must be a TestLevel, got {self.level!r}")
-        if self.activity not in ACTIVITIES:
-            raise ValueError(
-                f"activity must be one of {', '.join(ACTIVITIES)}; got {self.activity!r}"
-            )
-        if not isinstance(self.trigger, TriggerKind):
-            raise ValueError(f"trigger must be a TriggerKind, got {self.trigger!r}")
-        if not isinstance(self.status, CoverageStatus):
-            raise ValueError(f"status must be a CoverageStatus, got {self.status!r}")
+    def __init__(self, level: TestLevel, activity: str, trigger: TriggerKind,
+                 status: CoverageStatus) -> None:
+        if not isinstance(level, TestLevel):
+            raise ValueError(f"level must be a TestLevel, got {level!r}")
+        if activity not in ACTIVITIES:
+            raise ValueError(f"activity must be one of {', '.join(ACTIVITIES)}; got {activity!r}")
+        if not isinstance(trigger, TriggerKind):
+            raise ValueError(f"trigger must be a TriggerKind, got {trigger!r}")
+        if not isinstance(status, CoverageStatus):
+            raise ValueError(f"status must be a CoverageStatus, got {status!r}")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "activity", activity)
+        object.__setattr__(self, "trigger", trigger)
+        object.__setattr__(self, "status", status)
 
     @property
     def slot(self) -> tuple[TestLevel, str, TriggerKind]:
@@ -103,28 +91,11 @@ class TcaEntry:
     def score(self) -> float:
         return STATUS_SCORES[self.status]
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level.value,
-            "activity": self.activity,
-            "trigger": self.trigger.value,
-            "status": self.status.value,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TcaEntry":
-        return cls(
-            level=TestLevel(data["level"]),
-            activity=data["activity"],
-            trigger=TriggerKind(data["trigger"]),
-            status=CoverageStatus(data["status"]),
-        )
-
-
-@dataclass(frozen=True)
-class EvidenceSummary:
+class EvidenceSummary(FrozenRecord):
     """Evidence scores, the aggregated confidence, and the gate decision."""
 
+    __slots__ = ("rtm_score", "tca_score", "structural_coverage", "confidence", "gate", "threshold")
     rtm_score: float
     tca_score: float
     structural_coverage: float

@@ -28,7 +28,6 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -37,6 +36,7 @@ from .domain import (
     DefectClass,
     DefectRecord,
     EffortModel,
+    FrozenRecord,
     RateUnit,
     count_by_class,
     total_effort,
@@ -58,10 +58,10 @@ class SrgmModel(str, Enum):
 DEFAULT_STABILITY_THRESHOLD = 0.10
 
 
-@dataclass(frozen=True)
-class ClassRates:
+class ClassRates(FrozenRecord):
     """Per-class failure rates, one entry for every defect class."""
 
+    __slots__ = ("rates", "unit", "method")
     rates: Mapping[DefectClass, float]
     unit: RateUnit
     method: RateMethod
@@ -97,8 +97,7 @@ class ClassRates:
         )
 
 
-@dataclass(frozen=True)
-class SrgmFit:
+class SrgmFit(FrozenRecord):
     """A fitted growth model.
 
     ``params`` holds {"a", "b"} for the exponential model and
@@ -110,13 +109,16 @@ class SrgmFit:
     parameters must never be used as point estimates.
     """
 
+    __slots__ = ("model", "params", "predicted_total", "current_intensity", "log_likelihood",
+                 "converged", "diagnostic")
+    _defaults = {"diagnostic": None}
     model: SrgmModel
     params: Mapping[str, float]
     predicted_total: float
     current_intensity: float
     log_likelihood: float
     converged: bool
-    diagnostic: str | None = None
+    diagnostic: str | None
 
     def mean_at(self, t: float) -> float:
         if self.model is SrgmModel.GOEL_OKUMOTO:
@@ -152,8 +154,7 @@ class SrgmFit:
         )
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(FrozenRecord):
     """Outcome of the refit-stability check.
 
     ``series`` pairs each window end with that window's predicted total;
@@ -161,6 +162,7 @@ class StabilityVerdict:
     threshold.
     """
 
+    __slots__ = ("series", "max_relative_step", "stable", "threshold")
     series: tuple[tuple[float, float], ...]
     max_relative_step: float
     stable: bool

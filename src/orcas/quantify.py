@@ -11,11 +11,10 @@ per demand); they are expected rates, not probabilities capped at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .domain import MODE_ORDER, DefectClass, FailureMode, RateUnit
+from .domain import MODE_ORDER, DefectClass, FailureMode, FrozenRecord, RateUnit
 from .errors import MissingCausalityRowError, OrcasError
 from .causality import CausalityMatrix
 from .growth import ClassRates
@@ -48,8 +47,7 @@ def mode_applicability(
     return frozenset()
 
 
-@dataclass(frozen=True)
-class ModeProbabilities:
+class ModeProbabilities(FrozenRecord):
     """Per-mode and per-cell failure rates plus their total.
 
     ``per_cell`` has a row for every class with a nonzero rate; excluded
@@ -57,6 +55,7 @@ class ModeProbabilities:
     total.
     """
 
+    __slots__ = ("per_cell", "per_mode", "total", "excluded_modes", "unit")
     per_cell: Mapping[DefectClass, Mapping[FailureMode, float]]
     per_mode: Mapping[FailureMode, float]
     total: float

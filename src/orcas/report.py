@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from ._version import __version__
 from .bundle import AssessmentBundle
 from .causality import merge_causality, uniform_causality
-from .domain import MODE_ORDER, DefectClass, ModeFamily, total_effort
+from .domain import MODE_ORDER, DefectClass, FrozenRecord, ModeFamily, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
 from .evidence import (
     CoverageStatus,
@@ -42,14 +41,15 @@ SCHEMA_VERSION = 1
 REPORT_FORMATS = ("json", "text", "svg")
 
 
-@dataclass(frozen=True)
-class AssessmentReport:
+class AssessmentReport(FrozenRecord):
     """Everything the pipeline computed, plus provenance.
 
     Every number here is recomputable from the bundle; nothing is
     time-stamped or environment-dependent.
     """
 
+    __slots__ = ("mode_probabilities", "class_rates", "evidence", "mode_family", "gaps", "growth",
+                 "annotations", "provenance")
     mode_probabilities: ModeProbabilities
     class_rates: ClassRates
     evidence: EvidenceSummary

@@ -10,6 +10,7 @@ from orcas.bundle import (
     load_corpus_file,
     load_history_file,
     load_matrix_file,
+    load_rtm_file,
 )
 from orcas.causality import builtin_causality
 from orcas.domain import DefectClass, FailureMode, ModeFamily, total_effort
@@ -366,3 +367,22 @@ def test_input_digests_are_sha256_of_the_files(tmp_path, source):
     assert bundle.input_digests == {
         file: "sha256:" + hashlib.sha256((directory / file).read_bytes()).hexdigest()
         for file in ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json", name)}
+
+
+@pytest.mark.parametrize("description, decoded", [
+    ("\\udc00", None),
+    ("\\uDC00", None),
+    ("x\\ud83d", None),
+    ("\\ud83d\\ude00", "\U0001F600"),
+    ("say \\\"hi\\\"", 'say "hi"'),
+], ids=["lone-low", "lone-low-upper-case", "lone-high", "pair", "quote-escapes-only"])
+def test_surrogate_escapes_rejected_unless_paired(tmp_path, description, decoded):
+    path = tmp_path / "rtm.json"
+    path.write_text('[{"req_id": "R-1", "description": "%s", "status": "complete"}]' % description,
+                    encoding="utf-8")
+    if decoded is None:
+        with pytest.raises(BundleError, match=r"^rtm\.json: top level: invalid JSON: a \\u escape "
+                                              r"is an unpaired UTF-16 surrogate$"):
+            load_rtm_file(path)
+    else:
+        assert load_rtm_file(path)[0].description == decoded

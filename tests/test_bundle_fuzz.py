@@ -68,7 +68,7 @@ def _oracle_parse_defect(obj, file, index, require_modes):
     record_id = _parse_string(data["id"], file, f"{where}: id")
     if not record_id:
         raise _fail(file, f"{where}: id", "must be a nonempty string")
-    where = f"record '{record_id}'"
+    where = f"record {_quote(record_id)}"
     defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
     effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
     raw_modes = data.get("observed_modes", [])
@@ -98,7 +98,7 @@ def _oracle_load_defect_file(path, require_modes):
     for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
         record = _oracle_parse_defect(obj, path.name, index, require_modes)
         if record.id in seen_ids:
-            raise _fail(path.name, f"record '{record.id}'", "duplicate id")
+            raise _fail(path.name, f"record {_quote(record.id)}", "duplicate id")
         seen_ids.add(record.id)
         records.append(record)
     return tuple(records)
@@ -122,13 +122,16 @@ def _oracle_load_rtm_file(path):
         if not req_id:
             raise _fail(path.name, f"{where}: req_id", "must be a nonempty string")
         if req_id in seen:
-            raise _fail(path.name, f"entry '{req_id}'", "duplicate req_id")
+            raise _fail(path.name, f"entry {_quote(req_id)}", "duplicate req_id")
         seen.add(req_id)
         entries.append(RtmEntry(
             req_id=req_id,
             description=_parse_string(data["description"], path.name, f"{where}: description"),
-            status=_parse_enum(CoverageStatus, data["status"], path.name, f"entry '{req_id}': status"),
+            status=_parse_enum(CoverageStatus, data["status"], path.name, f"entry {_quote(req_id)}: status"),
         ))
+    if not entries:
+        raise _fail(path.name, "top level",
+                    "no entries; an empty traceability matrix cannot be scored")
     return tuple(entries)
 
 

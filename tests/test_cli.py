@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from conftest import nhpp_exponential_events, write_bundle
+from orcas import cli
 from orcas.fixtures import vcu_dir
 from orcas.growth import SrgmFit, fit_srgm
 
@@ -307,8 +309,14 @@ _BEYOND_FLOAT = "1" + "0" * 400
      "rtm.json: top level: "),
     ("defects.json", '[{"id": "D-1", "description": "x", "class": "%s"}]' % ("x" * 4000),
      "defects.json: record 'D-1': class: invalid value 'xxx"),
+    ("defects.json", '[{"id": "%s", "description": "x", "class": "bogus"}]' % ("D" * 4000),
+     "defects.json: record '%s...: class: invalid value 'bogus'" % ("D" * 29)),
+    ("rtm.json", '[{"req_id": "%s", "description": "x", "status": "done"}]' % ("R" * 4000),
+     "rtm.json: entry '%s...: status: invalid value 'done'" % ("R" * 29)),
+    ("rtm.json", "[]", "rtm.json: top level: no entries; an empty traceability matrix cannot be scored"),
 ], ids=["number-beyond-float", "coverage-beyond-float", "integer-over-4300-digits",
-        "nested-too-deeply", "unpaired-surrogate", "long-string"])
+        "nested-too-deeply", "unpaired-surrogate", "long-string", "long-id", "long-req-id",
+        "empty-rtm"])
 def test_validate_rejects_unreadable_values_in_one_short_line(tmp_path, file, text, prefix):
     directory = write_bundle(tmp_path / "b")
     (directory / file).write_text(text, encoding="utf-8")
@@ -340,3 +348,26 @@ def test_validate_and_assess_agree_on_srgm_case_study(tmp_path):
             run_cli(command, directory),
             "defects.json: class 'algorithm': stability window ending at effort 2671.75 "
             "contains 0 event(s)")
+
+
+def test_cli_import_loads_no_dataclasses_or_csv():
+    code = ("import sys, orcas.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'tokenize', 'csv'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert result.stdout == b"[]\n"
+
+
+def test_entrypoint_disables_gc_and_main_leaves_it_as_found(capsys):
+    code = ("import gc, orcas.cli as cli; "
+            "cli.main = lambda: print(gc.isenabled()) or 0; cli.entrypoint()")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert result.stdout == b"False\n"
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cli.main(["validate", str(vcu_dir())]) == 0
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert "bundle OK" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,10 @@ from orcas.domain import (
     count_by_class,
     total_effort,
 )
+from orcas.bundle import load_bundle
+from orcas.fixtures import vcu_dir
+from orcas.growth import SrgmFit, SrgmModel, StabilityVerdict
+from orcas.report import run_assessment
 
 
 def test_vocabulary_sizes():
@@ -121,3 +126,63 @@ def test_count_by_class_covers_all_classes():
     assert counts[DefectClass.CHECKING] == 2
     assert counts[DefectClass.TIMING] == 0
     assert len(counts) == 7
+
+
+# Every immutable record type, and how to get one from the case study.
+RECORD_TYPES = {
+    "DefectRecord": lambda bundle, report: bundle.defects[0],
+    "EffortModel": lambda bundle, report: bundle.effort,
+    "AssessmentBundle": lambda bundle, report: bundle,
+    "CausalityMatrix": lambda bundle, report: bundle.matrix,
+    "RtmEntry": lambda bundle, report: bundle.rtm[0],
+    "TcaEntry": lambda bundle, report: bundle.tca[0],
+    "EvidenceSummary": lambda bundle, report: report.evidence,
+    "ClassRates": lambda bundle, report: report.class_rates,
+    "SrgmFit": lambda bundle, report: SrgmFit(
+        model=SrgmModel.GOEL_OKUMOTO, params={"a": 12.0, "b": 0.02}, predicted_total=12.0,
+        current_intensity=0.05, log_likelihood=-30.5, converged=True),
+    "StabilityVerdict": lambda bundle, report: StabilityVerdict(
+        series=((50.0, 11.0), (100.0, 12.0)), max_relative_step=0.09, stable=True, threshold=0.1),
+    "ModeProbabilities": lambda bundle, report: report.mode_probabilities,
+    "AssessmentReport": lambda bundle, report: report,
+}
+
+
+@pytest.fixture(scope="module")
+def vcu_assessment():
+    bundle = load_bundle(vcu_dir())
+    return bundle, run_assessment(bundle)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_are_frozen_values(name, vcu_assessment):
+    record = RECORD_TYPES[name](*vcu_assessment)
+    assert type(record).__name__ == name
+    values = [getattr(record, field) for field in record.__slots__]
+    by_name = type(record)(**dict(zip(record.__slots__, values)))
+    assert by_name == record and not by_name != record and by_name is not record
+    assert type(record)(*values) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    try:
+        expected_hash = hash(record)
+    except TypeError:  # a dict field
+        pass
+    else:
+        assert hash(by_name) == expected_hash
+    assert repr(record).startswith(f"{name}({record.__slots__[0]}=")
+    for field in (record.__slots__[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert [getattr(record, field) for field in record.__slots__] == values
+
+
+def test_record_init_takes_each_field_once():
+    on_demand = EffortKind.ON_DEMAND
+    assert EffortModel(on_demand, 3) == EffortModel(kind=on_demand, test_count=3, test_duration=None)
+    for args, kwargs in [((on_demand,), {}), ((on_demand, 3), {"kind": on_demand}),
+                         ((), {"kind": on_demand, "test_count": 3, "hours": 1.0}),
+                         ((on_demand, 3, None, None), {})]:
+        with pytest.raises(TypeError):
+            EffortModel(*args, **kwargs)

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 import random
 
 import pytest
 
-from orcas.bundle import load_bundle
+from orcas.bundle import AssessmentBundle, load_bundle
 from orcas.domain import DefectClass, FailureMode
 from orcas.errors import BundleError, StageError
 from orcas.evidence import GateDecision
@@ -211,7 +210,8 @@ def test_srgm_single_event_class_fails_with_context(tmp_path):
         config={"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"},
     )
     bundle = load_bundle(directory)
-    bundle = dataclasses.replace(bundle, defects=bundle.defects[:1])
+    fields = {name: getattr(bundle, name) for name in AssessmentBundle.__slots__}
+    bundle = AssessmentBundle(**{**fields, "defects": bundle.defects[:1]})
     with pytest.raises(BundleError, match="class 'checking'.*insufficient failure data"):
         run_assessment(bundle)
 
