@@ -31,7 +31,6 @@ import hashlib
 import io
 import json
 import math
-import re
 import sys
 from pathlib import Path
 from typing import Any, Iterable
@@ -103,16 +102,16 @@ def _fail(file: str, where: str, reason: str) -> BundleError:
 
 # Longest repr of a bad value quoted whole in an error message.
 _QUOTE_LIMIT = 30
+# Longest repr of a record id or req_id quoted whole in an error location:
+# room for UUIDs, paths and URLs, and a bad-class line stays under 300 bytes.
+_ID_LIMIT = 100
 
 
-def _quote(value: Any) -> str:
-    """``repr(value)`` for an error message, cut after ``_QUOTE_LIMIT``
+def _quote(value: Any, limit: int = _QUOTE_LIMIT) -> str:
+    """``repr(value)`` for an error message, cut after ``limit``
     characters and marked with "..." where cut."""
     text = repr(value)
-    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
-
-
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
@@ -145,7 +144,7 @@ def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
                     ) from None
     except RecursionError:
         raise _fail(path.name, "top level", "invalid JSON: nested too deeply") from None
-    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):
         # A \uD800-\uDFFF escape that is not half of a pair decodes to a
         # lone surrogate, which no report can encode as UTF-8. Most files
         # hold no backslash, ruled out by one memchr-speed search.
@@ -234,35 +233,35 @@ def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> Defec
     value = obj["class"]
     defect_class = _CLASSES.get(value) if isinstance(value, str) else None
     if defect_class is None:
-        defect_class = _parse_enum(DefectClass, value, file, f"record {_quote(record_id)}: class")
+        defect_class = _parse_enum(DefectClass, value, file, f"record {_quote(record_id, _ID_LIMIT)}: class")
     effort = obj.get("detection_effort", 0.0)
     if type(effort) is not float or not 0.0 <= effort < math.inf:
-        effort = _parse_number(effort, file, f"record {_quote(record_id)}: detection_effort", lo=0.0)
+        effort = _parse_number(effort, file, f"record {_quote(record_id, _ID_LIMIT)}: detection_effort", lo=0.0)
     modes = _NO_MODES
     if "observed_modes" in obj:
         modes = _parse_modes(obj["observed_modes"], file, record_id)
     if require_modes and not modes:
-        raise _fail(file, f"record {_quote(record_id)}",
+        raise _fail(file, f"record {_quote(record_id, _ID_LIMIT)}",
                     "corpus records must label at least one observed failure mode")
     resolution = obj.get("resolution")
     if resolution is not None and not isinstance(resolution, str):
-        resolution = _parse_string(resolution, file, f"record {_quote(record_id)}: resolution")
+        resolution = _parse_string(resolution, file, f"record {_quote(record_id, _ID_LIMIT)}: resolution")
     description = obj["description"]
     if not isinstance(description, str):
-        description = _parse_string(description, file, f"record {_quote(record_id)}: description")
+        description = _parse_string(description, file, f"record {_quote(record_id, _ID_LIMIT)}: description")
     return _trusted_defect_record(record_id, description, defect_class, effort, modes, resolution)
 
 
 def _parse_modes(raw_modes: Any, file: str, record_id: str) -> frozenset[FailureMode]:
     if not isinstance(raw_modes, list):
-        raise _fail(file, f"record {_quote(record_id)}: observed_modes",
+        raise _fail(file, f"record {_quote(record_id, _ID_LIMIT)}: observed_modes",
                     f"expected an array, got {_quote(raw_modes)}")
     if not raw_modes:
         return _NO_MODES
     try:
         return frozenset([_MODES[mode] for mode in raw_modes])
     except (KeyError, TypeError):
-        where = f"record {_quote(record_id)}: observed_modes"
+        where = f"record {_quote(record_id, _ID_LIMIT)}: observed_modes"
         return frozenset([_parse_enum(FailureMode, mode, file, where) for mode in raw_modes])
 
 
@@ -274,7 +273,7 @@ def _unique_defects(objects: Iterable[tuple[int, Any]], file: str,
     for index, obj in objects:
         record = _parse_defect(obj, file, index, require_modes)
         if record.id in seen_ids:
-            raise _fail(file, f"record {_quote(record.id)}", "duplicate id")
+            raise _fail(file, f"record {_quote(record.id, _ID_LIMIT)}", "duplicate id")
         seen_ids.add(record.id)
         records.append(record)
     return tuple(records)
@@ -348,7 +347,7 @@ def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
         if not req_id:
             raise _fail(file, f"entry {index}: req_id", "must be a nonempty string")
         if req_id in seen:
-            raise _fail(file, f"entry {_quote(req_id)}", "duplicate req_id")
+            raise _fail(file, f"entry {_quote(req_id, _ID_LIMIT)}", "duplicate req_id")
         seen.add(req_id)
         description = obj["description"]
         if not isinstance(description, str):
@@ -356,7 +355,7 @@ def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
         value = obj["status"]
         status = _STATUSES.get(value) if isinstance(value, str) else None
         if status is None:
-            status = _parse_enum(CoverageStatus, value, file, f"entry {_quote(req_id)}: status")
+            status = _parse_enum(CoverageStatus, value, file, f"entry {_quote(req_id, _ID_LIMIT)}: status")
         entries.append(RtmEntry(req_id=req_id, description=description, status=status))
     if not entries:
         raise _fail(file, "top level", "no entries; an empty traceability matrix cannot be scored")
@@ -606,13 +605,13 @@ def load_bundle(
     for record in defects:
         if growth and record.detection_effort <= 0.0:
             raise _fail(
-                "defects.json", f"record {_quote(record.id)}: detection_effort",
+                "defects.json", f"record {_quote(record.id, _ID_LIMIT)}: detection_effort",
                 f"must be positive for rate_method 'srgm' (the growth model fits detection "
                 f"efforts), got {record.detection_effort!r}; record it or use rate_method 'bounded'",
             )
         if record.detection_effort > effort_total:
             raise _fail(
-                "defects.json", f"record {_quote(record.id)}",
+                "defects.json", f"record {_quote(record.id, _ID_LIMIT)}",
                 f"detection_effort {record.detection_effort!r} exceeds total testing effort "
                 f"{effort_total!r}; detection efforts must be recorded in the effort model's "
                 f"unit ({unit})",

@@ -48,7 +48,8 @@ class RtmEntry(FrozenRecord):
 
     __slots__ = ("req_id", "description", "status")
 
-    # Built once per rtm.json entry: an explicit __init__ costs half the generic one.
+    # Built once per rtm.json entry (thousands on large bundles): an explicit
+    # __init__ costs half the generic one.
     def __init__(self, req_id: str, description: str, status: CoverageStatus) -> None:
         if not req_id:
             raise ValueError("req_id must be nonempty")
@@ -67,21 +68,22 @@ class TcaEntry(FrozenRecord):
     """One required (test level, activity, trigger) slot and its status."""
 
     __slots__ = ("level", "activity", "trigger", "status")
+    level: TestLevel
+    activity: str
+    trigger: TriggerKind
+    status: CoverageStatus
 
-    def __init__(self, level: TestLevel, activity: str, trigger: TriggerKind,
-                 status: CoverageStatus) -> None:
-        if not isinstance(level, TestLevel):
-            raise ValueError(f"level must be a TestLevel, got {level!r}")
-        if activity not in ACTIVITIES:
-            raise ValueError(f"activity must be one of {', '.join(ACTIVITIES)}; got {activity!r}")
-        if not isinstance(trigger, TriggerKind):
-            raise ValueError(f"trigger must be a TriggerKind, got {trigger!r}")
-        if not isinstance(status, CoverageStatus):
-            raise ValueError(f"status must be a CoverageStatus, got {status!r}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "activity", activity)
-        object.__setattr__(self, "trigger", trigger)
-        object.__setattr__(self, "status", status)
+    def __post_init__(self) -> None:
+        if not isinstance(self.level, TestLevel):
+            raise ValueError(f"level must be a TestLevel, got {self.level!r}")
+        if self.activity not in ACTIVITIES:
+            raise ValueError(
+                f"activity must be one of {', '.join(ACTIVITIES)}; got {self.activity!r}"
+            )
+        if not isinstance(self.trigger, TriggerKind):
+            raise ValueError(f"trigger must be a TriggerKind, got {self.trigger!r}")
+        if not isinstance(self.status, CoverageStatus):
+            raise ValueError(f"status must be a CoverageStatus, got {self.status!r}")
 
     @property
     def slot(self) -> tuple[TestLevel, str, TriggerKind]:
