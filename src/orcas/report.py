@@ -11,6 +11,7 @@ floats), a plain-text summary, or SVG growth-curve plots.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 from ._version import __version__
@@ -91,8 +92,81 @@ class AssessmentReport(FrozenRecord):
 
 def canonical_json_bytes(data) -> bytes:
     """Canonical JSON: sorted keys, two-space indent, UTF-8, trailing
-    newline. Identical input always yields identical bytes."""
-    return (json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    newline. Identical input always yields identical bytes.
+
+    The bytes are those of ``json.dumps(data, sort_keys=True, indent=2,
+    ensure_ascii=False)`` plus a newline. ``json.dumps`` writes an
+    indented document one item at a time in Python; here a list of finite
+    floats, such as a growth fit's events, is written with one join.
+    """
+    out: list[str] = []
+    try:
+        _write_json(data, "\n", out)
+    except (TypeError, RecursionError):
+        # An object JSON has no encoding for, keys that do not sort, or a
+        # container that holds itself: json.dumps raises its own error.
+        out = [json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)]
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+# json.dumps's string encoder under ensure_ascii=False.
+_encode_str = json.encoder.encode_basestring
+
+
+def _scalar_json(value) -> str:
+    """json.dumps's text of None, a bool, an int or a float."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"not a JSON scalar: {type(value).__name__}")
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the canonical JSON of ``value`` to ``out``. ``newline`` is a
+    line break and the indent of the line the value starts on."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator + _encode_str(key if isinstance(key, str) else _scalar_json(key)) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_scalar_json(value))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +340,11 @@ def emit_report(report: AssessmentReport, format: str = "json") -> bytes:
 
 
 def report_from_json(data: bytes | str) -> AssessmentReport:
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise OrcasError(f"invalid report JSON: byte {exc.start}: not valid UTF-8") from None
     try:
         parsed = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -274,7 +353,7 @@ def report_from_json(data: bytes | str) -> AssessmentReport:
         raise OrcasError("invalid report JSON: expected an object")
     try:
         return AssessmentReport.from_dict(parsed)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise OrcasError(f"invalid report JSON: {exc}") from exc
 
 

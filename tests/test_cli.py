@@ -75,6 +75,22 @@ def test_report_reemission_round_trip(tmp_path):
     assert as_svg.stdout.startswith(b"<svg")
 
 
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda raw: b"\xff", "byte 0: not valid UTF-8"),
+    (lambda raw: raw[:10] + b"\xff" + raw[11:], "byte 10: not valid UTF-8"),
+    (lambda raw: json.dumps({**json.loads(raw), "evidence": None}).encode(), ""),
+    (lambda raw: json.dumps({**json.loads(raw), "annotations": 5}).encode(), ""),
+], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5"])
+def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, reason):
+    # Mutated copies of a real `assess -o` output.
+    saved = tmp_path / "assessment.json"
+    assert cli.main(["assess", str(vcu_dir()), "-o", str(saved)]) == 2
+    saved.write_bytes(mutate(saved.read_bytes()))
+    for format in ("json", "text", "svg"):
+        result = run_cli("report", saved, "--format", format)
+        assert_one_error_line(result, f"invalid report JSON: {reason}")
+
+
 def test_causality_build(tmp_path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([

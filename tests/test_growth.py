@@ -577,17 +577,27 @@ def test_summary_bounds_settle_the_exact_score_sign(n, log_scale, shape, seed, o
         _bracket(exact, floor_score, horizon)[0]
 
 
+BENCHMARK_SIZE_HORIZON = 1000.0
+
+
+def benchmark_size_history(seed: int, growth: float) -> list[float]:
+    """About 4,000 logarithmic-model events on [0, 1000] whose sampling
+    model has lambda0*theta*T = ``growth``."""
+    theta = math.log1p(growth) / 4000.0
+    return nhpp_logarithmic_events(growth / BENCHMARK_SIZE_HORIZON / theta, theta,
+                                   BENCHMARK_SIZE_HORIZON, random.Random(seed))
+
+
 @pytest.mark.parametrize("seed, growth", [(11, 5.0), (12, 40.0), (13, 300.0)])
 def test_benchmark_size_fit_matches_high_precision_score_root(seed, growth):
     # About 4,000 events, so each of the 64 summary buckets holds ~60 and
-    # the bucket-mean start is ~1e-3 off the root. The oracle is the root
-    # of the profile score, n/beta - n*T/((beta*T + 1)*ln(beta*T + 1))
-    # - sum(t_i/(beta*t_i + 1)), solved in 50 digits.
+    # the summary's Newton start is 1e-7 to 1e-6 off the root. The oracle
+    # is the root of the profile score,
+    # n/beta - n*T/((beta*T + 1)*ln(beta*T + 1)) - sum(t_i/(beta*t_i + 1)),
+    # solved in 50 digits.
     mp = pytest.importorskip("mpmath")
-    rng = random.Random(seed)
-    horizon = 1000.0
-    theta = math.log1p(growth) / 4000.0
-    events = nhpp_logarithmic_events(growth / horizon / theta, theta, horizon, rng)
+    horizon = BENCHMARK_SIZE_HORIZON
+    events = benchmark_size_history(seed, growth)
     fit = fit_srgm(events, SrgmModel.MUSA_OKUMOTO, horizon=horizon)
     assert fit.converged
     beta = fit.params["lambda0"] * fit.params["theta"]
@@ -604,6 +614,22 @@ def test_benchmark_size_fit_matches_high_precision_score_root(seed, growth):
         # Started from the sampling model's beta*T, not from the fit.
         oracle = float(mp.findroot(score, mp.mpf(growth)) / T)
     assert beta == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, growth, passes", [(11, 5.0, 5), (12, 40.0, 5), (13, 300.0, 4)])
+def test_benchmark_size_fit_exact_pass_count(seed, growth, passes, monkeypatch):
+    # Each exact score evaluation is a pass over the events. The summary
+    # bounds settle the bracket floor, and the second-order start leaves
+    # Newton 2-3 exact steps. The counts are deterministic: a change that
+    # adds passes must change them here.
+    exact = _MoProfile.score
+    betas = []
+    monkeypatch.setattr(_MoProfile, "score", lambda self, beta: betas.append(beta) or exact(self, beta))
+    fit = fit_srgm(benchmark_size_history(seed, growth), SrgmModel.MUSA_OKUMOTO,
+                   horizon=BENCHMARK_SIZE_HORIZON)
+    assert fit.converged
+    assert _BRACKET_FLOOR / BENCHMARK_SIZE_HORIZON not in betas
+    assert len(betas) == passes
 
 
 @settings(max_examples=150, deadline=None)

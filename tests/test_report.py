@@ -1,7 +1,11 @@
+import json
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orcas.bundle import AssessmentBundle, load_bundle
 from orcas.domain import DefectClass, FailureMode
@@ -9,6 +13,7 @@ from orcas.errors import BundleError, StageError
 from orcas.evidence import GateDecision
 from orcas.report import (
     AssessmentReport,
+    canonical_json_bytes,
     emit_report,
     report_from_json,
     run_assessment,
@@ -214,6 +219,54 @@ def test_srgm_single_event_class_fails_with_context(tmp_path):
     bundle = AssessmentBundle(**{**fields, "defects": bundle.defects[:1]})
     with pytest.raises(BundleError, match="class 'checking'.*insufficient failure data"):
         run_assessment(bundle)
+
+
+def dumps_canonically(value) -> bytes:
+    return (json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+# Keys of at most 5 characters, so none equals a DefectClass value.
+json_keys = st.one_of(st.text(max_size=5), st.sampled_from(list(DefectClass)))
+json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+float_lists = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    st.lists(json_floats, max_size=40),
+    st.lists(st.one_of(json_floats, st.integers(), st.booleans()), max_size=10),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), json_floats, st.text(max_size=8),
+              st.sampled_from(list(DefectClass)), float_lists, float_lists.map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_keys, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_canonical_json_is_json_dumps(value):
+    assert canonical_json_bytes(value) == dumps_canonically(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [1.5], (0.1, 2.0), [-0.0, 1e300, 5e-324], [1.0, 2], [1.0, True], [1.0, math.nan],
+    {1: "int key", 2: 0.5}, {1.5: [], -math.inf: {}}, {None: 1}, {True: 2, False: [1.0]},
+])
+def test_canonical_json_edge_cases_are_json_dumps(value):
+    assert canonical_json_bytes(value) == dumps_canonically(value)
+
+
+def test_canonical_json_raises_what_json_dumps_raises():
+    cycle = []
+    cycle.append(cycle)
+    for value in ({"a": object()}, {("tuple", "key"): 1}, {"a": 1, 2: 3}, cycle):
+        with pytest.raises(Exception) as expected:
+            dumps_canonically(value)
+        with pytest.raises(expected.type, match="^" + re.escape(str(expected.value)) + "$"):
+            canonical_json_bytes(value)
 
 
 def test_report_from_json_rejects_garbage():
