@@ -17,8 +17,12 @@ import sys
 from orcas.growth import SrgmModel, fit_srgm
 
 
-def sample_events(a: float, b: float, horizon: float, rng: random.Random) -> list[float]:
-    events, s = [], 0.0
+def nhpp_exponential_events(a: float, b: float, horizon: float, rng: random.Random) -> list[float]:
+    """Arrival efforts of the exponential-mean process on [0, horizon]:
+    unit-rate Poisson partial sums through the inverse mean function. The
+    tests use it as the oracle of the fitter."""
+    events: list[float] = []
+    s = 0.0
     ceiling = a * -math.expm1(-b * horizon)
     while True:
         s += rng.expovariate(1.0)
@@ -41,7 +45,7 @@ def main() -> int:
     for _ in range(datasets):
         events = sorted(
             t for _ in range(replicates)
-            for t in sample_events(a_component, b_true, horizon, rng))
+            for t in nhpp_exponential_events(a_component, b_true, horizon, rng))
         fit = fit_srgm(events, SrgmModel.GOEL_OKUMOTO, horizon=horizon)
         a_hat, b_hat = fit.params["a"], fit.params["b"]
         err_a = abs(a_hat - a_true) / a_true

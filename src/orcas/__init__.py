@@ -7,102 +7,8 @@ the assessment can stand on its own.
 """
 
 from ._version import __version__
-from .bundle import AssessmentBundle, defects_from_csv, load_bundle
-from .causality import (
-    CausalityMatrix,
-    builtin_causality,
-    estimate_causality,
-    merge_causality,
-    uniform_causality,
-)
-from .domain import (
-    DefectClass,
-    DefectRecord,
-    EffortKind,
-    EffortModel,
-    FailureMode,
-    ModeFamily,
-    RateUnit,
-    TestLevel,
-    TriggerKind,
-    total_effort,
-)
-from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
-from .evidence import (
-    CoverageStatus,
-    EvidenceSummary,
-    GateDecision,
-    RtmEntry,
-    TcaEntry,
-    assessment_confidence,
-    required_tca_template,
-    score_rtm,
-    score_tca,
-)
-from .growth import (
-    ClassRates,
-    RateMethod,
-    SrgmFit,
-    SrgmModel,
-    StabilityVerdict,
-    bounded_class_rates,
-    fit_srgm,
-    srgm_class_rates,
-    stability,
-    windowed_srgm_stability,
-)
-from .quantify import ModeProbabilities, SystemKind, combine, mode_applicability
-from .report import AssessmentReport, emit_report, report_from_json, run_assessment
+from .bundle import load_bundle
+from .report import emit_report, run_assessment
 
-__all__ = [
-    "__version__",
-    "AssessmentBundle",
-    "AssessmentReport",
-    "BundleError",
-    "CausalityMatrix",
-    "ClassRates",
-    "CoverageStatus",
-    "DefectClass",
-    "DefectRecord",
-    "EffortKind",
-    "EffortModel",
-    "EvidenceSummary",
-    "FailureMode",
-    "GateDecision",
-    "MissingCausalityRowError",
-    "ModeFamily",
-    "ModeProbabilities",
-    "OrcasError",
-    "RateMethod",
-    "RateUnit",
-    "RtmEntry",
-    "SrgmFit",
-    "SrgmModel",
-    "StabilityVerdict",
-    "StageError",
-    "SystemKind",
-    "TcaEntry",
-    "TestLevel",
-    "TriggerKind",
-    "assessment_confidence",
-    "bounded_class_rates",
-    "builtin_causality",
-    "combine",
-    "defects_from_csv",
-    "emit_report",
-    "estimate_causality",
-    "fit_srgm",
-    "load_bundle",
-    "merge_causality",
-    "mode_applicability",
-    "report_from_json",
-    "required_tca_template",
-    "run_assessment",
-    "score_rtm",
-    "score_tca",
-    "srgm_class_rates",
-    "stability",
-    "total_effort",
-    "uniform_causality",
-    "windowed_srgm_stability",
-]
+# The API README.md documents; every other name is imported from its module.
+__all__ = ["load_bundle", "run_assessment", "emit_report"]

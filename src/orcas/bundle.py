@@ -23,6 +23,10 @@ growth model cannot fit (too few events for the stability windows, or no
 growth signal) is found by the fit itself, in the rates stage of
 :func:`orcas.report.run_assessment`, which raises it as a
 :class:`BundleError` of the same form; ``orcas validate`` runs both.
+
+Every input of the tool, the CSV defect log and a saved report included,
+is read by :func:`_read_bytes`, decoded by :func:`_decode` and, if JSON,
+parsed by :func:`_parse_json`.
 """
 
 from __future__ import annotations
@@ -107,16 +111,19 @@ _QUOTE_LIMIT = 30
 _ID_LIMIT = 100
 
 
-def _quote(value: Any, limit: int = _QUOTE_LIMIT) -> str:
-    """``repr(value)`` for an error message, cut after ``limit``
-    characters and marked with "..." where cut."""
-    text = repr(value)
+def _cut(text: str, limit: int) -> str:
+    """``text`` cut after ``limit`` characters and marked with "..." where cut."""
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
-    """Parse one UTF-8 JSON file. With ``digests``, also record the SHA-256
-    of the bytes parsed under the file's name."""
+def _quote(value: Any, limit: int = _QUOTE_LIMIT) -> str:
+    """``repr(value)`` for an error message, cut by :func:`_cut`."""
+    return _cut(repr(value), limit)
+
+
+def _read_bytes(path: Path, digests: dict[str, str] | None = None) -> bytes:
+    """The bytes of one input file. With ``digests``, also record their
+    SHA-256 under the file's name."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -125,25 +132,37 @@ def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
         raise BundleError(f"{path.name}: cannot read: {exc}") from exc
     if digests is not None:
         digests[path.name] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    return raw
+
+
+def _decode(raw: bytes, file: str) -> str:
+    """The UTF-8 text of an input's bytes, with universal newlines as in
+    text-mode reading: CR LF and a lone CR become LF, so the line numbers
+    of errors count a lone CR as a line end."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _fail(path.name, f"byte {exc.start}", "not valid UTF-8") from None
+        raise _fail(file, f"byte {exc.start}", "not valid UTF-8") from None
     if "\r" in text:
-        # Universal newlines, as in text-mode reading: the line numbers of
-        # JSON errors count a lone CR as a line end.
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _parse_json(raw: bytes, file: str) -> Any:
+    """The JSON document in an input's bytes; ``file`` names the input in
+    error messages."""
+    text = _decode(raw, file)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(path.name, f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
+        raise _fail(file, f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
     except ValueError:
         # The integer-literal length limit (sys.get_int_max_str_digits).
-        raise _fail(path.name, "top level",
+        raise _fail(file, "top level",
                     f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
                     ) from None
     except RecursionError:
-        raise _fail(path.name, "top level", "invalid JSON: nested too deeply") from None
+        raise _fail(file, "top level", "invalid JSON: nested too deeply") from None
     if "\\" in text and ("\\ud" in text or "\\uD" in text):
         # A \uD800-\uDFFF escape that is not half of a pair decodes to a
         # lone surrogate, which no report can encode as UTF-8. Most files
@@ -151,9 +170,15 @@ def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
-            raise _fail(path.name, "top level",
+            raise _fail(file, "top level",
                         "invalid JSON: a \\u escape is an unpaired UTF-16 surrogate") from None
     return data
+
+
+def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
+    """Parse one UTF-8 JSON file. With ``digests``, also record the SHA-256
+    of the bytes parsed under the file's name."""
+    return _parse_json(_read_bytes(path, digests), path.name)
 
 
 def _expect_object(data: Any, file: str, where: str, allowed: set[str], required: set[str]) -> dict:
@@ -382,6 +407,8 @@ def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
 
 
 def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
+    """A causality matrix from a matrix.json file. The JSON types are
+    checked here, the values by :class:`CausalityMatrix` itself."""
     path = Path(path)
     data = _expect_object(_read_json(path, digests), path.name, "top level",
                           {"provenance", "rows", "counts"}, {"provenance", "rows"})
@@ -390,11 +417,9 @@ def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None)
     rows = {}
     for key, row in data["rows"].items():
         cls = _parse_enum(DefectClass, key, path.name, "rows")
-        if not isinstance(row, list) or len(row) != 4:
+        if not isinstance(row, list):
             raise _fail(path.name, f"rows: {key}", "expected an array of 4 probabilities")
-        rows[cls] = tuple(
-            _parse_number(p, path.name, f"rows: {key}", lo=0.0, hi=1.0) for p in row
-        )
+        rows[cls] = tuple(_parse_number(p, path.name, f"rows: {key}") for p in row)
     counts = None
     if data.get("counts") is not None:
         if not isinstance(data["counts"], dict):
@@ -402,8 +427,7 @@ def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None)
         counts = {}
         for key, row in data["counts"].items():
             cls = _parse_enum(DefectClass, key, path.name, "counts")
-            if (not isinstance(row, list) or len(row) != 4
-                    or any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in row)):
+            if not isinstance(row, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in row):
                 raise _fail(path.name, f"counts: {key}", "expected an array of 4 nonnegative integers")
             counts[cls] = tuple(row)
     try:
@@ -413,7 +437,8 @@ def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None)
             counts=counts,
         )
     except ValueError as exc:
-        raise _fail(path.name, "rows", str(exc)) from exc
+        # The message names the field and class: "rows: checking: ...".
+        raise BundleError(f"{path.name}: {exc}") from exc
 
 
 def load_history_file(path: Path | str) -> tuple[list[float], float | None]:
@@ -443,11 +468,7 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     """
     import csv  # only this converter reads CSV; keep it out of every other command's start-up
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise BundleError(f"{path.name}: file not found in {path.parent}") from None
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(_decode(_read_bytes(path), path.name)))
     if reader.fieldnames is None:
         raise _fail(path.name, "header", "empty file; expected a CSV header row")
     fields = [name.strip() for name in reader.fieldnames]

@@ -54,24 +54,23 @@ class CausalityMatrix(FrozenRecord):
         rows = dict(self.rows)
         for cls, row in rows.items():
             if not isinstance(cls, DefectClass):
-                raise ValueError(f"matrix keys must be DefectClass values, got {cls!r}")
+                raise ValueError(f"rows: keys must be DefectClass values, got {cls!r}")
+            where = f"rows: {cls.value}"
             if len(row) != len(MODE_ORDER):
-                raise ValueError(f"row for {cls.value} must have {len(MODE_ORDER)} entries, got {len(row)}")
+                raise ValueError(f"{where}: expected {len(MODE_ORDER)} probabilities, got {len(row)}")
             row = tuple(float(p) for p in row)
             for p in row:
                 if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"row for {cls.value} has probability {p!r} outside [0, 1]")
+                    raise ValueError(f"{where}: probability {p!r} outside [0, 1]")
             if abs(sum(row) - 1.0) > ROW_SUM_TOLERANCE:
-                raise ValueError(
-                    f"row for {cls.value} sums to {sum(row)!r}, outside 1.0 +/- {ROW_SUM_TOLERANCE}"
-                )
+                raise ValueError(f"{where}: sums to {sum(row)!r}, outside 1.0 +/- {ROW_SUM_TOLERANCE}")
             rows[cls] = row
         object.__setattr__(self, "rows", rows)
         if self.counts is not None:
             counts = dict(self.counts)
             for cls, row in counts.items():
                 if len(row) != len(MODE_ORDER) or any((not isinstance(c, int)) or c < 0 for c in row):
-                    raise ValueError(f"counts for {cls.value} must be 4 nonnegative integers")
+                    raise ValueError(f"counts: {cls.value}: expected {len(MODE_ORDER)} nonnegative integers")
                 counts[cls] = tuple(row)
             object.__setattr__(self, "counts", counts)
 
@@ -100,15 +99,6 @@ class CausalityMatrix(FrozenRecord):
                 cls.value: list(row) for cls, row in sorted(self.counts.items(), key=lambda kv: kv[0].value)
             }
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CausalityMatrix":
-        counts = data.get("counts")
-        return cls(
-            rows={DefectClass(k): tuple(v) for k, v in data["rows"].items()},
-            provenance=data["provenance"],
-            counts=None if counts is None else {DefectClass(k): tuple(v) for k, v in counts.items()},
-        )
 
 
 def builtin_causality() -> CausalityMatrix:

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .bundle import defects_from_csv, load_bundle, load_corpus_file, load_history_file
+from .bundle import _read_bytes, defects_from_csv, load_bundle, load_corpus_file, load_history_file
 from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
@@ -191,8 +191,7 @@ def _cmd_srgm_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = Path(args.assessment).read_bytes()
-    report = report_from_json(data)
+    report = report_from_json(_read_bytes(Path(args.assessment)))
     _write_output(emit_report(report, args.format), args.output)
     return 0
 

@@ -196,17 +196,6 @@ class DefectRecord(FrozenRecord):
             out["resolution"] = self.resolution
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DefectRecord":
-        return cls(
-            id=data["id"],
-            description=data["description"],
-            defect_class=DefectClass(data["class"]),
-            detection_effort=float(data.get("detection_effort", 0.0)),
-            observed_modes=frozenset(FailureMode(m) for m in data.get("observed_modes", [])),
-            resolution=data.get("resolution"),
-        )
-
 
 # Slot descriptors set a field even on a frozen instance, without the
 # lookup by name that object.__setattr__ makes.

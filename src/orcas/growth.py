@@ -178,15 +178,6 @@ class StabilityVerdict(FrozenRecord):
             "threshold": self.threshold,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StabilityVerdict":
-        return cls(
-            series=tuple((float(e), float(t)) for e, t in data["series"]),
-            max_relative_step=float(data["max_relative_step"]),
-            stable=bool(data["stable"]),
-            threshold=float(data["threshold"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Bounded estimation

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 
 from ._version import __version__
-from .bundle import AssessmentBundle
+from .bundle import _QUOTE_LIMIT, AssessmentBundle, _cut, _parse_json, _quote
 from .causality import merge_causality, uniform_causality
 from .domain import MODE_ORDER, DefectClass, FrozenRecord, ModeFamily, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
@@ -77,7 +78,7 @@ class AssessmentReport(FrozenRecord):
     def from_dict(cls, data: dict) -> "AssessmentReport":
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise OrcasError(f"unsupported report schema_version {version!r} (expected {SCHEMA_VERSION})")
+            raise OrcasError(f"unsupported report schema_version {_quote(version)} (expected {SCHEMA_VERSION})")
         return cls(
             mode_probabilities=ModeProbabilities.from_dict(data["modes"]),
             class_rates=ClassRates.from_dict(data["rates"]),
@@ -339,22 +340,31 @@ def emit_report(report: AssessmentReport, format: str = "json") -> bytes:
     raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
 
 
-def report_from_json(data: bytes | str) -> AssessmentReport:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise OrcasError(f"invalid report JSON: byte {exc.start}: not valid UTF-8") from None
-    try:
-        parsed = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise OrcasError(f"invalid report JSON: {exc.msg} (line {exc.lineno})") from exc
+# Names a saved report in its error messages, which carry no file name.
+_INVALID_REPORT = "invalid report JSON"
+
+# A quoted string in an exception's text.
+_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+# Longest exception text quoted whole in a report error.
+_REASON_LIMIT = 200
+
+
+def _cut_reason(text: str) -> str:
+    """``text`` with each quoted string cut as bundle._quote cuts a bad
+    value, then cut after _REASON_LIMIT characters (a long array or object
+    value is not quoted)."""
+    return _cut(_QUOTED.sub(lambda m: _cut(m[0], _QUOTE_LIMIT), text), _REASON_LIMIT)
+
+
+def report_from_json(data: bytes) -> AssessmentReport:
+    """A report from the bytes of a saved canonical JSON report."""
+    parsed = _parse_json(data, _INVALID_REPORT)
     if not isinstance(parsed, dict):
-        raise OrcasError("invalid report JSON: expected an object")
+        raise OrcasError(f"{_INVALID_REPORT}: expected an object")
     try:
         return AssessmentReport.from_dict(parsed)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OrcasError(f"invalid report JSON: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise OrcasError(f"{_INVALID_REPORT}: {_cut_reason(str(exc))}") from exc
 
 
 def _fmt_rate(value: float) -> str:

@@ -5,8 +5,7 @@ need datasets the fixture does not cover."""
 from __future__ import annotations
 
 import json
-import math
-import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,27 +13,14 @@ import pytest
 from orcas.evidence import required_tca_template
 from orcas.fixtures import vcu_dir
 
+# The NHPP sampler of the parameter-recovery experiment is the tests' oracle too.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from srgm_recovery_experiment import nhpp_exponential_events  # noqa: E402
+
 
 @pytest.fixture
 def vcu_bundle_dir() -> Path:
     return vcu_dir()
-
-
-def nhpp_exponential_events(a: float, b: float, horizon: float, rng: random.Random) -> list[float]:
-    """Sample arrival efforts of the exponential-mean process by inversion.
-
-    Independent of the fitting code on purpose: unit-rate Poisson partial
-    sums are mapped through the inverse mean function, so this is the
-    oracle the fitter is checked against.
-    """
-    events: list[float] = []
-    s = 0.0
-    ceiling = a * -math.expm1(-b * horizon)
-    while True:
-        s += rng.expovariate(1.0)
-        if s >= ceiling:
-            return events
-        events.append(-math.log(1.0 - s / a) / b)
 
 
 def default_tca_entries(status: str = "complete") -> list[dict]:

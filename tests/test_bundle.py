@@ -226,6 +226,25 @@ def test_matrix_loader_rejects_bad_row_shape(tmp_path):
         load_matrix_file(path)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ({"rows": {"checking": ["0", 0.5, 0.5, 0]}}, "rows: checking: expected a number, got '0'"),
+    ({"rows": {"checking": [1.5, -0.5, 0, 0]}}, "rows: checking: probability 1.5 outside [0, 1]"),
+    ({"rows": {"checking": [0.5, 0.4, 0, 0]}}, "rows: checking: sums to 0.9, outside 1.0 +/- 0.0005"),
+    ({"rows": {"checking": [1, 0, 0, 0]}, "counts": {"checking": [1, 0, 0, -1]}},
+     "counts: checking: expected 4 nonnegative integers"),
+    ({"rows": {"checking": [1, 0, 0, 0]}, "counts": {"checking": [1, 0, 0, True]}},
+     "counts: checking: expected an array of 4 nonnegative integers"),
+    ({"rows": {}, "provenance": 5}, "provenance: expected a string, got 5"),
+], ids=["string-probability", "out-of-range", "row-sum", "negative-count", "bool-count",
+        "number-provenance"])
+def test_matrix_loader_rejects_bad_values_with_field_and_class(tmp_path, matrix, message):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"provenance": "p", **matrix}), encoding="utf-8")
+    with pytest.raises(BundleError) as err:
+        load_matrix_file(path)
+    assert str(err.value) == f"matrix.json: {message}"
+
+
 def test_history_loader(tmp_path):
     path = tmp_path / "h.json"
     path.write_text(json.dumps({"events": [1.0, 2.5, 4.0], "horizon": 10.0}), encoding="utf-8")

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orcas.bundle import load_matrix_file
 from orcas.causality import (
     ROW_SUM_TOLERANCE,
     CausalityMatrix,
@@ -211,9 +213,11 @@ def test_matrix_rejects_bad_rows():
         CausalityMatrix(rows={DefectClass.TIMING: (1.0, 0.0, 0.0)}, provenance="bad length")
 
 
-def test_matrix_dict_round_trip():
+def test_matrix_dict_round_trip(tmp_path):
     matrix = estimate_causality([
         make_record(0, DefectClass.TIMING, {FailureMode.C, FailureMode.D}),
         make_record(1, DefectClass.CHECKING, {FailureMode.A}),
     ])
-    assert CausalityMatrix.from_dict(matrix.to_dict()) == matrix
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    assert load_matrix_file(path) == matrix

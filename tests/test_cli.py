@@ -2,9 +2,11 @@ import gc
 import json
 import math
 import random
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,20 +77,34 @@ def test_report_reemission_round_trip(tmp_path):
     assert as_svg.stdout.startswith(b"<svg")
 
 
-@pytest.mark.parametrize("mutate, reason", [
-    (lambda raw: b"\xff", "byte 0: not valid UTF-8"),
-    (lambda raw: raw[:10] + b"\xff" + raw[11:], "byte 10: not valid UTF-8"),
-    (lambda raw: json.dumps({**json.loads(raw), "evidence": None}).encode(), ""),
-    (lambda raw: json.dumps({**json.loads(raw), "annotations": 5}).encode(), ""),
-], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5"])
-def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, reason):
-    # Mutated copies of a real `assess -o` output.
+@pytest.mark.parametrize("mutate, prefix", [
+    (lambda raw: b"\xff", "invalid report JSON: byte 0: not valid UTF-8"),
+    (lambda raw: raw[:10] + b"\xff" + raw[11:], "invalid report JSON: byte 10: not valid UTF-8"),
+    (lambda raw: json.dumps({**json.loads(raw), "evidence": None}).encode(), "invalid report JSON: "),
+    (lambda raw: json.dumps({**json.loads(raw), "annotations": 5}).encode(), "invalid report JSON: "),
+    (lambda raw: json.dumps({**json.loads(raw), "rates": {"per_class": []}}).encode(),
+     "invalid report JSON: 'list' object has no attribute 'items'"),
+    (lambda raw: b"[" * 100_000 + b"]" * 100_000,
+     "invalid report JSON: top level: invalid JSON: nested too deeply"),
+    (lambda raw: raw.replace(b'"schema_version": 1', b'"schema_version": ' + b"9" * 5000),
+     "invalid report JSON: top level: invalid JSON: an integer has more than "),
+    (lambda raw: json.dumps({**json.loads(raw), "annotations": ["\ud800"]}).encode(),
+     "invalid report JSON: top level: invalid JSON: a \\u escape is an unpaired UTF-16 surrogate"),
+    (lambda raw: None, "assessment.json: file not found in "),
+], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
+        "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file"])
+def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
+    # Mutated copies of a real `assess -o` output; None deletes the file.
     saved = tmp_path / "assessment.json"
     assert cli.main(["assess", str(vcu_dir()), "-o", str(saved)]) == 2
-    saved.write_bytes(mutate(saved.read_bytes()))
+    mutated = mutate(saved.read_bytes())
+    if mutated is None:
+        saved.unlink()
+    else:
+        saved.write_bytes(mutated)
     for format in ("json", "text", "svg"):
         result = run_cli("report", saved, "--format", format)
-        assert_one_error_line(result, f"invalid report JSON: {reason}")
+        assert_one_error_line(result, prefix)
 
 
 def test_causality_build(tmp_path):
@@ -260,6 +276,14 @@ def assert_one_error_line(result, prefix):
     assert lines[0].startswith(f"orcas: error: {prefix}")
 
 
+def test_convert_defects_rejects_non_utf8_csv_in_one_line(tmp_path):
+    csv_path = tmp_path / "log.csv"
+    raw = b"id,description,class\nD-1,caf\xe9,checking\n"
+    csv_path.write_bytes(raw)
+    result = run_cli("convert", "defects", csv_path)
+    assert_one_error_line(result, f"log.csv: byte {raw.index(0xE9)}: not valid UTF-8")
+
+
 def test_validate_rejects_empty_defect_id(tmp_path):
     defects = [{"id": "", "description": "x", "class": "checking", "detection_effort": 1.0}]
     result = run_cli("validate", write_bundle(tmp_path / "b", defects=defects))
@@ -405,3 +429,13 @@ def test_entrypoint_disables_gc_and_main_leaves_it_as_found(capsys):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert "bundle OK" in capsys.readouterr().out
+
+
+def test_package_exports_only_the_api_the_readme_documents():
+    import orcas
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    namespace: dict = {}
+    exec("from orcas import *", namespace)
+    for name in orcas.__all__:
+        assert name in namespace
+        assert re.search(rf"\b{name}\b", readme), name

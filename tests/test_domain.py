@@ -1,5 +1,7 @@
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ from orcas.domain import (
     count_by_class,
     total_effort,
 )
-from orcas.bundle import load_bundle
+from orcas.bundle import load_bundle, load_defects_file
 from orcas.fixtures import vcu_dir
 from orcas.growth import SrgmFit, SrgmModel, StabilityVerdict
 from orcas.report import run_assessment
@@ -112,10 +114,12 @@ records = st.builds(
 )
 
 
-@given(records)
-def test_record_round_trips_through_json(record):
-    via_json = json.loads(json.dumps(record.to_dict()))
-    assert DefectRecord.from_dict(via_json) == record
+@given(st.lists(records, unique_by=lambda record: record.id))
+def test_record_round_trips_through_json(batch):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "defects.json"
+        path.write_text(json.dumps([record.to_dict() for record in batch]), encoding="utf-8")
+        assert load_defects_file(path) == tuple(batch)
 
 
 def test_count_by_class_covers_all_classes():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orcas.bundle import AssessmentBundle, load_bundle
 from orcas.domain import DefectClass, FailureMode
-from orcas.errors import BundleError, StageError
+from orcas.errors import BundleError, OrcasError, StageError
 from orcas.evidence import GateDecision
 from orcas.report import (
     AssessmentReport,
@@ -275,6 +275,25 @@ def test_report_from_json_rejects_garbage():
         report_from_json(b"not json")
     with pytest.raises(OrcasError, match="schema_version"):
         report_from_json(b'{"schema_version": 99}')
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: {**d, "mode_family": "x" * 4000},
+     "invalid report JSON: 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxx... is not a valid ModeFamily"),
+    (lambda d: {**d, "modes": {**d["modes"], "unit": "u" * 4000}},
+     "invalid report JSON: 'uuuuuuuuuuuuuuuuuuuuuuuuuuuuu... is not a valid RateUnit"),
+    (lambda d: {**d, "evidence": {**d["evidence"], "rtm_score": "z" * 4000}},
+     "invalid report JSON: could not convert string to float: 'zzzzzzzzzzzzzzzzzzzzzzzzzzzzz..."),
+    (lambda d: {**d, "mode_family": [1] * 4000},
+     "invalid report JSON: [" + "1, " * 66 + "1..."),
+    (lambda d: {**d, "schema_version": "9" * 4000},
+     "unsupported report schema_version '99999999999999999999999999999... (expected 1)"),
+], ids=["mode_family", "modes.unit", "evidence.rtm_score", "array-mode_family", "schema_version"])
+def test_report_errors_cut_long_bad_values(vcu_report, mutate, message):
+    data = json.dumps(mutate(vcu_report.to_dict())).encode()
+    with pytest.raises(OrcasError) as err:
+        report_from_json(data)
+    assert str(err.value) == message
 
 
 def test_report_is_immutable(vcu_report):
