@@ -36,7 +36,11 @@ import io
 import json
 import math
 import sys
+from collections import deque
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from types import NoneType
 from typing import Any, Iterable
 
 from . import causality as causality_mod
@@ -51,7 +55,6 @@ from .domain import (
     ModeFamily,
     TestLevel,
     TriggerKind,
-    _trusted_defect_record,
     total_effort,
 )
 from .errors import BundleError, OrcasError
@@ -234,64 +237,127 @@ def _parse_string(value: Any, file: str, where: str) -> str:
 # File loaders
 # ---------------------------------------------------------------------------
 
-# The record parsers below make the checks of the generic helpers above,
-# in the same order, on a fast path that formats no message. A value that
-# fails a check is handed to the helper that owns the check, which raises
-# the error, so a `where` string is built only for the record that fails.
+# A record array is checked a column at a time, by passes that make no
+# Python call per record (maps over C functions, set, all, min), and its
+# records are built in bulk through the slot setters. The column checks
+# accept a subset of what the per-record parsers accept: when one fails,
+# the per-record parser runs over the array and raises the first fault in
+# record order (or, where the column check was the stricter, returns the
+# records), so each rule and message has one definition.
 
 _DEFECT_KEYS = frozenset({"id", "description", "class", "detection_effort", "observed_modes",
                           "resolution"})
 _DEFECT_REQUIRED = frozenset({"id", "description", "class"})
 _CLASSES = {member.value: member for member in DefectClass}
 _MODES = {member.value: member for member in FailureMode}
-_NO_MODES: frozenset[FailureMode] = frozenset()
+
+
+def _slot_setters(cls: type) -> tuple:
+    # Slot descriptors set a field even on a frozen instance.
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+_DEFECT_SETTERS = _slot_setters(DefectRecord)
+_ID, _DESCRIPTION, _CLASS = itemgetter("id"), itemgetter("description"), itemgetter("class")
+
+
+def _blank_records(cls: type, count: int) -> tuple:
+    """``count`` instances of ``cls`` with no field set, for :func:`_fill`."""
+    return tuple(map(object.__new__, repeat(cls, count)))
+
+
+def _fill(setter, records: tuple, column: Iterable) -> None:
+    """Set one field of every record from a column already checked as the
+    record type's own constructor would check it."""
+    deque(map(setter, records, column), maxlen=0)
+
+
+def _get(objects: list, key: str, default: Any = None) -> list:
+    return list(map(dict.get, objects, repeat(key), repeat(default)))
+
+
+def _objects_within(objects: list, keys: frozenset) -> bool:
+    """Whether ``objects`` are all JSON objects with no key outside ``keys``
+    (a missing required key is found when its column is read)."""
+    return set(map(type, objects)) == {dict} and keys.issuperset(set().union(*objects))
+
+
+def _distinct_ids(column: list) -> bool:
+    return set(map(type, column)) == {str} and all(column) and len(set(column)) == len(column)
+
+
+def _defects_by_column(objects: list, require_modes: bool) -> tuple[DefectRecord, ...] | None:
+    """The records of a nonempty defect array, or None if a column check
+    fails. A missing required key, an unknown class or mode, an unhashable
+    value or an integer effort beyond float range raises below, and also
+    gives None."""
+    if not _objects_within(objects, _DEFECT_KEYS):
+        return None
+    set_id, set_description, set_class, set_effort, set_modes, set_resolution = _DEFECT_SETTERS
+    records = _blank_records(DefectRecord, len(objects))
+    try:
+        column = list(map(_ID, objects))
+        if not _distinct_ids(column):
+            return None
+        _fill(set_id, records, column)
+        column = list(map(_DESCRIPTION, objects))
+        if set(map(type, column)) != {str}:
+            return None
+        _fill(set_description, records, column)
+        _fill(set_class, records, map(_CLASSES.__getitem__, map(_CLASS, objects)))
+        column = _get(objects, "detection_effort", 0.0)
+        types = set(map(type, column))
+        if not types <= {float, int}:  # bool is neither
+            return None
+        if int in types:
+            column = list(map(float, column))
+        # With NaN ruled out first, min is reliable; -0.0 passes and keeps its sign.
+        if not all(map(math.isfinite, column)) or min(column) < 0.0:
+            return None
+        _fill(set_effort, records, column)
+        # An absent observed_modes reads as (), which no JSON value is; null stays None.
+        column = _get(objects, "observed_modes", ())
+        if not set(map(type, column)) <= {list, tuple}:
+            return None
+        column = list(map(tuple, column))
+        # One frozenset per distinct mode list, shared by its records.
+        modes = {key: frozenset(map(_MODES.__getitem__, key)) for key in set(column)}
+        if require_modes and not all(modes.values()):
+            return None
+        _fill(set_modes, records, map(modes.__getitem__, column))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    column = _get(objects, "resolution")
+    if not set(map(type, column)) <= {str, NoneType}:
+        return None
+    _fill(set_resolution, records, column)
+    return records
 
 
 def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> DefectRecord:
-    if not (isinstance(obj, dict) and _DEFECT_KEYS >= obj.keys() >= _DEFECT_REQUIRED):
-        _expect_object(obj, file, f"record {index}", _DEFECT_KEYS, _DEFECT_REQUIRED)
-    record_id = obj["id"]
-    if not isinstance(record_id, str):
-        record_id = _parse_string(record_id, file, f"record {index}: id")
+    data = _expect_object(obj, file, f"record {index}", _DEFECT_KEYS, _DEFECT_REQUIRED)
+    record_id = _parse_string(data["id"], file, f"record {index}: id")
     if not record_id:
         raise _fail(file, f"record {index}: id", "must be a nonempty string")
-    value = obj["class"]
-    defect_class = _CLASSES.get(value) if isinstance(value, str) else None
-    if defect_class is None:
-        defect_class = _parse_enum(DefectClass, value, file, f"record {_quote(record_id, _ID_LIMIT)}: class")
-    effort = obj.get("detection_effort", 0.0)
-    if type(effort) is not float or not 0.0 <= effort < math.inf:
-        effort = _parse_number(effort, file, f"record {_quote(record_id, _ID_LIMIT)}: detection_effort", lo=0.0)
-    modes = _NO_MODES
-    if "observed_modes" in obj:
-        modes = _parse_modes(obj["observed_modes"], file, record_id)
-    if require_modes and not modes:
-        raise _fail(file, f"record {_quote(record_id, _ID_LIMIT)}",
-                    "corpus records must label at least one observed failure mode")
-    resolution = obj.get("resolution")
-    if resolution is not None and not isinstance(resolution, str):
-        resolution = _parse_string(resolution, file, f"record {_quote(record_id, _ID_LIMIT)}: resolution")
-    description = obj["description"]
-    if not isinstance(description, str):
-        description = _parse_string(description, file, f"record {_quote(record_id, _ID_LIMIT)}: description")
-    return _trusted_defect_record(record_id, description, defect_class, effort, modes, resolution)
-
-
-def _parse_modes(raw_modes: Any, file: str, record_id: str) -> frozenset[FailureMode]:
+    where = f"record {_quote(record_id, _ID_LIMIT)}"
+    defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
+    effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
+    raw_modes = data.get("observed_modes", [])
     if not isinstance(raw_modes, list):
-        raise _fail(file, f"record {_quote(record_id, _ID_LIMIT)}: observed_modes",
-                    f"expected an array, got {_quote(raw_modes)}")
-    if not raw_modes:
-        return _NO_MODES
-    try:
-        return frozenset([_MODES[mode] for mode in raw_modes])
-    except (KeyError, TypeError):
-        where = f"record {_quote(record_id, _ID_LIMIT)}: observed_modes"
-        return frozenset([_parse_enum(FailureMode, mode, file, where) for mode in raw_modes])
+        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {_quote(raw_modes)}")
+    modes = frozenset([_parse_enum(FailureMode, mode, file, f"{where}: observed_modes")
+                       for mode in raw_modes])
+    if require_modes and not modes:
+        raise _fail(file, where, "corpus records must label at least one observed failure mode")
+    resolution = data.get("resolution")
+    if resolution is not None:
+        resolution = _parse_string(resolution, file, f"{where}: resolution")
+    description = _parse_string(data["description"], file, f"{where}: description")
+    return DefectRecord(record_id, description, defect_class, effort, modes, resolution)
 
 
-def _unique_defects(objects: Iterable[tuple[int, Any]], file: str,
-                    require_modes: bool) -> tuple[DefectRecord, ...]:
+def _defects_by_record(objects: Iterable[tuple[int, Any]], file: str,
+                       require_modes: bool) -> tuple[DefectRecord, ...]:
     """Parse (index, object) pairs into records with distinct ids."""
     records = []
     seen_ids: set[str] = set()
@@ -304,10 +370,18 @@ def _unique_defects(objects: Iterable[tuple[int, Any]], file: str,
     return tuple(records)
 
 
+def _parse_defects(objects: list, file: str, require_modes: bool, start: int = 0) -> tuple[DefectRecord, ...]:
+    """The records of a defect array whose first element is record ``start``."""
+    records = _defects_by_column(objects, require_modes)
+    if records is None:
+        records = _defects_by_record(enumerate(objects, start), file, require_modes)
+    return records
+
+
 def _load_defect_file(path: Path, require_modes: bool,
                       digests: dict[str, str] | None) -> tuple[DefectRecord, ...]:
     objects = _expect_array(_read_json(path, digests), path.name)
-    return _unique_defects(enumerate(objects), path.name, require_modes)
+    return _parse_defects(objects, path.name, require_modes)
 
 
 def load_defects_file(path: Path | str, *,
@@ -355,36 +429,59 @@ def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None)
 
 
 _RTM_KEYS = frozenset({"req_id", "description", "status"})
+_RTM_SETTERS = _slot_setters(RtmEntry)
 _STATUSES = {member.value: member for member in CoverageStatus}
 
 
-def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[RtmEntry, ...]:
-    path = Path(path)
-    file = path.name
+def _rtm_by_column(objects: list) -> tuple[RtmEntry, ...] | None:
+    """The entries of a nonempty RTM array, or None if a column check
+    fails (a missing key or an unknown status raises below)."""
+    if not _objects_within(objects, _RTM_KEYS):
+        return None
+    set_req_id, set_description, set_status = _RTM_SETTERS
+    entries = _blank_records(RtmEntry, len(objects))
+    try:
+        column = list(map(itemgetter("req_id"), objects))
+        if not _distinct_ids(column):
+            return None
+        _fill(set_req_id, entries, column)
+        column = list(map(_DESCRIPTION, objects))
+        if set(map(type, column)) != {str}:
+            return None
+        _fill(set_description, entries, column)
+        _fill(set_status, entries, map(_STATUSES.__getitem__, map(itemgetter("status"), objects)))
+    except (KeyError, TypeError):
+        return None
+    return entries
+
+
+def _rtm_by_record(objects: list, file: str) -> tuple[RtmEntry, ...]:
     entries = []
     seen: set[str] = set()
-    for index, obj in enumerate(_expect_array(_read_json(path, digests), file)):
-        if not (isinstance(obj, dict) and obj.keys() == _RTM_KEYS):
-            _expect_object(obj, file, f"entry {index}", _RTM_KEYS, _RTM_KEYS)
-        req_id = obj["req_id"]
-        if not isinstance(req_id, str):
-            req_id = _parse_string(req_id, file, f"entry {index}: req_id")
+    for index, obj in enumerate(objects):
+        data = _expect_object(obj, file, f"entry {index}", _RTM_KEYS, _RTM_KEYS)
+        req_id = _parse_string(data["req_id"], file, f"entry {index}: req_id")
         if not req_id:
             raise _fail(file, f"entry {index}: req_id", "must be a nonempty string")
         if req_id in seen:
             raise _fail(file, f"entry {_quote(req_id, _ID_LIMIT)}", "duplicate req_id")
         seen.add(req_id)
-        description = obj["description"]
-        if not isinstance(description, str):
-            description = _parse_string(description, file, f"entry {index}: description")
-        value = obj["status"]
-        status = _STATUSES.get(value) if isinstance(value, str) else None
-        if status is None:
-            status = _parse_enum(CoverageStatus, value, file, f"entry {_quote(req_id, _ID_LIMIT)}: status")
-        entries.append(RtmEntry(req_id=req_id, description=description, status=status))
-    if not entries:
-        raise _fail(file, "top level", "no entries; an empty traceability matrix cannot be scored")
+        description = _parse_string(data["description"], file, f"entry {index}: description")
+        status = _parse_enum(CoverageStatus, data["status"], file,
+                             f"entry {_quote(req_id, _ID_LIMIT)}: status")
+        entries.append(RtmEntry(req_id, description, status))
     return tuple(entries)
+
+
+def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[RtmEntry, ...]:
+    path = Path(path)
+    objects = _expect_array(_read_json(path, digests), path.name)
+    entries = _rtm_by_column(objects)
+    if entries is None:
+        entries = _rtm_by_record(objects, path.name)
+    if not entries:
+        raise _fail(path.name, "top level", "no entries; an empty traceability matrix cannot be scored")
+    return entries
 
 
 def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[TcaEntry, ...]:
@@ -478,30 +575,36 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     missing = {"id", "description", "class"} - set(fields)
     if missing:
         raise _fail(path.name, "header", f"missing column(s): {', '.join(sorted(missing))}")
-    return _unique_defects(_csv_entries(reader, path.name), path.name, require_modes=False)
+    entries: list[dict] = []
+    try:
+        for line, row in enumerate(reader, start=2):
+            entries.append(_csv_entry(row, path.name, line))
+    except BundleError:
+        # A fault in an earlier row is reported first.
+        _defects_by_record(enumerate(entries, start=2), path.name, require_modes=False)
+        raise
+    return _parse_defects(entries, path.name, require_modes=False, start=2)
 
 
-def _csv_entries(reader: Iterable[dict], file: str) -> Iterable[tuple[int, dict]]:
-    for line, row in enumerate(reader, start=2):
-        entry: dict = {
-            "id": (row.get("id") or "").strip(),
-            "description": (row.get("description") or "").strip(),
-            "class": (row.get("class") or "").strip(),
-        }
-        effort = (row.get("detection_effort") or "").strip()
-        if effort:
-            try:
-                entry["detection_effort"] = float(effort)
-            except ValueError:
-                raise _fail(file, f"line {line}",
-                            f"detection_effort is not a number: {_quote(effort)}") from None
-        modes = (row.get("observed_modes") or "").strip()
-        if modes:
-            entry["observed_modes"] = [m.strip() for m in modes.split(";") if m.strip()]
-        resolution = (row.get("resolution") or "").strip()
-        if resolution:
-            entry["resolution"] = resolution
-        yield line, entry
+def _csv_entry(row: dict, file: str, line: int) -> dict:
+    entry: dict = {
+        "id": (row.get("id") or "").strip(),
+        "description": (row.get("description") or "").strip(),
+        "class": (row.get("class") or "").strip(),
+    }
+    effort = (row.get("detection_effort") or "").strip()
+    if effort:
+        try:
+            entry["detection_effort"] = float(effort)
+        except ValueError:
+            raise _fail(file, f"line {line}", f"detection_effort is not a number: {_quote(effort)}") from None
+    modes = (row.get("observed_modes") or "").strip()
+    if modes:
+        entry["observed_modes"] = [m.strip() for m in modes.split(";") if m.strip()]
+    resolution = (row.get("resolution") or "").strip()
+    if resolution:
+        entry["resolution"] = resolution
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +698,9 @@ def resolve_matrix_source(source: str, directory: Path, *,
     return load_matrix_file(matrix_path, digests=digests), matrix_path
 
 
+_EFFORT_OF = attrgetter("detection_effort")
+
+
 def load_bundle(
     directory: Path | str,
     matrix_source: str | None = None,
@@ -623,20 +729,24 @@ def load_bundle(
     effort_total = total_effort(effort)
     unit = effort.rate_unit.value
     growth = config["rate_method"] is RateMethod.SRGM
-    for record in defects:
-        if growth and record.detection_effort <= 0.0:
-            raise _fail(
-                "defects.json", f"record {_quote(record.id, _ID_LIMIT)}: detection_effort",
-                f"must be positive for rate_method 'srgm' (the growth model fits detection "
-                f"efforts), got {record.detection_effort!r}; record it or use rate_method 'bounded'",
-            )
-        if record.detection_effort > effort_total:
-            raise _fail(
-                "defects.json", f"record {_quote(record.id, _ID_LIMIT)}",
-                f"detection_effort {record.detection_effort!r} exceeds total testing effort "
-                f"{effort_total!r}; detection efforts must be recorded in the effort model's "
-                f"unit ({unit})",
-            )
+    # Efforts are finite once loaded, so min and max are reliable; only when
+    # a test fails is the first offending record looked for.
+    if defects and ((growth and min(map(_EFFORT_OF, defects)) <= 0.0)
+                    or max(map(_EFFORT_OF, defects)) > effort_total):
+        for record in defects:
+            if growth and record.detection_effort <= 0.0:
+                raise _fail(
+                    "defects.json", f"record {_quote(record.id, _ID_LIMIT)}: detection_effort",
+                    f"must be positive for rate_method 'srgm' (the growth model fits detection "
+                    f"efforts), got {record.detection_effort!r}; record it or use rate_method 'bounded'",
+                )
+            if record.detection_effort > effort_total:
+                raise _fail(
+                    "defects.json", f"record {_quote(record.id, _ID_LIMIT)}",
+                    f"detection_effort {record.detection_effort!r} exceeds total testing effort "
+                    f"{effort_total!r}; detection efforts must be recorded in the effort model's "
+                    f"unit ({unit})",
+                )
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:

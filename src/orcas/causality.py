@@ -10,6 +10,8 @@ no data: lookups on absent rows raise, they never return silent zeros.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, FrozenRecord
@@ -116,13 +118,15 @@ def estimate_causality(corpus: Sequence[DefectRecord], provenance: str | None = 
     """
     if not corpus:
         raise OrcasError("no corpus records")
+    labels = Counter(zip(map(attrgetter("defect_class"), corpus), map(attrgetter("observed_modes"), corpus)))
+    if not all([modes for _, modes in labels]):
+        record = next(record for record in corpus if not record.observed_modes)
+        raise OrcasError(f"corpus record '{record.id}' has no observed failure modes")
     counts: dict[DefectClass, list[int]] = {}
-    for record in corpus:
-        if not record.observed_modes:
-            raise OrcasError(f"corpus record '{record.id}' has no observed failure modes")
-        row = counts.setdefault(record.defect_class, [0, 0, 0, 0])
-        for mode in record.observed_modes:
-            row[_MODE_INDEX[mode]] += 1
+    for (cls, modes), number in labels.items():
+        row = counts.setdefault(cls, [0, 0, 0, 0])
+        for mode in modes:
+            row[_MODE_INDEX[mode]] += number
     rows = {}
     for cls, row in counts.items():
         total = sum(row)

@@ -7,7 +7,9 @@ share across threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -197,36 +199,6 @@ class DefectRecord(FrozenRecord):
         return out
 
 
-# Slot descriptors set a field even on a frozen instance, without the
-# lookup by name that object.__setattr__ makes.
-_DEFECT_SETTERS = tuple(DefectRecord.__dict__[name].__set__ for name in DefectRecord.__slots__)
-
-
-def _trusted_defect_record(
-    id: str,
-    description: str,
-    defect_class: DefectClass,
-    detection_effort: float,
-    observed_modes: frozenset[FailureMode],
-    resolution: str | None,
-) -> DefectRecord:
-    """A :class:`DefectRecord` built without running ``__post_init__``.
-
-    Only for callers that have already made every check ``__post_init__``
-    makes: a nonempty id, a :class:`DefectClass`, a finite float effort
-    >= 0 and a frozenset of :class:`FailureMode` values.
-    """
-    record = object.__new__(DefectRecord)
-    set_id, set_description, set_class, set_effort, set_modes, set_resolution = _DEFECT_SETTERS
-    set_id(record, id)
-    set_description(record, description)
-    set_class(record, defect_class)
-    set_effort(record, detection_effort)
-    set_modes(record, observed_modes)
-    set_resolution(record, resolution)
-    return record
-
-
 class EffortModel(FrozenRecord):
     """Total testing effort: a test count, plus hours per test for
     continuous-operation software.
@@ -273,7 +245,5 @@ def total_effort(model: EffortModel) -> float:
 
 def count_by_class(defects: Iterable[DefectRecord]) -> dict[DefectClass, int]:
     """Number of defects per class, with zero entries for unseen classes."""
-    counts = {cls: 0 for cls in DefectClass}
-    for record in defects:
-        counts[record.defect_class] += 1
-    return counts
+    counts = Counter(map(attrgetter("defect_class"), defects))
+    return {cls: counts[cls] for cls in DefectClass}

@@ -47,17 +47,15 @@ class RtmEntry(FrozenRecord):
     """One requirement and how completely tests trace to it."""
 
     __slots__ = ("req_id", "description", "status")
+    req_id: str
+    description: str
+    status: CoverageStatus
 
-    # Built once per rtm.json entry (thousands on large bundles): an explicit
-    # __init__ costs half the generic one.
-    def __init__(self, req_id: str, description: str, status: CoverageStatus) -> None:
-        if not req_id:
+    def __post_init__(self) -> None:
+        if not self.req_id:
             raise ValueError("req_id must be nonempty")
-        if not isinstance(status, CoverageStatus):
-            raise ValueError(f"status must be a CoverageStatus, got {status!r}")
-        object.__setattr__(self, "req_id", req_id)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "status", status)
+        if not isinstance(self.status, CoverageStatus):
+            raise ValueError(f"status must be a CoverageStatus, got {self.status!r}")
 
     @property
     def score(self) -> float:

@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 
 from ._version import __version__
-from .bundle import _QUOTE_LIMIT, AssessmentBundle, _cut, _parse_json, _quote
+from .bundle import _QUOTE_LIMIT, AssessmentBundle, _cut, _expect_object, _fail, _parse_json, _quote
 from .causality import merge_causality, uniform_causality
 from .domain import MODE_ORDER, DefectClass, FrozenRecord, ModeFamily, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
@@ -84,11 +84,28 @@ class AssessmentReport(FrozenRecord):
             class_rates=ClassRates.from_dict(data["rates"]),
             evidence=EvidenceSummary.from_dict(data["evidence"]),
             mode_family=ModeFamily(data["mode_family"]),
-            gaps=data["gaps"],
+            gaps=_checked_gaps(data["gaps"]),
             growth=data.get("growth"),
             annotations=tuple(data["annotations"]),
-            provenance=data["provenance"],
+            provenance=_checked_provenance(data["provenance"]),
         )
+
+
+_GAP_KEYS = frozenset({"untraced_requirements", "uncovered_triggers"})
+
+
+def _checked_gaps(gaps) -> dict:
+    _expect_object(gaps, _INVALID_REPORT, "gaps", _GAP_KEYS, _GAP_KEYS)
+    for key in sorted(_GAP_KEYS):
+        if not isinstance(gaps[key], list) or not all(isinstance(name, str) for name in gaps[key]):
+            raise _fail(_INVALID_REPORT, f"gaps: {key}", "expected an array of strings")
+    return gaps
+
+
+def _checked_provenance(provenance) -> dict:
+    if not isinstance(provenance, dict):
+        raise _fail(_INVALID_REPORT, "provenance", f"expected a JSON object, got {type(provenance).__name__}")
+    return provenance
 
 
 def canonical_json_bytes(data) -> bytes:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from orcas import bundle as bundle_module
 from orcas.bundle import (
     AssessmentBundle,
     defects_from_csv,
@@ -320,6 +321,70 @@ def test_csv_converter_output_loads_as_defects_file(tmp_path):
     out.write_text(json.dumps([r.to_dict() for r in records]), encoding="utf-8")
     from orcas.bundle import load_defects_file
     assert load_defects_file(out) == records
+
+
+def test_clean_bundle_loads_without_the_per_record_parsers(tmp_path, monkeypatch):
+    def per_record(*args):
+        raise AssertionError("the per-record parser ran on a clean array")
+
+    monkeypatch.setattr(bundle_module, "_defects_by_record", per_record)
+    monkeypatch.setattr(bundle_module, "_rtm_by_record", per_record)
+    defects = [
+        {"id": "D-1", "description": "x", "class": "checking", "detection_effort": 10},
+        {"id": "D-2", "description": "y", "class": "timing", "detection_effort": -0.0,
+         "observed_modes": [], "resolution": None},
+        {"id": "D-3", "description": "z", "class": "timing", "observed_modes": ["C", "A"],
+         "resolution": "fixed"},
+    ]
+    rtm = [{"req_id": "R-1", "description": "d", "status": "complete"},
+           {"req_id": "R-2", "description": "e", "status": "incomplete"}]
+    corpus = [{"id": "c1", "description": "x", "class": "checking", "observed_modes": ["A", "C"]},
+              {"id": "c2", "description": "x", "class": "checking", "observed_modes": ["C", "A"]},
+              {"id": "c3", "description": "x", "class": "timing", "observed_modes": ["D"]}]
+    config = {"structural_coverage": 1.0, "system_kind": "control", "matrix": "corpus:corpus.json"}
+    bundle = load_bundle(write_bundle(tmp_path / "b", defects=defects, rtm=rtm, config=config,
+                                      **{"corpus.json": corpus}))
+    assert [repr(r.detection_effort) for r in bundle.defects] == ["10.0", "-0.0", "0.0"]
+    assert bundle.defects[2].observed_modes == frozenset({FailureMode.A, FailureMode.C})
+    assert [entry.req_id for entry in bundle.rtm] == ["R-1", "R-2"]
+    assert bundle.matrix.counts == {DefectClass.CHECKING: (2, 0, 2, 0), DefectClass.TIMING: (0, 0, 0, 1)}
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text("id,description,class,detection_effort,observed_modes\n"
+                        "D-1,x,checking,5,A;C\nD-2,y,timing,,\n", encoding="utf-8")
+    assert [r.id for r in defects_from_csv(csv_path)] == ["D-1", "D-2"]
+
+
+GOOD = {"id": "D-1", "description": "x", "class": "checking"}
+
+
+@pytest.mark.parametrize("name, body, message", [
+    # The later record's id is checked before any resolution, but record 0 comes first.
+    ("defects.json", [{**GOOD, "resolution": 5}, {**GOOD, "id": 7}],
+     "defects.json: record 'D-1': resolution: expected a string, got 5"),
+    ("defects.json", [GOOD, {**GOOD, "id": "D-2", "class": "bogus"}, GOOD],
+     "defects.json: record 'D-2': class: invalid value 'bogus' (expected one of: function, "
+     "assignment, algorithm, checking, interface, relationship, timing)"),
+    ("defects.json", [{**GOOD, "observed_modes": None}, {**GOOD, "id": ""}],
+     "defects.json: record 'D-1': observed_modes: expected an array, got None"),
+    ("rtm.json", [{"req_id": "R-1", "description": "d", "status": "done"},
+                  {"req_id": "", "description": "d", "status": "complete"}],
+     "rtm.json: entry 'R-1': status: invalid value 'done' (expected one of: complete, indirect, "
+     "incomplete)"),
+    ("log.csv", "id,description,class,detection_effort\n,x,checking,1\nD-2,x,checking,abc\n",
+     "log.csv: record 2: id: must be a nonempty string"),
+    ("log.csv", "id,description,class,detection_effort\nD-1,x,checking,abc\nD-2,x,bogus,1\n",
+     "log.csv: line 2: detection_effort is not a number: 'abc'"),
+], ids=["late-field-of-earlier-record", "bad-class-before-duplicate-id", "null-modes-before-empty-id",
+        "rtm-status-before-empty-req_id", "csv-empty-id-before-bad-effort",
+        "csv-bad-effort-before-bad-class"])
+def test_first_fault_in_record_order_is_reported(tmp_path, name, body, message):
+    path = tmp_path / name
+    path.write_text(body if isinstance(body, str) else json.dumps(body), encoding="utf-8")
+    load = {"defects.json": bundle_module.load_defects_file, "rtm.json": load_rtm_file,
+            "log.csv": defects_from_csv}[name]
+    with pytest.raises(BundleError) as info:
+        load(path)
+    assert str(info.value) == message
 
 
 def test_empty_ids_rejected_with_context(tmp_path):

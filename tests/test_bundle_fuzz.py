@@ -3,7 +3,9 @@
 Differential: the record parsers must accept and reject exactly what the
 oracles below accept and reject, with byte-identical messages. The oracles
 are the earlier parsers, which call one generic helper of orcas.bundle per
-check and build records through the validating constructors. Robustness:
+check and build records through the validating constructors; arrays
+that are valid by construction must load by the column path, and the same
+arrays with one or two faults must give the oracle's outcome. Robustness:
 any JSON value or any bytes in any bundle file yields a bundle or a
 BundleError, and nothing else. Agreement: `orcas validate` accepts a
 bundle exactly when `orcas assess` can run on it, and otherwise prints
@@ -30,7 +32,9 @@ from orcas.bundle import (
     _parse_number,
     _parse_string,
     _quote,
+    _defects_by_column,
     _read_json,
+    _rtm_by_column,
     load_bundle,
     load_corpus_file,
     load_defects_file,
@@ -239,6 +243,124 @@ def test_defect_and_corpus_loaders_match_oracle(tmp_path_factory, document):
 def test_rtm_loader_matches_oracle(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("fuzz") / "rtm.json"
     path.write_text(json.dumps(document), encoding="utf-8")
+    assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
+
+
+# ---------------------------------------------------------------------------
+# Column path: clean arrays load a column at a time; one or two faults send
+# the array to the per-record parser, which must agree with the oracle.
+# ---------------------------------------------------------------------------
+
+CLASS_VALUES = [m.value for m in DefectClass]
+MODE_VALUES = [m.value for m in FailureMode]
+STATUS_VALUES = [m.value for m in CoverageStatus]
+NON_OBJECTS = st.sampled_from([None, 5, "x", [], ["id"]])
+
+
+@st.composite
+def clean_defect_arrays(draw, corpus):
+    """2-60 valid records with distinct ids: int and float efforts, -0.0,
+    null resolutions, repeated and (outside a corpus) empty mode lists, and
+    optional keys absent."""
+    mode_lists = st.sampled_from([["A"], ["C", "A"], ["A", "A"], ["D", "B", "C", "A"]])
+    if not corpus:
+        mode_lists = mode_lists | st.just([])
+    records = []
+    for i in range(draw(st.integers(2, 60))):
+        record = {"id": f"D-{i}", "description": draw(st.sampled_from(["", "x", "é"])),
+                  "class": draw(st.sampled_from(CLASS_VALUES))}
+        if draw(st.booleans()):
+            record["detection_effort"] = draw(st.integers(0, 10**6) | st.floats(0.0, 1e300)
+                                              | st.just(-0.0))
+        if corpus or draw(st.booleans()):
+            record["observed_modes"] = draw(mode_lists)
+        if draw(st.booleans()):
+            record["resolution"] = draw(st.none() | st.just("fixed"))
+        records.append(record)
+    return records
+
+
+# Faults the column checks must hand to the per-record parser, among them
+# values a careless column check lets through: null and a string as
+# observed_modes, true and NaN as efforts.
+DEFECT_FAULTS = [
+    ("observed_modes", None), ("observed_modes", "AB"), ("observed_modes", ["E"]),
+    ("observed_modes", [["A"]]), ("observed_modes", []), ("detection_effort", True),
+    ("detection_effort", math.nan), ("detection_effort", math.inf), ("detection_effort", -1),
+    ("detection_effort", 10**400), ("detection_effort", "1"), ("class", "bogus"), ("class", ["x"]),
+    ("id", ""), ("id", 5), ("id", "D-0"), ("description", 5), ("resolution", 5), ("severity", 1),
+]
+
+
+@st.composite
+def faulty(draw, arrays, faults, required):
+    """An array from ``arrays`` with one or two records given a fault: a
+    bad value, a missing required key, or no object at all."""
+    records = [dict(record) for record in draw(arrays)]
+    for _ in range(draw(st.integers(1, 2))):
+        index = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            records[index] = draw(NON_OBJECTS)
+        elif kind == 1 and isinstance(records[index], dict):
+            records[index].pop(draw(st.sampled_from(required)), None)
+        elif isinstance(records[index], dict):
+            key, value = draw(st.sampled_from(faults))
+            records[index][key] = value
+    return records
+
+
+def write_array(tmp_path_factory, name, records):
+    path = tmp_path_factory.mktemp("column") / name
+    path.write_text(json.dumps(records), encoding="utf-8")
+    return path
+
+
+@settings(FUZZ, max_examples=150)
+@given(corpus=st.booleans(), data=st.data())
+def test_clean_defect_arrays_load_by_column_as_the_oracle(tmp_path_factory, corpus, data):
+    records = data.draw(clean_defect_arrays(corpus))
+    assert _defects_by_column(records, corpus) is not None
+    path = write_array(tmp_path_factory, "defects.json", records)
+    load, oracle = ((load_corpus_file, _oracle_load_corpus_file) if corpus else
+                    (load_defects_file, lambda p: _oracle_load_defect_file(p, require_modes=False)))
+    assert defect_outcome(load, path) == defect_outcome(oracle, path)
+
+
+@settings(FUZZ, max_examples=300)
+@given(corpus=st.booleans(), data=st.data())
+def test_faulty_defect_arrays_match_oracle(tmp_path_factory, corpus, data):
+    records = data.draw(faulty(clean_defect_arrays(corpus), DEFECT_FAULTS,
+                               ["id", "description", "class"]))
+    path = write_array(tmp_path_factory, "defects.json", records)
+    load, oracle = ((load_corpus_file, _oracle_load_corpus_file) if corpus else
+                    (load_defects_file, lambda p: _oracle_load_defect_file(p, require_modes=False)))
+    assert defect_outcome(load, path) == defect_outcome(oracle, path)
+
+
+@st.composite
+def clean_rtm_arrays(draw):
+    return [{"req_id": f"R-{i}", "description": draw(st.sampled_from(["", "d"])),
+             "status": draw(st.sampled_from(STATUS_VALUES))}
+            for i in range(draw(st.integers(2, 60)))]
+
+
+RTM_FAULTS = [("req_id", ""), ("req_id", 5), ("req_id", "R-0"), ("description", None),
+              ("status", "done"), ("status", ["complete"]), ("priority", 1)]
+
+
+@settings(FUZZ, max_examples=100)
+@given(entries=clean_rtm_arrays())
+def test_clean_rtm_arrays_load_by_column_as_the_oracle(tmp_path_factory, entries):
+    assert _rtm_by_column(entries) is not None
+    path = write_array(tmp_path_factory, "rtm.json", entries)
+    assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
+
+
+@settings(FUZZ, max_examples=200)
+@given(entries=faulty(clean_rtm_arrays(), RTM_FAULTS, ["req_id", "description", "status"]))
+def test_faulty_rtm_arrays_match_oracle(tmp_path_factory, entries):
+    path = write_array(tmp_path_factory, "rtm.json", entries)
     assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
 
 

@@ -15,7 +15,7 @@ from orcas.causality import (
     merge_causality,
     uniform_causality,
 )
-from orcas.domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode
+from orcas.domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, count_by_class
 from orcas.errors import MissingCausalityRowError, OrcasError
 
 
@@ -221,3 +221,29 @@ def test_matrix_dict_round_trip(tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
     assert load_matrix_file(path) == matrix
+
+
+@given(labels=st.lists(st.tuples(st.sampled_from(list(DefectClass)),
+                                 st.frozensets(st.sampled_from(list(FailureMode)), max_size=4)),
+                       min_size=1, max_size=40))
+def test_counting_matches_per_record_loops(labels):
+    records = [make_record(i, cls, modes) for i, (cls, modes) in enumerate(labels)]
+    per_class = {cls: 0 for cls in DefectClass}
+    for record in records:
+        per_class[record.defect_class] += 1
+    assert list(count_by_class(records).items()) == list(per_class.items())
+    unlabeled = [record for record in records if not record.observed_modes]
+    if unlabeled:
+        with pytest.raises(OrcasError, match=f"^corpus record '{unlabeled[0].id}' has no observed"):
+            estimate_causality(records)
+        return
+    counts: dict = {}
+    for record in records:
+        row = counts.setdefault(record.defect_class, [0, 0, 0, 0])
+        for mode in record.observed_modes:
+            row[MODE_ORDER.index(mode)] += 1
+    matrix = estimate_causality(records)
+    assert list(matrix.counts.items()) == [(cls, tuple(row)) for cls, row in counts.items()]
+    assert list(matrix.rows.items()) == [(cls, tuple(c / sum(row) for c in row))
+                                         for cls, row in counts.items()]
+    assert matrix.provenance == f"corpus ({len(records)} records)"

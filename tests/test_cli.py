@@ -91,8 +91,16 @@ def test_report_reemission_round_trip(tmp_path):
     (lambda raw: json.dumps({**json.loads(raw), "annotations": ["\ud800"]}).encode(),
      "invalid report JSON: top level: invalid JSON: a \\u escape is an unpaired UTF-16 surrogate"),
     (lambda raw: None, "assessment.json: file not found in "),
+    (lambda raw: json.dumps({**json.loads(raw), "gaps": []}).encode(),
+     "invalid report JSON: gaps: expected a JSON object, got list"),
+    (lambda raw: json.dumps({**json.loads(raw), "gaps": {"untraced_requirements": [1],
+                                                          "uncovered_triggers": []}}).encode(),
+     "invalid report JSON: gaps: untraced_requirements: expected an array of strings"),
+    (lambda raw: json.dumps({**json.loads(raw), "provenance": 5}).encode(),
+     "invalid report JSON: provenance: expected a JSON object, got int"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
-        "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file"])
+        "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
+        "gaps-array", "gaps-numbers", "provenance-5"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output; None deletes the file.
     saved = tmp_path / "assessment.json"
