@@ -24,6 +24,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orcas.bundle import (
+    BUILTIN_MATRIX_SOURCE,
+    DEFAULT_CONFIDENCE_THRESHOLD,
+    DEFAULT_STABILITY_WINDOWS,
     AssessmentBundle,
     _expect_array,
     _expect_object,
@@ -34,16 +37,31 @@ from orcas.bundle import (
     _quote,
     _defects_by_column,
     _read_json,
+    _parse_config,
     _rtm_by_column,
     load_bundle,
     load_corpus_file,
     load_defects_file,
+    load_effort_file,
     load_rtm_file,
+    load_tca_file,
 )
 from orcas.cli import main
-from orcas.domain import DefectClass, DefectRecord, FailureMode
+from orcas.domain import (
+    DefectClass,
+    DefectRecord,
+    EffortKind,
+    EffortModel,
+    FailureMode,
+    ModeFamily,
+    TestLevel,
+    TriggerKind,
+    total_effort,
+)
 from orcas.errors import BundleError
-from orcas.evidence import CoverageStatus, RtmEntry
+from orcas.evidence import ACTIVITIES, CoverageStatus, RtmEntry, TcaEntry
+from orcas.growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
+from orcas.quantify import SystemKind
 
 from conftest import default_tca_entries, write_bundle
 
@@ -139,6 +157,99 @@ def _oracle_load_rtm_file(path):
     return tuple(entries)
 
 
+def _oracle_load_tca_file(path):
+    entries = []
+    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+        where = f"entry {index}"
+        data = _expect_object(obj, path.name, where, {"level", "activity", "trigger", "status"},
+                              {"level", "activity", "trigger", "status"})
+        try:
+            entries.append(TcaEntry(
+                level=_parse_enum(TestLevel, data["level"], path.name, f"{where}: level"),
+                activity=_parse_string(data["activity"], path.name, f"{where}: activity"),
+                trigger=_parse_enum(TriggerKind, data["trigger"], path.name, f"{where}: trigger"),
+                status=_parse_enum(CoverageStatus, data["status"], path.name, f"{where}: status"),
+            ))
+        except ValueError as exc:
+            raise _fail(path.name, where, str(exc)) from exc
+    return tuple(entries)
+
+
+def _oracle_load_effort_file(path):
+    data = _expect_object(
+        _read_json(path), path.name, "top level",
+        {"kind", "test_count", "test_duration"}, {"kind", "test_count"},
+    )
+    kind = _parse_enum(EffortKind, data["kind"], path.name, "kind")
+    count = data["test_count"]
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise _fail(path.name, "test_count", f"expected an integer, got {_quote(count)}")
+    duration = data.get("test_duration")
+    if duration is not None:
+        duration = _parse_number(duration, path.name, "test_duration")
+    try:
+        model = EffortModel(kind=kind, test_count=count, test_duration=duration)
+    except ValueError as exc:
+        raise _fail(path.name, "top level", str(exc)) from exc
+    try:
+        total = total_effort(model)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise _fail(path.name, "test_count",
+                    "total testing effort (test_count x test_duration) is beyond floating-point range")
+    return model
+
+
+_ORACLE_CONFIG_KEYS = {"structural_coverage", "system_kind", "excluded_modes", "confidence_threshold",
+                       "stability_threshold", "rate_method", "srgm_model", "stability_windows",
+                       "matrix", "uniform_missing_rows", "mode_family", "rtm_weight", "tca_weight"}
+
+
+def _oracle_parse_config(path):
+    file = path.name
+    data = _expect_object(_read_json(path), file, "top level", _ORACLE_CONFIG_KEYS,
+                          {"structural_coverage", "system_kind"})
+    config = {}
+    config["structural_coverage"] = _parse_number(
+        data["structural_coverage"], file, "structural_coverage", lo=0.0, hi=1.0)
+    config["system_kind"] = _parse_enum(SystemKind, data["system_kind"], file, "system_kind")
+    raw_excluded = data.get("excluded_modes")
+    if raw_excluded is not None:
+        if not isinstance(raw_excluded, list):
+            raise _fail(file, "excluded_modes", "expected an array of failure modes")
+        config["excluded_modes"] = frozenset(
+            _parse_enum(FailureMode, m, file, "excluded_modes") for m in raw_excluded)
+    else:
+        config["excluded_modes"] = None
+    config["confidence_threshold"] = _parse_number(
+        data.get("confidence_threshold", DEFAULT_CONFIDENCE_THRESHOLD),
+        file, "confidence_threshold", lo=0.0, hi=1.0)
+    config["stability_threshold"] = _parse_number(
+        data.get("stability_threshold", DEFAULT_STABILITY_THRESHOLD),
+        file, "stability_threshold", lo=0.0)
+    config["rate_method"] = _parse_enum(
+        RateMethod, data.get("rate_method", RateMethod.BOUNDED.value), file, "rate_method")
+    config["srgm_model"] = _parse_enum(
+        SrgmModel, data.get("srgm_model", SrgmModel.GOEL_OKUMOTO.value), file, "srgm_model")
+    windows = data.get("stability_windows", DEFAULT_STABILITY_WINDOWS)
+    if isinstance(windows, bool) or not isinstance(windows, int) or windows < 2:
+        raise _fail(file, "stability_windows", f"expected an integer >= 2, got {_quote(windows)}")
+    config["stability_windows"] = windows
+    config["matrix"] = _parse_string(data.get("matrix", BUILTIN_MATRIX_SOURCE), file, "matrix")
+    flag = data.get("uniform_missing_rows", False)
+    if not isinstance(flag, bool):
+        raise _fail(file, "uniform_missing_rows", f"expected true or false, got {_quote(flag)}")
+    config["uniform_missing_rows"] = flag
+    if "mode_family" in data:
+        config["mode_family"] = _parse_enum(ModeFamily, data["mode_family"], file, "mode_family")
+    else:
+        config["mode_family"] = None
+    config["rtm_weight"] = _parse_number(data.get("rtm_weight", 0.5), file, "rtm_weight", lo=0.0)
+    config["tca_weight"] = _parse_number(data.get("tca_weight", 0.5), file, "tca_weight", lo=0.0)
+    return config
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -199,6 +310,66 @@ def rtm_entries(draw):
     return draw(with_faults(valid, "priority"))
 
 
+@st.composite
+def tca_entries(draw):
+    valid = {
+        "level": draw(st.sampled_from([m.value for m in TestLevel])),
+        "activity": draw(st.sampled_from([*ACTIVITIES, "x"])),
+        "trigger": draw(st.sampled_from([m.value for m in TriggerKind])),
+        "status": draw(st.sampled_from([m.value for m in CoverageStatus])),
+    }
+    return draw(with_faults(valid, "note"))
+
+
+def object_documents(valid, extra_key):
+    """Mostly ``valid`` with faults from :func:`with_faults` and one key
+    perhaps set to a scalar, which reaches the type and range checks more
+    often than a drawn container does; sometimes any JSON value."""
+    @st.composite
+    def build(draw):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(json_values)
+        document = draw(with_faults(draw(valid), extra_key))
+        if draw(st.booleans()):
+            document[draw(st.sampled_from(sorted(document) or [extra_key]))] = draw(scalars)
+        return document
+    return build()
+
+
+@st.composite
+def valid_efforts(draw):
+    valid = {"kind": draw(st.sampled_from([m.value for m in EffortKind])),
+             "test_count": draw(st.integers(-1, 10**6) | st.just(10**400))}
+    if draw(st.booleans()):
+        valid["test_duration"] = draw(st.floats(0.0, 1e300) | st.none())
+    return valid
+
+
+@st.composite
+def valid_configs(draw):
+    valid = {
+        "structural_coverage": draw(st.floats(0.0, 1.0)),
+        "system_kind": draw(st.sampled_from([m.value for m in SystemKind])),
+        "excluded_modes": draw(st.none() | st.lists(st.sampled_from([m.value for m in FailureMode]),
+                                                    max_size=3)),
+        "confidence_threshold": draw(st.floats(0.0, 1.0)),
+        "stability_threshold": draw(st.floats(0.0, 1.0)),
+        "rate_method": draw(st.sampled_from([m.value for m in RateMethod])),
+        "srgm_model": draw(st.sampled_from([m.value for m in SrgmModel])),
+        "stability_windows": draw(st.integers(2, 8)),
+        "matrix": draw(st.sampled_from(["builtin", "corpus:corpus.json", "matrix.json"])),
+        "uniform_missing_rows": draw(st.booleans()),
+        "mode_family": draw(st.sampled_from([m.value for m in ModeFamily])),
+        "rtm_weight": draw(st.floats(0.0, 2.0)),
+        "tca_weight": draw(st.floats(0.0, 2.0)),
+    }
+    # Optional keys left out, so that their defaults are read too.
+    optional = sorted(set(valid) - {"structural_coverage", "system_kind"})
+    for key in draw(st.sets(st.sampled_from(optional), max_size=4)):
+        del valid[key]
+    return valid
+
+
 def documents(items):
     """A file body: mostly an array of items, sometimes with other JSON
     values among them, or any JSON value."""
@@ -244,6 +415,49 @@ def test_rtm_loader_matches_oracle(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("fuzz") / "rtm.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
+
+
+@settings(FUZZ, max_examples=150)
+@given(document=documents(tca_entries()))
+def test_tca_loader_matches_oracle(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "tca.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert outcome(load_tca_file, path) == outcome(_oracle_load_tca_file, path)
+
+
+def typed(value):
+    """``value`` with the type of each of its parts, so that 1 differs from 1.0 and True."""
+    if isinstance(value, frozenset):
+        return frozenset, sorted(map(typed, value), key=repr)
+    if isinstance(value, tuple):
+        return tuple(map(typed, value))
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    return type(value), repr(value)
+
+
+@settings(FUZZ, max_examples=150)
+@given(document=object_documents(valid_efforts(), "unit"))
+@example(document={"kind": "continuous", "test_count": 3, "test_duration": None})
+def test_effort_loader_matches_oracle(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "effort.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    expected = outcome(_oracle_load_effort_file, path)
+    result = outcome(load_effort_file, path)
+    assert result == expected
+    if not isinstance(expected, str):
+        assert typed(result._values()) == typed(expected._values())
+
+
+@settings(FUZZ, max_examples=200)
+@given(document=object_documents(valid_configs(), "seed"))
+@example(document={"structural_coverage": 1, "system_kind": "custom", "excluded_modes": None,
+                   "mode_family": None})
+@example(document={"structural_coverage": 1, "system_kind": "custom", "excluded_modes": ["A", "E"]})
+def test_config_parser_matches_oracle(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert typed(outcome(_parse_config, path)) == typed(outcome(_oracle_parse_config, path))
 
 
 # ---------------------------------------------------------------------------
