@@ -1,20 +1,18 @@
 """Dataset directory loading and validation.
 
-An assessment bundle is a directory of UTF-8 JSON files:
+An assessment bundle is a directory of UTF-8 JSON files, each described
+below by a table of field entries:
 
-  defects.json   array of defect records:
-                 {"id", "description", "class", "detection_effort",
-                  "observed_modes"?: [...], "resolution"?}
-  effort.json    {"kind": "on-demand"|"continuous", "test_count",
-                  "test_duration"? (continuous only, hours per test)}
-  rtm.json       nonempty array of {"req_id", "description", "status"}
-  tca.json       array of {"level", "activity", "trigger", "status"};
-                 must cover the 15-slot template exactly
-  config.json    assessment options (see _parse_config)
+  defects.json   array of defect records (_DEFECT_FIELDS)
+  effort.json    the testing effort (_EFFORT_FIELDS)
+  rtm.json       nonempty array of requirements (_RTM_FIELDS)
+  tca.json       array of trigger-coverage slots (_TCA_FIELDS) that
+                 covers the 15-slot template exactly
+  config.json    assessment options (_CONFIG_FIELDS)
   matrix.json    optional causality matrix:
                  {"provenance", "rows": {class: [4 probs]}, "counts"?}
-  corpus.json    optional labeled corpus, same shape as defects.json but
-                 observed_modes required nonempty
+  corpus.json    optional labeled corpus (_CORPUS_FIELDS): defect
+                 records that each label an observed failure mode
 
 Every file is parsed and its records and cross-references validated
 here; the first violation raises :class:`BundleError` naming the file,
@@ -41,7 +39,7 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType
-from typing import Any, Iterable
+from typing import Any
 
 from . import causality as causality_mod
 from .causality import CausalityMatrix
@@ -58,7 +56,7 @@ from .domain import (
     total_effort,
 )
 from .errors import BundleError, OrcasError
-from .evidence import CoverageStatus, RtmEntry, TcaEntry, validate_tca_entries
+from .evidence import ACTIVITIES, CoverageStatus, RtmEntry, TcaEntry, validate_tca_entries
 from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
 from .quantify import SystemKind, mode_applicability
 
@@ -234,154 +232,312 @@ def _parse_string(value: Any, file: str, where: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# File loaders
+# Record kinds
 # ---------------------------------------------------------------------------
 
-# A record array is checked a column at a time, by passes that make no
-# Python call per record (maps over C functions, set, all, min), and its
-# records are built in bulk through the slot setters. The column checks
-# accept a subset of what the per-record parsers accept: when one fails,
-# the per-record parser runs over the array and raises the first fault in
-# record order (or, where the column check was the stricter, returns the
-# records), so each rule and message has one definition.
+# Each input record kind is described once, as a tuple of field entries in
+# the order of their checks. An object entry is (JSON key, default, kind);
+# an array entry adds the record slot it fills and whether a fault names
+# the record by its id (the value of its first field) or by its index. A
+# slot of None marks a check of the whole record, named by the record
+# alone. The default is _REQUIRED for a key that must be present, None for
+# a key whose absence reads as None, and otherwise a JSON value checked as
+# if it were given.
 
-_DEFECT_KEYS = frozenset({"id", "description", "class", "detection_effort", "observed_modes",
-                          "resolution"})
-_DEFECT_REQUIRED = frozenset({"id", "description", "class"})
-_CLASSES = {member.value: member for member in DefectClass}
-_MODES = {member.value: member for member in FailureMode}
+_REQUIRED = object()
 
 
-def _slot_setters(cls: type) -> tuple:
-    # Slot descriptors set a field even on a frozen instance.
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+class _Kind:
+    """The rules of one field, in two faces.
 
+    ``check(value, file, where)`` converts one JSON value or raises the
+    rule's message at ``where``. :meth:`column` converts a whole column by
+    passes that make no Python call per value, or returns None (or raises
+    KeyError, TypeError or OverflowError) to have the array read a record
+    at a time; it may refuse what ``check`` accepts, never the reverse.
+    Where ``null`` is set, JSON null reads as None.
+    """
 
-_DEFECT_SETTERS = _slot_setters(DefectRecord)
-_ID, _DESCRIPTION, _CLASS = itemgetter("id"), itemgetter("description"), itemgetter("class")
+    null = False
 
-
-def _blank_records(cls: type, count: int) -> tuple:
-    """``count`` instances of ``cls`` with no field set, for :func:`_fill`."""
-    return tuple(map(object.__new__, repeat(cls, count)))
-
-
-def _fill(setter, records: tuple, column: Iterable) -> None:
-    """Set one field of every record from a column already checked as the
-    record type's own constructor would check it."""
-    deque(map(setter, records, column), maxlen=0)
-
-
-def _get(objects: list, key: str, default: Any = None) -> list:
-    return list(map(dict.get, objects, repeat(key), repeat(default)))
-
-
-def _objects_within(objects: list, keys: frozenset) -> bool:
-    """Whether ``objects`` are all JSON objects with no key outside ``keys``
-    (a missing required key is found when its column is read)."""
-    return set(map(type, objects)) == {dict} and keys.issuperset(set().union(*objects))
-
-
-def _distinct_ids(column: list) -> bool:
-    return set(map(type, column)) == {str} and all(column) and len(set(column)) == len(column)
-
-
-def _defects_by_column(objects: list, require_modes: bool) -> tuple[DefectRecord, ...] | None:
-    """The records of a nonempty defect array, or None if a column check
-    fails. A missing required key, an unknown class or mode, an unhashable
-    value or an integer effort beyond float range raises below, and also
-    gives None."""
-    if not _objects_within(objects, _DEFECT_KEYS):
+    def column(self, column: list) -> list | None:
         return None
-    set_id, set_description, set_class, set_effort, set_modes, set_resolution = _DEFECT_SETTERS
-    records = _blank_records(DefectRecord, len(objects))
-    try:
-        column = list(map(_ID, objects))
-        if not _distinct_ids(column):
+
+
+class _String(_Kind):
+    """A string; with ``nonempty``, one that names its record."""
+
+    def __init__(self, null: bool = False, nonempty: bool = False):
+        self.null, self.nonempty, self.types = null, nonempty, ({str, NoneType} if null else {str})
+
+    def check(self, value: Any, file: str, where: str) -> str:
+        if not _parse_string(value, file, where) and self.nonempty:
+            raise _fail(file, where, "must be a nonempty string")
+        return value
+
+    def column(self, column: list) -> list | None:
+        ok = set(map(type, column)) <= self.types and (not self.nonempty or all(column))
+        return column if ok else None
+
+
+class _Distinct(_Kind):
+    """A check of the whole record: its id is no earlier record's. The
+    record reader keeps the ids it has seen, so this kind has no check."""
+
+    def column(self, column: list) -> list | None:
+        return column if len(set(column)) == len(column) else None
+
+
+_DISTINCT = _Distinct()
+
+
+class _Rule(_Kind):
+    """A check of the whole record: ``test`` holds for a field already
+    read, else ``reason``, formatted with the value, is raised."""
+
+    def __init__(self, test, reason: str):
+        self.test, self.reason = test, reason
+
+    def check(self, value: Any, file: str, where: str) -> Any:
+        if not self.test(value):
+            raise _fail(file, where, self.reason.format(value))
+        return value
+
+    def column(self, column: list) -> list | None:
+        return column if all(map(self.test, column)) else None
+
+
+class _Enum(_Kind):
+    def __init__(self, enum_cls: type):
+        self.enum_cls, self.members = enum_cls, {member.value: member for member in enum_cls}
+
+    def check(self, value: Any, file: str, where: str):
+        return _parse_enum(self.enum_cls, value, file, where)
+
+    def column(self, column: list) -> list:
+        return list(map(self.members.__getitem__, column))
+
+
+class _EnumSet(_Enum):
+    """An array of enum values, read as a frozenset. ``message`` says what
+    a value that is no array should be, with ``{}`` for the value."""
+
+    def __init__(self, enum_cls: type, message: str, null: bool = False):
+        super().__init__(enum_cls)
+        self.message, self.null = message, null
+
+    def check(self, value: Any, file: str, where: str) -> frozenset:
+        if not isinstance(value, list):
+            raise _fail(file, where, self.message.format(_quote(value)))
+        return frozenset([_parse_enum(self.enum_cls, item, file, where) for item in value])
+
+    def column(self, column: list) -> list | None:
+        if not set(map(type, column)) <= {list}:
             return None
-        _fill(set_id, records, column)
-        column = list(map(_DESCRIPTION, objects))
-        if set(map(type, column)) != {str}:
-            return None
-        _fill(set_description, records, column)
-        _fill(set_class, records, map(_CLASSES.__getitem__, map(_CLASS, objects)))
-        column = _get(objects, "detection_effort", 0.0)
+        column = list(map(tuple, column))
+        # One frozenset per distinct list, shared by its records.
+        sets = {key: frozenset(map(self.members.__getitem__, key)) for key in set(column)}
+        return list(map(sets.__getitem__, column))
+
+
+class _Number(_Kind):
+    """A finite number in [``lo``, ``hi``], read as a float."""
+
+    def __init__(self, lo: float | None = None, hi: float | None = None, null: bool = False):
+        self.lo, self.hi, self.null = lo, hi, null
+
+    def check(self, value: Any, file: str, where: str) -> float:
+        return _parse_number(value, file, where, self.lo, self.hi)
+
+    def column(self, column: list) -> list | None:
         types = set(map(type, column))
         if not types <= {float, int}:  # bool is neither
             return None
         if int in types:
             column = list(map(float, column))
-        # With NaN ruled out first, min is reliable; -0.0 passes and keeps its sign.
-        if not all(map(math.isfinite, column)) or min(column) < 0.0:
+        # With NaN ruled out first, min and max are reliable; -0.0 passes lo=0.0 and keeps its sign.
+        if (not all(map(math.isfinite, column)) or (self.lo is not None and min(column) < self.lo)
+                or (self.hi is not None and max(column) > self.hi)):
             return None
-        _fill(set_effort, records, column)
-        # An absent observed_modes reads as (), which no JSON value is; null stays None.
-        column = _get(objects, "observed_modes", ())
-        if not set(map(type, column)) <= {list, tuple}:
-            return None
-        column = list(map(tuple, column))
-        # One frozenset per distinct mode list, shared by its records.
-        modes = {key: frozenset(map(_MODES.__getitem__, key)) for key in set(column)}
-        if require_modes and not all(modes.values()):
-            return None
-        _fill(set_modes, records, map(modes.__getitem__, column))
+        return column
+
+
+class _Integer(_Kind):
+    def __init__(self, lo: int | None = None):
+        self.lo = lo
+
+    def check(self, value: Any, file: str, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or (self.lo is not None and value < self.lo):
+            at_least = "" if self.lo is None else f" >= {self.lo}"
+            raise _fail(file, where, f"expected an integer{at_least}, got {_quote(value)}")
+        return value
+
+
+class _Flag(_Kind):
+    def check(self, value: Any, file: str, where: str) -> bool:
+        if not isinstance(value, bool):
+            raise _fail(file, where, f"expected true or false, got {_quote(value)}")
+        return value
+
+
+class _Efforts(_Kind):
+    """A nonempty array of detection efforts, each named by its index."""
+
+    def check(self, value: Any, file: str, where: str) -> list[float]:
+        if not isinstance(value, list) or not value:
+            raise _fail(file, where, "expected a nonempty array of detection efforts")
+        return [_parse_number(t, file, f"{where}[{i}]", lo=0.0) for i, t in enumerate(value)]
+
+
+_DEFECT_FIELDS = (
+    ("id", _REQUIRED, _String(nonempty=True), "id", False),
+    ("class", _REQUIRED, _Enum(DefectClass), "defect_class", True),
+    ("detection_effort", 0.0, _Number(lo=0.0), "detection_effort", True),
+    ("observed_modes", [], _EnumSet(FailureMode, "expected an array, got {}"), "observed_modes", True),
+    ("resolution", None, _String(null=True), "resolution", True),
+    ("description", _REQUIRED, _String(), "description", True),
+    ("id", _REQUIRED, _DISTINCT, None, True),
+)
+# A corpus record labels at least one mode; its fields are a defect record's.
+_CORPUS_FIELDS = (
+    *_DEFECT_FIELDS[:4],
+    ("observed_modes", [], _Rule(bool, "corpus records must label at least one observed failure mode"),
+     None, True),
+    *_DEFECT_FIELDS[4:],
+)
+_RTM_FIELDS = (
+    ("req_id", _REQUIRED, _String(nonempty=True), "req_id", False),
+    ("req_id", _REQUIRED, _DISTINCT, None, True),
+    ("description", _REQUIRED, _String(), "description", False),
+    ("status", _REQUIRED, _Enum(CoverageStatus), "status", True),
+)
+_TCA_FIELDS = (
+    ("level", _REQUIRED, _Enum(TestLevel), "level", False),
+    ("activity", _REQUIRED, _String(), "activity", False),
+    ("trigger", _REQUIRED, _Enum(TriggerKind), "trigger", False),
+    ("status", _REQUIRED, _Enum(CoverageStatus), "status", False),
+    ("activity", _REQUIRED, _Rule(ACTIVITIES.__contains__,
+                                  f"activity must be one of {', '.join(ACTIVITIES)}; got {{!r}}"), None, False),
+)
+_EFFORT_FIELDS = (
+    ("kind", _REQUIRED, _Enum(EffortKind)),
+    ("test_count", _REQUIRED, _Integer()),
+    ("test_duration", None, _Number(null=True)),
+)
+_CONFIG_FIELDS = (
+    ("structural_coverage", _REQUIRED, _Number(0.0, 1.0)),
+    ("system_kind", _REQUIRED, _Enum(SystemKind)),
+    ("excluded_modes", None, _EnumSet(FailureMode, "expected an array of failure modes", null=True)),
+    ("confidence_threshold", DEFAULT_CONFIDENCE_THRESHOLD, _Number(0.0, 1.0)),
+    ("stability_threshold", DEFAULT_STABILITY_THRESHOLD, _Number(0.0)),
+    ("rate_method", RateMethod.BOUNDED.value, _Enum(RateMethod)),
+    ("srgm_model", SrgmModel.GOEL_OKUMOTO.value, _Enum(SrgmModel)),
+    ("stability_windows", DEFAULT_STABILITY_WINDOWS, _Integer(2)),
+    ("matrix", BUILTIN_MATRIX_SOURCE, _String()),
+    ("uniform_missing_rows", False, _Flag()),
+    ("mode_family", None, _Enum(ModeFamily)),  # null is refused, not read as absent
+    ("rtm_weight", 0.5, _Number(0.0)),
+    ("tca_weight", 0.5, _Number(0.0)),
+)
+_HISTORY_FIELDS = (
+    ("events", _REQUIRED, _Efforts()),
+    ("horizon", None, _Number(0.0, null=True)),
+)
+
+
+def _keys(fields: tuple) -> tuple[set[str], set[str]]:
+    """The keys a table allows and those it requires."""
+    return {entry[0] for entry in fields}, {entry[0] for entry in fields if entry[1] is _REQUIRED}
+
+
+def _value(data: dict, key: str, default: Any, kind: _Kind, file: str, where: str) -> Any:
+    """One field of a JSON object, checked by ``kind``; a missing key with
+    the default None reads as None unchecked."""
+    value = data.get(key, default)
+    if value is None and (kind.null or key not in data):
+        return None
+    return kind.check(value, file, where)
+
+
+def _parse_object(fields: tuple, data: Any, file: str) -> dict:
+    """The values of a JSON object described by ``fields``, by key; the
+    first fault in table order is raised."""
+    data = _expect_object(data, file, "top level", *_keys(fields))
+    return {key: _value(data, key, default, kind, file, key) for key, default, kind in fields}
+
+
+# A record array is read a column at a time by the column faces, with no
+# Python call per record, and its records are built in bulk through the
+# slot setters. When a column check fails, the record faces read the array
+# one record at a time and raise the first fault in record order (or,
+# where the column face was the stricter, return the records), so each
+# rule and message has one definition.
+
+
+def _by_column(cls: type, fields: tuple, objects: list) -> tuple | None:
+    """The ``cls`` records of a nonempty array, filled a column at a time,
+    or None if the array is empty or a column check fails."""
+    keys, _ = _keys(fields)
+    # All objects, and no key outside the table (a missing required key is
+    # found when its column is read).
+    if set(map(type, objects)) != {dict} or not keys.issuperset(set().union(*objects)):
+        return None
+    records = tuple(map(object.__new__, repeat(cls, len(objects))))
+    try:
+        for key, default, kind, slot, _ in fields:
+            column = kind.column(list(map(itemgetter(key), objects)) if default is _REQUIRED
+                                 else list(map(dict.get, objects, repeat(key), repeat(default))))
+            if column is None:
+                return None
+            if slot is not None:
+                # Slot descriptors set a field even on a frozen instance.
+                deque(map(cls.__dict__[slot].__set__, records, column), maxlen=0)
     except (KeyError, TypeError, OverflowError):
         return None
-    column = _get(objects, "resolution")
-    if not set(map(type, column)) <= {str, NoneType}:
-        return None
-    _fill(set_resolution, records, column)
     return records
 
 
-def _parse_defect(obj: Any, file: str, index: int, require_modes: bool) -> DefectRecord:
-    data = _expect_object(obj, file, f"record {index}", _DEFECT_KEYS, _DEFECT_REQUIRED)
-    record_id = _parse_string(data["id"], file, f"record {index}: id")
-    if not record_id:
-        raise _fail(file, f"record {index}: id", "must be a nonempty string")
-    where = f"record {_quote(record_id, _ID_LIMIT)}"
-    defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
-    effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
-    raw_modes = data.get("observed_modes", [])
-    if not isinstance(raw_modes, list):
-        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {_quote(raw_modes)}")
-    modes = frozenset([_parse_enum(FailureMode, mode, file, f"{where}: observed_modes")
-                       for mode in raw_modes])
-    if require_modes and not modes:
-        raise _fail(file, where, "corpus records must label at least one observed failure mode")
-    resolution = data.get("resolution")
-    if resolution is not None:
-        resolution = _parse_string(resolution, file, f"{where}: resolution")
-    description = _parse_string(data["description"], file, f"{where}: description")
-    return DefectRecord(record_id, description, defect_class, effort, modes, resolution)
-
-
-def _defects_by_record(objects: Iterable[tuple[int, Any]], file: str,
-                       require_modes: bool) -> tuple[DefectRecord, ...]:
-    """Parse (index, object) pairs into records with distinct ids."""
+def _by_record(cls: type, fields: tuple, objects: list, file: str, label: str, start: int) -> tuple:
+    """The ``cls`` records of an array, read one at a time; each is named
+    ``label`` and its index (the first being ``start``) or its id."""
+    keys, required = _keys(fields)
     records = []
-    seen_ids: set[str] = set()
-    for index, obj in objects:
-        record = _parse_defect(obj, file, index, require_modes)
-        if record.id in seen_ids:
-            raise _fail(file, f"record {_quote(record.id, _ID_LIMIT)}", "duplicate id")
-        seen_ids.add(record.id)
+    seen: set[str] = set()
+    for index, obj in enumerate(objects, start):
+        data = _expect_object(obj, file, f"{label} {index}", keys, required)
+        record = object.__new__(cls)
+        for key, default, kind, slot, by_id in fields:
+            where = (f"{label} {_quote(data[fields[0][0]], _ID_LIMIT) if by_id else index}"
+                     + (f": {key}" if slot else ""))
+            if kind is _DISTINCT:
+                if data[key] in seen:
+                    raise _fail(file, where, f"duplicate {key}")
+                seen.add(data[key])
+            else:
+                value = _value(data, key, default, kind, file, where)
+                if slot is not None:
+                    cls.__dict__[slot].__set__(record, value)
         records.append(record)
     return tuple(records)
 
 
-def _parse_defects(objects: list, file: str, require_modes: bool, start: int = 0) -> tuple[DefectRecord, ...]:
-    """The records of a defect array whose first element is record ``start``."""
-    records = _defects_by_column(objects, require_modes)
-    if records is None:
-        records = _defects_by_record(enumerate(objects, start), file, require_modes)
-    return records
+def _parse_records(cls: type, fields: tuple, objects: list, file: str, label: str = "record",
+                   start: int = 0) -> tuple:
+    """The ``cls`` records of an array whose first element is record ``start``."""
+    records = _by_column(cls, fields, objects)
+    return records if records is not None else _by_record(cls, fields, objects, file, label, start)
 
 
-def _load_defect_file(path: Path, require_modes: bool,
-                      digests: dict[str, str] | None) -> tuple[DefectRecord, ...]:
-    objects = _expect_array(_read_json(path, digests), path.name)
-    return _parse_defects(objects, path.name, require_modes)
+def _load_records(cls: type, fields: tuple, path: Path | str, digests: dict[str, str] | None,
+                  label: str = "record") -> tuple:
+    path = Path(path)
+    return _parse_records(cls, fields, _expect_array(_read_json(path, digests), path.name), path.name,
+                          label)
+
+
+# ---------------------------------------------------------------------------
+# File loaders
+# ---------------------------------------------------------------------------
 
 
 def load_defects_file(path: Path | str, *,
@@ -389,33 +545,24 @@ def load_defects_file(path: Path | str, *,
     """Defect records from a defects.json file. ``digests``, if given,
     receives the SHA-256 of the file under its name (as do the other
     file loaders)."""
-    return _load_defect_file(Path(path), False, digests)
+    return _load_records(DefectRecord, _DEFECT_FIELDS, path, digests)
 
 
 def load_corpus_file(path: Path | str, *,
                      digests: dict[str, str] | None = None) -> tuple[DefectRecord, ...]:
-    path = Path(path)
-    records = _load_defect_file(path, True, digests)
+    records = _load_records(DefectRecord, _CORPUS_FIELDS, path, digests)
     if not records:
-        raise _fail(path.name, "top level", "no corpus records")
+        raise _fail(Path(path).name, "top level", "no corpus records")
     return records
 
 
 def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None) -> EffortModel:
     path = Path(path)
-    data = _expect_object(
-        _read_json(path, digests), path.name, "top level",
-        {"kind", "test_count", "test_duration"}, {"kind", "test_count"},
-    )
-    kind = _parse_enum(EffortKind, data["kind"], path.name, "kind")
-    count = data["test_count"]
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise _fail(path.name, "test_count", f"expected an integer, got {_quote(count)}")
-    duration = data.get("test_duration")
-    if duration is not None:
-        duration = _parse_number(duration, path.name, "test_duration")
+    values = _parse_object(_EFFORT_FIELDS, _read_json(path, digests), path.name)
     try:
-        model = EffortModel(kind=kind, test_count=count, test_duration=duration)
+        # The constructor holds the rules that join fields: a positive
+        # count, and a duration exactly for continuous effort.
+        model = EffortModel(**values)
     except ValueError as exc:
         raise _fail(path.name, "top level", str(exc)) from exc
     try:
@@ -428,79 +575,15 @@ def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None)
     return model
 
 
-_RTM_KEYS = frozenset({"req_id", "description", "status"})
-_RTM_SETTERS = _slot_setters(RtmEntry)
-_STATUSES = {member.value: member for member in CoverageStatus}
-
-
-def _rtm_by_column(objects: list) -> tuple[RtmEntry, ...] | None:
-    """The entries of a nonempty RTM array, or None if a column check
-    fails (a missing key or an unknown status raises below)."""
-    if not _objects_within(objects, _RTM_KEYS):
-        return None
-    set_req_id, set_description, set_status = _RTM_SETTERS
-    entries = _blank_records(RtmEntry, len(objects))
-    try:
-        column = list(map(itemgetter("req_id"), objects))
-        if not _distinct_ids(column):
-            return None
-        _fill(set_req_id, entries, column)
-        column = list(map(_DESCRIPTION, objects))
-        if set(map(type, column)) != {str}:
-            return None
-        _fill(set_description, entries, column)
-        _fill(set_status, entries, map(_STATUSES.__getitem__, map(itemgetter("status"), objects)))
-    except (KeyError, TypeError):
-        return None
-    return entries
-
-
-def _rtm_by_record(objects: list, file: str) -> tuple[RtmEntry, ...]:
-    entries = []
-    seen: set[str] = set()
-    for index, obj in enumerate(objects):
-        data = _expect_object(obj, file, f"entry {index}", _RTM_KEYS, _RTM_KEYS)
-        req_id = _parse_string(data["req_id"], file, f"entry {index}: req_id")
-        if not req_id:
-            raise _fail(file, f"entry {index}: req_id", "must be a nonempty string")
-        if req_id in seen:
-            raise _fail(file, f"entry {_quote(req_id, _ID_LIMIT)}", "duplicate req_id")
-        seen.add(req_id)
-        description = _parse_string(data["description"], file, f"entry {index}: description")
-        status = _parse_enum(CoverageStatus, data["status"], file,
-                             f"entry {_quote(req_id, _ID_LIMIT)}: status")
-        entries.append(RtmEntry(req_id, description, status))
-    return tuple(entries)
-
-
 def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[RtmEntry, ...]:
-    path = Path(path)
-    objects = _expect_array(_read_json(path, digests), path.name)
-    entries = _rtm_by_column(objects)
-    if entries is None:
-        entries = _rtm_by_record(objects, path.name)
+    entries = _load_records(RtmEntry, _RTM_FIELDS, path, digests, "entry")
     if not entries:
-        raise _fail(path.name, "top level", "no entries; an empty traceability matrix cannot be scored")
+        raise _fail(Path(path).name, "top level", "no entries; an empty traceability matrix cannot be scored")
     return entries
 
 
 def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[TcaEntry, ...]:
-    path = Path(path)
-    entries = []
-    for index, obj in enumerate(_expect_array(_read_json(path, digests), path.name)):
-        where = f"entry {index}"
-        data = _expect_object(obj, path.name, where, {"level", "activity", "trigger", "status"},
-                              {"level", "activity", "trigger", "status"})
-        try:
-            entries.append(TcaEntry(
-                level=_parse_enum(TestLevel, data["level"], path.name, f"{where}: level"),
-                activity=_parse_string(data["activity"], path.name, f"{where}: activity"),
-                trigger=_parse_enum(TriggerKind, data["trigger"], path.name, f"{where}: trigger"),
-                status=_parse_enum(CoverageStatus, data["status"], path.name, f"{where}: status"),
-            ))
-        except ValueError as exc:
-            raise _fail(path.name, where, str(exc)) from exc
-    return tuple(entries)
+    return _load_records(TcaEntry, _TCA_FIELDS, path, digests, "entry")
 
 
 def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
@@ -542,17 +625,8 @@ def load_history_file(path: Path | str) -> tuple[list[float], float | None]:
     """Failure-history file for growth-model fitting:
     {"events": [efforts...], "horizon"?: total observed effort}."""
     path = Path(path)
-    data = _expect_object(_read_json(path), path.name, "top level", {"events", "horizon"}, {"events"})
-    if not isinstance(data["events"], list) or not data["events"]:
-        raise _fail(path.name, "events", "expected a nonempty array of detection efforts")
-    events = [_parse_number(t, path.name, f"events[{i}]", lo=0.0) for i, t in enumerate(data["events"])]
-    horizon = data.get("horizon")
-    if horizon is not None:
-        horizon = _parse_number(horizon, path.name, "horizon", lo=0.0)
-    return events, horizon
-
-
-_CSV_COLUMNS = {"id", "description", "class", "detection_effort", "observed_modes", "resolution"}
+    values = _parse_object(_HISTORY_FIELDS, _read_json(path), path.name)
+    return values["events"], values["horizon"]
 
 
 def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
@@ -565,111 +639,55 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     """
     import csv  # only this converter reads CSV; keep it out of every other command's start-up
     path = Path(path)
-    reader = csv.DictReader(io.StringIO(_decode(_read_bytes(path), path.name)))
-    if reader.fieldnames is None:
-        raise _fail(path.name, "header", "empty file; expected a CSV header row")
-    fields = [name.strip() for name in reader.fieldnames]
-    unknown = set(fields) - _CSV_COLUMNS
-    if unknown:
-        raise _fail(path.name, "header", f"unknown column(s): {', '.join(sorted(unknown))}")
-    missing = {"id", "description", "class"} - set(fields)
-    if missing:
-        raise _fail(path.name, "header", f"missing column(s): {', '.join(sorted(missing))}")
+    file = path.name
+    # strict: an unterminated quote is an error, not the rest of the file in one field.
+    reader = csv.DictReader(io.StringIO(_decode(_read_bytes(path), file)), strict=True)
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise _fail(file, "header", f"invalid CSV: {exc}") from None
+    if header is None:
+        raise _fail(file, "header", "empty file; expected a CSV header row")
+    fields = [name.strip() for name in header]
+    columns, required = _keys(_DEFECT_FIELDS)
+    for problem, names in (("duplicate", {name for name in fields if fields.count(name) > 1}),
+                           ("unknown", set(fields) - columns), ("missing", required - set(fields))):
+        if names:
+            raise _fail(file, "header", f"{problem} column(s): {', '.join(sorted(names))}")
     entries: list[dict] = []
     try:
-        for line, row in enumerate(reader, start=2):
-            entries.append(_csv_entry(row, path.name, line))
-    except BundleError:
+        for row in reader:
+            line = len(entries) + 2
+            if None in row:  # DictReader files the fields beyond the header under None
+                raise _fail(file, f"line {line}",
+                            f"{len(header) + len(row[None])} fields; the header has {len(header)}")
+            # Each required column, and each optional one not left blank.
+            entry = {key: text for key in columns if (text := (row.get(key) or "").strip()) or key in required}
+            if "detection_effort" in entry:
+                try:
+                    entry["detection_effort"] = float(entry["detection_effort"])
+                except ValueError:
+                    raise _fail(file, f"line {line}", "detection_effort is not a number: "
+                                f"{_quote(entry['detection_effort'])}") from None
+            if "observed_modes" in entry:
+                entry["observed_modes"] = [m.strip() for m in entry["observed_modes"].split(";") if m.strip()]
+            entries.append(entry)
+    except (BundleError, csv.Error) as exc:
         # A fault in an earlier row is reported first.
-        _defects_by_record(enumerate(entries, start=2), path.name, require_modes=False)
+        _by_record(DefectRecord, _DEFECT_FIELDS, entries, file, "record", 2)
+        if isinstance(exc, csv.Error):
+            raise _fail(file, f"line {len(entries) + 2}", f"invalid CSV: {exc}") from None
         raise
-    return _parse_defects(entries, path.name, require_modes=False, start=2)
-
-
-def _csv_entry(row: dict, file: str, line: int) -> dict:
-    entry: dict = {
-        "id": (row.get("id") or "").strip(),
-        "description": (row.get("description") or "").strip(),
-        "class": (row.get("class") or "").strip(),
-    }
-    effort = (row.get("detection_effort") or "").strip()
-    if effort:
-        try:
-            entry["detection_effort"] = float(effort)
-        except ValueError:
-            raise _fail(file, f"line {line}", f"detection_effort is not a number: {_quote(effort)}") from None
-    modes = (row.get("observed_modes") or "").strip()
-    if modes:
-        entry["observed_modes"] = [m.strip() for m in modes.split(";") if m.strip()]
-    resolution = (row.get("resolution") or "").strip()
-    if resolution:
-        entry["resolution"] = resolution
-    return entry
+    return _parse_records(DefectRecord, _DEFECT_FIELDS, entries, file, start=2)
 
 
 # ---------------------------------------------------------------------------
 # Config and bundle assembly
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "structural_coverage",
-    "system_kind",
-    "excluded_modes",
-    "confidence_threshold",
-    "stability_threshold",
-    "rate_method",
-    "srgm_model",
-    "stability_windows",
-    "matrix",
-    "uniform_missing_rows",
-    "mode_family",
-    "rtm_weight",
-    "tca_weight",
-}
-
 
 def _parse_config(path: Path, digests: dict[str, str] | None = None) -> dict:
-    file = path.name
-    data = _expect_object(_read_json(path, digests), file, "top level", _CONFIG_KEYS,
-                          {"structural_coverage", "system_kind"})
-    config: dict[str, Any] = {}
-    config["structural_coverage"] = _parse_number(
-        data["structural_coverage"], file, "structural_coverage", lo=0.0, hi=1.0)
-    config["system_kind"] = _parse_enum(SystemKind, data["system_kind"], file, "system_kind")
-    raw_excluded = data.get("excluded_modes")
-    if raw_excluded is not None:
-        if not isinstance(raw_excluded, list):
-            raise _fail(file, "excluded_modes", "expected an array of failure modes")
-        config["excluded_modes"] = frozenset(
-            _parse_enum(FailureMode, m, file, "excluded_modes") for m in raw_excluded)
-    else:
-        config["excluded_modes"] = None
-    config["confidence_threshold"] = _parse_number(
-        data.get("confidence_threshold", DEFAULT_CONFIDENCE_THRESHOLD),
-        file, "confidence_threshold", lo=0.0, hi=1.0)
-    config["stability_threshold"] = _parse_number(
-        data.get("stability_threshold", DEFAULT_STABILITY_THRESHOLD),
-        file, "stability_threshold", lo=0.0)
-    config["rate_method"] = _parse_enum(
-        RateMethod, data.get("rate_method", RateMethod.BOUNDED.value), file, "rate_method")
-    config["srgm_model"] = _parse_enum(
-        SrgmModel, data.get("srgm_model", SrgmModel.GOEL_OKUMOTO.value), file, "srgm_model")
-    windows = data.get("stability_windows", DEFAULT_STABILITY_WINDOWS)
-    if isinstance(windows, bool) or not isinstance(windows, int) or windows < 2:
-        raise _fail(file, "stability_windows", f"expected an integer >= 2, got {_quote(windows)}")
-    config["stability_windows"] = windows
-    config["matrix"] = _parse_string(data.get("matrix", BUILTIN_MATRIX_SOURCE), file, "matrix")
-    flag = data.get("uniform_missing_rows", False)
-    if not isinstance(flag, bool):
-        raise _fail(file, "uniform_missing_rows", f"expected true or false, got {_quote(flag)}")
-    config["uniform_missing_rows"] = flag
-    if "mode_family" in data:
-        config["mode_family"] = _parse_enum(ModeFamily, data["mode_family"], file, "mode_family")
-    else:
-        config["mode_family"] = None
-    config["rtm_weight"] = _parse_number(data.get("rtm_weight", 0.5), file, "rtm_weight", lo=0.0)
-    config["tca_weight"] = _parse_number(data.get("tca_weight", 0.5), file, "tca_weight", lo=0.0)
-    return config
+    return _parse_object(_CONFIG_FIELDS, _read_json(path, digests), path.name)
 
 
 def resolve_matrix_source(source: str, directory: Path, *,
@@ -725,6 +743,8 @@ def load_bundle(
     rtm = load_rtm_file(paths["rtm.json"], digests=digests)
     tca = load_tca_file(paths["tca.json"], digests=digests)
     config = _parse_config(paths["config.json"], digests)
+    if config["rtm_weight"] == config["tca_weight"] == 0.0:
+        raise _fail("config.json", "top level", "rtm_weight and tca_weight must not both be zero")
 
     effort_total = total_effort(effort)
     unit = effort.rate_unit.value
@@ -752,50 +772,24 @@ def load_bundle(
     except OrcasError as exc:
         raise _fail("tca.json", "coverage", str(exc)) from exc
 
-    system_kind = config["system_kind"]
-    config_excluded = config["excluded_modes"]
+    # The configured system kind names the mode family, even where
+    # exclude_modes overrides the kind.
+    if config["mode_family"] is None:
+        config["mode_family"] = (ModeFamily.INFORMATION if config["system_kind"] is SystemKind.CONTINUOUS_MONITORING
+                                 else ModeFamily.CONTROL)
     if exclude_modes is not None:
-        system_kind = SystemKind.CUSTOM
-        excluded = frozenset(exclude_modes)
+        config["system_kind"], config["excluded_modes"] = SystemKind.CUSTOM, frozenset(exclude_modes)
     else:
         try:
-            excluded = mode_applicability(system_kind, config_excluded)
+            config["excluded_modes"] = mode_applicability(config["system_kind"], config["excluded_modes"])
         except OrcasError as exc:
             raise _fail("config.json", "excluded_modes", str(exc)) from exc
-
-    mode_family = config["mode_family"]
-    if mode_family is None:
-        mode_family = (
-            ModeFamily.INFORMATION
-            if config["system_kind"] is SystemKind.CONTINUOUS_MONITORING
-            else ModeFamily.CONTROL
-        )
-
-    source = matrix_source if matrix_source is not None else config["matrix"]
+    for key, value in (("matrix", matrix_source), ("confidence_threshold", confidence_threshold),
+                       ("uniform_missing_rows", uniform_missing_rows)):
+        if value is not None:
+            config[key] = value
+    # The other config keys are the bundle's own fields.
+    source = config.pop("matrix")
     matrix, _ = resolve_matrix_source(source, directory, digests=digests)
-
-    return AssessmentBundle(
-        defects=defects,
-        effort=effort,
-        rtm=rtm,
-        tca=tca,
-        structural_coverage=config["structural_coverage"],
-        matrix=matrix,
-        matrix_source=source,
-        system_kind=system_kind,
-        excluded_modes=excluded,
-        mode_family=mode_family,
-        confidence_threshold=(
-            confidence_threshold if confidence_threshold is not None
-            else config["confidence_threshold"]),
-        stability_threshold=config["stability_threshold"],
-        rate_method=config["rate_method"],
-        srgm_model=config["srgm_model"],
-        stability_windows=config["stability_windows"],
-        uniform_missing_rows=(
-            uniform_missing_rows if uniform_missing_rows is not None
-            else config["uniform_missing_rows"]),
-        rtm_weight=config["rtm_weight"],
-        tca_weight=config["tca_weight"],
-        input_digests=digests,
-    )
+    return AssessmentBundle(defects=defects, effort=effort, rtm=rtm, tca=tca, matrix=matrix,
+                            matrix_source=source, input_digests=digests, **config)

@@ -214,6 +214,10 @@ def assessment_confidence(
             raise OrcasError(f"{name} must be in [0, 1], got {value!r}")
     if rtm_weight < 0 or tca_weight < 0 or rtm_weight + tca_weight <= 0:
         raise OrcasError("confidence weights must be nonnegative and not both zero")
+    # One power of two scales both weights below 1, so that no sum or product
+    # overflows; being exact, it leaves every result at ordinary weights unchanged.
+    exponent = math.frexp(max(rtm_weight, tca_weight))[1]
+    rtm_weight, tca_weight = math.ldexp(rtm_weight, -exponent), math.ldexp(tca_weight, -exponent)
     confidence = (rtm_weight * rtm_score + tca_weight * tca_score) / (rtm_weight + tca_weight)
     gate = GateDecision.DEFER if confidence < threshold else GateDecision.PROCEED
     return EvidenceSummary(

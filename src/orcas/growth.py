@@ -595,8 +595,8 @@ def stability(
     pairs = [(float(end), float(total)) for end, total in series]
     if len(pairs) < 2:
         raise OrcasError("stability needs at least 2 fits")
-    if threshold < 0:
-        raise OrcasError(f"stability threshold must be >= 0, got {threshold!r}")
+    if not 0 <= threshold < math.inf:
+        raise OrcasError(f"stability threshold must be finite and >= 0, got {threshold!r}")
     previous_end = -math.inf
     for end, total in pairs:
         if end <= previous_end:

@@ -327,8 +327,7 @@ def test_clean_bundle_loads_without_the_per_record_parsers(tmp_path, monkeypatch
     def per_record(*args):
         raise AssertionError("the per-record parser ran on a clean array")
 
-    monkeypatch.setattr(bundle_module, "_defects_by_record", per_record)
-    monkeypatch.setattr(bundle_module, "_rtm_by_record", per_record)
+    monkeypatch.setattr(bundle_module, "_by_record", per_record)
     defects = [
         {"id": "D-1", "description": "x", "class": "checking", "detection_effort": 10},
         {"id": "D-2", "description": "y", "class": "timing", "detection_effort": -0.0,
@@ -374,9 +373,21 @@ GOOD = {"id": "D-1", "description": "x", "class": "checking"}
      "log.csv: record 2: id: must be a nonempty string"),
     ("log.csv", "id,description,class,detection_effort\nD-1,x,checking,abc\nD-2,x,bogus,1\n",
      "log.csv: line 2: detection_effort is not a number: 'abc'"),
+    ("log.csv", "id,description,class\nD-1,x,checking\nD-2,%s,checking\n" % ("x" * 131_073),
+     "log.csv: line 3: invalid CSV: field larger than field limit (131072)"),
+    ("log.csv", "id,class,description,class\nD-1,checking,x,timing\n",
+     "log.csv: header: duplicate column(s): class"),
+    ("log.csv", "id,description,class\nD-1,x,checking\nD-2,x,checking,high,7\n",
+     "log.csv: line 3: 5 fields; the header has 3"),
+    ("log.csv", 'id,description,class\nD-1,"x,checking\nD-2,y,timing\n',
+     "log.csv: line 2: invalid CSV: unexpected end of data"),
+    ("log.csv", 'id,description,class\nD-1,x,bogus\nD-2,"x,checking\n',
+     "log.csv: record 'D-1': class: invalid value 'bogus' (expected one of: function, assignment, "
+     "algorithm, checking, interface, relationship, timing)"),
 ], ids=["late-field-of-earlier-record", "bad-class-before-duplicate-id", "null-modes-before-empty-id",
         "rtm-status-before-empty-req_id", "csv-empty-id-before-bad-effort",
-        "csv-bad-effort-before-bad-class"])
+        "csv-bad-effort-before-bad-class", "csv-field-over-limit", "csv-duplicate-column",
+        "csv-extra-fields", "csv-unterminated-quote", "csv-bad-class-before-unterminated-quote"])
 def test_first_fault_in_record_order_is_reported(tmp_path, name, body, message):
     path = tmp_path / name
     path.write_text(body if isinstance(body, str) else json.dumps(body), encoding="utf-8")

@@ -27,18 +27,20 @@ from orcas.bundle import (
     BUILTIN_MATRIX_SOURCE,
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_STABILITY_WINDOWS,
+    _CORPUS_FIELDS,
+    _DEFECT_FIELDS,
+    _RTM_FIELDS,
     AssessmentBundle,
+    _by_column,
     _expect_array,
     _expect_object,
     _fail,
+    _parse_config,
     _parse_enum,
     _parse_number,
     _parse_string,
     _quote,
-    _defects_by_column,
     _read_json,
-    _parse_config,
-    _rtm_by_column,
     load_bundle,
     load_corpus_file,
     load_defects_file,
@@ -534,7 +536,7 @@ def write_array(tmp_path_factory, name, records):
 @given(corpus=st.booleans(), data=st.data())
 def test_clean_defect_arrays_load_by_column_as_the_oracle(tmp_path_factory, corpus, data):
     records = data.draw(clean_defect_arrays(corpus))
-    assert _defects_by_column(records, corpus) is not None
+    assert _by_column(DefectRecord, _CORPUS_FIELDS if corpus else _DEFECT_FIELDS, records) is not None
     path = write_array(tmp_path_factory, "defects.json", records)
     load, oracle = ((load_corpus_file, _oracle_load_corpus_file) if corpus else
                     (load_defects_file, lambda p: _oracle_load_defect_file(p, require_modes=False)))
@@ -566,7 +568,7 @@ RTM_FAULTS = [("req_id", ""), ("req_id", 5), ("req_id", "R-0"), ("description", 
 @settings(FUZZ, max_examples=100)
 @given(entries=clean_rtm_arrays())
 def test_clean_rtm_arrays_load_by_column_as_the_oracle(tmp_path_factory, entries):
-    assert _rtm_by_column(entries) is not None
+    assert _by_column(RtmEntry, _RTM_FIELDS, entries) is not None
     path = write_array(tmp_path_factory, "rtm.json", entries)
     assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
 

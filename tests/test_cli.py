@@ -179,6 +179,26 @@ def test_srgm_fit_musa_okumoto(tmp_path):
     assert math.isinf(out["fit"]["predicted_total"])
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_srgm_fit_rejects_a_non_finite_stability_threshold(tmp_path, threshold):
+    # Accepted, either would be written as NaN or Infinity: not JSON.
+    rng = random.Random(3)
+    events = sorted(nhpp_exponential_events(50.0, 0.02, 300.0, rng))
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"events": events, "horizon": 300.0}), encoding="utf-8")
+    result = run_cli("srgm", "fit", history, "--stability-windows", "2",
+                     "--stability-threshold", threshold)
+    assert_one_error_line(result, f"stability threshold must be finite and >= 0, got {threshold}")
+
+
+def test_validate_rejects_zero_confidence_weights_at_load(tmp_path):
+    config = {"structural_coverage": 1.0, "system_kind": "control", "rtm_weight": 0, "tca_weight": 0.0}
+    result = run_cli("validate", write_bundle(tmp_path / "b", config=config))
+    assert result.returncode == 1
+    assert result.stderr.decode() == (
+        "orcas: error: config.json: top level: rtm_weight and tca_weight must not both be zero\n")
+
+
 def test_exclude_modes_flag():
     result = run_cli("assess", vcu_dir(), "--exclude-modes", "B,D",
                      "--confidence-threshold", "0.5")

@@ -203,6 +203,13 @@ def test_confidence_weights_are_configurable():
     assert summary.confidence == 0.75
 
 
+@pytest.mark.parametrize("rtm, tca", [(0.7, 0.7), (1.0, 1.0), (0.3, 0.9)])
+def test_weights_near_float_max_give_the_confidence_of_equal_weights(rtm, tca):
+    # 1e308 + 1e308 overflows: unscaled, these read 0.0 (defer) and NaN (proceed).
+    huge = assessment_confidence(rtm, tca, 1.0, rtm_weight=1e308, tca_weight=1e308)
+    assert huge == assessment_confidence(rtm, tca, 1.0, rtm_weight=1.0, tca_weight=1.0)
+
+
 statuses = st.sampled_from(list(CoverageStatus))
 
 
