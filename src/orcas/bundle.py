@@ -775,8 +775,8 @@ def load_bundle(
     # The configured system kind names the mode family, even where
     # exclude_modes overrides the kind.
     if config["mode_family"] is None:
-        config["mode_family"] = (ModeFamily.INFORMATION if config["system_kind"] is SystemKind.CONTINUOUS_MONITORING
-                                 else ModeFamily.CONTROL)
+        monitoring = config["system_kind"] is SystemKind.CONTINUOUS_MONITORING
+        config["mode_family"] = ModeFamily.INFORMATION if monitoring else ModeFamily.CONTROL
     if exclude_modes is not None:
         config["system_kind"], config["excluded_modes"] = SystemKind.CUSTOM, frozenset(exclude_modes)
     else:
