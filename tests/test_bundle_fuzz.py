@@ -323,19 +323,18 @@ def tca_entries(draw):
     return draw(with_faults(valid, "note"))
 
 
-def object_documents(valid, extra_key):
-    """Mostly ``valid`` with faults from :func:`with_faults` and one key
-    perhaps set to a scalar, which reaches the type and range checks more
-    often than a drawn container does; sometimes any JSON value."""
-    @st.composite
-    def build(draw):
-        if draw(st.integers(0, 9)) == 0:
-            return draw(json_values)
-        document = draw(with_faults(draw(valid), extra_key))
-        if draw(st.booleans()):
-            document[draw(st.sampled_from(sorted(document) or [extra_key]))] = draw(scalars)
-        return document
-    return build()
+@st.composite
+def object_documents(draw, valid, extra_key):
+    """Mostly a ``valid`` object with faults from :func:`with_faults` and
+    up to three keys set to scalars, which reach the type and range checks,
+    and test their order, more often than drawn containers do; sometimes
+    any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    document = draw(with_faults(draw(valid), extra_key))
+    for key in draw(st.sets(st.sampled_from(sorted(document) or [extra_key]), max_size=3)):
+        document[key] = draw(scalars)
+    return document
 
 
 @st.composite
