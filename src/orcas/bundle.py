@@ -9,8 +9,7 @@ below by a table of field entries:
   tca.json       array of trigger-coverage slots (_TCA_FIELDS) that
                  covers the 15-slot template exactly
   config.json    assessment options (_CONFIG_FIELDS)
-  matrix.json    optional causality matrix:
-                 {"provenance", "rows": {class: [4 probs]}, "counts"?}
+  matrix.json    optional causality matrix (_MATRIX_FIELDS)
   corpus.json    optional labeled corpus (_CORPUS_FIELDS): defect
                  records that each label an observed failure mode
 
@@ -24,7 +23,7 @@ growth signal) is found by the fit itself, in the rates stage of
 
 Every input of the tool, the CSV defect log and a saved report included,
 is read by :func:`_read_bytes`, decoded by :func:`_decode` and, if JSON,
-parsed by :func:`_parse_json`.
+parsed by :func:`_parse_json` and checked by a table of the field kinds below.
 """
 
 from __future__ import annotations
@@ -240,9 +239,10 @@ def _parse_string(value: Any, file: str, where: str) -> str:
 # an array entry adds the record slot it fills and whether a fault names
 # the record by its id (the value of its first field) or by its index. A
 # slot of None marks a check of the whole record, named by the record
-# alone. The default is _REQUIRED for a key that must be present, None for
-# a key whose absence reads as None, and otherwise a JSON value checked as
-# if it were given.
+# alone; in an object, a second entry for a key checks its value again as
+# a whole (a _Rule that joins its fields). The default is _REQUIRED for a
+# key that must be present, None for a key whose absence reads as None,
+# and otherwise a JSON value checked as if it were given.
 
 _REQUIRED = object()
 
@@ -318,40 +318,23 @@ class _Enum(_Kind):
         return list(map(self.members.__getitem__, column))
 
 
-class _EnumSet(_Enum):
-    """An array of enum values, read as a frozenset. ``message`` says what
-    a value that is no array should be, with ``{}`` for the value."""
-
-    def __init__(self, enum_cls: type, message: str, null: bool = False):
-        super().__init__(enum_cls)
-        self.message, self.null = message, null
-
-    def check(self, value: Any, file: str, where: str) -> frozenset:
-        if not isinstance(value, list):
-            raise _fail(file, where, self.message.format(_quote(value)))
-        return frozenset([_parse_enum(self.enum_cls, item, file, where) for item in value])
-
-    def column(self, column: list) -> list | None:
-        if not set(map(type, column)) <= {list}:
-            return None
-        column = list(map(tuple, column))
-        # One frozenset per distinct list, shared by its records.
-        sets = {key: frozenset(map(self.members.__getitem__, key)) for key in set(column)}
-        return list(map(sets.__getitem__, column))
-
-
 class _Number(_Kind):
-    """A finite number in [``lo``, ``hi``], read as a float."""
+    """A finite number in [``lo``, ``hi``], read as a float; with
+    ``positive``, one above 0."""
 
-    def __init__(self, lo: float | None = None, hi: float | None = None, null: bool = False):
-        self.lo, self.hi, self.null = lo, hi, null
+    def __init__(self, lo: float | None = None, hi: float | None = None, null: bool = False,
+                 positive: bool = False):
+        self.lo, self.hi, self.null, self.positive = lo, hi, null, positive
 
     def check(self, value: Any, file: str, where: str) -> float:
-        return _parse_number(value, file, where, self.lo, self.hi)
+        number = _parse_number(value, file, where, self.lo, self.hi)
+        if self.positive and number <= 0.0:
+            raise _fail(file, where, f"must be positive, got {_quote(value)}")
+        return number
 
     def column(self, column: list) -> list | None:
         types = set(map(type, column))
-        if not types <= {float, int}:  # bool is neither
+        if not types <= {float, int} or self.positive:  # bool is neither
             return None
         if int in types:
             column = list(map(float, column))
@@ -380,13 +363,70 @@ class _Flag(_Kind):
         return value
 
 
-class _Efforts(_Kind):
-    """A nonempty array of detection efforts, each named by its index."""
+class _Array(_Kind):
+    """An array (nonempty with ``nonempty``) of values read by ``kind``,
+    each named by its index with ``indexed``. ``message`` says what any
+    other value should be, with ``{}`` for the value."""
 
-    def check(self, value: Any, file: str, where: str) -> list[float]:
-        if not isinstance(value, list) or not value:
-            raise _fail(file, where, "expected a nonempty array of detection efforts")
-        return [_parse_number(t, file, f"{where}[{i}]", lo=0.0) for i, t in enumerate(value)]
+    def __init__(self, kind: _Kind, message: str, indexed: bool = False, nonempty: bool = False,
+                 null: bool = False):
+        self.kind, self.message, self.indexed, self.nonempty, self.null = kind, message, indexed, nonempty, null
+
+    def check(self, value: Any, file: str, where: str) -> list:
+        if not isinstance(value, list) or (self.nonempty and not value):
+            raise _fail(file, where, self.message.format(_quote(value)))
+        return [self.kind.check(item, file, f"{where}[{i}]" if self.indexed else where)
+                for i, item in enumerate(value)]
+
+
+class _EnumSet(_Array):
+    """An array of enum values, read as a frozenset."""
+
+    def __init__(self, enum_cls: type, message: str, null: bool = False):
+        super().__init__(_Enum(enum_cls), message, null=null)
+
+    def check(self, value: Any, file: str, where: str) -> frozenset:
+        return frozenset(super().check(value, file, where))
+
+    def column(self, column: list) -> list | None:
+        if not set(map(type, column)) <= {list}:
+            return None
+        column = list(map(tuple, column))
+        # One frozenset per distinct list, shared by its records.
+        sets = {key: frozenset(map(self.kind.members.__getitem__, key)) for key in set(column)}
+        return list(map(sets.__getitem__, column))
+
+
+class _Object(_Kind):
+    """A JSON object described by a table of (key, default, kind) entries,
+    read as a dict by key; its keys are named after it, unless at top level."""
+
+    def __init__(self, fields: tuple, null: bool = False):
+        self.fields, self.keys, self.null = fields, _keys(fields), null
+
+    def check(self, value: Any, file: str, where: str) -> dict:
+        data = _expect_object(value, file, where, *self.keys)
+        at = "" if where == "top level" else f"{where}: "
+        return {key: _value(data, key, default, kind, file, at + key) for key, default, kind in self.fields}
+
+
+class _Map(_Enum):
+    """A JSON object keyed by values of ``enum_cls`` (by all of them with
+    ``complete``), each value read by ``kind``; read as a dict by member."""
+
+    def __init__(self, enum_cls: type, kind: _Kind, complete: bool = False, null: bool = False):
+        super().__init__(enum_cls)
+        self.kind, self.null, self.required = kind, null, set(self.members) if complete else set()
+
+    def check(self, value: Any, file: str, where: str) -> dict:
+        for key in value if isinstance(value, dict) else ():
+            super().check(key, file, where)  # a key that names no member
+        data = _expect_object(value, file, where, set(self.members), self.required)
+        return {self.members[key]: self.kind.check(item, file, f"{where}: {key}") for key, item in data.items()}
+
+
+# The detection efforts of a failure history, also those of a saved report.
+_EVENTS = _Array(_Number(lo=0.0), "expected a nonempty array of detection efforts", indexed=True, nonempty=True)
 
 
 _DEFECT_FIELDS = (
@@ -440,8 +480,16 @@ _CONFIG_FIELDS = (
     ("tca_weight", 0.5, _Number(0.0)),
 )
 _HISTORY_FIELDS = (
-    ("events", _REQUIRED, _Efforts()),
+    ("events", _REQUIRED, _EVENTS),
     ("horizon", None, _Number(0.0, null=True)),
+)
+# The probabilities of a row are checked by CausalityMatrix itself.
+_COUNTS = "expected an array of 4 nonnegative integers"
+_MATRIX_FIELDS = (
+    ("rows", _REQUIRED, _Map(DefectClass, _Array(_Number(), "expected an array of 4 probabilities"))),
+    ("counts", None, _Map(DefectClass, _Array(_Rule(lambda count: type(count) is int, _COUNTS), _COUNTS),
+                          null=True)),
+    ("provenance", _REQUIRED, _String()),
 )
 
 
@@ -457,13 +505,6 @@ def _value(data: dict, key: str, default: Any, kind: _Kind, file: str, where: st
     if value is None and (kind.null or key not in data):
         return None
     return kind.check(value, file, where)
-
-
-def _parse_object(fields: tuple, data: Any, file: str) -> dict:
-    """The values of a JSON object described by ``fields``, by key; the
-    first fault in table order is raised."""
-    data = _expect_object(data, file, "top level", *_keys(fields))
-    return {key: _value(data, key, default, kind, file, key) for key, default, kind in fields}
 
 
 # A record array is read a column at a time by the column faces, with no
@@ -497,13 +538,14 @@ def _by_column(cls: type, fields: tuple, objects: list) -> tuple | None:
     return records
 
 
-def _by_record(cls: type, fields: tuple, objects: list, file: str, label: str, start: int) -> tuple:
+def _by_record(cls: type, fields: tuple, objects: list, file: str, label: str,
+               numbers: list[int] | None = None) -> tuple:
     """The ``cls`` records of an array, read one at a time; each is named
-    ``label`` and its index (the first being ``start``) or its id."""
+    ``label`` and its number in ``numbers`` (by default its index) or its id."""
     keys, required = _keys(fields)
     records = []
     seen: set[str] = set()
-    for index, obj in enumerate(objects, start):
+    for index, obj in zip(numbers or range(len(objects)), objects):
         data = _expect_object(obj, file, f"{label} {index}", keys, required)
         record = object.__new__(cls)
         for key, default, kind, slot, by_id in fields:
@@ -522,10 +564,10 @@ def _by_record(cls: type, fields: tuple, objects: list, file: str, label: str, s
 
 
 def _parse_records(cls: type, fields: tuple, objects: list, file: str, label: str = "record",
-                   start: int = 0) -> tuple:
-    """The ``cls`` records of an array whose first element is record ``start``."""
+                   numbers: list[int] | None = None) -> tuple:
+    """The ``cls`` records of an array, numbered as :func:`_by_record` numbers them."""
     records = _by_column(cls, fields, objects)
-    return records if records is not None else _by_record(cls, fields, objects, file, label, start)
+    return records if records is not None else _by_record(cls, fields, objects, file, label, numbers)
 
 
 def _load_records(cls: type, fields: tuple, path: Path | str, digests: dict[str, str] | None,
@@ -558,7 +600,7 @@ def load_corpus_file(path: Path | str, *,
 
 def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None) -> EffortModel:
     path = Path(path)
-    values = _parse_object(_EFFORT_FIELDS, _read_json(path, digests), path.name)
+    values = _Object(_EFFORT_FIELDS).check(_read_json(path, digests), path.name, "top level")
     try:
         # The constructor holds the rules that join fields: a positive
         # count, and a duration exactly for continuous effort.
@@ -587,35 +629,11 @@ def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
 
 
 def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
-    """A causality matrix from a matrix.json file. The JSON types are
-    checked here, the values by :class:`CausalityMatrix` itself."""
+    """A causality matrix from a matrix.json file (_MATRIX_FIELDS)."""
     path = Path(path)
-    data = _expect_object(_read_json(path, digests), path.name, "top level",
-                          {"provenance", "rows", "counts"}, {"provenance", "rows"})
-    if not isinstance(data["rows"], dict):
-        raise _fail(path.name, "rows", "expected an object mapping class to 4 probabilities")
-    rows = {}
-    for key, row in data["rows"].items():
-        cls = _parse_enum(DefectClass, key, path.name, "rows")
-        if not isinstance(row, list):
-            raise _fail(path.name, f"rows: {key}", "expected an array of 4 probabilities")
-        rows[cls] = tuple(_parse_number(p, path.name, f"rows: {key}") for p in row)
-    counts = None
-    if data.get("counts") is not None:
-        if not isinstance(data["counts"], dict):
-            raise _fail(path.name, "counts", "expected an object mapping class to 4 integers")
-        counts = {}
-        for key, row in data["counts"].items():
-            cls = _parse_enum(DefectClass, key, path.name, "counts")
-            if not isinstance(row, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in row):
-                raise _fail(path.name, f"counts: {key}", "expected an array of 4 nonnegative integers")
-            counts[cls] = tuple(row)
+    values = _Object(_MATRIX_FIELDS).check(_read_json(path, digests), path.name, "top level")
     try:
-        return CausalityMatrix(
-            rows=rows,
-            provenance=_parse_string(data["provenance"], path.name, "provenance"),
-            counts=counts,
-        )
+        return CausalityMatrix(**values)
     except ValueError as exc:
         # The message names the field and class: "rows: checking: ...".
         raise BundleError(f"{path.name}: {exc}") from exc
@@ -625,7 +643,7 @@ def load_history_file(path: Path | str) -> tuple[list[float], float | None]:
     """Failure-history file for growth-model fitting:
     {"events": [efforts...], "horizon"?: total observed effort}."""
     path = Path(path)
-    values = _parse_object(_HISTORY_FIELDS, _read_json(path), path.name)
+    values = _Object(_HISTORY_FIELDS).check(_read_json(path), path.name, "top level")
     return values["events"], values["horizon"]
 
 
@@ -641,9 +659,9 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
     path = Path(path)
     file = path.name
     # strict: an unterminated quote is an error, not the rest of the file in one field.
-    reader = csv.DictReader(io.StringIO(_decode(_read_bytes(path), file)), strict=True)
+    rows = csv.reader(io.StringIO(_decode(_read_bytes(path), file)), strict=True)
     try:
-        header = reader.fieldnames
+        header = next(rows, None)
     except csv.Error as exc:
         raise _fail(file, "header", f"invalid CSV: {exc}") from None
     if header is None:
@@ -655,30 +673,34 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
         if names:
             raise _fail(file, "header", f"{problem} column(s): {', '.join(sorted(names))}")
     entries: list[dict] = []
+    lines: list[int] = []  # the file line each entry's row starts on, which numbers the entry
+    line = rows.line_num + 1
     try:
-        for row in reader:
-            line = len(entries) + 2
-            if None in row:  # DictReader files the fields beyond the header under None
-                raise _fail(file, f"line {line}",
-                            f"{len(header) + len(row[None])} fields; the header has {len(header)}")
-            # Each required column, and each optional one not left blank.
-            entry = {key: text for key in columns if (text := (row.get(key) or "").strip()) or key in required}
-            if "detection_effort" in entry:
-                try:
-                    entry["detection_effort"] = float(entry["detection_effort"])
-                except ValueError:
-                    raise _fail(file, f"line {line}", "detection_effort is not a number: "
-                                f"{_quote(entry['detection_effort'])}") from None
-            if "observed_modes" in entry:
-                entry["observed_modes"] = [m.strip() for m in entry["observed_modes"].split(";") if m.strip()]
-            entries.append(entry)
+        for row in rows:
+            if row:  # a blank line holds no row
+                if len(row) > len(fields):
+                    raise _fail(file, f"line {line}", f"{len(row)} fields; the header has {len(fields)}")
+                values = dict(zip(fields, row))
+                # Each required column, and each optional one not left blank.
+                entry = {key: text for key in columns if (text := values.get(key, "").strip()) or key in required}
+                if "detection_effort" in entry:
+                    try:
+                        entry["detection_effort"] = float(entry["detection_effort"])
+                    except ValueError:
+                        raise _fail(file, f"line {line}", "detection_effort is not a number: "
+                                    f"{_quote(entry['detection_effort'])}") from None
+                if "observed_modes" in entry:
+                    entry["observed_modes"] = [m.strip() for m in entry["observed_modes"].split(";") if m.strip()]
+                entries.append(entry)
+                lines.append(line)
+            line = rows.line_num + 1
     except (BundleError, csv.Error) as exc:
         # A fault in an earlier row is reported first.
-        _by_record(DefectRecord, _DEFECT_FIELDS, entries, file, "record", 2)
+        _by_record(DefectRecord, _DEFECT_FIELDS, entries, file, "record", lines)
         if isinstance(exc, csv.Error):
-            raise _fail(file, f"line {len(entries) + 2}", f"invalid CSV: {exc}") from None
+            raise _fail(file, f"line {line}", f"invalid CSV: {exc}") from None
         raise
-    return _parse_records(DefectRecord, _DEFECT_FIELDS, entries, file, start=2)
+    return _parse_records(DefectRecord, _DEFECT_FIELDS, entries, file, numbers=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +709,7 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
 
 
 def _parse_config(path: Path, digests: dict[str, str] | None = None) -> dict:
-    return _parse_object(_CONFIG_FIELDS, _read_json(path, digests), path.name)
+    return _Object(_CONFIG_FIELDS).check(_read_json(path, digests), path.name, "top level")
 
 
 def resolve_matrix_source(source: str, directory: Path, *,

@@ -202,30 +202,19 @@ def _cmd_convert_defects(args) -> int:
     return 0
 
 
+# Each command's function, by name; argparse refuses any other name.
+_COMMANDS = {"validate": _cmd_validate, "assess": _cmd_assess, "causality": _cmd_causality_build,
+             "srgm": _cmd_srgm_fit, "report": _cmd_report, "convert": _cmd_convert_defects}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "assess":
-            return _cmd_assess(args)
-        if args.command == "causality":
-            return _cmd_causality_build(args)
-        if args.command == "srgm":
-            return _cmd_srgm_fit(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "convert":
-            return _cmd_convert_defects(args)
-    except OrcasError as exc:
+        return _COMMANDS[args.command](args)
+    except (OrcasError, OSError) as exc:
         print(f"orcas: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"orcas: error: {exc}", file=sys.stderr)
-        return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 1
 
 
 def entrypoint() -> None:

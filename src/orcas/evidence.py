@@ -113,17 +113,6 @@ class EvidenceSummary(FrozenRecord):
             "gate": self.gate.value,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvidenceSummary":
-        return cls(
-            rtm_score=float(data["rtm_score"]),
-            tca_score=float(data["tca_score"]),
-            structural_coverage=float(data["structural_coverage"]),
-            confidence=float(data["confidence"]),
-            gate=GateDecision(data["gate"]),
-            threshold=float(data["confidence_threshold"]),
-        )
-
 
 def required_tca_template() -> tuple[tuple[TestLevel, str, TriggerKind], ...]:
     """The full 15-slot trigger checklist of the three-tier testing model.

@@ -90,14 +90,6 @@ class ClassRates(FrozenRecord):
             "per_class": {cls.value: self.rates[cls] for cls in sorted(DefectClass, key=lambda c: c.value)},
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassRates":
-        return cls(
-            rates={DefectClass(k): v for k, v in data["per_class"].items()},
-            unit=RateUnit(data["unit"]),
-            method=RateMethod(data["method"]),
-        )
-
 
 class SrgmFit(FrozenRecord):
     """A fitted growth model.
@@ -123,9 +115,8 @@ class SrgmFit(FrozenRecord):
     diagnostic: str | None
 
     def mean_at(self, t: float) -> float:
-        if self.model is SrgmModel.GOEL_OKUMOTO:
-            return go_mean(t, self.params["a"], self.params["b"])
-        return mo_mean(t, self.params["lambda0"], self.params["theta"])
+        mean, names = MEAN_FUNCTIONS[self.model]
+        return mean(t, *[self.params[name] for name in names])
 
     def intensity_at(self, t: float) -> float:
         if self.model is SrgmModel.GOEL_OKUMOTO:
@@ -142,18 +133,6 @@ class SrgmFit(FrozenRecord):
             "converged": self.converged,
             "diagnostic": self.diagnostic,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SrgmFit":
-        return cls(
-            model=SrgmModel(data["model"]),
-            params=dict(data["params"]),
-            predicted_total=float(data["predicted_total"]),
-            current_intensity=float(data["current_intensity"]),
-            log_likelihood=float(data["log_likelihood"]),
-            converged=bool(data["converged"]),
-            diagnostic=data.get("diagnostic"),
-        )
 
 
 class StabilityVerdict(FrozenRecord):
@@ -224,6 +203,11 @@ def mo_mean(t: float, lambda0: float, theta: float) -> float:
 def mo_intensity(t: float, lambda0: float, theta: float) -> float:
     """Logarithmic-model intensity: m'(t) = lambda0/(lambda0*theta*t + 1)."""
     return lambda0 / (lambda0 * theta * t + 1.0)
+
+
+# Each model's mean function and the names of its parameters, in argument order.
+MEAN_FUNCTIONS = {SrgmModel.GOEL_OKUMOTO: (go_mean, ("a", "b")),
+                  SrgmModel.MUSA_OKUMOTO: (mo_mean, ("lambda0", "theta"))}
 
 
 def go_log_likelihood(events: Sequence[float], horizon: float, a: float, b: float) -> float:

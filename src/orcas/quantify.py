@@ -62,14 +62,6 @@ class ModeProbabilities(FrozenRecord):
     excluded_modes: frozenset[FailureMode]
     unit: RateUnit
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "excluded_modes", frozenset(self.excluded_modes))
-        for cls, row in self.per_cell.items():
-            for mode in MODE_ORDER:
-                value = row[mode]
-                if not math.isfinite(value) or value < 0.0:
-                    raise ValueError(f"cell ({cls.value}, {mode.value}) must be finite and >= 0, got {value!r}")
-
     def per_class_total(self) -> dict[DefectClass, float]:
         """Row margin: each class's summed contribution over modes."""
         return {cls: math.fsum(row[mode] for mode in MODE_ORDER) for cls, row in self.per_cell.items()}
@@ -90,19 +82,6 @@ class ModeProbabilities(FrozenRecord):
                 self.per_class_total().items(), key=lambda kv: kv[0].value)},
             "total": self.total,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModeProbabilities":
-        return cls(
-            per_cell={
-                DefectClass(c): {FailureMode(m): v for m, v in row.items()}
-                for c, row in data["per_cell"].items()
-            },
-            per_mode={FailureMode(m): v for m, v in data["per_mode"].items()},
-            total=float(data["total"]),
-            excluded_modes=frozenset(FailureMode(m) for m in data["excluded"]),
-            unit=RateUnit(data["unit"]),
-        )
 
 
 def combine(

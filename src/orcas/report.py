@@ -6,32 +6,41 @@ evidence scoring, and the confidence gate. The resulting report is a
 pure function of the bundle; running it twice yields byte-identical
 JSON. Reports emit as canonical JSON (sorted keys, shortest round-trip
 floats), a plain-text summary, or SVG growth-curve plots.
+
+Every format renders the dict of :meth:`AssessmentReport.to_dict`. A saved
+report is read back as that dict by :func:`report_from_json`, checked by the
+bundle's field kinds against one table, _REPORT_FIELDS: its first fault is
+raised as ``invalid report JSON: <where>: <reason>``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from contextlib import contextmanager
 
 from ._version import __version__
-from .bundle import _QUOTE_LIMIT, AssessmentBundle, _cut, _expect_object, _fail, _parse_json, _quote
+from .bundle import (
+    _EVENTS, _REQUIRED, AssessmentBundle, _Array, _Enum, _EnumSet, _Flag, _Integer, _Map, _Number, _Object,
+    _parse_json, _quote, _Rule, _String,
+)
 from .causality import merge_causality, uniform_causality
-from .domain import MODE_ORDER, DefectClass, FrozenRecord, ModeFamily, total_effort
+from .domain import MODE_ORDER, DefectClass, FailureMode, FrozenRecord, ModeFamily, RateUnit, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
 from .evidence import (
     CoverageStatus,
     EvidenceSummary,
+    GateDecision,
     assessment_confidence,
     score_rtm,
     score_tca,
     slot_name,
 )
 from .growth import (
+    MEAN_FUNCTIONS,
     ClassRates,
     RateMethod,
-    SrgmFit,
+    SrgmModel,
     bounded_class_rates,
     srgm_class_rates,
     windowed_srgm_stability,
@@ -39,6 +48,73 @@ from .growth import (
 from .quantify import ModeProbabilities, combine
 
 SCHEMA_VERSION = 1
+
+# The field kinds of a saved report's table.
+_RATE = _Number(lo=0.0)
+_POSITIVE = _Number(positive=True)
+_TEXT = "expected an array of strings"
+_TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
+# The parameter names of each growth model, by the model's name in a report.
+_PARAMS = {model.value: set(names) for model, (_, names) in MEAN_FUNCTIONS.items()}
+
+# A saved report, as AssessmentReport.to_dict writes it.
+_REPORT_FIELDS = (
+    ("schema_version", _REQUIRED, _Integer()),
+    ("mode_family", _REQUIRED, _Enum(ModeFamily)),
+    ("modes", _REQUIRED, _Object((
+        ("unit", _REQUIRED, _Enum(RateUnit)),
+        ("excluded", _REQUIRED, _EnumSet(FailureMode, "expected an array of failure modes")),
+        ("per_cell", _REQUIRED, _Map(DefectClass, _Map(FailureMode, _RATE, complete=True))),
+        ("per_mode", _REQUIRED, _Map(FailureMode, _RATE, complete=True)),
+        ("per_class_total", _REQUIRED, _Map(DefectClass, _RATE)),
+        ("total", _REQUIRED, _RATE),
+    ))),
+    ("rates", _REQUIRED, _Object((
+        ("method", _REQUIRED, _Enum(RateMethod)),
+        ("unit", _REQUIRED, _Enum(RateUnit)),
+        ("per_class", _REQUIRED, _Map(DefectClass, _RATE, complete=True)),
+    ))),
+    ("evidence", _REQUIRED, _Object((
+        *((key, _REQUIRED, _Number(0.0, 1.0))
+          for key in ("rtm_score", "tca_score", "structural_coverage", "confidence", "confidence_threshold")),
+        ("gate", _REQUIRED, _Enum(GateDecision)),
+    ))),
+    ("gaps", _REQUIRED, _Object((("untraced_requirements", _REQUIRED, _TEXTS),
+                                 ("uncovered_triggers", _REQUIRED, _TEXTS)))),
+    ("growth", _REQUIRED, _Object((
+        ("model", _REQUIRED, _Enum(SrgmModel)),
+        ("horizon", _REQUIRED, _POSITIVE),
+        ("per_class", _REQUIRED, _Map(DefectClass, _Object((
+            ("fit", _REQUIRED, _Object((
+                ("model", _REQUIRED, _Enum(SrgmModel)),
+                ("params", _REQUIRED, _Object(tuple((name, None, _POSITIVE) for names in _PARAMS.values()
+                                                    for name in sorted(names)))),
+                # The logarithmic model's mean is unbounded: it predicts no finite total.
+                ("predicted_total", _REQUIRED, _Rule(lambda total: type(total) in (int, float) and total > 0,
+                                                     "expected a positive number or Infinity")),
+                ("current_intensity", _REQUIRED, _RATE),
+                ("log_likelihood", _REQUIRED, _Number()),
+                ("converged", _REQUIRED, _Flag()),
+                ("diagnostic", _REQUIRED, _String(null=True)),
+            ))),
+            ("fit", _REQUIRED, _Rule(lambda fit: set(fit["params"]) == _PARAMS[fit["model"]],
+                                     "params must be exactly the parameters of its model")),
+            ("events", _REQUIRED, _EVENTS),
+            ("stability", _REQUIRED, _Object((
+                ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"),
+                                             "expected an array of [effort, predicted total] pairs", indexed=True)),
+                ("max_relative_step", _REQUIRED, _RATE),
+                ("stable", _REQUIRED, _Flag()),
+                ("threshold", _REQUIRED, _RATE),
+            ))),
+        )))),
+        ("all_stable", _REQUIRED, _Flag()),
+    ), null=True)),
+    ("annotations", _REQUIRED, _TEXTS),
+    # No renderer reads the provenance: it is re-emitted as saved.
+    ("provenance", _REQUIRED, _Rule(lambda provenance: isinstance(provenance, dict),
+                                    "expected a JSON object, got {.__class__.__name__}")),
+)
 
 REPORT_FORMATS = ("json", "text", "svg")
 
@@ -73,39 +149,6 @@ class AssessmentReport(FrozenRecord):
             "annotations": list(self.annotations),
             "provenance": self.provenance,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssessmentReport":
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise OrcasError(f"unsupported report schema_version {_quote(version)} (expected {SCHEMA_VERSION})")
-        return cls(
-            mode_probabilities=ModeProbabilities.from_dict(data["modes"]),
-            class_rates=ClassRates.from_dict(data["rates"]),
-            evidence=EvidenceSummary.from_dict(data["evidence"]),
-            mode_family=ModeFamily(data["mode_family"]),
-            gaps=_checked_gaps(data["gaps"]),
-            growth=data.get("growth"),
-            annotations=tuple(data["annotations"]),
-            provenance=_checked_provenance(data["provenance"]),
-        )
-
-
-_GAP_KEYS = frozenset({"untraced_requirements", "uncovered_triggers"})
-
-
-def _checked_gaps(gaps) -> dict:
-    _expect_object(gaps, _INVALID_REPORT, "gaps", _GAP_KEYS, _GAP_KEYS)
-    for key in sorted(_GAP_KEYS):
-        if not isinstance(gaps[key], list) or not all(isinstance(name, str) for name in gaps[key]):
-            raise _fail(_INVALID_REPORT, f"gaps: {key}", "expected an array of strings")
-    return gaps
-
-
-def _checked_provenance(provenance) -> dict:
-    if not isinstance(provenance, dict):
-        raise _fail(_INVALID_REPORT, "provenance", f"expected a JSON object, got {type(provenance).__name__}")
-    return provenance
 
 
 def canonical_json_bytes(data) -> bytes:
@@ -346,42 +389,33 @@ def run_assessment(bundle: AssessmentBundle) -> AssessmentReport:
 # ---------------------------------------------------------------------------
 
 
-def emit_report(report: AssessmentReport, format: str = "json") -> bytes:
-    """Serialize a report. Formats: json, text, svg."""
+def emit_report(report: AssessmentReport | dict, format: str = "json") -> bytes:
+    """Serialize a report or a report dict (:func:`report_from_json`). Formats: json, text, svg."""
+    data = report if isinstance(report, dict) else report.to_dict()
     if format == "json":
-        return canonical_json_bytes(report.to_dict())
+        return canonical_json_bytes(data)
     if format == "text":
-        return text_report(report).encode("utf-8")
+        return text_report(data).encode("utf-8")
     if format == "svg":
-        return svg_report(report).encode("utf-8")
+        return svg_report(data).encode("utf-8")
     raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
 
 
 # Names a saved report in its error messages, which carry no file name.
 _INVALID_REPORT = "invalid report JSON"
 
-# A quoted string in an exception's text.
-_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
-# Longest exception text quoted whole in a report error.
-_REASON_LIMIT = 200
 
-
-def _cut_reason(text: str) -> str:
-    """``text`` with each quoted string cut as bundle._quote cuts a bad
-    value, then cut after _REASON_LIMIT characters (a long array or object
-    value is not quoted)."""
-    return _cut(_QUOTED.sub(lambda m: _cut(m[0], _QUOTE_LIMIT), text), _REASON_LIMIT)
-
-
-def report_from_json(data: bytes) -> AssessmentReport:
-    """A report from the bytes of a saved canonical JSON report."""
+def report_from_json(data: bytes) -> dict:
+    """The dict of a saved canonical JSON report, as parsed: its schema_version
+    is checked first, so that another version is named, then all of it by _REPORT_FIELDS."""
     parsed = _parse_json(data, _INVALID_REPORT)
     if not isinstance(parsed, dict):
         raise OrcasError(f"{_INVALID_REPORT}: expected an object")
-    try:
-        return AssessmentReport.from_dict(parsed)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise OrcasError(f"{_INVALID_REPORT}: {_cut_reason(str(exc))}") from exc
+    version = parsed.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise OrcasError(f"unsupported report schema_version {_quote(version)} (expected {SCHEMA_VERSION})")
+    _Object(_REPORT_FIELDS).check(parsed, _INVALID_REPORT, "top level")
+    return parsed
 
 
 def _fmt_rate(value: float) -> str:
@@ -389,68 +423,66 @@ def _fmt_rate(value: float) -> str:
     return "0" if value == 0.0 else f"{value:.3E}"
 
 
-def text_report(report: AssessmentReport) -> str:
-    """Human-readable summary centered on the mode/class rate table."""
-    prefix = "UCA" if report.mode_family is ModeFamily.CONTROL else "UIF"
-    modes = report.mode_probabilities
-    unit = modes.unit.value
-    lines: list[str] = []
-    lines.append("orcas assessment report")
-    lines.append("=======================")
-    lines.append("")
+def text_report(report: dict) -> str:
+    """Human-readable summary of a report dict, centered on the mode/class
+    rate table."""
+    prefix = "UCA" if report["mode_family"] == ModeFamily.CONTROL.value else "UIF"
+    modes = report["modes"]
+    unit = modes["unit"]
+    lines = ["orcas assessment report", "=======================", ""]
 
     lines.append(f"failure-mode rates ({unit})")
     lines.append("")
     header = ["class"] + [f"{prefix}-{m.value}" for m in MODE_ORDER] + ["Total"]
     rows: list[list[str]] = []
-    per_class_total = modes.per_class_total()
-    for cls in modes.classes():
-        row = [cls.value]
-        row += [_fmt_rate(modes.per_cell[cls][m]) for m in MODE_ORDER]
-        row.append(_fmt_rate(per_class_total[cls]))
+    for cls, cells in sorted(modes["per_cell"].items()):
+        row = [cls] + [_fmt_rate(cells[m.value]) for m in MODE_ORDER]
+        row.append(_fmt_rate(math.fsum(cells[m.value] for m in MODE_ORDER)))
         rows.append(row)
-    totals = ["Total"] + [_fmt_rate(modes.per_mode[m]) for m in MODE_ORDER] + [_fmt_rate(modes.total)]
+    totals = ["Total"] + [_fmt_rate(modes["per_mode"][m.value]) for m in MODE_ORDER] + [_fmt_rate(modes["total"])]
     rows.append(totals)
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
     lines.append("  " + "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
     for row in rows:
         lines.append("  " + "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    if modes.excluded_modes:
-        excluded = ", ".join(sorted(m.value for m in modes.excluded_modes))
+    if modes["excluded"]:
+        excluded = ", ".join(sorted(set(modes["excluded"])))
         lines.append("")
         lines.append(f"  excluded modes: {excluded} (zeroed; mass not redistributed)")
     lines.append("")
 
-    lines.append(f"class rates (method: {report.class_rates.method.value}, {unit})")
-    nonzero = report.class_rates.nonzero_classes()
-    for cls in nonzero:
-        lines.append(f"  {cls.value.ljust(14)}{_fmt_rate(report.class_rates[cls])}")
-    zero = [cls.value for cls in DefectClass if cls not in nonzero]
+    lines.append(f"class rates (method: {report['rates']['method']}, {unit})")
+    rates = sorted(report["rates"]["per_class"].items())
+    for cls, rate in rates:
+        if rate > 0.0:
+            lines.append(f"  {cls.ljust(14)}{_fmt_rate(rate)}")
+    zero = [cls for cls, rate in rates if not rate > 0.0]
     if zero:
-        lines.append(f"  zero rate: {', '.join(sorted(zero))}")
+        lines.append(f"  zero rate: {', '.join(zero)}")
     lines.append("")
 
-    ev = report.evidence
+    ev = report["evidence"]
     lines.append("evidence")
-    lines.append(f"  RTM score            {ev.rtm_score:.4f}")
-    lines.append(f"  TCA score            {ev.tca_score:.4f}")
-    lines.append(f"  structural coverage  {ev.structural_coverage:.4f}")
-    lines.append(f"  confidence           {ev.confidence:.4f}  (threshold {ev.threshold:.4f})")
-    lines.append(f"  gate                 {ev.gate.value}")
+    lines.append(f"  RTM score            {ev['rtm_score']:.4f}")
+    lines.append(f"  TCA score            {ev['tca_score']:.4f}")
+    lines.append(f"  structural coverage  {ev['structural_coverage']:.4f}")
+    lines.append(f"  confidence           {ev['confidence']:.4f}  (threshold {ev['confidence_threshold']:.4f})")
+    lines.append(f"  gate                 {ev['gate']}")
     lines.append("")
 
-    untraced = report.gaps.get("untraced_requirements", [])
-    uncovered = report.gaps.get("uncovered_triggers", [])
+    untraced = report["gaps"]["untraced_requirements"]
+    uncovered = report["gaps"]["uncovered_triggers"]
     lines.append("gaps")
     lines.append(f"  untraced requirements: {', '.join(untraced) if untraced else '(none)'}")
     lines.append(f"  uncovered triggers:    {', '.join(uncovered) if uncovered else '(none)'}")
     lines.append("")
 
-    if report.growth is not None:
-        lines.append(f"growth model: {report.growth['model']} "
-                     f"(horizon {report.growth['horizon']:g}, "
-                     f"{'stable' if report.growth['all_stable'] else 'UNSTABLE'})")
-        for cls_name, entry in sorted(report.growth["per_class"].items()):
+    growth = report["growth"]
+    if growth is not None:
+        lines.append(f"growth model: {growth['model']} "
+                     f"(horizon {growth['horizon']:g}, "
+                     f"{'stable' if growth['all_stable'] else 'UNSTABLE'})")
+        for cls_name, entry in sorted(growth["per_class"].items()):
             fit = entry["fit"]
             params = ", ".join(f"{k}={v:.6g}" for k, v in sorted(fit["params"].items()))
             verdict = entry["stability"]
@@ -462,7 +494,7 @@ def text_report(report: AssessmentReport) -> str:
         lines.append("")
 
     lines.append("notes")
-    for note in report.annotations:
+    for note in report["annotations"]:
         lines.append(f"  - {note}")
     lines.append("")
     return "\n".join(lines)
@@ -488,13 +520,15 @@ def _svg_points(points: list[tuple[float, float]], x_max: float, y_max: float, y
     return " ".join(coords)
 
 
-def svg_report(report: AssessmentReport) -> str:
-    """Cumulative detections vs fitted mean curves, one panel per class.
+def svg_report(report: dict) -> str:
+    """Cumulative detections vs fitted mean curves of a report dict, one
+    panel per class.
 
     Reports produced with bounded estimation have no fitted curves; the
     output is then a single panel stating that nothing can be plotted.
     """
-    if report.growth is None or not report.growth["per_class"]:
+    growth = report["growth"]
+    if growth is None or not growth["per_class"]:
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="80">\n'
             f'  <text x="16" y="32" font-family="monospace" font-size="13">'
@@ -504,26 +538,28 @@ def svg_report(report: AssessmentReport) -> str:
             f"</svg>\n"
         )
 
-    horizon = float(report.growth["horizon"])
+    horizon = float(growth["horizon"])
     panels: list[str] = []
     offset = 0
-    for cls_name, entry in sorted(report.growth["per_class"].items()):
-        fit = SrgmFit.from_dict(entry["fit"])
+    for cls_name, entry in sorted(growth["per_class"].items()):
+        fit = entry["fit"]
+        mean, names = MEAN_FUNCTIONS[SrgmModel(fit["model"])]
         events = [float(t) for t in entry["events"]]
         observed = [(0.0, 0.0)] + [(t, i + 1.0) for i, t in enumerate(events)]
         samples = 100
         curve = [
-            (horizon * k / samples, fit.mean_at(horizon * k / samples)) for k in range(samples + 1)
+            (horizon * k / samples, mean(horizon * k / samples, *[fit["params"][name] for name in names]))
+            for k in range(samples + 1)
         ]
         y_max = max(len(events), max(y for _, y in curve), 1.0) * 1.08
-        params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(fit.params.items()))
-        flag = "" if fit.converged else " (NOT CONVERGED)"
+        params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(fit["params"].items()))
+        flag = "" if fit["converged"] else " (NOT CONVERGED)"
         panels.append("\n".join([
             f'  <g transform="translate(0,0)">',
             f'    <rect x="{_MARGIN}" y="{offset + _MARGIN}" width="{_SVG_W - 2 * _MARGIN}" '
             f'height="{_SVG_H - 2 * _MARGIN}" fill="none" stroke="#888"/>',
             f'    <text x="{_MARGIN}" y="{offset + _MARGIN - 12}" font-family="monospace" '
-            f'font-size="13">{cls_name}: {fit.model.value} ({params}){flag}</text>',
+            f'font-size="13">{cls_name}: {fit["model"]} ({params}){flag}</text>',
             f'    <polyline points="{_svg_points(observed, horizon, y_max, offset)}" '
             f'fill="none" stroke="#1a52a8" stroke-width="1.5"/>',
             f'    <polyline points="{_svg_points(curve, horizon, y_max, offset)}" '

@@ -5,6 +5,7 @@ need datasets the fixture does not cover."""
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -55,3 +56,28 @@ def write_bundle(
     for name, content in files.items():
         (directory / name).write_text(json.dumps(content, indent=2), encoding="utf-8")
     return directory
+
+
+def srgm_bundle(tmp_path: Path, model: str = "goel-okumoto") -> Path:
+    """A one-class growth-model bundle of ~200 detections of ``model``."""
+    rng = random.Random(17)
+    horizon = 300.0
+    events = sorted(
+        t for _ in range(4) for t in nhpp_exponential_events(50.0, 0.02, horizon, rng))
+    defects = [
+        {"id": f"D-{i}", "description": "synthetic", "class": "checking",
+         "detection_effort": t}
+        for i, t in enumerate(events)
+    ]
+    return write_bundle(
+        tmp_path / "srgm",
+        defects=defects,
+        effort={"kind": "continuous", "test_count": 300, "test_duration": 1.0},
+        config={
+            "structural_coverage": 1.0,
+            "system_kind": "control",
+            "rate_method": "srgm",
+            "srgm_model": model,
+            "stability_windows": 3,
+        },
+    )

@@ -384,10 +384,20 @@ GOOD = {"id": "D-1", "description": "x", "class": "checking"}
     ("log.csv", 'id,description,class\nD-1,x,bogus\nD-2,"x,checking\n',
      "log.csv: record 'D-1': class: invalid value 'bogus' (expected one of: function, assignment, "
      "algorithm, checking, interface, relationship, timing)"),
+    # Header names padded with spaces name their columns.
+    ("log.csv", "id, description, class\nD-1, x, checking\nD-2, y, bogus\n",
+     "log.csv: record 'D-2': class: invalid value 'bogus' (expected one of: function, assignment, "
+     "algorithm, checking, interface, relationship, timing)"),
+    # A row is named by the file line it starts on.
+    ("log.csv", 'id,description,class,detection_effort\nD-1,"two\nlines",checking,1\nD-2,y,checking,abc\n',
+     "log.csv: line 4: detection_effort is not a number: 'abc'"),
+    ("log.csv", 'id,description,class\nD-1,"two\nlines",checking\n\n,y,checking\n',
+     "log.csv: record 5: id: must be a nonempty string"),
 ], ids=["late-field-of-earlier-record", "bad-class-before-duplicate-id", "null-modes-before-empty-id",
         "rtm-status-before-empty-req_id", "csv-empty-id-before-bad-effort",
         "csv-bad-effort-before-bad-class", "csv-field-over-limit", "csv-duplicate-column",
-        "csv-extra-fields", "csv-unterminated-quote", "csv-bad-class-before-unterminated-quote"])
+        "csv-extra-fields", "csv-unterminated-quote", "csv-bad-class-before-unterminated-quote",
+        "csv-padded-header", "csv-line-after-two-line-field", "csv-record-after-two-line-field-and-blank-line"])
 def test_first_fault_in_record_order_is_reported(tmp_path, name, body, message):
     path = tmp_path / name
     path.write_text(body if isinstance(body, str) else json.dumps(body), encoding="utf-8")

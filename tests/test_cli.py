@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import nhpp_exponential_events, write_bundle
+from conftest import nhpp_exponential_events, srgm_bundle, write_bundle
 from orcas import cli
 from orcas.fixtures import vcu_dir
-from orcas.growth import SrgmFit, fit_srgm
+from orcas.growth import SrgmModel, fit_srgm
 
 
 def run_cli(*args, **kwargs):
@@ -77,13 +77,36 @@ def test_report_reemission_round_trip(tmp_path):
     assert as_svg.stdout.startswith(b"<svg")
 
 
+_DELETE = object()
+
+
+def edit(*path, value=_DELETE):
+    """A mutation of a saved report that sets the value at ``path`` to
+    ``value``, or with no value deletes it."""
+    def mutate(raw):
+        report = json.loads(raw)
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return json.dumps(report).encode()
+    return mutate
+
+
+_CHECKING = ("growth", "per_class", "checking")
+_FIT = (*_CHECKING, "fit")
+
+
 @pytest.mark.parametrize("mutate, prefix", [
     (lambda raw: b"\xff", "invalid report JSON: byte 0: not valid UTF-8"),
     (lambda raw: raw[:10] + b"\xff" + raw[11:], "invalid report JSON: byte 10: not valid UTF-8"),
     (lambda raw: json.dumps({**json.loads(raw), "evidence": None}).encode(), "invalid report JSON: "),
     (lambda raw: json.dumps({**json.loads(raw), "annotations": 5}).encode(), "invalid report JSON: "),
     (lambda raw: json.dumps({**json.loads(raw), "rates": {"per_class": []}}).encode(),
-     "invalid report JSON: 'list' object has no attribute 'items'"),
+     "invalid report JSON: rates: missing key(s): method, unit"),
     (lambda raw: b"[" * 100_000 + b"]" * 100_000,
      "invalid report JSON: top level: invalid JSON: nested too deeply"),
     (lambda raw: raw.replace(b'"schema_version": 1', b'"schema_version": ' + b"9" * 5000),
@@ -98,13 +121,31 @@ def test_report_reemission_round_trip(tmp_path):
      "invalid report JSON: gaps: untraced_requirements: expected an array of strings"),
     (lambda raw: json.dumps({**json.loads(raw), "provenance": 5}).encode(),
      "invalid report JSON: provenance: expected a JSON object, got int"),
+    (edit("growth", "per_class", value=[]),
+     "invalid report JSON: growth: per_class: expected a JSON object, got list"),
+    (edit("growth", "horizon", value="x"), "invalid report JSON: growth: horizon: expected a number, got 'x'"),
+    (edit(*_FIT, "params", value={}),
+     "invalid report JSON: growth: per_class: checking: fit: params must be exactly the parameters of its model"),
+    (edit(*_FIT, "model", value="zz"), "invalid report JSON: growth: per_class: checking: fit: model: "
+     "invalid value 'zz' (expected one of: goel-okumoto, musa-okumoto)"),
+    (edit(*_CHECKING, "events", value=["a"]),
+     "invalid report JSON: growth: per_class: checking: events[0]: expected a number, got 'a'"),
+    (edit("growth", value=5), "invalid report JSON: growth: expected a JSON object, got int"),
+    (edit(*_CHECKING, "stability", value=None),
+     "invalid report JSON: growth: per_class: checking: stability: expected a JSON object, got NoneType"),
+    (edit("modes", "per_mode", "A"), "invalid report JSON: modes: per_mode: missing key(s): A"),
+    (edit("not_a_key", value=0), "invalid report JSON: top level: unknown key(s): not_a_key"),
+    (edit("annotations", value=[1]), "invalid report JSON: annotations: expected an array of strings"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
-        "gaps-array", "gaps-numbers", "provenance-5"])
+        "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
+        "fit-params-empty", "fit-model-unknown", "events-string", "growth-5", "stability-null",
+        "per_mode-without-A", "unknown-top-level-key", "annotations-numbers"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
-    # Mutated copies of a real `assess -o` output; None deletes the file.
+    # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
+    # None deletes the file.
     saved = tmp_path / "assessment.json"
-    assert cli.main(["assess", str(vcu_dir()), "-o", str(saved)]) == 2
+    assert cli.main(["assess", str(srgm_bundle(tmp_path)), "-o", str(saved)]) == 0
     mutated = mutate(saved.read_bytes())
     if mutated is None:
         saved.unlink()
@@ -288,11 +329,11 @@ def test_srgm_fit_curve_is_the_fitted_mean(tmp_path):
                          "--stability-windows", "4", "--curve-samples", "4")
         assert result.returncode == 0
         out = json.loads(result.stdout)
-        fit = SrgmFit.from_dict(out["fit"])
+        fit = fit_srgm(events, SrgmModel(out["fit"]["model"]), horizon=300.0)
         assert out["curve"] == [[300.0 * i / 4, fit.mean_at(300.0 * i / 4)] for i in range(5)]
         # The fit is the last stability window, which spans the whole horizon.
         assert out["stability"]["series"][-1][0] == 300.0
-        assert fit == fit_srgm(events, fit.model, horizon=300.0)
+        assert out["fit"] == fit.to_dict()
 
 
 def assert_one_error_line(result, prefix):

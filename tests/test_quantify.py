@@ -8,7 +8,7 @@ from orcas.causality import CausalityMatrix, builtin_causality
 from orcas.domain import MODE_ORDER, DefectClass, FailureMode, RateUnit
 from orcas.errors import MissingCausalityRowError, OrcasError
 from orcas.growth import ClassRates, RateMethod
-from orcas.quantify import ModeProbabilities, SystemKind, combine, mode_applicability
+from orcas.quantify import SystemKind, combine, mode_applicability
 
 
 def rates_of(mapping, unit=RateUnit.PER_HOUR):
@@ -126,11 +126,6 @@ def test_excluded_modes_are_zeroed_not_redistributed():
     for mode in (FailureMode.A, FailureMode.C, FailureMode.D):
         assert result.per_mode[mode] == unexcluded.per_mode[mode]
     assert result.total < unexcluded.total
-
-
-def test_dict_round_trip():
-    result = combine(builtin_causality(), VCU_RATES, excluded={FailureMode.B})
-    assert ModeProbabilities.from_dict(result.to_dict()) == result
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
-import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orcas import cli
 from orcas.bundle import AssessmentBundle, load_bundle
 from orcas.domain import DefectClass, FailureMode
 from orcas.errors import BundleError, OrcasError, StageError
@@ -20,7 +23,7 @@ from orcas.report import (
     text_report,
 )
 
-from conftest import nhpp_exponential_events, write_bundle
+from conftest import srgm_bundle, write_bundle
 
 
 @pytest.fixture
@@ -64,7 +67,7 @@ def test_report_is_deterministic(vcu_bundle_dir):
 def test_report_json_round_trip(vcu_report):
     blob = emit_report(vcu_report, "json")
     reloaded = report_from_json(blob)
-    assert reloaded.to_dict() == vcu_report.to_dict()
+    assert reloaded == vcu_report.to_dict()
     assert emit_report(reloaded, "json") == blob
 
 
@@ -82,7 +85,7 @@ def test_report_provenance(vcu_report):
 
 
 def test_text_report_mode_table(vcu_report):
-    text = text_report(vcu_report)
+    text = text_report(vcu_report.to_dict())
     assert "UIF-A" in text and "UIF-D" in text  # information family labels
     header_line = next(line for line in text.splitlines() if "UIF-A" in line)
     assert header_line.split() == ["class", "UIF-A", "UIF-B", "UIF-C", "UIF-D", "Total"]
@@ -99,7 +102,7 @@ def test_text_report_uses_control_labels_for_control_systems(tmp_path):
         defects=[{"id": "D-1", "description": "x", "class": "checking", "detection_effort": 1.0}],
     )
     report = run_assessment(load_bundle(directory))
-    assert "UCA-A" in text_report(report)
+    assert "UCA-A" in text_report(report.to_dict())
 
 
 def test_svg_without_fits_has_note(vcu_report):
@@ -160,30 +163,6 @@ def test_zero_defect_bundle_proceeds(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def srgm_bundle(tmp_path):
-    rng = random.Random(17)
-    horizon = 300.0
-    events = sorted(
-        t for _ in range(4) for t in nhpp_exponential_events(50.0, 0.02, horizon, rng))
-    defects = [
-        {"id": f"D-{i}", "description": "synthetic", "class": "checking",
-         "detection_effort": t}
-        for i, t in enumerate(events)
-    ]
-    return write_bundle(
-        tmp_path / "srgm",
-        defects=defects,
-        effort={"kind": "continuous", "test_count": 300, "test_duration": 1.0},
-        config={
-            "structural_coverage": 1.0,
-            "system_kind": "control",
-            "rate_method": "srgm",
-            "srgm_model": "goel-okumoto",
-            "stability_windows": 3,
-        },
-    )
-
-
 def test_srgm_pipeline(tmp_path):
     report = run_assessment(load_bundle(srgm_bundle(tmp_path)))
     assert report.growth is not None
@@ -195,7 +174,7 @@ def test_srgm_pipeline(tmp_path):
     assert any("intensities at the assessment horizon" in note for note in report.annotations)
     # growth reports re-emit losslessly
     blob = emit_report(report, "json")
-    assert report_from_json(blob).to_dict() == report.to_dict()
+    assert report_from_json(blob) == report.to_dict()
 
 
 def test_srgm_svg_plots(tmp_path):
@@ -279,13 +258,16 @@ def test_report_from_json_rejects_garbage():
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: {**d, "mode_family": "x" * 4000},
-     "invalid report JSON: 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxx... is not a valid ModeFamily"),
+     "invalid report JSON: mode_family: invalid value 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxx... "
+     "(expected one of: control, information)"),
     (lambda d: {**d, "modes": {**d["modes"], "unit": "u" * 4000}},
-     "invalid report JSON: 'uuuuuuuuuuuuuuuuuuuuuuuuuuuuu... is not a valid RateUnit"),
+     "invalid report JSON: modes: unit: invalid value 'uuuuuuuuuuuuuuuuuuuuuuuuuuuuu... "
+     "(expected one of: per-hour, per-demand)"),
     (lambda d: {**d, "evidence": {**d["evidence"], "rtm_score": "z" * 4000}},
-     "invalid report JSON: could not convert string to float: 'zzzzzzzzzzzzzzzzzzzzzzzzzzzzz..."),
+     "invalid report JSON: evidence: rtm_score: expected a number, got 'zzzzzzzzzzzzzzzzzzzzzzzzzzzzz..."),
     (lambda d: {**d, "mode_family": [1] * 4000},
-     "invalid report JSON: [" + "1, " * 66 + "1..."),
+     "invalid report JSON: mode_family: invalid value [" + "1, " * 9 + "1,... "
+     "(expected one of: control, information)"),
     (lambda d: {**d, "schema_version": "9" * 4000},
      "unsupported report schema_version '99999999999999999999999999999... (expected 1)"),
 ], ids=["mode_family", "modes.unit", "evidence.rtm_score", "array-mode_family", "schema_version"])
@@ -294,6 +276,76 @@ def test_report_errors_cut_long_bad_values(vcu_report, mutate, message):
     with pytest.raises(OrcasError) as err:
         report_from_json(data)
     assert str(err.value) == message
+
+
+@pytest.fixture(scope="module")
+def growth_reports(tmp_path_factory):
+    """The parsed `assess -o` reports of a Goel-Okumoto and a Musa-Okumoto
+    bundle, and a directory for the property below to write new files in."""
+    reports = []
+    for model in ("goel-okumoto", "musa-okumoto"):
+        saved = tmp_path_factory.mktemp("saved") / "report.json"
+        assert cli.main(["assess", str(srgm_bundle(tmp_path_factory.mktemp(model), model)),
+                         "-o", str(saved)]) in (0, 2)
+        reports.append(json.loads(saved.read_bytes()))
+    return reports, tmp_path_factory.mktemp("mutated")
+
+
+# One value of each JSON type; a number stands for both int and float.
+JSON_VALUES = [None, True, 7, "x", [1.5], {"k": 1}]
+
+
+def json_type(value) -> type:
+    return float if type(value) is int else type(value)
+
+
+@st.composite
+def one_field_mutations(draw, reports):
+    """A copy of a report with one field changed: its value swapped for one
+    of another JSON type, or deleted, or an unknown key added next to it.
+    Returns the copy and whether the schema_version is the value changed."""
+    report = copy.deepcopy(draw(st.sampled_from(reports)))
+    node, path = report, []
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        if not (isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans())):
+            break
+        node = node[key]
+    action = draw(st.sampled_from(["swap", "delete", "add"] if isinstance(node, dict) else ["swap", "delete"]))
+    if action == "swap":
+        node[key] = draw(st.sampled_from([v for v in JSON_VALUES if json_type(v) is not json_type(node[key])]))
+    elif action == "delete":
+        del node[key]
+    else:
+        node["not_a_key"] = 1
+    return report, path == ["schema_version"] and action != "add"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_report_renders_in_every_format_what_it_accepts_as_json(growth_reports, data):
+    reports, directory = growth_reports
+    report, version = data.draw(one_field_mutations(reports))
+    saved = directory / f"report-{len(list(directory.iterdir()))}.json"
+    saved.write_text(json.dumps(report), encoding="utf-8")
+    results, outputs = [], []
+    for format in ("json", "text", "svg"):
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            results.append((cli.main(["report", str(saved), "--format", format]), err.getvalue()))
+        outputs.append(out.buffer.getvalue())
+    if results[0][0] == 0:
+        assert results == [(0, "")] * 3
+        assert outputs[0] == canonical_json_bytes(report)
+    else:
+        # A report of another schema_version is named by its version.
+        prefixes = ("orcas: error: invalid report JSON: ",
+                    *(["orcas: error: unsupported report schema_version "] if version else []))
+        for code, err in results:
+            assert code == 1 and err.startswith(prefixes) and err.count("\n") == 1 and err.endswith("\n")
+        assert len({err for _, err in results}) == 1
 
 
 def test_report_is_immutable(vcu_report):
