@@ -20,7 +20,7 @@ def main() -> int:
         out = Path(sys.argv[1])
         out.write_bytes(emit_report(report, "json"))
         print(f"wrote {out}")
-    return 0 if report.evidence.gate.value == "proceed" else 2
+    return 0 if report["evidence"]["gate"] == "proceed" else 2
 
 
 if __name__ == "__main__":

@@ -293,14 +293,15 @@ _DISTINCT = _Distinct()
 
 class _Rule(_Kind):
     """A check of the whole record: ``test`` holds for a field already
-    read, else ``reason``, formatted with the value, is raised."""
+    read, else ``reason`` is raised, formatted with the value quoted by
+    :func:`_quote` and, as ``type``, the name of its JSON type."""
 
     def __init__(self, test, reason: str):
         self.test, self.reason = test, reason
 
     def check(self, value: Any, file: str, where: str) -> Any:
         if not self.test(value):
-            raise _fail(file, where, self.reason.format(value))
+            raise _fail(file, where, self.reason.format(_quote(value), type=type(value).__name__))
         return value
 
     def column(self, column: list) -> list | None:
@@ -457,7 +458,7 @@ _TCA_FIELDS = (
     ("trigger", _REQUIRED, _Enum(TriggerKind), "trigger", False),
     ("status", _REQUIRED, _Enum(CoverageStatus), "status", False),
     ("activity", _REQUIRED, _Rule(ACTIVITIES.__contains__,
-                                  f"activity must be one of {', '.join(ACTIVITIES)}; got {{!r}}"), None, False),
+                                  f"activity must be one of {', '.join(ACTIVITIES)}; got {{}}"), None, False),
 )
 _EFFORT_FIELDS = (
     ("kind", _REQUIRED, _Enum(EffortKind)),

@@ -136,10 +136,10 @@ def _cmd_validate(args) -> int:
     print(f"  tca slots: {len(bundle.tca)}")
     print(f"  matrix: {bundle.matrix.provenance}")
     print(f"  rates: {bundle.rate_method.value}")
-    evidence = report.evidence
-    print(f"  gate: {evidence.gate.value} (confidence {evidence.confidence:.4f}, "
-          f"threshold {evidence.threshold:.4f})")
-    for note in report.annotations:
+    evidence = report["evidence"]
+    print(f"  gate: {evidence['gate']} (confidence {evidence['confidence']:.4f}, "
+          f"threshold {evidence['confidence_threshold']:.4f})")
+    for note in report["annotations"]:
         print(f"  note: {note}")
     return 0
 
@@ -155,7 +155,7 @@ def _cmd_assess(args) -> int:
     )
     report = run_assessment(bundle)
     _write_output(emit_report(report, args.format), args.output)
-    return 0 if report.evidence.gate is GateDecision.PROCEED else 2
+    return 0 if report["evidence"]["gate"] == GateDecision.PROCEED.value else 2
 
 
 def _cmd_causality_build(args) -> int:
@@ -179,7 +179,7 @@ def _cmd_srgm_fit(args) -> int:
         fit = fit_srgm(events, model, horizon=horizon)
     out = {"fit": fit.to_dict(), "events": len(events), "horizon": effective_horizon}
     if verdict is not None:
-        out["stability"] = verdict.to_dict()
+        out["stability"] = verdict
     if args.curve_samples > 0:
         k = args.curve_samples
         out["curve"] = [[effective_horizon * i / k, fit.mean_at(effective_horizon * i / k)]

@@ -92,28 +92,6 @@ class TcaEntry(FrozenRecord):
         return STATUS_SCORES[self.status]
 
 
-class EvidenceSummary(FrozenRecord):
-    """Evidence scores, the aggregated confidence, and the gate decision."""
-
-    __slots__ = ("rtm_score", "tca_score", "structural_coverage", "confidence", "gate", "threshold")
-    rtm_score: float
-    tca_score: float
-    structural_coverage: float
-    confidence: float
-    gate: GateDecision
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rtm_score": self.rtm_score,
-            "tca_score": self.tca_score,
-            "structural_coverage": self.structural_coverage,
-            "confidence": self.confidence,
-            "confidence_threshold": self.threshold,
-            "gate": self.gate.value,
-        }
-
-
 def required_tca_template() -> tuple[tuple[TestLevel, str, TriggerKind], ...]:
     """The full 15-slot trigger checklist of the three-tier testing model.
 
@@ -185,8 +163,9 @@ def assessment_confidence(
     threshold: float = 0.90,
     rtm_weight: float = 0.5,
     tca_weight: float = 0.5,
-) -> EvidenceSummary:
-    """Aggregate evidence scores and decide the gate.
+) -> dict:
+    """Aggregate evidence scores and decide the gate: the report's
+    ``evidence`` section, with the gate's value.
 
     Confidence is the weighted mean of the RTM and TCA scores (equal
     weights by default). Structural coverage is reported alongside but
@@ -209,11 +188,11 @@ def assessment_confidence(
     rtm_weight, tca_weight = math.ldexp(rtm_weight, -exponent), math.ldexp(tca_weight, -exponent)
     confidence = (rtm_weight * rtm_score + tca_weight * tca_score) / (rtm_weight + tca_weight)
     gate = GateDecision.DEFER if confidence < threshold else GateDecision.PROCEED
-    return EvidenceSummary(
-        rtm_score=rtm_score,
-        tca_score=tca_score,
-        structural_coverage=structural_coverage,
-        confidence=confidence,
-        gate=gate,
-        threshold=threshold,
-    )
+    return {
+        "rtm_score": rtm_score,
+        "tca_score": tca_score,
+        "structural_coverage": structural_coverage,
+        "confidence": confidence,
+        "confidence_threshold": threshold,
+        "gate": gate.value,
+    }

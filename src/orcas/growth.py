@@ -135,29 +135,6 @@ class SrgmFit(FrozenRecord):
         }
 
 
-class StabilityVerdict(FrozenRecord):
-    """Outcome of the refit-stability check.
-
-    ``series`` pairs each window end with that window's predicted total;
-    ``stable`` holds iff no consecutive relative step exceeds the
-    threshold.
-    """
-
-    __slots__ = ("series", "max_relative_step", "stable", "threshold")
-    series: tuple[tuple[float, float], ...]
-    max_relative_step: float
-    stable: bool
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "series": [[end, total] for end, total in self.series],
-            "max_relative_step": self.max_relative_step,
-            "stable": self.stable,
-            "threshold": self.threshold,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Bounded estimation
 # ---------------------------------------------------------------------------
@@ -569,12 +546,15 @@ def _float_range():
 def stability(
     series: Sequence[tuple[float, float]],
     threshold: float = DEFAULT_STABILITY_THRESHOLD,
-) -> StabilityVerdict:
+) -> dict:
     """Check consecutive predicted totals for jumps beyond ``threshold``.
 
     ``series`` pairs each refit's window-end effort with its predicted
     total. Step size is |delta| / previous total; a zero previous total
-    makes any nonzero step infinite.
+    makes any nonzero step infinite. Returns a growth class's
+    ``stability`` section of the report: the ``series`` as [end, total]
+    pairs, ``max_relative_step``, ``threshold``, and ``stable``, true iff
+    no step exceeds the threshold.
     """
     pairs = [(float(end), float(total)) for end, total in series]
     if len(pairs) < 2:
@@ -598,12 +578,12 @@ def stability(
         else:
             step = abs(cur - prev) / prev
         max_step = max(max_step, step)
-    return StabilityVerdict(
-        series=tuple(pairs),
-        max_relative_step=max_step,
-        stable=max_step <= threshold,
-        threshold=float(threshold),
-    )
+    return {
+        "series": [[end, total] for end, total in pairs],
+        "max_relative_step": max_step,
+        "stable": max_step <= threshold,
+        "threshold": float(threshold),
+    }
 
 
 def srgm_class_rates(
@@ -657,7 +637,7 @@ def windowed_srgm_stability(
     horizon: float,
     windows: int,
     threshold: float = DEFAULT_STABILITY_THRESHOLD,
-) -> tuple[StabilityVerdict, list[tuple[float, SrgmFit]]]:
+) -> tuple[dict, list[tuple[float, SrgmFit]]]:
     """Refit over expanding effort windows and run the stability check.
 
     The windows are those of :func:`stability_windows`, so the last

@@ -14,7 +14,7 @@ import math
 from enum import Enum
 from typing import Mapping
 
-from .domain import MODE_ORDER, DefectClass, FailureMode, FrozenRecord, RateUnit
+from .domain import MODE_ORDER, FailureMode
 from .errors import MissingCausalityRowError, OrcasError
 from .causality import CausalityMatrix
 from .growth import ClassRates
@@ -47,73 +47,47 @@ def mode_applicability(
     return frozenset()
 
 
-class ModeProbabilities(FrozenRecord):
-    """Per-mode and per-cell failure rates plus their total.
+# The failure modes by their names in a report, in column order.
+_MODES = tuple(mode.value for mode in MODE_ORDER)
 
-    ``per_cell`` has a row for every class with a nonzero rate; excluded
-    modes appear as exact zeros everywhere and contribute nothing to the
-    total.
-    """
 
-    __slots__ = ("per_cell", "per_mode", "total", "excluded_modes", "unit")
-    per_cell: Mapping[DefectClass, Mapping[FailureMode, float]]
-    per_mode: Mapping[FailureMode, float]
-    total: float
-    excluded_modes: frozenset[FailureMode]
-    unit: RateUnit
-
-    def per_class_total(self) -> dict[DefectClass, float]:
-        """Row margin: each class's summed contribution over modes."""
-        return {cls: math.fsum(row[mode] for mode in MODE_ORDER) for cls, row in self.per_cell.items()}
-
-    def classes(self) -> tuple[DefectClass, ...]:
-        return tuple(sorted(self.per_cell, key=lambda c: c.value))
-
-    def to_dict(self) -> dict:
-        return {
-            "unit": self.unit.value,
-            "excluded": sorted(m.value for m in self.excluded_modes),
-            "per_cell": {
-                cls.value: {mode.value: self.per_cell[cls][mode] for mode in MODE_ORDER}
-                for cls in self.classes()
-            },
-            "per_mode": {mode.value: self.per_mode[mode] for mode in MODE_ORDER},
-            "per_class_total": {cls.value: total for cls, total in sorted(
-                self.per_class_total().items(), key=lambda kv: kv[0].value)},
-            "total": self.total,
-        }
+def mode_sums(per_cell: Mapping[str, Mapping[str, float]], excluded: list[str]) -> dict:
+    """The margins of a report's ``modes`` section: ``per_mode`` (column
+    sums over classes), ``per_class_total`` (row sums over modes) and
+    ``total`` (the sum of the modes not in ``excluded``). Each is an fsum,
+    correctly rounded whatever the order of its terms, so a saved report's
+    margins equal these bit for bit."""
+    per_mode = {mode: math.fsum(row[mode] for row in per_cell.values()) for mode in _MODES}
+    return {
+        "per_mode": per_mode,
+        "per_class_total": {cls: math.fsum(row[mode] for mode in _MODES) for cls, row in per_cell.items()},
+        "total": math.fsum(per_mode[mode] for mode in _MODES if mode not in excluded),
+    }
 
 
 def combine(
     matrix: CausalityMatrix,
     rates: ClassRates,
     excluded: frozenset[FailureMode] | set[FailureMode] = frozenset(),
-) -> ModeProbabilities:
+) -> dict:
     """Apply the conditional-probability matrix to the class rates.
 
+    Returns the report's ``modes`` section, keyed by class and mode names:
+    ``per_cell`` has a row for every class with a nonzero rate, excluded
+    modes are exact zeros, and its margins are those of :func:`mode_sums`.
     Every class with a nonzero rate must have a matrix row; a missing row
     raises rather than silently dropping that class's contribution.
     """
     excluded = frozenset(excluded)
-    per_cell: dict[DefectClass, dict[FailureMode, float]] = {}
+    per_cell: dict[str, dict[str, float]] = {}
     for cls in rates.nonzero_classes():
         if not matrix.has_row(cls):
             raise MissingCausalityRowError(cls)
         row = matrix.row(cls)
         rate = rates[cls]
-        per_cell[cls] = {
-            mode: 0.0 if mode in excluded else row[i] * rate
+        per_cell[cls.value] = {
+            mode.value: 0.0 if mode in excluded else row[i] * rate
             for i, mode in enumerate(MODE_ORDER)
         }
-    per_mode = {
-        mode: math.fsum(per_cell[cls][mode] for cls in per_cell)
-        for mode in MODE_ORDER
-    }
-    total = math.fsum(per_mode[mode] for mode in MODE_ORDER if mode not in excluded)
-    return ModeProbabilities(
-        per_cell=per_cell,
-        per_mode=per_mode,
-        total=total,
-        excluded_modes=excluded,
-        unit=rates.unit,
-    )
+    names = sorted(mode.value for mode in excluded)
+    return {"unit": rates.unit.value, "excluded": names, "per_cell": per_cell, **mode_sums(per_cell, names)}

@@ -7,10 +7,13 @@ pure function of the bundle; running it twice yields byte-identical
 JSON. Reports emit as canonical JSON (sorted keys, shortest round-trip
 floats), a plain-text summary, or SVG growth-curve plots.
 
-Every format renders the dict of :meth:`AssessmentReport.to_dict`. A saved
-report is read back as that dict by :func:`report_from_json`, checked by the
-bundle's field kinds against one table, _REPORT_FIELDS: its first fault is
-raised as ``invalid report JSON: <where>: <reason>``.
+A report is one dict, the one _REPORT_FIELDS describes, and every format
+renders it. The stages build its sections: ``combine`` returns ``modes``,
+``assessment_confidence`` returns ``evidence`` and
+``windowed_srgm_stability`` each growth class's ``stability``. A saved
+report is read back as that dict by :func:`report_from_json`, checked by
+the bundle's field kinds against _REPORT_FIELDS: its first fault is raised
+as ``invalid report JSON: <where>: <reason>``.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ from .bundle import (
     _parse_json, _quote, _Rule, _String,
 )
 from .causality import merge_causality, uniform_causality
-from .domain import MODE_ORDER, DefectClass, FailureMode, FrozenRecord, ModeFamily, RateUnit, total_effort
+from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
 from .evidence import (
     CoverageStatus,
-    EvidenceSummary,
     GateDecision,
     assessment_confidence,
     score_rtm,
@@ -45,7 +47,7 @@ from .growth import (
     srgm_class_rates,
     windowed_srgm_stability,
 )
-from .quantify import ModeProbabilities, combine
+from .quantify import combine, mode_sums
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +59,7 @@ _TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
 # The parameter names of each growth model, by the model's name in a report.
 _PARAMS = {model.value: set(names) for model, (_, names) in MEAN_FUNCTIONS.items()}
 
-# A saved report, as AssessmentReport.to_dict writes it.
+# A report, as run_assessment returns it and report_from_json reads it back.
 _REPORT_FIELDS = (
     ("schema_version", _REQUIRED, _Integer()),
     ("mode_family", _REQUIRED, _Enum(ModeFamily)),
@@ -69,6 +71,9 @@ _REPORT_FIELDS = (
         ("per_class_total", _REQUIRED, _Map(DefectClass, _RATE)),
         ("total", _REQUIRED, _RATE),
     ))),
+    # The margins are the fsums of the cells, bit for bit: a renderer may print either.
+    ("modes", _REQUIRED, _Rule(lambda modes: mode_sums(modes["per_cell"], modes["excluded"]).items()
+                               <= modes.items(), "per_mode, per_class_total and total must be the sums of per_cell")),
     ("rates", _REQUIRED, _Object((
         ("method", _REQUIRED, _Enum(RateMethod)),
         ("unit", _REQUIRED, _Enum(RateUnit)),
@@ -113,42 +118,10 @@ _REPORT_FIELDS = (
     ("annotations", _REQUIRED, _TEXTS),
     # No renderer reads the provenance: it is re-emitted as saved.
     ("provenance", _REQUIRED, _Rule(lambda provenance: isinstance(provenance, dict),
-                                    "expected a JSON object, got {.__class__.__name__}")),
+                                    "expected a JSON object, got {type}")),
 )
 
 REPORT_FORMATS = ("json", "text", "svg")
-
-
-class AssessmentReport(FrozenRecord):
-    """Everything the pipeline computed, plus provenance.
-
-    Every number here is recomputable from the bundle; nothing is
-    time-stamped or environment-dependent.
-    """
-
-    __slots__ = ("mode_probabilities", "class_rates", "evidence", "mode_family", "gaps", "growth",
-                 "annotations", "provenance")
-    mode_probabilities: ModeProbabilities
-    class_rates: ClassRates
-    evidence: EvidenceSummary
-    mode_family: ModeFamily
-    gaps: dict
-    growth: dict | None
-    annotations: tuple[str, ...]
-    provenance: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode_family": self.mode_family.value,
-            "modes": self.mode_probabilities.to_dict(),
-            "rates": self.class_rates.to_dict(),
-            "evidence": self.evidence.to_dict(),
-            "gaps": self.gaps,
-            "growth": self.growth,
-            "annotations": list(self.annotations),
-            "provenance": self.provenance,
-        }
 
 
 def canonical_json_bytes(data) -> bytes:
@@ -273,12 +246,8 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
         if not fit.converged:
             raise BundleError(f"{where}: {fit.diagnostic}")
         fits[cls] = fit
-        all_stable = all_stable and verdict.stable
-        growth_per_class[cls.value] = {
-            "fit": fit.to_dict(),
-            "events": events,
-            "stability": verdict.to_dict(),
-        }
+        all_stable = all_stable and verdict["stable"]
+        growth_per_class[cls.value] = {"fit": fit.to_dict(), "events": events, "stability": verdict}
     rates = srgm_class_rates(fits, horizon, bundle.effort.rate_unit)
     growth = {
         "model": bundle.srgm_model.value,
@@ -289,8 +258,11 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
     return rates, growth
 
 
-def run_assessment(bundle: AssessmentBundle) -> AssessmentReport:
-    """Run the full pipeline on a validated bundle (deterministic)."""
+def run_assessment(bundle: AssessmentBundle) -> dict:
+    """Run the full pipeline on a validated bundle (deterministic): the
+    report dict, as :func:`report_from_json` reads a saved one. Every number
+    in it is recomputable from the bundle; nothing is time-stamped or
+    environment-dependent."""
     annotations: list[str] = []
 
     with _stage("rates"):
@@ -372,16 +344,17 @@ def run_assessment(bundle: AssessmentBundle) -> AssessmentReport:
         },
     }
 
-    return AssessmentReport(
-        mode_probabilities=modes,
-        class_rates=rates,
-        evidence=evidence,
-        mode_family=bundle.mode_family,
-        gaps=gaps,
-        growth=growth,
-        annotations=tuple(annotations),
-        provenance=provenance,
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "mode_family": bundle.mode_family.value,
+        "modes": modes,
+        "rates": rates.to_dict(),
+        "evidence": evidence,
+        "gaps": gaps,
+        "growth": growth,
+        "annotations": annotations,
+        "provenance": provenance,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +362,14 @@ def run_assessment(bundle: AssessmentBundle) -> AssessmentReport:
 # ---------------------------------------------------------------------------
 
 
-def emit_report(report: AssessmentReport | dict, format: str = "json") -> bytes:
-    """Serialize a report or a report dict (:func:`report_from_json`). Formats: json, text, svg."""
-    data = report if isinstance(report, dict) else report.to_dict()
+def emit_report(report: dict, format: str = "json") -> bytes:
+    """Serialize a report dict (:func:`run_assessment`, :func:`report_from_json`). Formats: json, text, svg."""
     if format == "json":
-        return canonical_json_bytes(data)
+        return canonical_json_bytes(report)
     if format == "text":
-        return text_report(data).encode("utf-8")
+        return text_report(report).encode("utf-8")
     if format == "svg":
-        return svg_report(data).encode("utf-8")
+        return svg_report(report).encode("utf-8")
     raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
 
 
@@ -436,9 +408,8 @@ def text_report(report: dict) -> str:
     header = ["class"] + [f"{prefix}-{m.value}" for m in MODE_ORDER] + ["Total"]
     rows: list[list[str]] = []
     for cls, cells in sorted(modes["per_cell"].items()):
-        row = [cls] + [_fmt_rate(cells[m.value]) for m in MODE_ORDER]
-        row.append(_fmt_rate(math.fsum(cells[m.value] for m in MODE_ORDER)))
-        rows.append(row)
+        total = modes["per_class_total"][cls]
+        rows.append([cls] + [_fmt_rate(cells[m.value]) for m in MODE_ORDER] + [_fmt_rate(total)])
     totals = ["Total"] + [_fmt_rate(modes["per_mode"][m.value]) for m in MODE_ORDER] + [_fmt_rate(modes["total"])]
     rows.append(totals)
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]

@@ -55,10 +55,10 @@ def test_criterion_1_per_cell_table_reproduction():
     }
     for cls, row in printed.items():
         for mode_name, want in row.items():
-            got = result.per_cell[cls][FailureMode(mode_name)]
+            got = result["per_cell"][cls.value][mode_name]
             assert abs(got - want) <= 1e-7, (cls, mode_name)
             assert round4(got) == want, (cls, mode_name)
-    assert round4(result.total) == 5.854e-4
+    assert round4(result["total"]) == 5.854e-4
     announce(1, "published per-cell table reproduced at 4 significant figures")
 
 
@@ -79,7 +79,7 @@ def test_criterion_3_evidence_scores():
     assert rtm_score == 0.70
     assert tca_score == 12.5 / 15
     summary = assessment_confidence(rtm_score, tca_score, 1.0)
-    assert abs(summary.confidence - 0.7667) <= 1e-4
+    assert abs(summary["confidence"] - 0.7667) <= 1e-4
     announce(3, "RTM 0.70, TCA 12.5/15, confidence 0.7667 +/- 1e-4")
 
 
@@ -159,13 +159,13 @@ def test_criterion_5_srgm_parameter_recovery():
 
 def test_criterion_6_stability_rule():
     drifting = stability([(1.0, 100.0), (2.0, 105.0), (3.0, 103.0)], threshold=0.10)
-    assert drifting.stable and drifting.max_relative_step == pytest.approx(0.05)
+    assert drifting["stable"] and drifting["max_relative_step"] == pytest.approx(0.05)
     jumping = stability([(1.0, 100.0), (2.0, 120.0)], threshold=0.10)
-    assert not jumping.stable and jumping.max_relative_step == pytest.approx(0.20)
+    assert not jumping["stable"] and jumping["max_relative_step"] == pytest.approx(0.20)
     constant = stability([(1.0, 42.0), (2.0, 42.0), (3.0, 42.0)], threshold=0.0)
-    assert constant.stable
+    assert constant["stable"]
     near_constant = stability([(1.0, 42.0), (2.0, 42.0 + 1e-9)], threshold=0.0)
-    assert not near_constant.stable
+    assert not near_constant["stable"]
     announce(6, "10% rule verdicts and the zero-threshold edge case")
 
 
@@ -205,10 +205,10 @@ def test_criterion_8_combine_linearity():
         combined = combine(matrix, rates_of({c: r1[c] + r2[c] for c in chosen}))
         first = combine(matrix, rates_of(r1))
         second = combine(matrix, rates_of(r2))
-        for cls in combined.per_cell:
-            for mode in MODE_ORDER:
-                lhs = combined.per_cell[cls][mode]
-                rhs = (first.per_cell.get(cls, {mode: 0.0})[mode]
-                       + second.per_cell.get(cls, {mode: 0.0})[mode])
+        for cls, row in combined["per_cell"].items():
+            for mode in row:
+                lhs = row[mode]
+                rhs = (first["per_cell"].get(cls, {mode: 0.0})[mode]
+                       + second["per_cell"].get(cls, {mode: 0.0})[mode])
                 assert abs(lhs - rhs) <= 1e-12
     announce(8, "200 random matrix/rate pairs: cell-wise additivity at 1e-12")

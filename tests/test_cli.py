@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import nhpp_exponential_events, srgm_bundle, write_bundle
+from conftest import default_tca_entries, nhpp_exponential_events, srgm_bundle, write_bundle
 from orcas import cli
 from orcas.fixtures import vcu_dir
 from orcas.growth import SrgmModel, fit_srgm
@@ -98,6 +98,7 @@ def edit(*path, value=_DELETE):
 
 _CHECKING = ("growth", "per_class", "checking")
 _FIT = (*_CHECKING, "fit")
+_SUMS = "invalid report JSON: modes: per_mode, per_class_total and total must be the sums of per_cell"
 
 
 @pytest.mark.parametrize("mutate, prefix", [
@@ -136,11 +137,15 @@ _FIT = (*_CHECKING, "fit")
     (edit("modes", "per_mode", "A"), "invalid report JSON: modes: per_mode: missing key(s): A"),
     (edit("not_a_key", value=0), "invalid report JSON: top level: unknown key(s): not_a_key"),
     (edit("annotations", value=[1]), "invalid report JSON: annotations: expected an array of strings"),
+    (edit("modes", "per_class_total", "checking", value=123.0), _SUMS),
+    (edit("modes", "per_class_total", "checking"), _SUMS),
+    (edit("modes", "total", value=5.0), _SUMS),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
         "fit-params-empty", "fit-model-unknown", "events-string", "growth-5", "stability-null",
-        "per_mode-without-A", "unknown-top-level-key", "annotations-numbers"])
+        "per_mode-without-A", "unknown-top-level-key", "annotations-numbers", "per_class_total-123",
+        "per_class_total-without-checking", "total-5"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.
@@ -419,8 +424,11 @@ _BEYOND_FLOAT = "1" + "0" * 400
     ("defects.json", '[{"id": "D-1", "description": "x", "class": "%s"}]' % ("x" * 4000),
      "defects.json: record 'D-1': class: invalid value 'xxx"),
     ("rtm.json", "[]", "rtm.json: top level: no entries; an empty traceability matrix cannot be scored"),
+    ("tca.json", json.dumps([{**entry, "activity": "u" * 4000} if i == 0 else entry
+                             for i, entry in enumerate(default_tca_entries())]),
+     "tca.json: entry 0: activity must be one of unit-test, function-test, system-test; got 'uuu"),
 ], ids=["number-beyond-float", "coverage-beyond-float", "integer-over-4300-digits",
-        "nested-too-deeply", "unpaired-surrogate", "long-string", "empty-rtm"])
+        "nested-too-deeply", "unpaired-surrogate", "long-string", "empty-rtm", "long-activity"])
 def test_validate_rejects_unreadable_values_in_one_short_line(tmp_path, file, text, prefix):
     directory = write_bundle(tmp_path / "b")
     (directory / file).write_text(text, encoding="utf-8")

@@ -20,8 +20,7 @@ from orcas.domain import (
 )
 from orcas.bundle import load_bundle, load_defects_file
 from orcas.fixtures import vcu_dir
-from orcas.growth import SrgmFit, SrgmModel, StabilityVerdict
-from orcas.report import run_assessment
+from orcas.growth import SrgmFit, SrgmModel, bounded_class_rates
 
 
 def test_vocabulary_sizes():
@@ -134,33 +133,27 @@ def test_count_by_class_covers_all_classes():
 
 # Every immutable record type, and how to get one from the case study.
 RECORD_TYPES = {
-    "DefectRecord": lambda bundle, report: bundle.defects[0],
-    "EffortModel": lambda bundle, report: bundle.effort,
-    "AssessmentBundle": lambda bundle, report: bundle,
-    "CausalityMatrix": lambda bundle, report: bundle.matrix,
-    "RtmEntry": lambda bundle, report: bundle.rtm[0],
-    "TcaEntry": lambda bundle, report: bundle.tca[0],
-    "EvidenceSummary": lambda bundle, report: report.evidence,
-    "ClassRates": lambda bundle, report: report.class_rates,
-    "SrgmFit": lambda bundle, report: SrgmFit(
+    "DefectRecord": lambda bundle: bundle.defects[0],
+    "EffortModel": lambda bundle: bundle.effort,
+    "AssessmentBundle": lambda bundle: bundle,
+    "CausalityMatrix": lambda bundle: bundle.matrix,
+    "RtmEntry": lambda bundle: bundle.rtm[0],
+    "TcaEntry": lambda bundle: bundle.tca[0],
+    "ClassRates": lambda bundle: bounded_class_rates(bundle.defects, bundle.effort),
+    "SrgmFit": lambda bundle: SrgmFit(
         model=SrgmModel.GOEL_OKUMOTO, params={"a": 12.0, "b": 0.02}, predicted_total=12.0,
         current_intensity=0.05, log_likelihood=-30.5, converged=True),
-    "StabilityVerdict": lambda bundle, report: StabilityVerdict(
-        series=((50.0, 11.0), (100.0, 12.0)), max_relative_step=0.09, stable=True, threshold=0.1),
-    "ModeProbabilities": lambda bundle, report: report.mode_probabilities,
-    "AssessmentReport": lambda bundle, report: report,
 }
 
 
 @pytest.fixture(scope="module")
-def vcu_assessment():
-    bundle = load_bundle(vcu_dir())
-    return bundle, run_assessment(bundle)
+def vcu_bundle():
+    return load_bundle(vcu_dir())
 
 
 @pytest.mark.parametrize("name", RECORD_TYPES)
-def test_records_are_frozen_values(name, vcu_assessment):
-    record = RECORD_TYPES[name](*vcu_assessment)
+def test_records_are_frozen_values(name, vcu_bundle):
+    record = RECORD_TYPES[name](vcu_bundle)
     assert type(record).__name__ == name
     values = [getattr(record, field) for field in record.__slots__]
     by_name = type(record)(**dict(zip(record.__slots__, values)))

@@ -164,27 +164,27 @@ def test_tca_entry_rejects_unknown_activity():
 
 def test_confidence_reproduces_case_study():
     summary = assessment_confidence(0.70, 12.5 / 15, 1.0)
-    assert abs(summary.confidence - 0.7667) <= 1e-4
-    assert summary.gate is GateDecision.DEFER  # default threshold 0.90
-    assert summary.structural_coverage == 1.0
+    assert abs(summary["confidence"] - 0.7667) <= 1e-4
+    assert summary["gate"] == GateDecision.DEFER.value  # default threshold 0.90
+    assert summary["structural_coverage"] == 1.0
 
 
 def test_confidence_identity_case():
     summary = assessment_confidence(1.0, 1.0, 1.0)
-    assert summary.confidence == 1.0
-    assert summary.gate is GateDecision.PROCEED
+    assert summary["confidence"] == 1.0
+    assert summary["gate"] == GateDecision.PROCEED.value
 
 
 def test_confidence_zero_case():
     for structural in (0.0, 1.0):
         summary = assessment_confidence(0.0, 0.0, structural, threshold=0.01)
-        assert summary.confidence == 0.0
-        assert summary.gate is GateDecision.DEFER
+        assert summary["confidence"] == 0.0
+        assert summary["gate"] == GateDecision.DEFER.value
 
 
 def test_gate_boundary_is_inclusive():
     summary = assessment_confidence(0.8, 0.8, 1.0, threshold=0.8)
-    assert summary.gate is GateDecision.PROCEED
+    assert summary["gate"] == GateDecision.PROCEED.value
 
 
 def test_confidence_rejects_out_of_range_inputs():
@@ -200,7 +200,7 @@ def test_confidence_rejects_out_of_range_inputs():
 
 def test_confidence_weights_are_configurable():
     summary = assessment_confidence(1.0, 0.0, 1.0, rtm_weight=3.0, tca_weight=1.0)
-    assert summary.confidence == 0.75
+    assert summary["confidence"] == 0.75
 
 
 @pytest.mark.parametrize("rtm, tca", [(0.7, 0.7), (1.0, 1.0), (0.3, 0.9)])
@@ -241,8 +241,8 @@ def test_tca_score_bounded_and_permutation_invariant(status_list, rng):
     st.floats(min_value=0, max_value=1),
 )
 def test_confidence_monotone_in_each_score(rtm, tca, bump):
-    base = assessment_confidence(rtm, tca, 1.0).confidence
-    higher_rtm = assessment_confidence(min(1.0, rtm + bump), tca, 1.0).confidence
-    higher_tca = assessment_confidence(rtm, min(1.0, tca + bump), 1.0).confidence
+    base = assessment_confidence(rtm, tca, 1.0)["confidence"]
+    higher_rtm = assessment_confidence(min(1.0, rtm + bump), tca, 1.0)["confidence"]
+    higher_tca = assessment_confidence(rtm, min(1.0, tca + bump), 1.0)["confidence"]
     assert higher_rtm >= base
     assert higher_tca >= base

@@ -256,27 +256,27 @@ def test_mo_fit_degenerates_on_uniform_events():
 
 def test_stability_small_steps_are_stable():
     verdict = stability([(1.0, 100.0), (2.0, 105.0), (3.0, 103.0)], threshold=0.10)
-    assert verdict.max_relative_step == pytest.approx(0.05)
-    assert verdict.stable
+    assert verdict["max_relative_step"] == pytest.approx(0.05)
+    assert verdict["stable"]
 
 
 def test_stability_large_step_is_unstable():
     verdict = stability([(1.0, 100.0), (2.0, 120.0)], threshold=0.10)
-    assert verdict.max_relative_step == pytest.approx(0.20)
-    assert not verdict.stable
+    assert verdict["max_relative_step"] == pytest.approx(0.20)
+    assert not verdict["stable"]
 
 
 def test_stability_constant_series():
     verdict = stability([(1.0, 42.0), (2.0, 42.0), (3.0, 42.0)])
-    assert verdict.max_relative_step == 0.0
-    assert verdict.stable
+    assert verdict["max_relative_step"] == 0.0
+    assert verdict["stable"]
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=1e6, allow_nan=False), min_size=2, max_size=8))
 def test_zero_threshold_is_stable_only_for_constant_series(totals):
     series = [(float(i), t) for i, t in enumerate(totals)]
     verdict = stability(series, threshold=0.0)
-    assert verdict.stable == all(t == totals[0] for t in totals)
+    assert verdict["stable"] == all(t == totals[0] for t in totals)
 
 
 def test_stability_input_validation():
@@ -296,8 +296,8 @@ def test_windowed_stability_on_synthetic_data():
     verdict, window_fits = windowed_srgm_stability(
         events, SrgmModel.GOEL_OKUMOTO, horizon, windows=4)
     assert len(window_fits) == 4
-    assert [end for end, _ in verdict.series] == [75.0, 150.0, 225.0, 300.0]
-    assert all(total > 0 for _, total in verdict.series)
+    assert [end for end, _ in verdict["series"]] == [75.0, 150.0, 225.0, 300.0]
+    assert all(total > 0 for _, total in verdict["series"])
 
 
 def test_windowed_stability_rejects_sparse_windows():
@@ -505,8 +505,8 @@ short_histories = st.tuples(
 
 def assert_windows_are_cold_fits(model, events, horizon, windows):
     verdict, window_fits = windowed_srgm_stability(events, model, horizon, windows)
-    assert verdict.series[-1][0] == horizon
-    assert [end for end, _ in window_fits] == [end for end, _ in verdict.series]
+    assert verdict["series"][-1][0] == horizon
+    assert [end for end, _ in window_fits] == [end for end, _ in verdict["series"]]
     # Every window, the last (the full-horizon fit) included, is the fit
     # of its own prefix, bit for bit.
     for end, fit in window_fits:

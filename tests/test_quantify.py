@@ -78,23 +78,23 @@ def test_non_custom_rejects_a_set():
 def test_combine_reproduces_published_table():
     result = combine(builtin_causality(), VCU_RATES, excluded={FailureMode.B})
     for (cls, mode), printed in PUBLISHED_CELLS.items():
-        got = result.per_cell[cls][mode]
+        got = result["per_cell"][cls.value][mode.value]
         assert abs(got - printed) <= 1e-7
         assert round4(got) == printed
     for mode, printed in PUBLISHED_MODE_TOTALS.items():
-        assert round4(result.per_mode[mode]) == printed
-    class_totals = result.per_class_total()
+        assert round4(result["per_mode"][mode.value]) == printed
+    class_totals = result["per_class_total"]
     for cls, printed in PUBLISHED_CLASS_TOTALS.items():
-        assert round4(class_totals[cls]) == printed
-    assert round4(result.total) == PUBLISHED_TOTAL
-    assert result.unit is RateUnit.PER_HOUR
+        assert round4(class_totals[cls.value]) == printed
+    assert round4(result["total"]) == PUBLISHED_TOTAL
+    assert result["unit"] == RateUnit.PER_HOUR.value
 
 
 def test_combine_zero_rates_gives_zero_everything():
     result = combine(builtin_causality(), rates_of({}), excluded=frozenset())
-    assert result.total == 0.0
-    assert all(result.per_mode[m] == 0.0 for m in MODE_ORDER)
-    assert result.per_cell == {}
+    assert result["total"] == 0.0
+    assert all(result["per_mode"][m.value] == 0.0 for m in MODE_ORDER)
+    assert result["per_cell"] == {}
 
 
 def test_combine_identity_row():
@@ -102,9 +102,9 @@ def test_combine_identity_row():
         rows={DefectClass.FUNCTION: (1.0, 0.0, 0.0, 0.0)}, provenance="test")
     rate = 0.125
     result = combine(matrix, rates_of({DefectClass.FUNCTION: rate}))
-    assert result.per_mode[FailureMode.A] == rate
-    assert result.per_mode[FailureMode.B] == 0.0
-    assert result.total == rate
+    assert result["per_mode"][FailureMode.A.value] == rate
+    assert result["per_mode"][FailureMode.B.value] == 0.0
+    assert result["total"] == rate
 
 
 def test_combine_missing_row_is_an_error():
@@ -116,16 +116,16 @@ def test_combine_missing_row_is_an_error():
 def test_combine_ignores_zero_rate_classes_without_rows():
     # relationship carries rate 0, so its missing row must not matter
     result = combine(builtin_causality(), rates_of({DefectClass.ALGORITHM: 0.5}))
-    assert result.total == pytest.approx(0.5, rel=1e-12)
+    assert result["total"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_excluded_modes_are_zeroed_not_redistributed():
     result = combine(builtin_causality(), VCU_RATES, excluded={FailureMode.B})
     unexcluded = combine(builtin_causality(), VCU_RATES)
-    assert result.per_mode[FailureMode.B] == 0.0
+    assert result["per_mode"][FailureMode.B.value] == 0.0
     for mode in (FailureMode.A, FailureMode.C, FailureMode.D):
-        assert result.per_mode[mode] == unexcluded.per_mode[mode]
-    assert result.total < unexcluded.total
+        assert result["per_mode"][mode.value] == unexcluded["per_mode"][mode.value]
+    assert result["total"] < unexcluded["total"]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +163,10 @@ def test_combine_is_linear_in_rates(data):
     summed = {cls: first[cls] + second[cls] for cls in first}
     combined = combine(matrix, rates_of(summed))
     parts = (combine(matrix, rates_of(first)), combine(matrix, rates_of(second)))
-    for cls in combined.per_cell:
-        for mode in MODE_ORDER:
-            lhs = combined.per_cell[cls][mode]
-            rhs = sum(p.per_cell[cls][mode] for p in parts if cls in p.per_cell)
+    for cls, row in combined["per_cell"].items():
+        for mode in row:
+            lhs = row[mode]
+            rhs = sum(p["per_cell"][cls][mode] for p in parts if cls in p["per_cell"])
             assert abs(lhs - rhs) <= 1e-12
 
 
@@ -177,7 +177,7 @@ def test_combine_scales_with_rates(data, k):
     scaled = combine(matrix, rates_of({cls: k * v for cls, v in rates.items()}))
     base = combine(matrix, rates_of(rates))
     for mode in MODE_ORDER:
-        assert abs(scaled.per_mode[mode] - k * base.per_mode[mode]) <= 1e-9 * max(1.0, k)
+        assert abs(scaled["per_mode"][mode.value] - k * base["per_mode"][mode.value]) <= 1e-9 * max(1.0, k)
 
 
 def test_total_equals_rate_sum_for_exact_rows():
@@ -189,7 +189,7 @@ def test_total_equals_rate_sum_for_exact_rows():
     }, provenance="dyadic")
     rates = {DefectClass.ALGORITHM: 0.375, DefectClass.CHECKING: 0.75}
     result = combine(matrix, rates_of(rates))
-    assert result.total == 0.375 + 0.75
+    assert result["total"] == 0.375 + 0.75
 
 
 @given(st.data())
@@ -198,4 +198,4 @@ def test_total_with_exclusions_never_exceeds_rate_sum(data):
     rates = data.draw(rate_maps_for(matrix))
     excluded = data.draw(st.frozensets(st.sampled_from(list(FailureMode))))
     result = combine(matrix, rates_of(rates), excluded=excluded)
-    assert result.total <= math.fsum(rates.values()) * (1 + 1e-12)
+    assert result["total"] <= math.fsum(rates.values()) * (1 + 1e-12)

@@ -10,12 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orcas import cli
-from orcas.bundle import AssessmentBundle, load_bundle
+from orcas.bundle import AssessmentBundle, _Object, load_bundle
 from orcas.domain import DefectClass, FailureMode
 from orcas.errors import BundleError, OrcasError, StageError
 from orcas.evidence import GateDecision
+from orcas.fixtures import vcu_dir
 from orcas.report import (
-    AssessmentReport,
+    _REPORT_FIELDS,
     canonical_json_bytes,
     emit_report,
     report_from_json,
@@ -37,23 +38,23 @@ def vcu_report(vcu_bundle_dir):
 
 
 def test_vcu_totals_and_gate(vcu_report):
-    modes = vcu_report.mode_probabilities
-    assert float(f"{modes.total:.3e}") == 5.854e-4
-    assert modes.per_mode[FailureMode.B] == 0.0
-    assert abs(vcu_report.evidence.confidence - 0.7667) <= 1e-4
-    assert vcu_report.evidence.gate is GateDecision.DEFER
+    modes = vcu_report["modes"]
+    assert float(f"{modes['total']:.3e}") == 5.854e-4
+    assert modes["per_mode"]["B"] == 0.0
+    assert abs(vcu_report["evidence"]["confidence"] - 0.7667) <= 1e-4
+    assert vcu_report["evidence"]["gate"] == GateDecision.DEFER.value
 
 
 def test_vcu_gaps(vcu_report):
-    assert vcu_report.gaps["untraced_requirements"] == ["REQ-3"]
-    assert vcu_report.gaps["uncovered_triggers"] == [
+    assert vcu_report["gaps"]["untraced_requirements"] == ["REQ-3"]
+    assert vcu_report["gaps"]["uncovered_triggers"] == [
         "system/system-test/configuration",
         "system/system-test/workload-stress",
     ]
 
 
 def test_vcu_annotations_mention_zero_classes(vcu_report):
-    joined = "\n".join(vcu_report.annotations)
+    joined = "\n".join(vcu_report["annotations"])
     assert "bounded at 0 by testing effort" in joined
     assert "relationship" in joined and "timing" in joined
 
@@ -67,12 +68,12 @@ def test_report_is_deterministic(vcu_bundle_dir):
 def test_report_json_round_trip(vcu_report):
     blob = emit_report(vcu_report, "json")
     reloaded = report_from_json(blob)
-    assert reloaded == vcu_report.to_dict()
+    assert reloaded == vcu_report
     assert emit_report(reloaded, "json") == blob
 
 
 def test_report_provenance(vcu_report):
-    prov = vcu_report.provenance
+    prov = vcu_report["provenance"]
     assert prov["matrix"] == "built-in"
     assert prov["tool"]["name"] == "orcas"
     assert set(prov["inputs"]) == {
@@ -85,7 +86,7 @@ def test_report_provenance(vcu_report):
 
 
 def test_text_report_mode_table(vcu_report):
-    text = text_report(vcu_report.to_dict())
+    text = text_report(vcu_report)
     assert "UIF-A" in text and "UIF-D" in text  # information family labels
     header_line = next(line for line in text.splitlines() if "UIF-A" in line)
     assert header_line.split() == ["class", "UIF-A", "UIF-B", "UIF-C", "UIF-D", "Total"]
@@ -102,7 +103,7 @@ def test_text_report_uses_control_labels_for_control_systems(tmp_path):
         defects=[{"id": "D-1", "description": "x", "class": "checking", "detection_effort": 1.0}],
     )
     report = run_assessment(load_bundle(directory))
-    assert "UCA-A" in text_report(report.to_dict())
+    assert "UCA-A" in text_report(report)
 
 
 def test_svg_without_fits_has_note(vcu_report):
@@ -145,17 +146,16 @@ def test_uniform_escape_hatch_warns_and_proceeds(tmp_path):
     report = run_assessment(bundle)
     rate = 1.0 / 100.0
     for mode in FailureMode:
-        assert report.mode_probabilities.per_cell[DefectClass.RELATIONSHIP][mode] == \
-            pytest.approx(0.25 * rate)
-    assert any(note.startswith("WARNING") and "uniform" in note for note in report.annotations)
+        assert report["modes"]["per_cell"]["relationship"][mode.value] == pytest.approx(0.25 * rate)
+    assert any(note.startswith("WARNING") and "uniform" in note for note in report["annotations"])
 
 
 def test_zero_defect_bundle_proceeds(tmp_path):
     directory = write_bundle(tmp_path / "b", defects=[])
     report = run_assessment(load_bundle(directory))
-    assert report.mode_probabilities.total == 0.0
-    assert report.evidence.confidence == 1.0
-    assert report.evidence.gate is GateDecision.PROCEED
+    assert report["modes"]["total"] == 0.0
+    assert report["evidence"]["confidence"] == 1.0
+    assert report["evidence"]["gate"] == GateDecision.PROCEED.value
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +165,16 @@ def test_zero_defect_bundle_proceeds(tmp_path):
 
 def test_srgm_pipeline(tmp_path):
     report = run_assessment(load_bundle(srgm_bundle(tmp_path)))
-    assert report.growth is not None
-    entry = report.growth["per_class"]["checking"]
+    assert report["growth"] is not None
+    entry = report["growth"]["per_class"]["checking"]
     fit = entry["fit"]
     assert fit["converged"]
-    assert report.class_rates[DefectClass.CHECKING] == pytest.approx(fit["current_intensity"])
+    assert report["rates"]["per_class"]["checking"] == pytest.approx(fit["current_intensity"])
     assert entry["stability"]["series"][-1][0] == 300.0
-    assert any("intensities at the assessment horizon" in note for note in report.annotations)
+    assert any("intensities at the assessment horizon" in note for note in report["annotations"])
     # growth reports re-emit losslessly
     blob = emit_report(report, "json")
-    assert report_from_json(blob) == report.to_dict()
+    assert report_from_json(blob) == report
 
 
 def test_srgm_svg_plots(tmp_path):
@@ -272,7 +272,7 @@ def test_report_from_json_rejects_garbage():
      "unsupported report schema_version '99999999999999999999999999999... (expected 1)"),
 ], ids=["mode_family", "modes.unit", "evidence.rtm_score", "array-mode_family", "schema_version"])
 def test_report_errors_cut_long_bad_values(vcu_report, mutate, message):
-    data = json.dumps(mutate(vcu_report.to_dict())).encode()
+    data = json.dumps(mutate(vcu_report)).encode()
     with pytest.raises(OrcasError) as err:
         report_from_json(data)
     assert str(err.value) == message
@@ -348,16 +348,29 @@ def test_report_renders_in_every_format_what_it_accepts_as_json(growth_reports, 
         assert len({err for _, err in results}) == 1
 
 
-def test_report_is_immutable(vcu_report):
-    assert isinstance(vcu_report, AssessmentReport)
-    with pytest.raises(AttributeError):
-        vcu_report.mode_family = None
+# Bundles whose reports hold every section: bounded rates, growth fits of
+# each model, and substituted uniform rows with excluded modes.
+REPORT_BUNDLES = {
+    "vcu": lambda tmp_path: load_bundle(vcu_dir()),
+    "goel-okumoto": lambda tmp_path: load_bundle(srgm_bundle(tmp_path, "goel-okumoto")),
+    "musa-okumoto": lambda tmp_path: load_bundle(srgm_bundle(tmp_path, "musa-okumoto")),
+    "vcu-uniform-excluded": lambda tmp_path: load_bundle(
+        vcu_dir(), uniform_missing_rows=True, exclude_modes=frozenset({FailureMode.B, FailureMode.C})),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_BUNDLES)
+def test_report_is_the_dict_its_table_describes(name, tmp_path):
+    report = run_assessment(REPORT_BUNDLES[name](tmp_path))
+    assert next(iter(report)) == "schema_version"
+    _Object(_REPORT_FIELDS).check(report, "report", "top level")
+    assert report_from_json(emit_report(report, "json")) == report
 
 
 def test_total_is_finite_sum_of_modes(vcu_report):
-    modes = vcu_report.mode_probabilities
-    included = [modes.per_mode[m] for m in modes.per_mode if m not in modes.excluded_modes]
-    assert modes.total == pytest.approx(math.fsum(included), abs=1e-18)
+    modes = vcu_report["modes"]
+    included = [modes["per_mode"][m] for m in modes["per_mode"] if m not in modes["excluded"]]
+    assert modes["total"] == pytest.approx(math.fsum(included), abs=1e-18)
 
 
 def test_stage_wraps_an_orcas_error_once():
