@@ -47,7 +47,7 @@ def main() -> int:
             t for _ in range(replicates)
             for t in nhpp_exponential_events(a_component, b_true, horizon, rng))
         fit = fit_srgm(events, SrgmModel.GOEL_OKUMOTO, horizon=horizon)
-        a_hat, b_hat = fit.params["a"], fit.params["b"]
+        a_hat, b_hat = fit["params"]["a"], fit["params"]["b"]
         err_a = abs(a_hat - a_true) / a_true
         err_b = abs(b_hat - b_true) / b_true
         errors_a.append(err_a)

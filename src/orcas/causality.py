@@ -10,6 +10,7 @@ no data: lookups on absent rows raise, they never return silent zeros.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -64,8 +65,8 @@ class CausalityMatrix(FrozenRecord):
             for p in row:
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"{where}: probability {p!r} outside [0, 1]")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOLERANCE:
-                raise ValueError(f"{where}: sums to {sum(row)!r}, outside 1.0 +/- {ROW_SUM_TOLERANCE}")
+            if abs(math.fsum(row) - 1.0) > ROW_SUM_TOLERANCE:
+                raise ValueError(f"{where}: sums to {math.fsum(row)!r}, outside 1.0 +/- {ROW_SUM_TOLERANCE}")
             rows[cls] = row
         object.__setattr__(self, "rows", rows)
         if self.counts is not None:

@@ -26,7 +26,7 @@ from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
-from .growth import SrgmModel, fit_srgm, windowed_srgm_stability
+from .growth import SrgmModel, fit_mean, fit_srgm, windowed_srgm_stability
 from .report import REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json, run_assessment
 
 _MODEL_NAMES = {
@@ -169,24 +169,21 @@ def _cmd_srgm_fit(args) -> int:
     events, horizon = load_history_file(args.history)
     model = _MODEL_NAMES[args.model]
     effective_horizon = horizon if horizon is not None else events[-1]
-    verdict = None
+    out = {"events": len(events), "horizon": effective_horizon}
     if args.stability_windows:
-        verdict, window_fits = windowed_srgm_stability(
+        out["stability"], window_fits = windowed_srgm_stability(
             events, model, effective_horizon, args.stability_windows, args.stability_threshold)
         # The last stability window spans the whole horizon: it is the fit.
-        fit = window_fits[-1][1]
+        out["fit"] = fit = window_fits[-1][1]
     else:
-        fit = fit_srgm(events, model, horizon=horizon)
-    out = {"fit": fit.to_dict(), "events": len(events), "horizon": effective_horizon}
-    if verdict is not None:
-        out["stability"] = verdict
+        out["fit"] = fit = fit_srgm(events, model, horizon=horizon)
     if args.curve_samples > 0:
         k = args.curve_samples
-        out["curve"] = [[effective_horizon * i / k, fit.mean_at(effective_horizon * i / k)]
+        out["curve"] = [[effective_horizon * i / k, fit_mean(fit, effective_horizon * i / k)]
                         for i in range(k + 1)]
     _write_output(canonical_json_bytes(out), args.output)
-    if not fit.converged:
-        print(f"warning: fit did not converge: {fit.diagnostic}", file=sys.stderr)
+    if not fit["converged"]:
+        print(f"warning: fit did not converge: {fit['diagnostic']}", file=sys.stderr)
     return 0
 
 

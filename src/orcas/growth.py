@@ -31,14 +31,13 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from enum import Enum
 from functools import cached_property
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
     DefectClass,
     DefectRecord,
     EffortModel,
-    FrozenRecord,
     RateUnit,
     count_by_class,
     total_effort,
@@ -60,88 +59,21 @@ class SrgmModel(str, Enum):
 DEFAULT_STABILITY_THRESHOLD = 0.10
 
 
-class ClassRates(FrozenRecord):
-    """Per-class failure rates, one entry for every defect class."""
-
-    __slots__ = ("rates", "unit", "method")
-    rates: Mapping[DefectClass, float]
-    unit: RateUnit
-    method: RateMethod
-
-    def __post_init__(self) -> None:
-        rates = {}
-        for cls in DefectClass:
-            value = float(self.rates.get(cls, 0.0))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"rate for {cls.value} must be finite and >= 0, got {value!r}")
-            rates[cls] = value
-        object.__setattr__(self, "rates", rates)
-
-    def __getitem__(self, cls: DefectClass) -> float:
-        return self.rates[cls]
-
-    def nonzero_classes(self) -> tuple[DefectClass, ...]:
-        return tuple(sorted((c for c, r in self.rates.items() if r > 0.0), key=lambda c: c.value))
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "unit": self.unit.value,
-            "per_class": {cls.value: self.rates[cls] for cls in sorted(DefectClass, key=lambda c: c.value)},
-        }
-
-
-class SrgmFit(FrozenRecord):
-    """A fitted growth model.
-
-    ``params`` holds {"a", "b"} for the exponential model and
-    {"lambda0", "theta"} for the logarithmic one. ``predicted_total`` is
-    the expected number of defects ever (infinite for the logarithmic
-    model, whose mean function is unbounded). An unconverged fit carries
-    the boundary parameters the likelihood climbed toward plus a
-    ``diagnostic`` explaining why no interior optimum exists; unconverged
-    parameters must never be used as point estimates.
-    """
-
-    __slots__ = ("model", "params", "predicted_total", "current_intensity", "log_likelihood",
-                 "converged", "diagnostic")
-    _defaults = {"diagnostic": None}
-    model: SrgmModel
-    params: Mapping[str, float]
-    predicted_total: float
-    current_intensity: float
-    log_likelihood: float
-    converged: bool
-    diagnostic: str | None
-
-    def mean_at(self, t: float) -> float:
-        mean, names = MEAN_FUNCTIONS[self.model]
-        return mean(t, *[self.params[name] for name in names])
-
-    def intensity_at(self, t: float) -> float:
-        if self.model is SrgmModel.GOEL_OKUMOTO:
-            return go_intensity(t, self.params["a"], self.params["b"])
-        return mo_intensity(t, self.params["lambda0"], self.params["theta"])
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.value,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "predicted_total": self.predicted_total,
-            "current_intensity": self.current_intensity,
-            "log_likelihood": self.log_likelihood,
-            "converged": self.converged,
-            "diagnostic": self.diagnostic,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Bounded estimation
 # ---------------------------------------------------------------------------
 
 
-def bounded_class_rates(defects: Iterable[DefectRecord], effort: EffortModel) -> ClassRates:
-    """Defect count per class divided by total testing effort.
+def _rates(per_class: Mapping[DefectClass, float], unit: RateUnit, method: RateMethod) -> dict:
+    """The report's ``rates`` section: a rate for every class by name, 0.0 where ``per_class`` has none."""
+    classes = sorted(DefectClass, key=attrgetter("value"))
+    return {"method": method.value, "unit": unit.value,
+            "per_class": {cls.value: per_class.get(cls, 0.0) for cls in classes}}
+
+
+def bounded_class_rates(defects: Iterable[DefectRecord], effort: EffortModel) -> dict:
+    """Defect count per class divided by total testing effort, as the
+    report's ``rates`` section.
 
     Classes with no detected defects get rate 0: more testing effort can
     only lower these rates, never raise them.
@@ -150,11 +82,8 @@ def bounded_class_rates(defects: Iterable[DefectRecord], effort: EffortModel) ->
     if effort_total <= 0:
         raise OrcasError(f"total testing effort must be positive, got {effort_total!r}")
     counts = count_by_class(defects)
-    return ClassRates(
-        rates={cls: count / effort_total for cls, count in counts.items()},
-        unit=effort.rate_unit,
-        method=RateMethod.BOUNDED,
-    )
+    return _rates({cls: count / effort_total for cls, count in counts.items()}, effort.rate_unit,
+                  RateMethod.BOUNDED)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +114,12 @@ def mo_intensity(t: float, lambda0: float, theta: float) -> float:
 # Each model's mean function and the names of its parameters, in argument order.
 MEAN_FUNCTIONS = {SrgmModel.GOEL_OKUMOTO: (go_mean, ("a", "b")),
                   SrgmModel.MUSA_OKUMOTO: (mo_mean, ("lambda0", "theta"))}
+
+
+def fit_mean(fit: dict, t: float) -> float:
+    """The mean function m(t) of a report's ``fit``."""
+    mean, names = MEAN_FUNCTIONS[SrgmModel(fit["model"])]
+    return mean(t, *[fit["params"][name] for name in names])
 
 
 def go_log_likelihood(events: Sequence[float], horizon: float, a: float, b: float) -> float:
@@ -305,17 +240,23 @@ def _bracket(sign: Callable[[float], float], s_lo: float, T: float) -> tuple[flo
     )
 
 
-def _finite(fit: SrgmFit) -> SrgmFit:
-    values = (*fit.params.values(), fit.log_likelihood, fit.current_intensity)
-    if not all(map(math.isfinite, values)):
-        raise OrcasError(
-            f"growth fit is beyond floating-point range: parameters {dict(fit.params)!r}, "
-            f"log-likelihood {fit.log_likelihood!r}"
-        )
-    return fit
+def _fit(model: SrgmModel, params: dict[str, float], predicted_total: float, intensity: float,
+         log_likelihood: float, diagnostic: str | None) -> dict:
+    """A growth class's ``fit`` section of the report. ``params`` holds
+    {"a", "b"} (exponential) or {"lambda0", "theta"} (logarithmic, whose
+    unbounded mean predicts an infinite total), and ``intensity`` is the
+    fitted m'(horizon). A fit with a ``diagnostic`` is unconverged: its
+    parameters are the boundary the likelihood climbed toward, never point
+    estimates."""
+    if not all(map(math.isfinite, (*params.values(), log_likelihood, intensity))):
+        raise OrcasError(f"growth fit is beyond floating-point range: parameters {params!r}, "
+                         f"log-likelihood {log_likelihood!r}")
+    return {"model": model.value, "params": dict(sorted(params.items())), "predicted_total": predicted_total,
+            "current_intensity": intensity, "log_likelihood": log_likelihood,
+            "converged": diagnostic is None, "diagnostic": diagnostic}
 
 
-def _fit_go(events: list[float], horizon: float) -> SrgmFit:
+def _fit_go(events: list[float], horizon: float) -> dict:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
@@ -337,29 +278,16 @@ def _fit_go(events: list[float], horizon: float) -> SrgmFit:
 
     lo = _BRACKET_FLOOR / T
     s_lo = _score_at_floor(n, effort_sum, T, score)
+    diagnostic = None
     if s_lo is None:
-        b0 = _BOUNDARY_RATE / T
-        a0 = n / -math.expm1(-b0 * T)
-        return _finite(SrgmFit(
-            model=SrgmModel.GOEL_OKUMOTO,
-            params={"a": a0, "b": b0},
-            predicted_total=a0,
-            current_intensity=go_intensity(T, a0, b0),
-            log_likelihood=go_log_likelihood(events, T, a0, b0),
-            converged=False,
-            diagnostic=_no_growth_diagnostic(n, effort_sum, T),
-        ))
-    hi, s_hi = _bracket(score, s_lo, T)
-    b = newton_bisection(score, score_prime, lo, hi, flo=s_lo, fhi=s_hi)
+        b = _BOUNDARY_RATE / T
+        diagnostic = _no_growth_diagnostic(n, effort_sum, T)
+    else:
+        hi, s_hi = _bracket(score, s_lo, T)
+        b = newton_bisection(score, score_prime, lo, hi, flo=s_lo, fhi=s_hi)
     a = n / -math.expm1(-b * T)
-    return _finite(SrgmFit(
-        model=SrgmModel.GOEL_OKUMOTO,
-        params={"a": a, "b": b},
-        predicted_total=a,
-        current_intensity=go_intensity(T, a, b),
-        log_likelihood=go_log_likelihood(events, T, a, b),
-        converged=True,
-    ))
+    return _fit(SrgmModel.GOEL_OKUMOTO, {"a": a, "b": b}, a, go_intensity(T, a, b),
+                go_log_likelihood(events, T, a, b), diagnostic)
 
 
 # The Musa-Okumoto summary: at most this many buckets of consecutive
@@ -396,11 +324,12 @@ class _MoProfile:
             end = n * j // k
             chunk = events[start:end]
             count = end - start
-            mean = sum(chunk) / count
+            # fsum rounds once: the summary, so the root, is the same on every Python version.
+            mean = math.fsum(chunk) / count
             # Variance from the mean square. It only steers the Newton
             # start: where rounding makes it negative, or the squares
             # overflow, it is taken as 0.
-            var = sum(map(mul, chunk, chunk)) / count - mean * mean
+            var = math.fsum(map(mul, chunk, chunk)) / count - mean * mean
             var = var if 0.0 < var < math.inf else 0.0
             buckets.append((count, chunk[0], chunk[-1], mean, var))
             start = end
@@ -469,59 +398,46 @@ class _MoProfile:
         return newton_bisection(self.approx, self.slope, a, hi, flo=g_a, fhi=g_hi)
 
 
-def _fit_mo(events: list[float], horizon: float) -> SrgmFit:
+def _fit_mo(events: list[float], horizon: float) -> dict:
     n = len(events)
     effort_sum = math.fsum(events)
     T = horizon
     profile = _MoProfile(events, T)
     lo = _BRACKET_FLOOR / T
     s_lo = _score_at_floor(n, effort_sum, T, profile.sign)
+    diagnostic = None
     if s_lo is None:
-        beta0 = _BOUNDARY_RATE / T
-        lambda0 = n * beta0 / math.log1p(beta0 * T)
-        theta0 = math.log1p(beta0 * T) / n
-        return _finite(SrgmFit(
-            model=SrgmModel.MUSA_OKUMOTO,
-            params={"lambda0": lambda0, "theta": theta0},
-            predicted_total=math.inf,
-            current_intensity=mo_intensity(T, lambda0, theta0),
-            log_likelihood=mo_log_likelihood(events, T, lambda0, theta0),
-            converged=False,
-            diagnostic=_no_growth_diagnostic(n, effort_sum, T),
-        ))
-    hi, s_hi = _bracket(profile.sign, s_lo, T)
-    # Newton on the exact score, from the root of the bucket-mean score in
-    # the last octave the bracket search crossed.
-    start = profile.estimate(lo if hi == 1.0 / T else 0.5 * hi, hi)
-    beta = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
+        beta = _BOUNDARY_RATE / T
+        diagnostic = _no_growth_diagnostic(n, effort_sum, T)
+    else:
+        hi, s_hi = _bracket(profile.sign, s_lo, T)
+        # Newton on the exact score, from the root of the bucket-mean score
+        # in the last octave the bracket search crossed.
+        start = profile.estimate(lo if hi == 1.0 / T else 0.5 * hi, hi)
+        beta = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
     lambda0 = n * beta / math.log1p(beta * T)
     theta = math.log1p(beta * T) / n
-    return _finite(SrgmFit(
-        model=SrgmModel.MUSA_OKUMOTO,
-        params={"lambda0": lambda0, "theta": theta},
-        predicted_total=math.inf,
-        current_intensity=mo_intensity(T, lambda0, theta),
-        log_likelihood=mo_log_likelihood(events, T, lambda0, theta),
-        converged=True,
-    ))
+    return _fit(SrgmModel.MUSA_OKUMOTO, {"lambda0": lambda0, "theta": theta}, math.inf,
+                mo_intensity(T, lambda0, theta), mo_log_likelihood(events, T, lambda0, theta), diagnostic)
 
 
 _FITTERS = {SrgmModel.GOEL_OKUMOTO: _fit_go, SrgmModel.MUSA_OKUMOTO: _fit_mo}
 
 
-def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = None) -> SrgmFit:
-    """Maximum-likelihood fit to an ordered detection-effort history.
+def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = None) -> dict:
+    """Maximum-likelihood fit to an ordered detection-effort history, as
+    the report's ``fit`` section (see :func:`_fit`).
 
     ``horizon`` is the total observed effort and defaults to the last
     event. When the history shows no growth signal (events not
-    front-loaded), the score equation has no root: the returned fit has
-    ``converged=False`` and a diagnostic instead of a fabricated optimum.
+    front-loaded), the score equation has no root: the fit is not
+    ``converged`` and has a diagnostic instead of a fabricated optimum.
     """
     events, horizon = _validate_events(events, horizon)
     return _fit_validated(events, model, horizon)
 
 
-def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> SrgmFit:
+def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> dict:
     """:func:`fit_srgm` on a history :func:`_validate_events` has returned."""
     fitter = _FITTERS.get(model)
     if fitter is None:
@@ -586,23 +502,17 @@ def stability(
     }
 
 
-def srgm_class_rates(
-    per_class_fits: Mapping[DefectClass, SrgmFit],
-    horizon: float,
-    unit: RateUnit,
-) -> ClassRates:
-    """Per-class rates from fitted models: the instantaneous fitted
-    intensity m'(horizon), i.e. the residual defect-manifestation rate at
-    the assessment horizon. Classes without a fit get rate 0."""
-    rates: dict[DefectClass, float] = {cls: 0.0 for cls in DefectClass}
+def srgm_class_rates(per_class_fits: Mapping[DefectClass, dict], unit: RateUnit) -> dict:
+    """The report's ``rates`` section from fits over the assessment horizon:
+    each fit's ``current_intensity`` m'(horizon), the residual
+    defect-manifestation rate there. Classes without a fit get rate 0."""
     for cls, fit in per_class_fits.items():
-        if not fit.converged:
+        if not fit["converged"]:
             raise OrcasError(
                 f"growth fit for class '{cls.value}' did not converge; "
                 f"use bounded estimation for this dataset"
             )
-        rates[cls] = fit.intensity_at(horizon)
-    return ClassRates(rates=rates, unit=unit, method=RateMethod.SRGM)
+    return _rates({cls: fit["current_intensity"] for cls, fit in per_class_fits.items()}, unit, RateMethod.SRGM)
 
 
 def stability_windows(events: Sequence[float], horizon: float, windows: int) -> list[tuple[float, int]]:
@@ -637,7 +547,7 @@ def windowed_srgm_stability(
     horizon: float,
     windows: int,
     threshold: float = DEFAULT_STABILITY_THRESHOLD,
-) -> tuple[dict, list[tuple[float, SrgmFit]]]:
+) -> tuple[dict, list[tuple[float, dict]]]:
     """Refit over expanding effort windows and run the stability check.
 
     The windows are those of :func:`stability_windows`, so the last
@@ -648,14 +558,11 @@ def windowed_srgm_stability(
     horizon for the unbounded logarithmic model.
     """
     events, horizon = _validate_events(events, horizon)
-    window_fits: list[tuple[float, SrgmFit]] = []
+    window_fits: list[tuple[float, dict]] = []
     series: list[tuple[float, float]] = []
     for end, count in stability_windows(events, horizon, windows):
         fit = _fit_validated(events[:count], model, end)
-        if model is SrgmModel.GOEL_OKUMOTO:
-            predicted = fit.predicted_total
-        else:
-            predicted = fit.mean_at(horizon)
+        predicted = fit["predicted_total"] if model is SrgmModel.GOEL_OKUMOTO else fit_mean(fit, horizon)
         window_fits.append((end, fit))
         series.append((end, predicted))
     return stability(series, threshold), window_fits

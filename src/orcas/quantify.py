@@ -14,10 +14,9 @@ import math
 from enum import Enum
 from typing import Mapping
 
-from .domain import MODE_ORDER, FailureMode
-from .errors import MissingCausalityRowError, OrcasError
+from .domain import MODE_ORDER, DefectClass, FailureMode
+from .errors import OrcasError
 from .causality import CausalityMatrix
-from .growth import ClassRates
 
 
 class SystemKind(str, Enum):
@@ -67,27 +66,30 @@ def mode_sums(per_cell: Mapping[str, Mapping[str, float]], excluded: list[str]) 
 
 def combine(
     matrix: CausalityMatrix,
-    rates: ClassRates,
+    rates: dict,
     excluded: frozenset[FailureMode] | set[FailureMode] = frozenset(),
 ) -> dict:
-    """Apply the conditional-probability matrix to the class rates.
+    """Apply the conditional-probability matrix to the class rates, the
+    report's ``rates`` section (its ``per_class`` and ``unit``).
 
     Returns the report's ``modes`` section, keyed by class and mode names:
     ``per_cell`` has a row for every class with a nonzero rate, excluded
     modes are exact zeros, and its margins are those of :func:`mode_sums`.
-    Every class with a nonzero rate must have a matrix row; a missing row
-    raises rather than silently dropping that class's contribution.
+    A negative or non-finite rate raises. Every class with a nonzero rate
+    must have a matrix row; a missing row raises rather than silently
+    dropping that class's contribution.
     """
     excluded = frozenset(excluded)
     per_cell: dict[str, dict[str, float]] = {}
-    for cls in rates.nonzero_classes():
-        if not matrix.has_row(cls):
-            raise MissingCausalityRowError(cls)
-        row = matrix.row(cls)
-        rate = rates[cls]
-        per_cell[cls.value] = {
+    for name, rate in sorted(rates["per_class"].items()):
+        if not 0.0 <= rate < math.inf:
+            raise OrcasError(f"rate for {name} must be finite and >= 0, got {rate!r}")
+        if rate == 0.0:
+            continue
+        row = matrix.row(DefectClass(name))
+        per_cell[name] = {
             mode.value: 0.0 if mode in excluded else row[i] * rate
             for i, mode in enumerate(MODE_ORDER)
         }
     names = sorted(mode.value for mode in excluded)
-    return {"unit": rates.unit.value, "excluded": names, "per_cell": per_cell, **mode_sums(per_cell, names)}
+    return {"unit": rates["unit"], "excluded": names, "per_cell": per_cell, **mode_sums(per_cell, names)}

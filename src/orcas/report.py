@@ -40,10 +40,10 @@ from .evidence import (
 )
 from .growth import (
     MEAN_FUNCTIONS,
-    ClassRates,
     RateMethod,
     SrgmModel,
     bounded_class_rates,
+    fit_mean,
     srgm_class_rates,
     windowed_srgm_stability,
 )
@@ -74,6 +74,9 @@ _REPORT_FIELDS = (
     # The margins are the fsums of the cells, bit for bit: a renderer may print either.
     ("modes", _REQUIRED, _Rule(lambda modes: mode_sums(modes["per_cell"], modes["excluded"]).items()
                                <= modes.items(), "per_mode, per_class_total and total must be the sums of per_cell")),
+    ("modes", _REQUIRED, _Rule(lambda modes: all(row[mode] == 0.0 for row in modes["per_cell"].values()
+                                                 for mode in modes["excluded"]),
+                               "cells of excluded modes must be 0.0")),
     ("rates", _REQUIRED, _Object((
         ("method", _REQUIRED, _Enum(RateMethod)),
         ("unit", _REQUIRED, _Enum(RateUnit)),
@@ -119,6 +122,24 @@ _REPORT_FIELDS = (
     # No renderer reads the provenance: it is re-emitted as saved.
     ("provenance", _REQUIRED, _Rule(lambda provenance: isinstance(provenance, dict),
                                     "expected a JSON object, got {type}")),
+)
+
+
+def _rates_are_intensities(report: dict) -> bool:
+    """Each rate of a growth report is its class's fit's current_intensity, or 0.0 for a class without a fit."""
+    if report["growth"] is None:
+        return True
+    fits = report["growth"]["per_class"]
+    return all(rate == (fits[cls]["fit"]["current_intensity"] if cls in fits else 0.0)
+               for cls, rate in report["rates"]["per_class"].items())
+
+
+# Rules that join sections of a report, checked after _REPORT_FIELDS, each with the field it names.
+_REPORT_RULES = (
+    ("growth", _Rule(lambda report: (report["growth"] is None) is (report["rates"]["method"] == RateMethod.BOUNDED),
+                     "must be null exactly when rates.method is bounded")),
+    ("rates: per_class", _Rule(_rates_are_intensities, "each rate must be its class's growth fit current_intensity, "
+                                                       "or 0.0 for a class without a fit")),
 )
 
 REPORT_FORMATS = ("json", "text", "svg")
@@ -218,7 +239,7 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
+def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
     horizon = total_effort(bundle.effort)
     if bundle.rate_method is RateMethod.BOUNDED:
         return bounded_class_rates(bundle.defects, bundle.effort), None
@@ -228,7 +249,6 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
         per_class_events.setdefault(record.defect_class, []).append(record.detection_effort)
     fits = {}
     growth_per_class = {}
-    all_stable = True
     for cls in sorted(per_class_events, key=lambda c: c.value):
         events = sorted(per_class_events[cls])
         # A class history the growth model cannot fit is a fault of the
@@ -236,24 +256,21 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[ClassRates, dict | None]:
         where = f"defects.json: class '{cls.value}'"
         try:
             verdict, window_fits = windowed_srgm_stability(
-                events, bundle.srgm_model, horizon,
-                bundle.stability_windows, bundle.stability_threshold,
-            )
+                events, bundle.srgm_model, horizon, bundle.stability_windows, bundle.stability_threshold)
         except OrcasError as exc:
             raise BundleError(f"{where}: {exc}") from exc
         # The last stability window spans the whole horizon: it is the fit.
         fit = window_fits[-1][1]
-        if not fit.converged:
-            raise BundleError(f"{where}: {fit.diagnostic}")
+        if not fit["converged"]:
+            raise BundleError(f"{where}: {fit['diagnostic']}")
         fits[cls] = fit
-        all_stable = all_stable and verdict["stable"]
-        growth_per_class[cls.value] = {"fit": fit.to_dict(), "events": events, "stability": verdict}
-    rates = srgm_class_rates(fits, horizon, bundle.effort.rate_unit)
+        growth_per_class[cls.value] = {"fit": fit, "events": events, "stability": verdict}
+    rates = srgm_class_rates(fits, bundle.effort.rate_unit)
     growth = {
         "model": bundle.srgm_model.value,
         "horizon": horizon,
         "per_class": growth_per_class,
-        "all_stable": all_stable,
+        "all_stable": all(entry["stability"]["stable"] for entry in growth_per_class.values()),
     }
     return rates, growth
 
@@ -270,7 +287,7 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
 
     with _stage("causality"):
         matrix = bundle.matrix
-        needed = rates.nonzero_classes()
+        needed = [DefectClass(name) for name, rate in rates["per_class"].items() if rate > 0.0]
         missing = [cls for cls in needed if not matrix.has_row(cls)]
         if missing:
             if not bundle.uniform_missing_rows:
@@ -297,11 +314,8 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
             tca_weight=bundle.tca_weight,
         )
 
-    zero_classes = sorted(
-        (cls for cls, rate in rates.rates.items() if rate == 0.0), key=lambda c: c.value
-    )
-    if zero_classes:
-        names = ", ".join(cls.value for cls in zero_classes)
+    names = ", ".join(name for name, rate in rates["per_class"].items() if rate == 0.0)
+    if names:
         annotations.append(
             f"no defects observed for class(es) {names}: rate bounded at 0 by "
             f"testing effort; see confidence gate"
@@ -348,7 +362,7 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
         "schema_version": SCHEMA_VERSION,
         "mode_family": bundle.mode_family.value,
         "modes": modes,
-        "rates": rates.to_dict(),
+        "rates": rates,
         "evidence": evidence,
         "gaps": gaps,
         "growth": growth,
@@ -387,6 +401,8 @@ def report_from_json(data: bytes) -> dict:
     if version != SCHEMA_VERSION:
         raise OrcasError(f"unsupported report schema_version {_quote(version)} (expected {SCHEMA_VERSION})")
     _Object(_REPORT_FIELDS).check(parsed, _INVALID_REPORT, "top level")
+    for where, rule in _REPORT_RULES:
+        rule.check(parsed, _INVALID_REPORT, where)
     return parsed
 
 
@@ -514,14 +530,10 @@ def svg_report(report: dict) -> str:
     offset = 0
     for cls_name, entry in sorted(growth["per_class"].items()):
         fit = entry["fit"]
-        mean, names = MEAN_FUNCTIONS[SrgmModel(fit["model"])]
         events = [float(t) for t in entry["events"]]
         observed = [(0.0, 0.0)] + [(t, i + 1.0) for i, t in enumerate(events)]
         samples = 100
-        curve = [
-            (horizon * k / samples, mean(horizon * k / samples, *[fit["params"][name] for name in names]))
-            for k in range(samples + 1)
-        ]
+        curve = [(horizon * k / samples, fit_mean(fit, horizon * k / samples)) for k in range(samples + 1)]
         y_max = max(len(events), max(y for _, y in curve), 1.0) * 1.08
         params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(fit["params"].items()))
         flag = "" if fit["converged"] else " (NOT CONVERGED)"

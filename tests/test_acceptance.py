@@ -20,8 +20,6 @@ from orcas.domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, Rat
 from orcas.evidence import assessment_confidence, score_rtm, score_tca
 from orcas.fixtures import vcu_dir
 from orcas.growth import (
-    ClassRates,
-    RateMethod,
     SrgmModel,
     fit_srgm,
     go_gradient,
@@ -43,11 +41,8 @@ def announce(criterion: int, detail: str) -> None:
 def test_criterion_1_per_cell_table_reproduction():
     # Built-in matrix, 2 algorithm + 6 checking defects over 10687 hours,
     # mode B excluded: every cell must reproduce the published table.
-    rates = ClassRates(
-        rates={DefectClass.ALGORITHM: 2 / 10687, DefectClass.CHECKING: 6 / 10687},
-        unit=RateUnit.PER_HOUR,
-        method=RateMethod.BOUNDED,
-    )
+    rates = {"method": "bounded", "unit": RateUnit.PER_HOUR.value,
+             "per_class": {"algorithm": 2 / 10687, "checking": 6 / 10687}}
     result = combine(builtin_causality(), rates, excluded={FailureMode.B})
     printed = {
         DefectClass.ALGORITHM: {"A": 5.989e-5, "B": 0.0, "C": 6.550e-5, "D": 3.556e-5},
@@ -131,8 +126,8 @@ def test_criterion_5_srgm_parameter_recovery():
         )
         assert len(events) >= 100
         fit = fit_srgm(events, SrgmModel.GOEL_OKUMOTO, horizon=horizon)
-        assert fit.converged
-        a_hat, b_hat = fit.params["a"], fit.params["b"]
+        assert fit["converged"]
+        a_hat, b_hat = fit["params"]["a"], fit["params"]["b"]
         errors_a.append(abs(a_hat - a_true) / a_true)
         errors_b.append(abs(b_hat - b_true) / b_true)
 
@@ -200,7 +195,8 @@ def test_criterion_8_combine_linearity():
         r2 = {cls: rng.uniform(0.0, 100.0) for cls in chosen}
 
         def rates_of(mapping):
-            return ClassRates(rates=mapping, unit=RateUnit.PER_HOUR, method=RateMethod.BOUNDED)
+            return {"method": "bounded", "unit": RateUnit.PER_HOUR.value,
+                    "per_class": {cls.value: rate for cls, rate in mapping.items()}}
 
         combined = combine(matrix, rates_of({c: r1[c] + r2[c] for c in chosen}))
         first = combine(matrix, rates_of(r1))

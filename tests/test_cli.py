@@ -13,7 +13,8 @@ import pytest
 from conftest import default_tca_entries, nhpp_exponential_events, srgm_bundle, write_bundle
 from orcas import cli
 from orcas.fixtures import vcu_dir
-from orcas.growth import SrgmModel, fit_srgm
+from orcas.growth import SrgmModel, fit_mean, fit_srgm
+from orcas.quantify import mode_sums
 
 
 def run_cli(*args, **kwargs):
@@ -99,6 +100,20 @@ def edit(*path, value=_DELETE):
 _CHECKING = ("growth", "per_class", "checking")
 _FIT = (*_CHECKING, "fit")
 _SUMS = "invalid report JSON: modes: per_mode, per_class_total and total must be the sums of per_cell"
+_INTENSITIES = ("invalid report JSON: rates: per_class: each rate must be its class's growth fit "
+                "current_intensity, or 0.0 for a class without a fit")
+_GROWTH_NULL = "invalid report JSON: growth: must be null exactly when rates.method is bounded"
+
+
+def exclude_mode_a(raw):
+    """The saved report with mode A listed as excluded but its cells kept,
+    and the margins recomputed so that they are the sums of the cells."""
+    report = json.loads(raw)
+    modes = report["modes"]
+    assert any(row["A"] > 0.0 for row in modes["per_cell"].values())
+    modes["excluded"] = ["A"]
+    modes.update(mode_sums(modes["per_cell"], modes["excluded"]))
+    return json.dumps(report).encode()
 
 
 @pytest.mark.parametrize("mutate, prefix", [
@@ -140,12 +155,19 @@ _SUMS = "invalid report JSON: modes: per_mode, per_class_total and total must be
     (edit("modes", "per_class_total", "checking", value=123.0), _SUMS),
     (edit("modes", "per_class_total", "checking"), _SUMS),
     (edit("modes", "total", value=5.0), _SUMS),
+    (exclude_mode_a, "invalid report JSON: modes: cells of excluded modes must be 0.0"),
+    (edit("rates", "per_class", "checking", value=0.5), _INTENSITIES),
+    (edit("rates", "per_class", "timing", value=1e-3), _INTENSITIES),
+    (edit(*_FIT, "current_intensity", value=0.5), _INTENSITIES),
+    (edit("growth", value=None), _GROWTH_NULL),
+    (edit("rates", "method", value="bounded"), _GROWTH_NULL),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
         "fit-params-empty", "fit-model-unknown", "events-string", "growth-5", "stability-null",
         "per_mode-without-A", "unknown-top-level-key", "annotations-numbers", "per_class_total-123",
-        "per_class_total-without-checking", "total-5"])
+        "per_class_total-without-checking", "total-5", "excluded-mode-with-cells", "rate-not-intensity",
+        "rate-without-fit", "intensity-not-rate", "srgm-without-growth", "bounded-with-growth"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.
@@ -335,10 +357,10 @@ def test_srgm_fit_curve_is_the_fitted_mean(tmp_path):
         assert result.returncode == 0
         out = json.loads(result.stdout)
         fit = fit_srgm(events, SrgmModel(out["fit"]["model"]), horizon=300.0)
-        assert out["curve"] == [[300.0 * i / 4, fit.mean_at(300.0 * i / 4)] for i in range(5)]
+        assert out["curve"] == [[300.0 * i / 4, fit_mean(fit, 300.0 * i / 4)] for i in range(5)]
         # The fit is the last stability window, which spans the whole horizon.
         assert out["stability"]["series"][-1][0] == 300.0
-        assert out["fit"] == fit.to_dict()
+        assert out["fit"] == fit
 
 
 def assert_one_error_line(result, prefix):

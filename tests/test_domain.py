@@ -20,7 +20,6 @@ from orcas.domain import (
 )
 from orcas.bundle import load_bundle, load_defects_file
 from orcas.fixtures import vcu_dir
-from orcas.growth import SrgmFit, SrgmModel, bounded_class_rates
 
 
 def test_vocabulary_sizes():
@@ -139,10 +138,6 @@ RECORD_TYPES = {
     "CausalityMatrix": lambda bundle: bundle.matrix,
     "RtmEntry": lambda bundle: bundle.rtm[0],
     "TcaEntry": lambda bundle: bundle.tca[0],
-    "ClassRates": lambda bundle: bounded_class_rates(bundle.defects, bundle.effort),
-    "SrgmFit": lambda bundle: SrgmFit(
-        model=SrgmModel.GOEL_OKUMOTO, params={"a": 12.0, "b": 0.02}, predicted_total=12.0,
-        current_intensity=0.05, log_likelihood=-30.5, converged=True),
 }
 
 

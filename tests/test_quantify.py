@@ -1,18 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orcas.causality import CausalityMatrix, builtin_causality
 from orcas.domain import MODE_ORDER, DefectClass, FailureMode, RateUnit
 from orcas.errors import MissingCausalityRowError, OrcasError
-from orcas.growth import ClassRates, RateMethod
 from orcas.quantify import SystemKind, combine, mode_applicability
 
 
 def rates_of(mapping, unit=RateUnit.PER_HOUR):
-    return ClassRates(rates=mapping, unit=unit, method=RateMethod.BOUNDED)
+    """A report's ``rates`` section with the given rates by class."""
+    return {"method": "bounded", "unit": unit.value, "per_class": {cls.value: rate for cls, rate in mapping.items()}}
 
 
 VCU_RATES = rates_of({DefectClass.ALGORITHM: 2 / 10687, DefectClass.CHECKING: 6 / 10687})
@@ -119,6 +119,12 @@ def test_combine_ignores_zero_rate_classes_without_rows():
     assert result["total"] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_class_rates_validation():
+    for rate in (-1.0, math.inf, math.nan):
+        with pytest.raises(OrcasError, match="rate for timing must be finite and >= 0"):
+            combine(builtin_causality(), rates_of({DefectClass.ALGORITHM: 0.5, DefectClass.TIMING: rate}))
+
+
 def test_excluded_modes_are_zeroed_not_redistributed():
     result = combine(builtin_causality(), VCU_RATES, excluded={FailureMode.B})
     unexcluded = combine(builtin_causality(), VCU_RATES)
@@ -192,10 +198,23 @@ def test_total_equals_rate_sum_for_exact_rows():
     assert result["total"] == 0.375 + 0.75
 
 
-@given(st.data())
-def test_total_with_exclusions_never_exceeds_rate_sum(data):
-    matrix = data.draw(random_matrices())
-    rates = data.draw(rate_maps_for(matrix))
-    excluded = data.draw(st.frozensets(st.sampled_from(list(FailureMode))))
+@st.composite
+def matrices_with_rates(draw):
+    matrix = draw(random_matrices())
+    return matrix, draw(rate_maps_for(matrix))
+
+
+# A subnormal rate: each cell rounds in absolute steps of ulp(0.0), and
+# here the four cells sum to one such step above the rate.
+SUBNORMAL_CASE = (CausalityMatrix(rows={DefectClass.ALGORITHM: (4 / 13, 4 / 13, 4 / 13, 1 / 13)},
+                                  provenance="subnormal"), {DefectClass.ALGORITHM: 2.2250738585e-313})
+
+
+@given(matrices_with_rates(), st.frozensets(st.sampled_from(list(FailureMode))))
+@example(SUBNORMAL_CASE, frozenset())
+def test_total_with_exclusions_never_exceeds_rate_sum(matrix_and_rates, excluded):
+    matrix, rates = matrix_and_rates
     result = combine(matrix, rates_of(rates), excluded=excluded)
-    assert result["total"] <= math.fsum(rates.values()) * (1 + 1e-12)
+    # Relative rounding of normal cells, plus one absolute ulp(0.0) per subnormal cell.
+    cells = len(MODE_ORDER) * len(result["per_cell"])
+    assert result["total"] <= math.fsum(rates.values()) * (1 + 1e-12) + cells * math.ulp(0.0)
