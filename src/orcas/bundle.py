@@ -33,9 +33,8 @@ import io
 import json
 import math
 import sys
-from collections import deque
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from types import NoneType
 from typing import Any
@@ -50,6 +49,7 @@ from .domain import (
     FailureMode,
     FrozenRecord,
     ModeFamily,
+    Records,
     TestLevel,
     TriggerKind,
     total_effort,
@@ -74,10 +74,10 @@ class AssessmentBundle(FrozenRecord):
                  "system_kind", "excluded_modes", "mode_family", "confidence_threshold",
                  "stability_threshold", "rate_method", "srgm_model", "stability_windows",
                  "uniform_missing_rows", "rtm_weight", "tca_weight", "input_digests")
-    defects: tuple[DefectRecord, ...]
+    defects: Records
     effort: EffortModel
-    rtm: tuple[RtmEntry, ...]
-    tca: tuple[TcaEntry, ...]
+    rtm: Records
+    tca: Records
     structural_coverage: float
     matrix: CausalityMatrix
     matrix_source: str
@@ -365,9 +365,10 @@ class _Flag(_Kind):
 
 
 class _Array(_Kind):
-    """An array (nonempty with ``nonempty``) of values read by ``kind``,
-    each named by its index with ``indexed``. ``message`` says what any
-    other value should be, with ``{}`` for the value."""
+    """An array (nonempty with ``nonempty``) of values read by ``kind``, a
+    column at a time where its column face can, each named by its index
+    with ``indexed``. ``message`` says what any other value should be, with
+    ``{}`` for the value."""
 
     def __init__(self, kind: _Kind, message: str, indexed: bool = False, nonempty: bool = False,
                  null: bool = False):
@@ -376,8 +377,13 @@ class _Array(_Kind):
     def check(self, value: Any, file: str, where: str) -> list:
         if not isinstance(value, list) or (self.nonempty and not value):
             raise _fail(file, where, self.message.format(_quote(value)))
-        return [self.kind.check(item, file, f"{where}[{i}]" if self.indexed else where)
-                for i, item in enumerate(value)]
+        try:
+            column = self.kind.column(value) if value else None
+        except (KeyError, TypeError, OverflowError):
+            column = None
+        # One item at a time only where the column face refuses, as to raise the first fault.
+        return column if column is not None else [
+            self.kind.check(item, file, f"{where}[{i}]" if self.indexed else where) for i, item in enumerate(value)]
 
 
 class _EnumSet(_Array):
@@ -509,22 +515,22 @@ def _value(data: dict, key: str, default: Any, kind: _Kind, file: str, where: st
 
 
 # A record array is read a column at a time by the column faces, with no
-# Python call per record, and its records are built in bulk through the
-# slot setters. When a column check fails, the record faces read the array
-# one record at a time and raise the first fault in record order (or,
-# where the column face was the stricter, return the records), so each
-# rule and message has one definition.
+# Python call per record, and kept as the columns of its fields. When a
+# column check fails, the record faces read the array one record at a time
+# and raise the first fault in record order (or, where the column face was
+# the stricter, return the same columns), so each rule and message has one
+# definition.
 
 
-def _by_column(cls: type, fields: tuple, objects: list) -> tuple | None:
-    """The ``cls`` records of a nonempty array, filled a column at a time,
-    or None if the array is empty or a column check fails."""
+def _by_column(fields: tuple, objects: list) -> dict[str, list] | None:
+    """The checked columns of a nonempty array by field, or None if the
+    array is empty or a column check fails."""
     keys, _ = _keys(fields)
     # All objects, and no key outside the table (a missing required key is
     # found when its column is read).
     if set(map(type, objects)) != {dict} or not keys.issuperset(set().union(*objects)):
         return None
-    records = tuple(map(object.__new__, repeat(cls, len(objects))))
+    columns = {}
     try:
         for key, default, kind, slot, _ in fields:
             column = kind.column(list(map(itemgetter(key), objects)) if default is _REQUIRED
@@ -532,23 +538,22 @@ def _by_column(cls: type, fields: tuple, objects: list) -> tuple | None:
             if column is None:
                 return None
             if slot is not None:
-                # Slot descriptors set a field even on a frozen instance.
-                deque(map(cls.__dict__[slot].__set__, records, column), maxlen=0)
+                columns[slot] = column
     except (KeyError, TypeError, OverflowError):
         return None
-    return records
+    return columns
 
 
-def _by_record(cls: type, fields: tuple, objects: list, file: str, label: str,
-               numbers: list[int] | None = None) -> tuple:
-    """The ``cls`` records of an array, read one at a time; each is named
-    ``label`` and its number in ``numbers`` (by default its index) or its id."""
+def _by_record(fields: tuple, objects: list, file: str, label: str,
+               numbers: list[int] | None = None) -> dict[str, list]:
+    """The columns of an array by field, read one record at a time; each
+    record is named ``label`` and its number in ``numbers`` (by default its
+    index) or its id."""
     keys, required = _keys(fields)
-    records = []
+    columns: dict[str, list] = {entry[3]: [] for entry in fields if entry[3] is not None}
     seen: set[str] = set()
     for index, obj in zip(numbers or range(len(objects)), objects):
         data = _expect_object(obj, file, f"{label} {index}", keys, required)
-        record = object.__new__(cls)
         for key, default, kind, slot, by_id in fields:
             where = (f"{label} {_quote(data[fields[0][0]], _ID_LIMIT) if by_id else index}"
                      + (f": {key}" if slot else ""))
@@ -559,23 +564,42 @@ def _by_record(cls: type, fields: tuple, objects: list, file: str, label: str,
             else:
                 value = _value(data, key, default, kind, file, where)
                 if slot is not None:
-                    cls.__dict__[slot].__set__(record, value)
-        records.append(record)
-    return tuple(records)
+                    columns[slot].append(value)
+    return columns
 
 
-def _parse_records(cls: type, fields: tuple, objects: list, file: str, label: str = "record",
-                   numbers: list[int] | None = None) -> tuple:
-    """The ``cls`` records of an array, numbered as :func:`_by_record` numbers them."""
-    records = _by_column(cls, fields, objects)
-    return records if records is not None else _by_record(cls, fields, objects, file, label, numbers)
+def _parse_records(row: type, fields: tuple, objects: list, file: str, label: str = "record",
+                   numbers: list[int] | None = None) -> Records:
+    """The ``row`` records of an array, numbered as :func:`_by_record` numbers them."""
+    columns = _by_column(fields, objects)
+    return Records(row, columns if columns is not None else _by_record(fields, objects, file, label, numbers))
 
 
-def _load_records(cls: type, fields: tuple, path: Path | str, digests: dict[str, str] | None,
-                  label: str = "record") -> tuple:
+# Each record array by the name of its file: its row type, its table, the
+# label of its records, and the fault of an empty array, if any.
+_ARRAYS = {
+    "defects.json": (DefectRecord, _DEFECT_FIELDS, "record", None),
+    "corpus.json": (DefectRecord, _CORPUS_FIELDS, "record", "no corpus records"),
+    "rtm.json": (RtmEntry, _RTM_FIELDS, "entry", "no entries; an empty traceability matrix cannot be scored"),
+    "tca.json": (TcaEntry, _TCA_FIELDS, "entry", None),
+}
+
+
+def records_from_json(kind: str, values: Any, file: str | None = None) -> Records:
+    """The records of a parsed JSON array of ``kind`` (``defects.json``, ``corpus.json``,
+    ``rtm.json`` or ``tca.json``), checked as that file's loader checks them: the
+    first fault raises the loader's :class:`BundleError`, naming ``file`` (default ``kind``)."""
+    row, fields, label, empty = _ARRAYS[kind]
+    file = file or kind
+    records = _parse_records(row, fields, _expect_array(values, file), file, label)
+    if empty and not records:
+        raise _fail(file, "top level", empty)
+    return records
+
+
+def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None) -> Records:
     path = Path(path)
-    return _parse_records(cls, fields, _expect_array(_read_json(path, digests), path.name), path.name,
-                          label)
+    return records_from_json(kind, _read_json(path, digests), path.name)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +607,15 @@ def _load_records(cls: type, fields: tuple, path: Path | str, digests: dict[str,
 # ---------------------------------------------------------------------------
 
 
-def load_defects_file(path: Path | str, *,
-                      digests: dict[str, str] | None = None) -> tuple[DefectRecord, ...]:
+def load_defects_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
     """Defect records from a defects.json file. ``digests``, if given,
     receives the SHA-256 of the file under its name (as do the other
     file loaders)."""
-    return _load_records(DefectRecord, _DEFECT_FIELDS, path, digests)
+    return _load_records("defects.json", path, digests)
 
 
-def load_corpus_file(path: Path | str, *,
-                     digests: dict[str, str] | None = None) -> tuple[DefectRecord, ...]:
-    records = _load_records(DefectRecord, _CORPUS_FIELDS, path, digests)
-    if not records:
-        raise _fail(Path(path).name, "top level", "no corpus records")
-    return records
+def load_corpus_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
+    return _load_records("corpus.json", path, digests)
 
 
 def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None) -> EffortModel:
@@ -618,15 +637,12 @@ def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None)
     return model
 
 
-def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[RtmEntry, ...]:
-    entries = _load_records(RtmEntry, _RTM_FIELDS, path, digests, "entry")
-    if not entries:
-        raise _fail(Path(path).name, "top level", "no entries; an empty traceability matrix cannot be scored")
-    return entries
+def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
+    return _load_records("rtm.json", path, digests)
 
 
-def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) -> tuple[TcaEntry, ...]:
-    return _load_records(TcaEntry, _TCA_FIELDS, path, digests, "entry")
+def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
+    return _load_records("tca.json", path, digests)
 
 
 def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
@@ -648,7 +664,7 @@ def load_history_file(path: Path | str) -> tuple[list[float], float | None]:
     return values["events"], values["horizon"]
 
 
-def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
+def defects_from_csv(path: Path | str) -> Records:
     """Convenience converter: defect records from a headered CSV file.
 
     Required columns: id, description, class. Optional: detection_effort,
@@ -697,7 +713,7 @@ def defects_from_csv(path: Path | str) -> tuple[DefectRecord, ...]:
             line = rows.line_num + 1
     except (BundleError, csv.Error) as exc:
         # A fault in an earlier row is reported first.
-        _by_record(DefectRecord, _DEFECT_FIELDS, entries, file, "record", lines)
+        _by_record(_DEFECT_FIELDS, entries, file, "record", lines)
         if isinstance(exc, csv.Error):
             raise _fail(file, f"line {line}", f"invalid CSV: {exc}") from None
         raise
@@ -739,9 +755,6 @@ def resolve_matrix_source(source: str, directory: Path, *,
     return load_matrix_file(matrix_path, digests=digests), matrix_path
 
 
-_EFFORT_OF = attrgetter("detection_effort")
-
-
 def load_bundle(
     directory: Path | str,
     matrix_source: str | None = None,
@@ -774,19 +787,19 @@ def load_bundle(
     growth = config["rate_method"] is RateMethod.SRGM
     # Efforts are finite once loaded, so min and max are reliable; only when
     # a test fails is the first offending record looked for.
-    if defects and ((growth and min(map(_EFFORT_OF, defects)) <= 0.0)
-                    or max(map(_EFFORT_OF, defects)) > effort_total):
-        for record in defects:
-            if growth and record.detection_effort <= 0.0:
+    efforts = defects.columns["detection_effort"]
+    if efforts and ((growth and min(efforts) <= 0.0) or max(efforts) > effort_total):
+        for id, effort in zip(defects.columns["id"], efforts):
+            if growth and effort <= 0.0:
                 raise _fail(
-                    "defects.json", f"record {_quote(record.id, _ID_LIMIT)}: detection_effort",
+                    "defects.json", f"record {_quote(id, _ID_LIMIT)}: detection_effort",
                     f"must be positive for rate_method 'srgm' (the growth model fits detection "
-                    f"efforts), got {record.detection_effort!r}; record it or use rate_method 'bounded'",
+                    f"efforts), got {effort!r}; record it or use rate_method 'bounded'",
                 )
-            if record.detection_effort > effort_total:
+            if effort > effort_total:
                 raise _fail(
-                    "defects.json", f"record {_quote(record.id, _ID_LIMIT)}",
-                    f"detection_effort {record.detection_effort!r} exceeds total testing effort "
+                    "defects.json", f"record {_quote(id, _ID_LIMIT)}",
+                    f"detection_effort {effort!r} exceeds total testing effort "
                     f"{effort_total!r}; detection efforts must be recorded in the effort model's "
                     f"unit ({unit})",
                 )

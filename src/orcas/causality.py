@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, FrozenRecord
+from .domain import MODE_ORDER, DefectClass, FailureMode, FrozenRecord, Records
 from .errors import MissingCausalityRowError, OrcasError
 
 #: Printed probabilities are rounded to 3 decimals, so row sums may be off
@@ -109,7 +108,7 @@ def builtin_causality() -> CausalityMatrix:
     return CausalityMatrix(rows=dict(_BUILTIN_ROWS), provenance=BUILTIN_PROVENANCE)
 
 
-def estimate_causality(corpus: Sequence[DefectRecord], provenance: str | None = None) -> CausalityMatrix:
+def estimate_causality(corpus: Records, provenance: str | None = None) -> CausalityMatrix:
     """Estimate the matrix from a labeled corpus by per-mode counting.
 
     Each record contributes one count to every (class, mode) cell named by
@@ -119,10 +118,10 @@ def estimate_causality(corpus: Sequence[DefectRecord], provenance: str | None = 
     """
     if not corpus:
         raise OrcasError("no corpus records")
-    labels = Counter(zip(map(attrgetter("defect_class"), corpus), map(attrgetter("observed_modes"), corpus)))
+    labels = Counter(zip(corpus.columns["defect_class"], corpus.columns["observed_modes"]))
     if not all([modes for _, modes in labels]):
-        record = next(record for record in corpus if not record.observed_modes)
-        raise OrcasError(f"corpus record '{record.id}' has no observed failure modes")
+        unlabeled = next(id for id, modes in zip(corpus.columns["id"], corpus.columns["observed_modes"]) if not modes)
+        raise OrcasError(f"corpus record '{unlabeled}' has no observed failure modes")
     counts: dict[DefectClass, list[int]] = {}
     for (cls, modes), number in labels.items():
         row = counts.setdefault(cls, [0, 0, 0, 0])

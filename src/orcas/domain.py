@@ -1,7 +1,7 @@
 """Core vocabularies and record types shared by every other module.
 
-All types here are immutable after construction; instances are safe to
-share across threads.
+No instance of a type here is changed after construction, so instances
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable
+from typing import Iterator, NamedTuple
 
 
 class DefectClass(str, Enum):
@@ -151,8 +150,8 @@ class FrozenRecord:
     __delattr__ = __setattr__
 
 
-class DefectRecord(FrozenRecord):
-    """One classified defect.
+class DefectRecord(NamedTuple):
+    """One classified defect, as a row of :class:`Records`.
 
     ``detection_effort`` is the cumulative testing effort at which the
     defect was detected, in the same unit as the project's effort model
@@ -161,30 +160,12 @@ class DefectRecord(FrozenRecord):
     observed failure mode.
     """
 
-    __slots__ = ("id", "description", "defect_class", "detection_effort", "observed_modes",
-                 "resolution")
-    _defaults = {"observed_modes": frozenset(), "resolution": None}
     id: str
     description: str
     defect_class: DefectClass
     detection_effort: float
-    observed_modes: frozenset[FailureMode]
-    resolution: str | None
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("defect record id must be nonempty")
-        if not isinstance(self.defect_class, DefectClass):
-            raise ValueError(f"defect_class must be a DefectClass, got {self.defect_class!r}")
-        effort = _require_finite(self.detection_effort, "detection_effort")
-        if effort < 0:
-            raise ValueError(f"detection_effort must be >= 0, got {effort!r}")
-        object.__setattr__(self, "detection_effort", effort)
-        modes = frozenset(self.observed_modes)
-        for mode in modes:
-            if not isinstance(mode, FailureMode):
-                raise ValueError(f"observed_modes must contain FailureMode values, got {mode!r}")
-        object.__setattr__(self, "observed_modes", modes)
+    observed_modes: frozenset[FailureMode] = frozenset()
+    resolution: str | None = None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -197,6 +178,33 @@ class DefectRecord(FrozenRecord):
         if self.resolution is not None:
             out["resolution"] = self.resolution
         return out
+
+
+class Records:
+    """The records of one input array, kept as the columns its field table
+    checked: ``columns`` maps each field of the ``row`` type to its values
+    in record order. ``len`` is the record count. Iterating or indexing
+    builds ``row`` tuples from the columns on demand; a slice is the
+    records it selects."""
+
+    __slots__ = ("row", "columns")
+
+    def __init__(self, row: type, columns: dict[str, list]) -> None:
+        self.row, self.columns = row, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[self.row._fields[0]])
+
+    def __iter__(self) -> Iterator:
+        return map(self.row._make, zip(*map(self.columns.__getitem__, self.row._fields)))
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return Records(self.row, {name: column[index] for name, column in self.columns.items()})
+        return self.row._make([self.columns[name][index] for name in self.row._fields])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Records and (self.row, self.columns) == (other.row, other.columns)
 
 
 class EffortModel(FrozenRecord):
@@ -243,7 +251,7 @@ def total_effort(model: EffortModel) -> float:
     return model.test_count * model.test_duration
 
 
-def count_by_class(defects: Iterable[DefectRecord]) -> dict[DefectClass, int]:
+def count_by_class(defects: Records) -> dict[DefectClass, int]:
     """Number of defects per class, with zero entries for unseen classes."""
-    counts = Counter(map(attrgetter("defect_class"), defects))
+    counts = Counter(defects.columns["defect_class"])
     return {cls: counts[cls] for cls in DefectClass}

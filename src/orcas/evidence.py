@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, NamedTuple
 
-from .domain import FrozenRecord, TestLevel, TriggerKind
+from .domain import Records, TestLevel, TriggerKind
 from .errors import OrcasError
 
 
@@ -43,53 +43,21 @@ class GateDecision(str, Enum):
     DEFER = "defer-to-BAHAMAS"
 
 
-class RtmEntry(FrozenRecord):
+class RtmEntry(NamedTuple):
     """One requirement and how completely tests trace to it."""
 
-    __slots__ = ("req_id", "description", "status")
     req_id: str
     description: str
     status: CoverageStatus
 
-    def __post_init__(self) -> None:
-        if not self.req_id:
-            raise ValueError("req_id must be nonempty")
-        if not isinstance(self.status, CoverageStatus):
-            raise ValueError(f"status must be a CoverageStatus, got {self.status!r}")
 
-    @property
-    def score(self) -> float:
-        return STATUS_SCORES[self.status]
-
-
-class TcaEntry(FrozenRecord):
+class TcaEntry(NamedTuple):
     """One required (test level, activity, trigger) slot and its status."""
 
-    __slots__ = ("level", "activity", "trigger", "status")
     level: TestLevel
     activity: str
     trigger: TriggerKind
     status: CoverageStatus
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.level, TestLevel):
-            raise ValueError(f"level must be a TestLevel, got {self.level!r}")
-        if self.activity not in ACTIVITIES:
-            raise ValueError(
-                f"activity must be one of {', '.join(ACTIVITIES)}; got {self.activity!r}"
-            )
-        if not isinstance(self.trigger, TriggerKind):
-            raise ValueError(f"trigger must be a TriggerKind, got {self.trigger!r}")
-        if not isinstance(self.status, CoverageStatus):
-            raise ValueError(f"status must be a CoverageStatus, got {self.status!r}")
-
-    @property
-    def slot(self) -> tuple[TestLevel, str, TriggerKind]:
-        return (self.level, self.activity, self.trigger)
-
-    @property
-    def score(self) -> float:
-        return STATUS_SCORES[self.status]
 
 
 def required_tca_template() -> tuple[tuple[TestLevel, str, TriggerKind], ...]:
@@ -123,14 +91,24 @@ def slot_name(slot: tuple[TestLevel, str, TriggerKind]) -> str:
     return f"{level.value}/{activity}/{trigger.value}"
 
 
-def score_rtm(entries: Sequence[RtmEntry]) -> float:
+def _score(entries: Records) -> float:
+    """The sum of the entries' status scores."""
+    return math.fsum(map(STATUS_SCORES.__getitem__, entries.columns["status"]))
+
+
+def score_rtm(entries: Records) -> float:
     """Mean entry score over all requirements."""
     if not entries:
         raise OrcasError("cannot score an empty requirements traceability matrix")
-    return math.fsum(entry.score for entry in entries) / len(entries)
+    return _score(entries) / len(entries)
 
 
-def validate_tca_entries(entries: Sequence[TcaEntry]) -> None:
+def tca_slots(entries: Records) -> Iterator[tuple[TestLevel, str, TriggerKind]]:
+    """The (level, activity, trigger) slot of each TCA entry, in entry order."""
+    return zip(*map(entries.columns.__getitem__, ("level", "activity", "trigger")))
+
+
+def validate_tca_entries(entries: Records) -> None:
     """Require exactly one entry per template slot.
 
     A missing slot is an error, never an implicit zero: an unscored slot
@@ -138,22 +116,22 @@ def validate_tca_entries(entries: Sequence[TcaEntry]) -> None:
     """
     required = set(required_tca_template())
     seen: set[tuple[TestLevel, str, TriggerKind]] = set()
-    for entry in entries:
-        if entry.slot not in required:
-            raise OrcasError(f"unexpected trigger-coverage slot: {slot_name(entry.slot)}")
-        if entry.slot in seen:
-            raise OrcasError(f"duplicate trigger-coverage slot: {slot_name(entry.slot)}")
-        seen.add(entry.slot)
+    for slot in tca_slots(entries):
+        if slot not in required:
+            raise OrcasError(f"unexpected trigger-coverage slot: {slot_name(slot)}")
+        if slot in seen:
+            raise OrcasError(f"duplicate trigger-coverage slot: {slot_name(slot)}")
+        seen.add(slot)
     missing = required - seen
     if missing:
         names = ", ".join(sorted(slot_name(slot) for slot in missing))
         raise OrcasError(f"trigger coverage assessment is missing slots: {names}")
 
 
-def score_tca(entries: Sequence[TcaEntry]) -> float:
+def score_tca(entries: Records) -> float:
     """Sum of slot scores over the 15-slot template."""
     validate_tca_entries(entries)
-    return math.fsum(entry.score for entry in entries) / len(required_tca_template())
+    return _score(entries) / len(required_tca_template())
 
 
 def assessment_confidence(

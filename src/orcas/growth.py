@@ -32,16 +32,9 @@ from contextlib import contextmanager
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .domain import (
-    DefectClass,
-    DefectRecord,
-    EffortModel,
-    RateUnit,
-    count_by_class,
-    total_effort,
-)
+from .domain import DefectClass, EffortModel, RateUnit, Records, count_by_class, total_effort
 from .errors import OrcasError
 from .roots import newton_bisection
 
@@ -71,7 +64,7 @@ def _rates(per_class: Mapping[DefectClass, float], unit: RateUnit, method: RateM
             "per_class": {cls.value: per_class.get(cls, 0.0) for cls in classes}}
 
 
-def bounded_class_rates(defects: Iterable[DefectRecord], effort: EffortModel) -> dict:
+def bounded_class_rates(defects: Records, effort: EffortModel) -> dict:
     """Defect count per class divided by total testing effort, as the
     report's ``rates`` section.
 

@@ -37,6 +37,7 @@ from .evidence import (
     score_rtm,
     score_tca,
     slot_name,
+    tca_slots,
 )
 from .growth import (
     MEAN_FUNCTIONS,
@@ -245,8 +246,8 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
         return bounded_class_rates(bundle.defects, bundle.effort), None
 
     per_class_events: dict[DefectClass, list[float]] = {}
-    for record in bundle.defects:
-        per_class_events.setdefault(record.defect_class, []).append(record.detection_effort)
+    for cls, effort in zip(bundle.defects.columns["defect_class"], bundle.defects.columns["detection_effort"]):
+        per_class_events.setdefault(cls, []).append(effort)
     fits = {}
     growth_per_class = {}
     for cls in sorted(per_class_events, key=lambda c: c.value):
@@ -335,13 +336,12 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
         f"coverage is reported alongside but not folded in"
     )
 
+    rtm, tca, incomplete = bundle.rtm.columns, bundle.tca.columns, CoverageStatus.INCOMPLETE
     gaps = {
-        "untraced_requirements": [
-            entry.req_id for entry in bundle.rtm if entry.status is CoverageStatus.INCOMPLETE
-        ],
-        "uncovered_triggers": [
-            slot_name(entry.slot) for entry in bundle.tca if entry.status is CoverageStatus.INCOMPLETE
-        ],
+        "untraced_requirements": [req_id for req_id, status in zip(rtm["req_id"], rtm["status"])
+                                  if status is incomplete],
+        "uncovered_triggers": [slot_name(slot) for slot, status in zip(tca_slots(bundle.tca), tca["status"])
+                               if status is incomplete],
     }
 
     provenance = {

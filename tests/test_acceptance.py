@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import nhpp_exponential_events
-from orcas.bundle import load_rtm_file, load_tca_file
+from orcas.bundle import load_rtm_file, load_tca_file, records_from_json
 from orcas.causality import CausalityMatrix, builtin_causality, estimate_causality
-from orcas.domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, RateUnit
+from orcas.domain import MODE_ORDER, DefectClass, FailureMode, RateUnit
 from orcas.evidence import assessment_confidence, score_rtm, score_tca
 from orcas.fixtures import vcu_dir
 from orcas.growth import (
@@ -87,20 +87,15 @@ def test_criterion_4_corpus_estimator_matches_rational_oracle():
         corpus = []
         for i in range(size):
             labeled = rng.sample(modes, rng.randint(1, 4))
-            corpus.append(DefectRecord(
-                id=f"t{trial}-r{i}",
-                description="",
-                defect_class=rng.choice(classes),
-                detection_effort=0.0,
-                observed_modes=frozenset(labeled),
-            ))
-        matrix = estimate_causality(corpus)
+            corpus.append({"id": f"t{trial}-r{i}", "description": "", "class": rng.choice(classes).value,
+                           "observed_modes": [mode.value for mode in labeled]})
+        matrix = estimate_causality(records_from_json("corpus.json", corpus))
         # Independent tally in exact rational arithmetic.
         tallies: dict[DefectClass, list[int]] = {}
         for record in corpus:
-            row = tallies.setdefault(record.defect_class, [0, 0, 0, 0])
-            for mode in record.observed_modes:
-                row[MODE_ORDER.index(mode)] += 1
+            row = tallies.setdefault(DefectClass(record["class"]), [0, 0, 0, 0])
+            for mode in record["observed_modes"]:
+                row[MODE_ORDER.index(FailureMode(mode))] += 1
         assert set(matrix.classes()) == set(tallies)
         for cls, counts in tallies.items():
             total = sum(counts)

@@ -59,7 +59,7 @@ def test_fixture_defect_classes(vcu_bundle_dir):
 
 def test_empty_defect_file_is_legal(tmp_path):
     bundle = load_bundle(write_bundle(tmp_path / "b", defects=[]))
-    assert bundle.defects == ()
+    assert len(bundle.defects) == 0
 
 
 def test_bad_status_names_the_enum(tmp_path):

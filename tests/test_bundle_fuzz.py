@@ -3,7 +3,8 @@
 Differential: the record parsers must accept and reject exactly what the
 oracles below accept and reject, with byte-identical messages. The oracles
 are the earlier parsers, which call one generic helper of orcas.bundle per
-check and build records through the validating constructors; arrays
+check and build one row per record (the loaders return their rows when
+iterated); arrays
 that are valid by construction must load by the column path, and the same
 arrays with one or two faults must give the oracle's outcome. Robustness:
 any JSON value or any bytes in any bundle file yields a bundle or a
@@ -56,6 +57,7 @@ from orcas.domain import (
     EffortModel,
     FailureMode,
     ModeFamily,
+    Records,
     TestLevel,
     TriggerKind,
     total_effort,
@@ -80,7 +82,8 @@ def write_files(directory, files):
 
 # ---------------------------------------------------------------------------
 # Oracle: each record checked by one generic helper call per field, in the
-# order of the checks, and built through the validating constructors.
+# order of the checks, and built as a row; the TCA activity, once checked
+# by its row's constructor, is checked once the entry's fields are read.
 # ---------------------------------------------------------------------------
 
 _ORACLE_DEFECT_KEYS = {"id", "description", "class", "detection_effort", "observed_modes", "resolution"}
@@ -165,15 +168,16 @@ def _oracle_load_tca_file(path):
         where = f"entry {index}"
         data = _expect_object(obj, path.name, where, {"level", "activity", "trigger", "status"},
                               {"level", "activity", "trigger", "status"})
-        try:
-            entries.append(TcaEntry(
-                level=_parse_enum(TestLevel, data["level"], path.name, f"{where}: level"),
-                activity=_parse_string(data["activity"], path.name, f"{where}: activity"),
-                trigger=_parse_enum(TriggerKind, data["trigger"], path.name, f"{where}: trigger"),
-                status=_parse_enum(CoverageStatus, data["status"], path.name, f"{where}: status"),
-            ))
-        except ValueError as exc:
-            raise _fail(path.name, where, str(exc)) from exc
+        entry = TcaEntry(
+            level=_parse_enum(TestLevel, data["level"], path.name, f"{where}: level"),
+            activity=_parse_string(data["activity"], path.name, f"{where}: activity"),
+            trigger=_parse_enum(TriggerKind, data["trigger"], path.name, f"{where}: trigger"),
+            status=_parse_enum(CoverageStatus, data["status"], path.name, f"{where}: status"),
+        )
+        if entry.activity not in ACTIVITIES:
+            raise _fail(path.name, where,
+                        f"activity must be one of {', '.join(ACTIVITIES)}; got {entry.activity!r}")
+        entries.append(entry)
     return tuple(entries)
 
 
@@ -379,11 +383,12 @@ def documents(items):
 
 
 def outcome(load, path):
-    """The records a loader returns, or the message of its BundleError."""
+    """What a loader returns, records as a tuple of rows, or the message of its BundleError."""
     try:
-        return load(path)
+        result = load(path)
     except BundleError as exc:
         return str(exc)
+    return tuple(result) if isinstance(result, Records) else result
 
 
 def defect_outcome(load, path):
@@ -535,7 +540,7 @@ def write_array(tmp_path_factory, name, records):
 @given(corpus=st.booleans(), data=st.data())
 def test_clean_defect_arrays_load_by_column_as_the_oracle(tmp_path_factory, corpus, data):
     records = data.draw(clean_defect_arrays(corpus))
-    assert _by_column(DefectRecord, _CORPUS_FIELDS if corpus else _DEFECT_FIELDS, records) is not None
+    assert _by_column(_CORPUS_FIELDS if corpus else _DEFECT_FIELDS, records) is not None
     path = write_array(tmp_path_factory, "defects.json", records)
     load, oracle = ((load_corpus_file, _oracle_load_corpus_file) if corpus else
                     (load_defects_file, lambda p: _oracle_load_defect_file(p, require_modes=False)))
@@ -567,7 +572,7 @@ RTM_FAULTS = [("req_id", ""), ("req_id", 5), ("req_id", "R-0"), ("description", 
 @settings(FUZZ, max_examples=100)
 @given(entries=clean_rtm_arrays())
 def test_clean_rtm_arrays_load_by_column_as_the_oracle(tmp_path_factory, entries):
-    assert _by_column(RtmEntry, _RTM_FIELDS, entries) is not None
+    assert _by_column(_RTM_FIELDS, entries) is not None
     path = write_array(tmp_path_factory, "rtm.json", entries)
     assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orcas.bundle import load_matrix_file
+from orcas.bundle import load_matrix_file, records_from_json
 from orcas.causality import (
     ROW_SUM_TOLERANCE,
     CausalityMatrix,
@@ -15,18 +15,19 @@ from orcas.causality import (
     merge_causality,
     uniform_causality,
 )
-from orcas.domain import MODE_ORDER, DefectClass, DefectRecord, FailureMode, count_by_class
+from orcas.domain import MODE_ORDER, DefectClass, FailureMode, count_by_class
 from orcas.errors import MissingCausalityRowError, OrcasError
 
 
 def make_record(i, defect_class, modes):
-    return DefectRecord(
-        id=f"r{i}",
-        description="corpus record",
-        defect_class=defect_class,
-        detection_effort=0.0,
-        observed_modes=frozenset(modes),
-    )
+    return {"id": f"r{i}", "description": "corpus record", "class": defect_class.value,
+            "observed_modes": sorted(mode.value for mode in modes)}
+
+
+def records(*objects):
+    """The defect records of JSON-shaped objects, as defects.json reads them:
+    estimate_causality itself must refuse an unlabeled one."""
+    return records_from_json("defects.json", list(objects))
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +69,24 @@ def test_builtin_provenance():
 
 
 def test_estimate_simple_counting():
-    corpus = [
+    corpus = records(
         make_record(0, DefectClass.CHECKING, {FailureMode.A}),
         make_record(1, DefectClass.CHECKING, {FailureMode.A}),
         make_record(2, DefectClass.CHECKING, {FailureMode.C}),
-    ]
+    )
     matrix = estimate_causality(corpus)
     assert matrix.row(DefectClass.CHECKING) == (2 / 3, 0.0, 1 / 3, 0.0)
     assert matrix.counts[DefectClass.CHECKING] == (2, 0, 1, 0)
 
 
 def test_estimate_multi_label_normalization():
-    corpus = [make_record(0, DefectClass.TIMING, {FailureMode.C, FailureMode.D})]
+    corpus = records(make_record(0, DefectClass.TIMING, {FailureMode.C, FailureMode.D}))
     matrix = estimate_causality(corpus)
     assert matrix.row(DefectClass.TIMING) == (0.0, 0.0, 0.5, 0.5)
 
 
 def test_estimate_leaves_unseen_classes_absent():
-    matrix = estimate_causality([make_record(0, DefectClass.TIMING, {FailureMode.C})])
+    matrix = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
     assert matrix.classes() == (DefectClass.TIMING,)
     assert not matrix.has_row(DefectClass.CHECKING)
 
@@ -96,10 +97,10 @@ def test_estimate_rejects_empty_corpus():
 
 
 def test_estimate_rejects_unlabeled_record():
-    corpus = [
+    corpus = records(
         make_record(0, DefectClass.TIMING, {FailureMode.C}),
         make_record(1, DefectClass.TIMING, set()),
-    ]
+    )
     with pytest.raises(OrcasError, match="r1"):
         estimate_causality(corpus)
 
@@ -129,7 +130,7 @@ def brute_force_rows(corpus):
 
 @given(corpus_shapes)
 def test_estimate_matches_rational_oracle(shapes):
-    corpus = [make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes)]
+    corpus = records(*(make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes)))
     matrix = estimate_causality(corpus)
     expected = brute_force_rows(corpus)
     assert set(matrix.classes()) == set(expected)
@@ -140,8 +141,7 @@ def test_estimate_matches_rational_oracle(shapes):
 
 @given(corpus_shapes)
 def test_estimate_rows_sum_to_one(shapes):
-    corpus = [make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes)]
-    matrix = estimate_causality(corpus)
+    matrix = estimate_causality(records(*(make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes))))
     for cls in matrix.classes():
         assert abs(math.fsum(matrix.row(cls)) - 1.0) <= 1e-12
 
@@ -151,17 +151,14 @@ def test_estimate_is_permutation_invariant(shapes, rng):
     corpus = [make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes)]
     shuffled = list(corpus)
     rng.shuffle(shuffled)
-    assert estimate_causality(corpus).rows == estimate_causality(shuffled).rows
+    assert estimate_causality(records(*corpus)).rows == estimate_causality(records(*shuffled)).rows
 
 
 @given(corpus_shapes)
 def test_estimate_is_invariant_under_doubling(shapes):
     corpus = [make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes)]
-    doubled = corpus + [
-        make_record(len(corpus) + i, r.defect_class, r.observed_modes)
-        for i, r in enumerate(corpus)
-    ]
-    assert estimate_causality(corpus).rows == estimate_causality(doubled).rows
+    doubled = corpus + [make_record(len(corpus) + i, cls, modes) for i, (cls, modes) in enumerate(shapes)]
+    assert estimate_causality(records(*corpus)).rows == estimate_causality(records(*doubled)).rows
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +183,14 @@ def test_merge_replaces_rows_class_by_class():
 
 
 def test_merge_keeps_base_only_rows():
-    a = estimate_causality([make_record(0, DefectClass.TIMING, {FailureMode.C})])
-    b = estimate_causality([make_record(0, DefectClass.CHECKING, {FailureMode.A})])
+    a = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
+    b = estimate_causality(records(make_record(0, DefectClass.CHECKING, {FailureMode.A})))
     merged = merge_causality(a, b)
     assert merged.row(DefectClass.TIMING) == a.row(DefectClass.TIMING)
 
 
 def test_merge_drops_stale_counts_for_replaced_rows():
-    a = estimate_causality([make_record(0, DefectClass.TIMING, {FailureMode.C})])
+    a = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
     overlay = CausalityMatrix(rows={DefectClass.TIMING: (1.0, 0.0, 0.0, 0.0)}, provenance="x")
     merged = merge_causality(a, overlay)
     assert merged.counts is None or DefectClass.TIMING not in merged.counts
@@ -214,10 +211,10 @@ def test_matrix_rejects_bad_rows():
 
 
 def test_matrix_dict_round_trip(tmp_path):
-    matrix = estimate_causality([
+    matrix = estimate_causality(records(
         make_record(0, DefectClass.TIMING, {FailureMode.C, FailureMode.D}),
         make_record(1, DefectClass.CHECKING, {FailureMode.A}),
-    ])
+    ))
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
     assert load_matrix_file(path) == matrix
@@ -227,23 +224,23 @@ def test_matrix_dict_round_trip(tmp_path):
                                  st.frozensets(st.sampled_from(list(FailureMode)), max_size=4)),
                        min_size=1, max_size=40))
 def test_counting_matches_per_record_loops(labels):
-    records = [make_record(i, cls, modes) for i, (cls, modes) in enumerate(labels)]
+    corpus = records(*(make_record(i, cls, modes) for i, (cls, modes) in enumerate(labels)))
     per_class = {cls: 0 for cls in DefectClass}
-    for record in records:
+    for record in corpus:
         per_class[record.defect_class] += 1
-    assert list(count_by_class(records).items()) == list(per_class.items())
-    unlabeled = [record for record in records if not record.observed_modes]
+    assert list(count_by_class(corpus).items()) == list(per_class.items())
+    unlabeled = [record for record in corpus if not record.observed_modes]
     if unlabeled:
         with pytest.raises(OrcasError, match=f"^corpus record '{unlabeled[0].id}' has no observed"):
-            estimate_causality(records)
+            estimate_causality(corpus)
         return
     counts: dict = {}
-    for record in records:
+    for record in corpus:
         row = counts.setdefault(record.defect_class, [0, 0, 0, 0])
         for mode in record.observed_modes:
             row[MODE_ORDER.index(mode)] += 1
-    matrix = estimate_causality(records)
+    matrix = estimate_causality(corpus)
     assert list(matrix.counts.items()) == [(cls, tuple(row)) for cls, row in counts.items()]
     assert list(matrix.rows.items()) == [(cls, tuple(c / sum(row) for c in row))
                                          for cls, row in counts.items()]
-    assert matrix.provenance == f"corpus ({len(records)} records)"
+    assert matrix.provenance == f"corpus ({len(corpus)} records)"

@@ -18,7 +18,8 @@ from orcas.domain import (
     count_by_class,
     total_effort,
 )
-from orcas.bundle import load_bundle, load_defects_file
+from orcas.bundle import load_bundle, load_defects_file, records_from_json
+from orcas.errors import BundleError
 from orcas.fixtures import vcu_dir
 
 
@@ -82,22 +83,23 @@ def test_total_effort_monotone(count, bump, duration):
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        DefectRecord(id="", description="x", defect_class=DefectClass.TIMING, detection_effort=1.0)
-    with pytest.raises(ValueError):
-        DefectRecord(id="d1", description="x", defect_class="timing", detection_effort=1.0)
-    with pytest.raises(ValueError):
-        DefectRecord(id="d1", description="x", defect_class=DefectClass.TIMING, detection_effort=-0.1)
-    with pytest.raises(ValueError):
-        DefectRecord(id="d1", description="x", defect_class=DefectClass.TIMING,
-                     detection_effort=float("nan"))
+    # A record is checked by the defects table, with the loader's messages.
+    for fields, message in [
+        ({"id": ""}, "record 0: id: must be a nonempty string"),
+        ({"class": "TIMING"}, "record 'd1': class: invalid value 'TIMING' (expected one of: function, "
+                              "assignment, algorithm, checking, interface, relationship, timing)"),
+        ({"detection_effort": -0.1}, "record 'd1': detection_effort: must be >= 0.0, got -0.1"),
+        ({"detection_effort": float("nan")}, "record 'd1': detection_effort: expected a finite number, got nan"),
+    ]:
+        record = {"id": "d1", "description": "x", "class": "timing", "detection_effort": 1.0, **fields}
+        with pytest.raises(BundleError) as info:
+            records_from_json("defects.json", [record])
+        assert str(info.value) == f"defects.json: {message}"
 
 
 def test_record_normalizes_modes_to_frozenset():
-    record = DefectRecord(
-        id="d1", description="x", defect_class=DefectClass.CHECKING,
-        detection_effort=0.0, observed_modes=[FailureMode.A, FailureMode.A, FailureMode.C],
-    )
+    [record] = records_from_json("defects.json", [
+        {"id": "d1", "description": "x", "class": "checking", "observed_modes": ["A", "A", "C"]}])
     assert record.observed_modes == frozenset({FailureMode.A, FailureMode.C})
 
 
@@ -117,14 +119,14 @@ def test_record_round_trips_through_json(batch):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "defects.json"
         path.write_text(json.dumps([record.to_dict() for record in batch]), encoding="utf-8")
-        assert load_defects_file(path) == tuple(batch)
+        assert tuple(load_defects_file(path)) == tuple(batch)
 
 
 def test_count_by_class_covers_all_classes():
-    counts = count_by_class([
-        DefectRecord(id="a", description="", defect_class=DefectClass.CHECKING, detection_effort=0.0),
-        DefectRecord(id="b", description="", defect_class=DefectClass.CHECKING, detection_effort=0.0),
-    ])
+    counts = count_by_class(records_from_json("defects.json", [
+        {"id": "a", "description": "", "class": "checking"},
+        {"id": "b", "description": "", "class": "checking"},
+    ]))
     assert counts[DefectClass.CHECKING] == 2
     assert counts[DefectClass.TIMING] == 0
     assert len(counts) == 7
@@ -150,8 +152,10 @@ def vcu_bundle():
 def test_records_are_frozen_values(name, vcu_bundle):
     record = RECORD_TYPES[name](vcu_bundle)
     assert type(record).__name__ == name
-    values = [getattr(record, field) for field in record.__slots__]
-    by_name = type(record)(**dict(zip(record.__slots__, values)))
+    # The rows of a record array are named tuples.
+    fields = getattr(record, "_fields", record.__slots__)
+    values = [getattr(record, field) for field in fields]
+    by_name = type(record)(**dict(zip(fields, values)))
     assert by_name == record and not by_name != record and by_name is not record
     assert type(record)(*values) == record
     assert pickle.loads(pickle.dumps(record)) == record
@@ -161,13 +165,13 @@ def test_records_are_frozen_values(name, vcu_bundle):
         pass
     else:
         assert hash(by_name) == expected_hash
-    assert repr(record).startswith(f"{name}({record.__slots__[0]}=")
-    for field in (record.__slots__[0], "not_a_field"):
+    assert repr(record).startswith(f"{name}({fields[0]}=")
+    for field in (fields[0], "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
-    assert [getattr(record, field) for field in record.__slots__] == values
+    assert [getattr(record, field) for field in fields] == values
 
 
 def test_record_init_takes_each_field_once():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orcas.bundle import records_from_json
 from orcas.domain import TestLevel, TriggerKind
 from orcas.errors import OrcasError
 from orcas.evidence import (
@@ -10,8 +11,6 @@ from orcas.evidence import (
     UNIT_TEST,
     CoverageStatus,
     GateDecision,
-    RtmEntry,
-    TcaEntry,
     assessment_confidence,
     required_tca_template,
     score_rtm,
@@ -20,14 +19,23 @@ from orcas.evidence import (
 
 
 def rtm_entry(i, status):
-    return RtmEntry(req_id=f"REQ-{i}", description="requirement", status=status)
+    return {"req_id": f"REQ-{i}", "description": "requirement", "status": status.value}
+
+
+def tca_entry(level, activity, trigger, status):
+    return {"level": level.value, "activity": activity, "trigger": trigger.value, "status": status.value}
+
+
+def rtm(entries):
+    return records_from_json("rtm.json", entries)
+
+
+def tca(entries):
+    return records_from_json("tca.json", entries)
 
 
 def full_tca(status=CoverageStatus.COMPLETE):
-    return [
-        TcaEntry(level=level, activity=activity, trigger=trigger, status=status)
-        for level, activity, trigger in required_tca_template()
-    ]
+    return [tca_entry(*slot, status) for slot in required_tca_template()]
 
 
 # Mirrors the shipped case-study checklist: everything complete except an
@@ -41,7 +49,7 @@ def case_study_tca():
             status = CoverageStatus.INCOMPLETE
         else:
             status = CoverageStatus.COMPLETE
-        entries.append(TcaEntry(level=level, activity=activity, trigger=trigger, status=status))
+        entries.append(tca_entry(level, activity, trigger, status))
     return entries
 
 
@@ -96,15 +104,15 @@ def test_rtm_case_study_score():
         + [rtm_entry(5 + i, CoverageStatus.INDIRECT) for i in range(4)]
         + [rtm_entry(9, CoverageStatus.INCOMPLETE)]
     )
-    assert score_rtm(entries) == 0.70
+    assert score_rtm(rtm(entries)) == 0.70
 
 
 def test_rtm_all_complete():
-    assert score_rtm([rtm_entry(i, CoverageStatus.COMPLETE) for i in range(7)]) == 1.0
+    assert score_rtm(rtm([rtm_entry(i, CoverageStatus.COMPLETE) for i in range(7)])) == 1.0
 
 
 def test_rtm_all_incomplete():
-    assert score_rtm([rtm_entry(i, CoverageStatus.INCOMPLETE) for i in range(7)]) == 0.0
+    assert score_rtm(rtm([rtm_entry(i, CoverageStatus.INCOMPLETE) for i in range(7)])) == 0.0
 
 
 def test_rtm_empty_is_an_error():
@@ -118,43 +126,36 @@ def test_rtm_empty_is_an_error():
 
 
 def test_tca_case_study_score():
-    assert score_tca(case_study_tca()) == 12.5 / 15
+    assert score_tca(tca(case_study_tca())) == 12.5 / 15
 
 
 def test_tca_all_complete():
-    assert score_tca(full_tca()) == 1.0
+    assert score_tca(tca(full_tca())) == 1.0
 
 
 def test_tca_all_incomplete():
-    assert score_tca(full_tca(CoverageStatus.INCOMPLETE)) == 0.0
+    assert score_tca(tca(full_tca(CoverageStatus.INCOMPLETE))) == 0.0
 
 
 def test_tca_missing_slot_is_an_error_naming_it():
-    entries = [e for e in full_tca() if e.trigger is not TriggerKind.CONFIGURATION]
+    entries = [e for e in full_tca() if e["trigger"] != TriggerKind.CONFIGURATION.value]
     with pytest.raises(OrcasError, match="system/system-test/configuration"):
-        score_tca(entries)
+        score_tca(tca(entries))
 
 
 def test_tca_duplicate_slot_rejected():
-    entries = full_tca() + [TcaEntry(
-        level=TestLevel.SYSTEM, activity=SYSTEM_TEST,
-        trigger=TriggerKind.NORMAL_MODE, status=CoverageStatus.COMPLETE)]
+    entries = full_tca() + [tca_entry(TestLevel.SYSTEM, SYSTEM_TEST, TriggerKind.NORMAL_MODE,
+                                      CoverageStatus.COMPLETE)]
     with pytest.raises(OrcasError, match="duplicate"):
-        score_tca(entries)
+        score_tca(tca(entries))
 
 
 def test_tca_slot_outside_template_rejected():
-    entries = full_tca() + [TcaEntry(
-        level=TestLevel.COMPONENT, activity=UNIT_TEST,
-        trigger=TriggerKind.COMPLEX_PATH, status=CoverageStatus.COMPLETE)]
+    entries = full_tca() + [tca_entry(TestLevel.COMPONENT, UNIT_TEST, TriggerKind.COMPLEX_PATH,
+                                      CoverageStatus.COMPLETE)]
     with pytest.raises(OrcasError, match="unexpected"):
-        score_tca(entries)
+        score_tca(tca(entries))
 
-
-def test_tca_entry_rejects_unknown_activity():
-    with pytest.raises(ValueError, match="activity"):
-        TcaEntry(level=TestLevel.SYSTEM, activity="smoke-test",
-                 trigger=TriggerKind.NORMAL_MODE, status=CoverageStatus.COMPLETE)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +217,21 @@ statuses = st.sampled_from(list(CoverageStatus))
 @given(st.lists(statuses, min_size=1, max_size=20), st.data())
 def test_rtm_upgrade_never_lowers_score(status_list, data):
     entries = [rtm_entry(i, s) for i, s in enumerate(status_list)]
-    base = score_rtm(entries)
+    base = score_rtm(rtm(entries))
     index = data.draw(st.integers(min_value=0, max_value=len(entries) - 1))
     upgraded = list(entries)
     upgraded[index] = rtm_entry(index, CoverageStatus.COMPLETE)
-    assert score_rtm(upgraded) >= base
+    assert score_rtm(rtm(upgraded)) >= base
 
 
 @given(st.lists(statuses, min_size=15, max_size=15), st.randoms(use_true_random=False))
 def test_tca_score_bounded_and_permutation_invariant(status_list, rng):
-    entries = [
-        TcaEntry(level=level, activity=activity, trigger=trigger, status=status)
-        for (level, activity, trigger), status in zip(required_tca_template(), status_list)
-    ]
-    score = score_tca(entries)
+    entries = [tca_entry(*slot, status) for slot, status in zip(required_tca_template(), status_list)]
+    score = score_tca(tca(entries))
     assert 0.0 <= score <= 1.0
     shuffled = list(entries)
     rng.shuffle(shuffled)
-    assert score_tca(shuffled) == score
+    assert score_tca(tca(shuffled)) == score
 
 
 @given(

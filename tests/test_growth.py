@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orcas.domain import DefectClass, DefectRecord, EffortKind, EffortModel, RateUnit
+from orcas.bundle import records_from_json
+from orcas.domain import DefectClass, EffortKind, EffortModel, RateUnit
 from orcas.errors import OrcasError
 from orcas.growth import (
     SrgmModel,
@@ -28,13 +29,14 @@ from orcas.growth import _BRACKET_FLOOR, _bracket, _MoProfile
 from conftest import nhpp_exponential_events
 
 
-def make_defects(counts: dict[DefectClass, int]) -> list[DefectRecord]:
-    records = []
-    for cls, n in counts.items():
-        for i in range(n):
-            records.append(DefectRecord(
-                id=f"{cls.value}-{i}", description="", defect_class=cls, detection_effort=0.0))
-    return records
+def defect_objects(counts: dict[DefectClass, int], prefix: str = "") -> list[dict]:
+    """JSON-shaped defects, ``counts[cls]`` of each class."""
+    return [{"id": f"{prefix}{cls.value}-{i}", "description": "", "class": cls.value}
+            for cls, n in counts.items() for i in range(n)]
+
+
+def make_defects(counts: dict[DefectClass, int]):
+    return records_from_json("defects.json", defect_objects(counts))
 
 
 CONTINUOUS_10687 = EffortModel(kind=EffortKind.CONTINUOUS, test_count=10687, test_duration=1.0)
@@ -59,7 +61,7 @@ def test_bounded_rates_for_case_study_counts():
 
 
 def test_bounded_rates_zero_defects():
-    rates = bounded_class_rates([], CONTINUOUS_10687)
+    rates = bounded_class_rates(make_defects({}), CONTINUOUS_10687)
     assert rates["per_class"] == {cls.value: 0.0 for cls in DefectClass}
 
 
@@ -76,20 +78,19 @@ count_maps = st.dictionaries(
 
 @given(count_maps, st.randoms(use_true_random=False))
 def test_bounded_rates_permutation_invariant(counts, rng):
-    defects = make_defects(counts)
-    shuffled = list(defects)
+    objects = defect_objects(counts)
+    shuffled = list(objects)
     rng.shuffle(shuffled)
-    assert bounded_class_rates(defects, CONTINUOUS_10687) == bounded_class_rates(shuffled, CONTINUOUS_10687)
+    assert (bounded_class_rates(records_from_json("defects.json", objects), CONTINUOUS_10687)
+            == bounded_class_rates(records_from_json("defects.json", shuffled), CONTINUOUS_10687))
 
 
 @given(count_maps, count_maps)
 def test_bounded_rates_additive_over_disjoint_sets(counts_a, counts_b):
-    a = make_defects(counts_a)
-    b = [DefectRecord(id=f"b-{r.id}", description="", defect_class=r.defect_class,
-                      detection_effort=0.0) for r in make_defects(counts_b)]
-    combined = bounded_class_rates(a + b, CONTINUOUS_10687)["per_class"]
-    ra = bounded_class_rates(a, CONTINUOUS_10687)["per_class"]
-    rb = bounded_class_rates(b, CONTINUOUS_10687)["per_class"]
+    a, b = defect_objects(counts_a), defect_objects(counts_b, prefix="b-")
+    combined = bounded_class_rates(records_from_json("defects.json", a + b), CONTINUOUS_10687)["per_class"]
+    ra = bounded_class_rates(records_from_json("defects.json", a), CONTINUOUS_10687)["per_class"]
+    rb = bounded_class_rates(records_from_json("defects.json", b), CONTINUOUS_10687)["per_class"]
     for cls in combined:
         assert combined[cls] == pytest.approx(ra[cls] + rb[cls], abs=1e-15)
 

@@ -5,6 +5,10 @@ The seed-1 inputs of the three benchmark workloads are generated with
 process, and the SHA-256 of its (exit code, stdout, stderr) must equal
 the committed digest. A change that moves a digest updates the table and
 says which commands moved, which digits, and why.
+
+The same inputs pin the column path: ``validate`` and ``assess`` read the
+columns the loaders checked and build no row, and iterating the loaders'
+records gives the rows of the loader oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ from pathlib import Path
 import pytest
 
 from orcas import cli
+from orcas.bundle import load_corpus_file, load_defects_file
+from orcas.domain import DefectRecord
+from orcas.evidence import RtmEntry, TcaEntry
+
+from test_bundle_fuzz import _oracle_load_corpus_file, _oracle_load_defect_file
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -76,8 +85,10 @@ DIGESTS = {
     "assess bad-srgm-no-effort --format json": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
     "assess bad-srgm-no-effort --format text": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
     "assess bad-srgm-no-effort --format svg": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
-    "assess vcu --uniform-missing-rows --exclude-modes B,C": "0de72ecfacb4b1a462b8931c68eaa0833ef8a7618f4492b111efbe53db7d9265",
-    "assess vcu --uniform-missing-rows --exclude-modes B,C --format text": "4ddd00d8f12c55194ddfe586d127c4d8ae30fa721ef51c2fca3fc01c5cda8c9a",
+    "assess vcu --uniform-missing-rows --exclude-modes B,C":
+        "0de72ecfacb4b1a462b8931c68eaa0833ef8a7618f4492b111efbe53db7d9265",
+    "assess vcu --uniform-missing-rows --exclude-modes B,C --format text":
+        "4ddd00d8f12c55194ddfe586d127c4d8ae30fa721ef51c2fca3fc01c5cda8c9a",
     "report vcu.json --format json": "396f5932dc9092e3f092a99b77ce22ae56a11e6dfcc0bdc5580e45e0e29ad42a",
     "report vcu.json --format text": "61969456d4558d07ab50d9492d3bf6d0dcb87d1d7c7592b871cfd880e59931dc",
     "report vcu.json --format svg": "e41c97653a8ed8a7e70b60a1612a167f4ee12c84b8a0c8330703745778519d69",
@@ -88,9 +99,11 @@ DIGESTS = {
     "report mo-a.json --format text": "3f8a0377af0012494381a761891000fa49794f45e81d4bc63318630c29fd53af",
     "report mo-a.json --format svg": "dd51f3e1a00d07cbeb19bf938d76238b0a387b0991af76e06168bbb048030fe0",
     "srgm fit history.json --model go": "f6f8da2f8d127ef0b511718e4e2e5afd1a337cde429188bc68205688f55db8e2",
-    "srgm fit history.json --model go --stability-windows 4 --curve-samples 10": "37667779b7798716a3d137c05e0befebc94fe9122b498c753922f2da7b678c3b",
+    "srgm fit history.json --model go --stability-windows 4 --curve-samples 10":
+        "37667779b7798716a3d137c05e0befebc94fe9122b498c753922f2da7b678c3b",
     "srgm fit history.json --model mo": "b9a7be725a513cc593d571c5351d931bc083f60e4ba27c1b58ee7f3bab87dac5",
-    "srgm fit history.json --model mo --stability-windows 4 --curve-samples 10": "9436544a9d20e7b36fc24e871c30add3c469bfc18b2e8bbd56582ee8aa674630",
+    "srgm fit history.json --model mo --stability-windows 4 --curve-samples 10":
+        "9436544a9d20e7b36fc24e871c30add3c469bfc18b2e8bbd56582ee8aa674630",
     "causality build corpus.json": "f0ac6e9b8cb062a3d600792b6d806cd274926ac4eda510e0396673f14da1b531",
     "causality build corpus-bundle/corpus.json": "9b9842ddaa448d5881534a3314607298073c2de3e91377bdb23ec226a19b7ac9",
     "convert defects log.csv": "e9516ae3ecbf67a5dd3a3166a957695898f6bd246e2a68e17e20003c0ed4cde6",
@@ -125,3 +138,26 @@ def _digest(argv, capsysbinary) -> str:
 def test_output_digest(argv, workdir, monkeypatch, capsysbinary):
     monkeypatch.chdir(workdir)
     assert _digest(argv, capsysbinary) == DIGESTS[" ".join(argv)]
+
+
+def test_validate_and_assess_build_no_rows(workdir, monkeypatch, capsysbinary):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a record row was built")
+
+    for row in (DefectRecord, RtmEntry, TcaEntry):
+        monkeypatch.setattr(row, "_make", no_rows)
+        monkeypatch.setattr(row, "__new__", no_rows)
+    monkeypatch.chdir(workdir)
+    commands = [argv for argv in COMMANDS
+                if argv[0] in ("validate", "assess") and argv[1] in ("corpus-bundle", "mo-a")]
+    assert len(commands) == 8
+    for argv in commands:
+        assert _digest(argv, capsysbinary) == DIGESTS[" ".join(argv)], argv
+
+
+def test_loaded_records_iterate_to_the_oracle_rows(workdir):
+    defects = lambda path: _oracle_load_defect_file(path, require_modes=False)  # noqa: E731
+    for load, oracle, path in ((load_defects_file, defects, "corpus-bundle/defects.json"),
+                               (load_defects_file, defects, "mo-a/defects.json"),
+                               (load_corpus_file, _oracle_load_corpus_file, "corpus-bundle/corpus.json")):
+        assert tuple(load(workdir / path)) == oracle(workdir / path)
