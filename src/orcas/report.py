@@ -104,6 +104,7 @@ _REPORT_FIELDS = (
                 ("current_intensity", _REQUIRED, _RATE),
                 ("log_likelihood", _REQUIRED, _Number()),
                 ("converged", _REQUIRED, _Flag()),
+                ("converged", _REQUIRED, _Rule(bool, "must be true: the rates stage refuses a fit that did not")),
                 ("diagnostic", _REQUIRED, _String(null=True)),
             ))),
             ("fit", _REQUIRED, _Rule(lambda fit: set(fit["params"]) == _PARAMS[fit["model"]],
@@ -119,6 +120,9 @@ _REPORT_FIELDS = (
         )))),
         ("all_stable", _REQUIRED, _Flag()),
     ), null=True)),
+    ("growth", _REQUIRED, _Rule(lambda growth: growth is None or all(
+        entry["fit"]["model"] == growth["model"] for entry in growth["per_class"].values()),
+        "each class's fit model must be growth.model")),
     ("annotations", _REQUIRED, _TEXTS),
     # No renderer reads the provenance: it is re-emitted as saved.
     ("provenance", _REQUIRED, _Rule(lambda provenance: isinstance(provenance, dict),
@@ -137,6 +141,8 @@ def _rates_are_intensities(report: dict) -> bool:
 
 # Rules that join sections of a report, checked after _REPORT_FIELDS, each with the field it names.
 _REPORT_RULES = (
+    ("modes: unit", _Rule(lambda report: report["modes"]["unit"] == report["rates"]["unit"],
+                          "must equal rates.unit")),
     ("growth", _Rule(lambda report: (report["growth"] is None) is (report["rates"]["method"] == RateMethod.BOUNDED),
                      "must be null exactly when rates.method is bounded")),
     ("rates: per_class", _Rule(_rates_are_intensities, "each rate must be its class's growth fit current_intensity, "

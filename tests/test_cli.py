@@ -161,13 +161,19 @@ def exclude_mode_a(raw):
     (edit(*_FIT, "current_intensity", value=0.5), _INTENSITIES),
     (edit("growth", value=None), _GROWTH_NULL),
     (edit("rates", "method", value="bounded"), _GROWTH_NULL),
+    (edit("modes", "unit", value="per-demand"), "invalid report JSON: modes: unit: must equal rates.unit"),
+    (edit(*_FIT, "converged", value=False), "invalid report JSON: growth: per_class: checking: fit: converged: "
+     "must be true: the rates stage refuses a fit that did not"),
+    (edit("growth", "model", value="musa-okumoto"),
+     "invalid report JSON: growth: each class's fit model must be growth.model"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
         "fit-params-empty", "fit-model-unknown", "events-string", "growth-5", "stability-null",
         "per_mode-without-A", "unknown-top-level-key", "annotations-numbers", "per_class_total-123",
         "per_class_total-without-checking", "total-5", "excluded-mode-with-cells", "rate-not-intensity",
-        "rate-without-fit", "intensity-not-rate", "srgm-without-growth", "bounded-with-growth"])
+        "rate-without-fit", "intensity-not-rate", "srgm-without-growth", "bounded-with-growth",
+        "modes-unit-not-rates-unit", "fit-not-converged", "fit-model-not-growth-model"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.
