@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -156,7 +157,7 @@ def test_validate_and_assess_build_no_rows(workdir, monkeypatch, capsysbinary):
 
 
 def test_loaded_records_iterate_to_the_oracle_rows(workdir):
-    defects = lambda path: _oracle_load_defect_file(path, require_modes=False)  # noqa: E731
+    defects = partial(_oracle_load_defect_file, require_modes=False)
     for load, oracle, path in ((load_defects_file, defects, "corpus-bundle/defects.json"),
                                (load_defects_file, defects, "mo-a/defects.json"),
                                (load_corpus_file, _oracle_load_corpus_file, "corpus-bundle/corpus.json")):
