@@ -37,17 +37,17 @@ from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from types import NoneType
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import causality as causality_mod
-from .causality import CausalityMatrix
+from .causality import ROW_SUM_TOLERANCE, CausalityMatrix
 from .domain import (
+    MODE_ORDER,
     DefectClass,
     DefectRecord,
     EffortKind,
     EffortModel,
     FailureMode,
-    FrozenRecord,
     ModeFamily,
     Records,
     TestLevel,
@@ -67,13 +67,9 @@ BUILTIN_MATRIX_SOURCE = "builtin"
 CORPUS_SOURCE_PREFIX = "corpus:"
 
 
-class AssessmentBundle(FrozenRecord):
+class AssessmentBundle(NamedTuple):
     """A fully validated dataset plus effective assessment options."""
 
-    __slots__ = ("defects", "effort", "rtm", "tca", "structural_coverage", "matrix", "matrix_source",
-                 "system_kind", "excluded_modes", "mode_family", "confidence_threshold",
-                 "stability_threshold", "rate_method", "srgm_model", "stability_windows",
-                 "uniform_missing_rows", "rtm_weight", "tca_weight", "input_digests")
     defects: Records
     effort: EffortModel
     rtm: Records
@@ -294,13 +290,18 @@ _DISTINCT = _Distinct()
 class _Rule(_Kind):
     """A check of the whole record: ``test`` holds for a field already
     read, else ``reason`` is raised, formatted with the value quoted by
-    :func:`_quote` and, as ``type``, the name of its JSON type."""
+    :func:`_quote` and, as ``type``, the name of its JSON type. Where
+    ``test`` raises :class:`OrcasError`, its message is the reason."""
 
     def __init__(self, test, reason: str):
         self.test, self.reason = test, reason
 
     def check(self, value: Any, file: str, where: str) -> Any:
-        if not self.test(value):
+        try:
+            holds = self.test(value)
+        except OrcasError as exc:
+            raise _fail(file, where, str(exc)) from None
+        if not holds:
             raise _fail(file, where, self.reason.format(_quote(value), type=type(value).__name__))
         return value
 
@@ -490,7 +491,7 @@ _HISTORY_FIELDS = (
     ("events", _REQUIRED, _EVENTS),
     ("horizon", None, _Number(0.0, null=True)),
 )
-# The probabilities of a row are checked by CausalityMatrix itself.
+# The length, range and sum of a row are checked by load_matrix_file.
 _COUNTS = "expected an array of 4 nonnegative integers"
 _MATRIX_FIELDS = (
     ("rows", _REQUIRED, _Map(DefectClass, _Array(_Number(), "expected an array of 4 probabilities"))),
@@ -619,14 +620,21 @@ def load_corpus_file(path: Path | str, *, digests: dict[str, str] | None = None)
 
 
 def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None) -> EffortModel:
+    """The testing effort of an effort.json file (_EFFORT_FIELDS), with the
+    rules that join its fields: a positive count, a positive duration
+    exactly for continuous effort, and a finite total."""
     path = Path(path)
-    values = _Object(_EFFORT_FIELDS).check(_read_json(path, digests), path.name, "top level")
-    try:
-        # The constructor holds the rules that join fields: a positive
-        # count, and a duration exactly for continuous effort.
-        model = EffortModel(**values)
-    except ValueError as exc:
-        raise _fail(path.name, "top level", str(exc)) from exc
+    model = EffortModel(**_Object(_EFFORT_FIELDS).check(_read_json(path, digests), path.name, "top level"))
+    continuous = model.kind is EffortKind.CONTINUOUS
+    if model.test_count <= 0:
+        raise _fail(path.name, "top level", f"test_count must be positive, got {model.test_count}")
+    if continuous and model.test_duration is None:
+        raise _fail(path.name, "top level", "continuous effort requires test_duration (hours per test)")
+    if continuous and model.test_duration <= 0.0:
+        raise _fail(path.name, "top level", f"test_duration must be positive, got {model.test_duration!r}")
+    if not continuous and model.test_duration is not None:
+        raise _fail(path.name, "top level",
+                    "on-demand effort takes no test_duration; remove it or use kind=continuous")
     try:
         total = total_effort(model)
     except OverflowError:
@@ -646,14 +654,25 @@ def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) ->
 
 
 def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
-    """A causality matrix from a matrix.json file (_MATRIX_FIELDS)."""
+    """A causality matrix from a matrix.json file (_MATRIX_FIELDS): each row
+    4 probabilities that sum to 1, and each count row 4 nonnegative integers."""
     path = Path(path)
     values = _Object(_MATRIX_FIELDS).check(_read_json(path, digests), path.name, "top level")
-    try:
-        return CausalityMatrix(**values)
-    except ValueError as exc:
-        # The message names the field and class: "rows: checking: ...".
-        raise BundleError(f"{path.name}: {exc}") from exc
+    for cls, row in values["rows"].items():
+        where = f"rows: {cls.value}"
+        if len(row) != len(MODE_ORDER):
+            raise _fail(path.name, where, f"expected {len(MODE_ORDER)} probabilities, got {len(row)}")
+        for p in row:
+            if not 0.0 <= p <= 1.0:
+                raise _fail(path.name, where, f"probability {p!r} outside [0, 1]")
+        if abs(math.fsum(row) - 1.0) > ROW_SUM_TOLERANCE:
+            raise _fail(path.name, where, f"sums to {math.fsum(row)!r}, outside 1.0 +/- {ROW_SUM_TOLERANCE}")
+        values["rows"][cls] = tuple(row)
+    for cls, row in (values["counts"] or {}).items():
+        if len(row) != len(MODE_ORDER) or min(row) < 0:
+            raise _fail(path.name, f"counts: {cls.value}", f"expected {len(MODE_ORDER)} nonnegative integers")
+        values["counts"][cls] = tuple(row)
+    return CausalityMatrix(**values)
 
 
 def load_history_file(path: Path | str) -> tuple[list[float], float | None]:

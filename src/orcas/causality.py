@@ -10,11 +10,10 @@ no data: lookups on absent rows raise, they never return silent zeros.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .domain import MODE_ORDER, DefectClass, FailureMode, FrozenRecord, Records
+from .domain import MODE_ORDER, DefectClass, Records
 from .errors import MissingCausalityRowError, OrcasError
 
 #: Printed probabilities are rounded to 3 decimals, so row sums may be off
@@ -38,46 +37,18 @@ _BUILTIN_ROWS: dict[DefectClass, tuple[float, float, float, float]] = {
 }
 
 
-class CausalityMatrix(FrozenRecord):
+class CausalityMatrix(NamedTuple):
     """Row-stochastic map from defect class to failure-mode probabilities.
 
     ``rows`` holds a 4-tuple per class, indexed by :data:`MODE_ORDER`.
     ``counts`` preserves the raw (class, mode) tallies when the matrix was
-    estimated from a corpus.
+    estimated from a corpus. The stages build valid matrices, and
+    ``bundle.load_matrix_file`` checks a loaded one.
     """
 
-    __slots__ = ("rows", "provenance", "counts")
-    _defaults = {"counts": None}
     rows: Mapping[DefectClass, tuple[float, float, float, float]]
     provenance: str
-    counts: Mapping[DefectClass, tuple[int, int, int, int]] | None
-
-    def __post_init__(self) -> None:
-        rows = dict(self.rows)
-        for cls, row in rows.items():
-            if not isinstance(cls, DefectClass):
-                raise ValueError(f"rows: keys must be DefectClass values, got {cls!r}")
-            where = f"rows: {cls.value}"
-            if len(row) != len(MODE_ORDER):
-                raise ValueError(f"{where}: expected {len(MODE_ORDER)} probabilities, got {len(row)}")
-            row = tuple(float(p) for p in row)
-            for p in row:
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"{where}: probability {p!r} outside [0, 1]")
-            if abs(math.fsum(row) - 1.0) > ROW_SUM_TOLERANCE:
-                raise ValueError(f"{where}: sums to {math.fsum(row)!r}, outside 1.0 +/- {ROW_SUM_TOLERANCE}")
-            rows[cls] = row
-        object.__setattr__(self, "rows", rows)
-        if self.counts is not None:
-            counts = dict(self.counts)
-            for cls, row in counts.items():
-                if len(row) != len(MODE_ORDER) or any((not isinstance(c, int)) or c < 0 for c in row):
-                    raise ValueError(f"counts: {cls.value}: expected {len(MODE_ORDER)} nonnegative integers")
-                counts[cls] = tuple(row)
-            object.__setattr__(self, "counts", counts)
-
-    def classes(self) -> tuple[DefectClass, ...]:
-        return tuple(sorted(self.rows, key=lambda c: c.value))
+    counts: Mapping[DefectClass, tuple[int, int, int, int]] | None = None
 
     def has_row(self, defect_class: DefectClass) -> bool:
         return defect_class in self.rows
@@ -87,9 +58,6 @@ class CausalityMatrix(FrozenRecord):
             return self.rows[defect_class]
         except KeyError:
             raise MissingCausalityRowError(defect_class) from None
-
-    def lookup(self, defect_class: DefectClass, mode: FailureMode) -> float:
-        return self.row(defect_class)[_MODE_INDEX[mode]]
 
     def to_dict(self) -> dict:
         out: dict = {

@@ -1,12 +1,14 @@
 """Core vocabularies and record types shared by every other module.
 
-No instance of a type here is changed after construction, so instances
-are safe to share across threads.
+The record types are named tuples, here and in :mod:`orcas.causality`
+and :mod:`orcas.bundle`, and check nothing when built: the loaders of
+:mod:`orcas.bundle` check every input, and the stages build only valid
+values. No instance of a type here is changed after construction, so
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -91,65 +93,6 @@ class ModeFamily(str, Enum):
     INFORMATION = "information"
 
 
-def _require_finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
-
-
-class FrozenRecord:
-    """Base of the immutable record types.
-
-    A subclass names its fields in ``__slots__`` and the defaults of
-    trailing fields in ``_defaults``. ``__init__`` takes the fields by
-    position or name, then runs ``__post_init__`` to check them (it may
-    normalize one with ``object.__setattr__``). Instances compare, hash and
-    print by field values; setting or deleting an attribute raises
-    :class:`AttributeError`.
-    """
-
-    __slots__ = ()
-    _defaults: dict = {}
-
-    def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-        if (len(args) > len(names) or not kwargs.keys() <= set(names[len(args):])
-                or len(values) < len(names)):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}, each once; "
-                            f"all but {', '.join(self._defaults) or 'none'} are required")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-
 class DefectRecord(NamedTuple):
     """One classified defect, as a row of :class:`Records`.
 
@@ -207,36 +150,18 @@ class Records:
         return type(other) is Records and (self.row, self.columns) == (other.row, other.columns)
 
 
-class EffortModel(FrozenRecord):
+class EffortModel(NamedTuple):
     """Total testing effort: a test count, plus hours per test for
     continuous-operation software.
 
-    ``test_duration`` is required for the continuous kind and must be
-    omitted for on-demand (demand counts have no duration).
+    ``test_duration`` is given for the continuous kind and is None for
+    on-demand (demand counts have no duration); ``bundle.load_effort_file``
+    checks both, and that ``test_count`` is positive.
     """
 
-    __slots__ = ("kind", "test_count", "test_duration")
-    _defaults = {"test_duration": None}
     kind: EffortKind
     test_count: int
-    test_duration: float | None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, EffortKind):
-            raise ValueError(f"kind must be an EffortKind, got {self.kind!r}")
-        if not isinstance(self.test_count, int) or isinstance(self.test_count, bool):
-            raise ValueError(f"test_count must be an integer, got {self.test_count!r}")
-        if self.test_count <= 0:
-            raise ValueError(f"test_count must be positive, got {self.test_count}")
-        if self.kind is EffortKind.CONTINUOUS:
-            if self.test_duration is None:
-                raise ValueError("continuous effort requires test_duration (hours per test)")
-            duration = _require_finite(self.test_duration, "test_duration")
-            if duration <= 0:
-                raise ValueError(f"test_duration must be positive, got {duration!r}")
-            object.__setattr__(self, "test_duration", duration)
-        elif self.test_duration is not None:
-            raise ValueError("on-demand effort takes no test_duration; remove it or use kind=continuous")
+    test_duration: float | None = None
 
     @property
     def rate_unit(self) -> RateUnit:

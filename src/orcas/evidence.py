@@ -134,6 +134,11 @@ def score_tca(entries: Records) -> float:
     return _score(entries) / len(required_tca_template())
 
 
+def gate_decision(confidence: float, threshold: float) -> GateDecision:
+    """The confidence gate: defer to the alternate method exactly when confidence < threshold."""
+    return GateDecision.DEFER if confidence < threshold else GateDecision.PROCEED
+
+
 def assessment_confidence(
     rtm_score: float,
     tca_score: float,
@@ -147,8 +152,7 @@ def assessment_confidence(
 
     Confidence is the weighted mean of the RTM and TCA scores (equal
     weights by default). Structural coverage is reported alongside but
-    deliberately not folded into the number. The assessment defers to the
-    alternate method exactly when confidence < threshold.
+    deliberately not folded into the number; :func:`gate_decision` decides the gate.
     """
     for name, value in (
         ("rtm_score", rtm_score),
@@ -165,12 +169,11 @@ def assessment_confidence(
     exponent = math.frexp(max(rtm_weight, tca_weight))[1]
     rtm_weight, tca_weight = math.ldexp(rtm_weight, -exponent), math.ldexp(tca_weight, -exponent)
     confidence = (rtm_weight * rtm_score + tca_weight * tca_score) / (rtm_weight + tca_weight)
-    gate = GateDecision.DEFER if confidence < threshold else GateDecision.PROCEED
     return {
         "rtm_score": rtm_score,
         "tca_score": tca_score,
         "structural_coverage": structural_coverage,
         "confidence": confidence,
         "confidence_threshold": threshold,
-        "gate": gate.value,
+        "gate": gate_decision(confidence, threshold).value,
     }

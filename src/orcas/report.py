@@ -12,8 +12,9 @@ renders it. The stages build its sections: ``combine`` returns ``modes``,
 ``assessment_confidence`` returns ``evidence`` and
 ``windowed_srgm_stability`` each growth class's ``stability``. A saved
 report is read back as that dict by :func:`report_from_json`, checked by
-the bundle's field kinds against _REPORT_FIELDS: its first fault is raised
-as ``invalid report JSON: <where>: <reason>``.
+the bundle's field kinds against _REPORT_FIELDS and _REPORT_RULES, which
+re-derive the margins, each class's stability and the gate by their
+stages: its first fault is raised as ``invalid report JSON: <where>: <reason>``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .evidence import (
     CoverageStatus,
     GateDecision,
     assessment_confidence,
+    gate_decision,
     score_rtm,
     score_tca,
     slot_name,
@@ -46,6 +48,7 @@ from .growth import (
     bounded_class_rates,
     fit_mean,
     srgm_class_rates,
+    stability,
     windowed_srgm_stability,
 )
 from .quantify import combine, mode_sums
@@ -57,6 +60,7 @@ _RATE = _Number(lo=0.0)
 _POSITIVE = _Number(positive=True)
 _TEXT = "expected an array of strings"
 _TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
+_PAIRS = "expected an array of [effort, predicted total] pairs"
 # The parameter names of each growth model, by the model's name in a report.
 _PARAMS = {model.value: set(names) for model, (_, names) in MEAN_FUNCTIONS.items()}
 
@@ -111,18 +115,26 @@ _REPORT_FIELDS = (
                                      "params must be exactly the parameters of its model")),
             ("events", _REQUIRED, _EVENTS),
             ("stability", _REQUIRED, _Object((
-                ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"),
-                                             "expected an array of [effort, predicted total] pairs", indexed=True)),
+                ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"), _PAIRS,
+                                             indexed=True)),
+                ("series", _REQUIRED, _Rule(lambda series: all(len(pair) == 2 for pair in series), _PAIRS)),
                 ("max_relative_step", _REQUIRED, _RATE),
                 ("stable", _REQUIRED, _Flag()),
                 ("threshold", _REQUIRED, _RATE),
             ))),
+            # The verdict is the stability stage's, over the saved series and threshold.
+            ("stability", _REQUIRED, _Rule(
+                lambda verdict: stability(verdict["series"], verdict["threshold"]) == verdict,
+                "must be what growth.stability computes from its series and threshold")),
         )))),
         ("all_stable", _REQUIRED, _Flag()),
     ), null=True)),
     ("growth", _REQUIRED, _Rule(lambda growth: growth is None or all(
         entry["fit"]["model"] == growth["model"] for entry in growth["per_class"].values()),
         "each class's fit model must be growth.model")),
+    ("growth", _REQUIRED, _Rule(lambda growth: growth is None or growth["all_stable"] == all(
+        entry["stability"]["stable"] for entry in growth["per_class"].values()),
+        "all_stable must be true exactly when every class's stability is stable")),
     ("annotations", _REQUIRED, _TEXTS),
     # No renderer reads the provenance: it is re-emitted as saved.
     ("provenance", _REQUIRED, _Rule(lambda provenance: isinstance(provenance, dict),
@@ -139,8 +151,11 @@ def _rates_are_intensities(report: dict) -> bool:
                for cls, rate in report["rates"]["per_class"].items())
 
 
-# Rules that join sections of a report, checked after _REPORT_FIELDS, each with the field it names.
+# Rules that join fields of a report, checked after _REPORT_FIELDS, each with the field it names.
 _REPORT_RULES = (
+    ("evidence: gate", _Rule(lambda report: report["evidence"]["gate"] == gate_decision(
+        report["evidence"]["confidence"], report["evidence"]["confidence_threshold"]),
+        f"must be {GateDecision.DEFER.value} exactly when confidence < confidence_threshold")),
     ("modes: unit", _Rule(lambda report: report["modes"]["unit"] == report["rates"]["unit"],
                           "must equal rates.unit")),
     ("growth", _Rule(lambda report: (report["growth"] is None) is (report["rates"]["method"] == RateMethod.BOUNDED),

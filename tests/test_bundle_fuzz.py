@@ -193,10 +193,17 @@ def _oracle_load_effort_file(path):
     duration = data.get("test_duration")
     if duration is not None:
         duration = _parse_number(duration, path.name, "test_duration")
-    try:
-        model = EffortModel(kind=kind, test_count=count, test_duration=duration)
-    except ValueError as exc:
-        raise _fail(path.name, "top level", str(exc)) from exc
+    if count <= 0:
+        raise _fail(path.name, "top level", f"test_count must be positive, got {count}")
+    if kind is EffortKind.CONTINUOUS:
+        if duration is None:
+            raise _fail(path.name, "top level", "continuous effort requires test_duration (hours per test)")
+        if duration <= 0:
+            raise _fail(path.name, "top level", f"test_duration must be positive, got {duration!r}")
+    elif duration is not None:
+        raise _fail(path.name, "top level",
+                    "on-demand effort takes no test_duration; remove it or use kind=continuous")
+    model = EffortModel(kind=kind, test_count=count, test_duration=duration)
     try:
         total = total_effort(model)
     except OverflowError:
@@ -452,7 +459,7 @@ def test_effort_loader_matches_oracle(tmp_path_factory, document):
     result = outcome(load_effort_file, path)
     assert result == expected
     if not isinstance(expected, str):
-        assert typed(result._values()) == typed(expected._values())
+        assert typed(result) == typed(expected)
 
 
 @settings(FUZZ, max_examples=200)

@@ -16,7 +16,7 @@ from orcas.causality import (
     uniform_causality,
 )
 from orcas.domain import MODE_ORDER, DefectClass, FailureMode, count_by_class
-from orcas.errors import MissingCausalityRowError, OrcasError
+from orcas.errors import BundleError, MissingCausalityRowError, OrcasError
 
 
 def make_record(i, defect_class, modes):
@@ -36,7 +36,7 @@ def records(*objects):
 
 
 def test_builtin_assignment_b_as_printed():
-    assert builtin_causality().lookup(DefectClass.ASSIGNMENT, FailureMode.B) == 0.667
+    assert builtin_causality().row(DefectClass.ASSIGNMENT)[MODE_ORDER.index(FailureMode.B)] == 0.667
 
 
 def test_builtin_algorithm_row():
@@ -45,18 +45,16 @@ def test_builtin_algorithm_row():
 
 def test_builtin_rows_sum_to_one():
     matrix = builtin_causality()
-    for cls in matrix.classes():
+    for cls in sorted(matrix.rows):
         assert abs(sum(matrix.row(cls)) - 1.0) <= ROW_SUM_TOLERANCE
 
 
 def test_builtin_has_six_rows_and_no_relationship():
     matrix = builtin_causality()
-    assert len(matrix.classes()) == 6
+    assert len(matrix.rows) == 6
     assert not matrix.has_row(DefectClass.RELATIONSHIP)
     with pytest.raises(MissingCausalityRowError, match="no causality row: relationship"):
         matrix.row(DefectClass.RELATIONSHIP)
-    with pytest.raises(MissingCausalityRowError):
-        matrix.lookup(DefectClass.RELATIONSHIP, FailureMode.A)
 
 
 def test_builtin_provenance():
@@ -87,7 +85,7 @@ def test_estimate_multi_label_normalization():
 
 def test_estimate_leaves_unseen_classes_absent():
     matrix = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
-    assert matrix.classes() == (DefectClass.TIMING,)
+    assert sorted(matrix.rows) == [DefectClass.TIMING]
     assert not matrix.has_row(DefectClass.CHECKING)
 
 
@@ -133,7 +131,7 @@ def test_estimate_matches_rational_oracle(shapes):
     corpus = records(*(make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes)))
     matrix = estimate_causality(corpus)
     expected = brute_force_rows(corpus)
-    assert set(matrix.classes()) == set(expected)
+    assert set(matrix.rows) == set(expected)
     for cls, row in expected.items():
         for got, want in zip(matrix.row(cls), row):
             assert abs(got - float(want)) <= 1e-12
@@ -142,7 +140,7 @@ def test_estimate_matches_rational_oracle(shapes):
 @given(corpus_shapes)
 def test_estimate_rows_sum_to_one(shapes):
     matrix = estimate_causality(records(*(make_record(i, cls, modes) for i, (cls, modes) in enumerate(shapes))))
-    for cls in matrix.classes():
+    for cls in sorted(matrix.rows):
         assert abs(math.fsum(matrix.row(cls)) - 1.0) <= 1e-12
 
 
@@ -201,13 +199,17 @@ def test_uniform_causality_rows():
     assert matrix.row(DefectClass.RELATIONSHIP) == (0.25, 0.25, 0.25, 0.25)
 
 
-def test_matrix_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        CausalityMatrix(rows={DefectClass.TIMING: (0.9, 0.0, 0.0, 0.0)}, provenance="bad sum")
-    with pytest.raises(ValueError):
-        CausalityMatrix(rows={DefectClass.TIMING: (1.2, -0.2, 0.0, 0.0)}, provenance="bad range")
-    with pytest.raises(ValueError):
-        CausalityMatrix(rows={DefectClass.TIMING: (1.0, 0.0, 0.0)}, provenance="bad length")
+def test_matrix_rejects_bad_rows(tmp_path):
+    path = tmp_path / "matrix.json"
+    for row, provenance, message in [
+        ([0.9, 0.0, 0.0, 0.0], "bad sum", "sums to 0.9, outside 1.0 +/- 0.0005"),
+        ([1.2, -0.2, 0.0, 0.0], "bad range", "probability 1.2 outside [0, 1]"),
+        ([1.0, 0.0, 0.0], "bad length", "expected 4 probabilities, got 3"),
+    ]:
+        path.write_text(json.dumps({"rows": {"timing": row}, "provenance": provenance}), encoding="utf-8")
+        with pytest.raises(BundleError) as info:
+            load_matrix_file(path)
+        assert str(info.value) == f"matrix.json: rows: timing: {message}"
 
 
 def test_matrix_dict_round_trip(tmp_path):

@@ -83,7 +83,8 @@ _DELETE = object()
 
 def edit(*path, value=_DELETE):
     """A mutation of a saved report that sets the value at ``path`` to
-    ``value``, or with no value deletes it."""
+    ``value`` (a function: to its result on the value there), or with no
+    value deletes it."""
     def mutate(raw):
         report = json.loads(raw)
         node = report
@@ -92,17 +93,20 @@ def edit(*path, value=_DELETE):
         if value is _DELETE:
             del node[path[-1]]
         else:
-            node[path[-1]] = value
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
         return json.dumps(report).encode()
     return mutate
 
 
 _CHECKING = ("growth", "per_class", "checking")
 _FIT = (*_CHECKING, "fit")
+_STABILITY = (*_CHECKING, "stability")
 _SUMS = "invalid report JSON: modes: per_mode, per_class_total and total must be the sums of per_cell"
 _INTENSITIES = ("invalid report JSON: rates: per_class: each rate must be its class's growth fit "
                 "current_intensity, or 0.0 for a class without a fit")
 _GROWTH_NULL = "invalid report JSON: growth: must be null exactly when rates.method is bounded"
+_VERDICT = ("invalid report JSON: growth: per_class: checking: stability: must be what growth.stability "
+            "computes from its series and threshold")
 
 
 def exclude_mode_a(raw):
@@ -166,6 +170,17 @@ def exclude_mode_a(raw):
      "must be true: the rates stage refuses a fit that did not"),
     (edit("growth", "model", value="musa-okumoto"),
      "invalid report JSON: growth: each class's fit model must be growth.model"),
+    (edit("evidence", "confidence", value=0.01),
+     "invalid report JSON: evidence: gate: must be defer-to-BAHAMAS exactly when confidence < confidence_threshold"),
+    (edit(*_STABILITY, "stable", value=lambda stable: not stable), _VERDICT),
+    (edit(*_STABILITY, "max_relative_step", value=0.0), _VERDICT),
+    (edit("growth", "all_stable", value=lambda stable: not stable),
+     "invalid report JSON: growth: all_stable must be true exactly when every class's stability is stable"),
+    (edit(*_STABILITY, "series", 0, value=lambda pair: [*pair, 1.0]),
+     "invalid report JSON: growth: per_class: checking: stability: series: "
+     "expected an array of [effort, predicted total] pairs"),
+    (edit(*_STABILITY, "series", value=lambda series: series[:1]),
+     "invalid report JSON: growth: per_class: checking: stability: stability needs at least 2 fits"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -173,7 +188,8 @@ def exclude_mode_a(raw):
         "per_mode-without-A", "unknown-top-level-key", "annotations-numbers", "per_class_total-123",
         "per_class_total-without-checking", "total-5", "excluded-mode-with-cells", "rate-not-intensity",
         "rate-without-fit", "intensity-not-rate", "srgm-without-growth", "bounded-with-growth",
-        "modes-unit-not-rates-unit", "fit-not-converged", "fit-model-not-growth-model"])
+        "modes-unit-not-rates-unit", "fit-not-converged", "fit-model-not-growth-model", "gate-not-confidence",
+        "stable-negated", "max-step-zero", "all_stable-flipped", "series-item-of-three", "series-of-one-pair"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.

@@ -18,7 +18,7 @@ from orcas.domain import (
     count_by_class,
     total_effort,
 )
-from orcas.bundle import load_bundle, load_defects_file, records_from_json
+from orcas.bundle import load_bundle, load_defects_file, load_effort_file, records_from_json
 from orcas.errors import BundleError
 from orcas.fixtures import vcu_dir
 
@@ -44,29 +44,38 @@ def test_total_effort_continuous_arithmetic():
     assert total_effort(model) == 100.0
 
 
+def effort_error(tmp_path, effort):
+    """The error line of loading ``effort`` as effort.json."""
+    path = tmp_path / "effort.json"
+    path.write_text(json.dumps(effort), encoding="utf-8")
+    with pytest.raises(BundleError) as info:
+        load_effort_file(path)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("count", [0, -3])
-def test_effort_rejects_nonpositive_count(count):
-    with pytest.raises(ValueError):
-        EffortModel(kind=EffortKind.ON_DEMAND, test_count=count)
+def test_effort_rejects_nonpositive_count(tmp_path, count):
+    assert (effort_error(tmp_path, {"kind": "on-demand", "test_count": count})
+            == f"effort.json: top level: test_count must be positive, got {count}")
 
 
-def test_effort_rejects_bad_duration():
-    with pytest.raises(ValueError):
-        EffortModel(kind=EffortKind.CONTINUOUS, test_count=10, test_duration=0.0)
-    with pytest.raises(ValueError):
-        EffortModel(kind=EffortKind.CONTINUOUS, test_count=10)
+def test_effort_rejects_bad_duration(tmp_path):
+    assert (effort_error(tmp_path, {"kind": "continuous", "test_count": 10, "test_duration": 0.0})
+            == "effort.json: top level: test_duration must be positive, got 0.0")
+    assert (effort_error(tmp_path, {"kind": "continuous", "test_count": 10})
+            == "effort.json: top level: continuous effort requires test_duration (hours per test)")
 
 
-def test_on_demand_rejects_duration():
-    with pytest.raises(ValueError):
-        EffortModel(kind=EffortKind.ON_DEMAND, test_count=10, test_duration=1.0)
+def test_on_demand_rejects_duration(tmp_path):
+    assert (effort_error(tmp_path, {"kind": "on-demand", "test_count": 10, "test_duration": 1.0})
+            == "effort.json: top level: on-demand effort takes no test_duration; remove it or use kind=continuous")
 
 
-def test_effort_rejects_non_integer_count():
-    with pytest.raises(ValueError):
-        EffortModel(kind=EffortKind.ON_DEMAND, test_count=2.5)
-    with pytest.raises(ValueError):
-        EffortModel(kind=EffortKind.ON_DEMAND, test_count=True)
+def test_effort_rejects_non_integer_count(tmp_path):
+    assert (effort_error(tmp_path, {"kind": "on-demand", "test_count": 2.5})
+            == "effort.json: test_count: expected an integer, got 2.5")
+    assert (effort_error(tmp_path, {"kind": "on-demand", "test_count": True})
+            == "effort.json: test_count: expected an integer, got True")
 
 
 @given(
@@ -152,8 +161,7 @@ def vcu_bundle():
 def test_records_are_frozen_values(name, vcu_bundle):
     record = RECORD_TYPES[name](vcu_bundle)
     assert type(record).__name__ == name
-    # The rows of a record array are named tuples.
-    fields = getattr(record, "_fields", record.__slots__)
+    fields = record._fields
     values = [getattr(record, field) for field in fields]
     by_name = type(record)(**dict(zip(fields, values)))
     assert by_name == record and not by_name != record and by_name is not record

@@ -157,7 +157,7 @@ def random_matrices(draw):
 def rate_maps_for(draw, matrix):
     return {
         cls: draw(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
-        for cls in matrix.classes()
+        for cls in sorted(matrix.rows)
     }
 
 

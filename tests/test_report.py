@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orcas import cli
-from orcas.bundle import AssessmentBundle, _Object, load_bundle
+from orcas.bundle import _Object, load_bundle
 from orcas.domain import DefectClass, FailureMode
 from orcas.errors import BundleError, OrcasError, StageError
 from orcas.evidence import GateDecision
@@ -194,8 +194,7 @@ def test_srgm_single_event_class_fails_with_context(tmp_path):
         config={"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"},
     )
     bundle = load_bundle(directory)
-    fields = {name: getattr(bundle, name) for name in AssessmentBundle.__slots__}
-    bundle = AssessmentBundle(**{**fields, "defects": bundle.defects[:1]})
+    bundle = bundle._replace(defects=bundle.defects[:1])
     with pytest.raises(BundleError, match="class 'checking'.*insufficient failure data"):
         run_assessment(bundle)
 
