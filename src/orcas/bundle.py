@@ -22,16 +22,16 @@ growth signal) is found by the fit itself, in the rates stage of
 :class:`BundleError` of the same form; ``orcas validate`` runs both.
 
 Every input of the tool, the CSV defect log and a saved report included,
-is read by :func:`_read_bytes`, decoded by :func:`_decode` and, if JSON,
-parsed by :func:`_parse_json` and checked by a table of the field kinds below.
+is read and decoded by :func:`_read_text`, which drops the bytes before it returns,
+and, if JSON, parsed by :func:`_parse_json` and checked by a table of the field kinds below.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
+import re
 import sys
 from itertools import repeat
 from operator import itemgetter
@@ -117,9 +117,10 @@ def _quote(value: Any, limit: int = _QUOTE_LIMIT) -> str:
     return _cut(repr(value), limit)
 
 
-def _read_bytes(path: Path, digests: dict[str, str] | None = None) -> bytes:
-    """The bytes of one input file. With ``digests``, also record their
-    SHA-256 under the file's name."""
+def _read_text(path: Path, file: str | None = None, digests: dict[str, str] | None = None) -> str:
+    """The text of one input file, decoded by :func:`_decode` (errors name ``file``, by default the
+    file's name). With ``digests``, also record the SHA-256 of its bytes under the file's name. Only
+    this frame holds the bytes, so the caller parses the text with one copy of the input alive."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -128,7 +129,7 @@ def _read_bytes(path: Path, digests: dict[str, str] | None = None) -> bytes:
         raise BundleError(f"{path.name}: cannot read: {exc}") from exc
     if digests is not None:
         digests[path.name] = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return raw
+    return _decode(raw, file or path.name)
 
 
 def _decode(raw: bytes, file: str) -> str:
@@ -140,14 +141,15 @@ def _decode(raw: bytes, file: str) -> str:
     except UnicodeDecodeError as exc:
         raise _fail(file, f"byte {exc.start}", "not valid UTF-8") from None
     if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # One replacement at a time: at most two copies of the text beside the bytes.
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
     return text
 
 
-def _parse_json(raw: bytes, file: str) -> Any:
-    """The JSON document in an input's bytes; ``file`` names the input in
+def _parse_json(text: str, file: str) -> Any:
+    """The JSON document in an input's text; ``file`` names the input in
     error messages."""
-    text = _decode(raw, file)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -174,7 +176,7 @@ def _parse_json(raw: bytes, file: str) -> Any:
 def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
     """Parse one UTF-8 JSON file. With ``digests``, also record the SHA-256
     of the bytes parsed under the file's name."""
-    return _parse_json(_read_bytes(path, digests), path.name)
+    return _parse_json(_read_text(path, digests=digests), path.name)
 
 
 def _expect_object(data: Any, file: str, where: str, allowed: set[str], required: set[str]) -> dict:
@@ -399,10 +401,9 @@ class _EnumSet(_Array):
     def column(self, column: list) -> list | None:
         if not set(map(type, column)) <= {list}:
             return None
-        column = list(map(tuple, column))
-        # One frozenset per distinct list, shared by its records.
-        sets = {key: frozenset(map(self.kind.members.__getitem__, key)) for key in set(column)}
-        return list(map(sets.__getitem__, column))
+        # One frozenset per distinct list, shared by its records; no tuple outlives its lookup.
+        sets = {key: frozenset(map(self.kind.members.__getitem__, key)) for key in set(map(tuple, column))}
+        return list(map(sets.__getitem__, map(tuple, column)))
 
 
 class _Object(_Kind):
@@ -694,8 +695,9 @@ def defects_from_csv(path: Path | str) -> Records:
     import csv  # only this converter reads CSV; keep it out of every other command's start-up
     path = Path(path)
     file = path.name
-    # strict: an unterminated quote is an error, not the rest of the file in one field.
-    rows = csv.reader(io.StringIO(_decode(_read_bytes(path), file)), strict=True)
+    # The text's "\n"-terminated lines, one at a time (io.StringIO would hold 4 bytes per
+    # character). strict: an unterminated quote is an error, not the rest of the file in one field.
+    rows = csv.reader(map(itemgetter(0), re.finditer(r"[^\n]*\n|[^\n]+", _read_text(path))), strict=True)
     try:
         header = next(rows, None)
     except csv.Error as exc:

@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
 from ._version import __version__
-from .bundle import _read_bytes, defects_from_csv, load_bundle, load_corpus_file, load_history_file
+from .bundle import _read_text, defects_from_csv, load_bundle, load_corpus_file, load_history_file
 from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
 from .growth import SrgmModel, fit_mean, fit_srgm, windowed_srgm_stability
-from .report import REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json, run_assessment
+from .report import (_INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
+                     run_assessment)
 
 _MODEL_NAMES = {
     "go": SrgmModel.GOEL_OKUMOTO,
@@ -188,7 +190,7 @@ def _cmd_srgm_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = report_from_json(_read_bytes(Path(args.assessment)))
+    report = report_from_json(_read_text(Path(args.assessment), _INVALID_REPORT))
     _write_output(emit_report(report, args.format), args.output)
     return 0
 
@@ -216,6 +218,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     # One command per process, whose data lives until exit: the cyclic GC would only
-    # re-traverse the parsed JSON. main() itself leaves the GC as it finds it.
+    # re-traverse the parsed JSON and the interpreter's teardown only free it, so the
+    # process exits once its output is flushed. main() leaves the GC as it finds it;
+    # argparse's exits and uncaught exceptions take the usual path.
     gc.disable()
-    sys.exit(main())
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except (OSError, ValueError) as exc:
+        code = 1
+        print(f"orcas: error: {exc}", file=sys.stderr, flush=True)
+    os._exit(code)

@@ -25,8 +25,8 @@ from contextlib import contextmanager
 
 from ._version import __version__
 from .bundle import (
-    _EVENTS, _REQUIRED, AssessmentBundle, _Array, _Enum, _EnumSet, _Flag, _Integer, _Map, _Number, _Object,
-    _parse_json, _quote, _Rule, _String,
+    _EVENTS, _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _Flag, _Integer, _Map, _Number,
+    _Object, _parse_json, _quote, _Rule, _String,
 )
 from .causality import merge_causality, uniform_causality
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
@@ -151,6 +151,17 @@ def _rates_are_intensities(report: dict) -> bool:
                for cls, rate in report["rates"]["per_class"].items())
 
 
+def _saved_stability_threshold(report: dict) -> float | None:
+    """A report's provenance.options.stability_threshold, or None where that is no number."""
+    options = report["provenance"].get("options")
+    value = options.get("stability_threshold") if isinstance(options, dict) else None
+    return value if type(value) in (int, float) else None
+
+
+# The annotation of a growth report whose refits are not all stable.
+_UNSTABLE_NOTE = "WARNING: growth-model refits exceed the stability threshold; predictions may be unreliable"
+
+
 # Rules that join fields of a report, checked after _REPORT_FIELDS, each with the field it names.
 _REPORT_RULES = (
     ("evidence: gate", _Rule(lambda report: report["evidence"]["gate"] == gate_decision(
@@ -162,6 +173,13 @@ _REPORT_RULES = (
                      "must be null exactly when rates.method is bounded")),
     ("rates: per_class", _Rule(_rates_are_intensities, "each rate must be its class's growth fit current_intensity, "
                                                        "or 0.0 for a class without a fit")),
+    ("growth", _Rule(lambda report: report["growth"] is None or all(
+        entry["stability"]["threshold"] == _saved_stability_threshold(report)
+        for entry in report["growth"]["per_class"].values()),
+        "each class's stability threshold must be provenance.options.stability_threshold")),
+    ("annotations", _Rule(lambda report: (_UNSTABLE_NOTE in report["annotations"]) is (
+        report["growth"] is not None and not report["growth"]["all_stable"]),
+        "must hold the unstable-refits warning exactly when growth.all_stable is false")),
 )
 
 REPORT_FORMATS = ("json", "text", "svg")
@@ -347,10 +365,7 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
             "growth-model class rates are the fitted intensities at the assessment horizon"
         )
         if not growth["all_stable"]:
-            annotations.append(
-                "WARNING: growth-model refits exceed the stability threshold; "
-                "predictions may be unreliable"
-            )
+            annotations.append(_UNSTABLE_NOTE)
     annotations.append(
         f"confidence is the weighted mean of the RTM and TCA scores "
         f"(weights {bundle.rtm_weight:g}/{bundle.tca_weight:g}); structural "
@@ -412,10 +427,11 @@ def emit_report(report: dict, format: str = "json") -> bytes:
 _INVALID_REPORT = "invalid report JSON"
 
 
-def report_from_json(data: bytes) -> dict:
-    """The dict of a saved canonical JSON report, as parsed: its schema_version
-    is checked first, so that another version is named, then all of it by _REPORT_FIELDS."""
-    parsed = _parse_json(data, _INVALID_REPORT)
+def report_from_json(data: bytes | str) -> dict:
+    """The dict of a saved canonical JSON report (its bytes, or its text as
+    ``bundle._read_text`` decodes it), as parsed: its schema_version is checked
+    first, so that another version is named, then all of it by _REPORT_FIELDS."""
+    parsed = _parse_json(data if isinstance(data, str) else _decode(data, _INVALID_REPORT), _INVALID_REPORT)
     if not isinstance(parsed, dict):
         raise OrcasError(f"{_INVALID_REPORT}: expected an object")
     version = parsed.get("schema_version")

@@ -1,9 +1,11 @@
-"""Shared fixtures: the packaged case-study bundle, a synthetic
-event-history generator, and a bundle-directory writer for tests that
-need datasets the fixture does not cover."""
+"""Shared fixtures: the packaged case-study bundle, the seed-1 inputs of
+the benchmark workloads, a synthetic event-history generator, and a
+bundle-directory writer for tests that need datasets the fixture does
+not cover."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from orcas import cli
 from orcas.evidence import required_tca_template
 from orcas.fixtures import vcu_dir
 
@@ -19,9 +22,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from srgm_recovery_experiment import nhpp_exponential_events  # noqa: E402
 
 
+ROOT = Path(__file__).resolve().parent.parent
+# The bundles whose json reports the seed-1 inputs also hold, saved as <name>.json.
+SAVED_REPORTS = ("vcu", "go", "mo-a")
+
+
 @pytest.fixture
 def vcu_bundle_dir() -> Path:
     return vcu_dir()
+
+
+@pytest.fixture(scope="session")
+def workdir(tmp_path_factory) -> Path:
+    """The seed-1 inputs of every workload of ``perfbench/gen.py`` in one
+    directory, plus the saved json reports of the bundles in SAVED_REPORTS."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.VCU_FIXTURE = ROOT / gen.VCU_FIXTURE
+    out = tmp_path_factory.mktemp("outputs")
+    for workload in gen.GENERATORS:
+        gen.generate(workload, 1, out / workload)
+        for entry in (out / workload).iterdir():
+            entry.rename(out / entry.name)
+    for name in SAVED_REPORTS:
+        assert cli.main(["assess", str(out / name), "-o", str(out / f"{name}.json")]) in (0, 2)
+    return out
 
 
 def default_tca_entries(status: str = "complete") -> list[dict]:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import random
 import re
 import shutil
@@ -109,6 +110,25 @@ _VERDICT = ("invalid report JSON: growth: per_class: checking: stability: must b
             "computes from its series and threshold")
 
 
+_THRESHOLD = ("invalid report JSON: growth: each class's stability threshold must be "
+              "provenance.options.stability_threshold")
+_UNSTABLE = "WARNING: growth-model refits exceed the stability threshold; predictions may be unreliable"
+_NOTE = ("invalid report JSON: annotations: must hold the unstable-refits warning exactly when "
+         "growth.all_stable is false")
+
+
+def unstable_at_threshold_zero(raw):
+    """The saved stable report made unstable at threshold 0.0, consistently
+    but for the missing warning annotation."""
+    report = json.loads(raw)
+    report["provenance"]["options"]["stability_threshold"] = 0.0
+    verdict = report["growth"]["per_class"]["checking"]["stability"]
+    assert verdict["stable"] and verdict["max_relative_step"] > 0.0
+    verdict.update(threshold=0.0, stable=False)
+    report["growth"]["all_stable"] = False
+    return json.dumps(report).encode()
+
+
 def exclude_mode_a(raw):
     """The saved report with mode A listed as excluded but its cells kept,
     and the margins recomputed so that they are the sums of the cells."""
@@ -181,6 +201,14 @@ def exclude_mode_a(raw):
      "expected an array of [effort, predicted total] pairs"),
     (edit(*_STABILITY, "series", value=lambda series: series[:1]),
      "invalid report JSON: growth: per_class: checking: stability: stability needs at least 2 fits"),
+    (edit(*_STABILITY, "threshold", value=0.5), _THRESHOLD),
+    (edit("provenance", "options", "stability_threshold", value=0.5), _THRESHOLD),
+    (edit("provenance", "options", "stability_threshold", value="0.1"), _THRESHOLD),
+    (edit("provenance", "options", "stability_threshold"), _THRESHOLD),
+    (edit("provenance", "options", value=5), _THRESHOLD),
+    (edit("provenance", "options"), _THRESHOLD),
+    (edit("annotations", value=lambda notes: [*notes, _UNSTABLE]), _NOTE),
+    (unstable_at_threshold_zero, _NOTE),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -189,7 +217,10 @@ def exclude_mode_a(raw):
         "per_class_total-without-checking", "total-5", "excluded-mode-with-cells", "rate-not-intensity",
         "rate-without-fit", "intensity-not-rate", "srgm-without-growth", "bounded-with-growth",
         "modes-unit-not-rates-unit", "fit-not-converged", "fit-model-not-growth-model", "gate-not-confidence",
-        "stable-negated", "max-step-zero", "all_stable-flipped", "series-item-of-three", "series-of-one-pair"])
+        "stable-negated", "max-step-zero", "all_stable-flipped", "series-item-of-three", "series-of-one-pair",
+        "threshold-not-provenance", "provenance-threshold-changed", "provenance-threshold-string",
+        "provenance-threshold-missing", "provenance-options-5", "provenance-options-missing",
+        "unstable-note-while-stable", "unstable-without-note"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.
@@ -550,6 +581,34 @@ def test_entrypoint_disables_gc_and_main_leaves_it_as_found(capsys):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert "bundle OK" in capsys.readouterr().out
+
+
+def run_buffered(program: str, **kwargs):
+    """``python -c program`` with block-buffered output to pipes: nothing printed
+    reaches them before a flush."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", program], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_entrypoint_flushes_what_main_printed_and_keeps_its_exit_code(code):
+    program = ("import sys, orcas.cli as cli; "
+               f"cli.main = lambda: print('out') or print('err', end='', file=sys.stderr) or {code}; "
+               "cli.entrypoint()")
+    result = run_buffered(program, capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, b"out\n", b"err")
+
+
+def test_entrypoint_reports_a_failed_flush_in_one_line():
+    # The reader of stdout is gone before the command prints.
+    read, write = os.pipe()
+    os.close(read)
+    program = "import orcas.cli as cli; cli.main = lambda: print('out') or 0; cli.entrypoint()"
+    try:
+        result = run_buffered(program, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"orcas: error: [Errno 32] Broken pipe\n")
 
 
 def test_package_exports_only_the_api_the_readme_documents():

@@ -14,9 +14,7 @@ records gives the rows of the loader oracles.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 from functools import partial
-from pathlib import Path
 
 import pytest
 
@@ -25,14 +23,11 @@ from orcas.bundle import load_corpus_file, load_defects_file
 from orcas.domain import DefectRecord
 from orcas.evidence import RtmEntry, TcaEntry
 
+from conftest import SAVED_REPORTS
 from test_bundle_fuzz import _oracle_load_corpus_file, _oracle_load_defect_file
-
-ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
 
 _ASSESSED = ("vcu", "go", "mo-a", "mo-b", "corpus-bundle",
              "bad-empty-id", "bad-rtm-utf8", "bad-test-count", "bad-srgm-no-effort")
-_SAVED = ("vcu", "go", "mo-a")
 _FIT = ("--stability-windows", "4", "--curve-samples", "10")
 
 # Each command, as its arguments, run from the directory the inputs were generated in.
@@ -42,7 +37,7 @@ COMMANDS = (
                         ("assess", "--format", "svg"))),
     ("assess", "vcu", "--uniform-missing-rows", "--exclude-modes", "B,C"),
     ("assess", "vcu", "--uniform-missing-rows", "--exclude-modes", "B,C", "--format", "text"),
-    *(("report", f"{name}.json", "--format", fmt) for name in _SAVED for fmt in ("json", "text", "svg")),
+    *(("report", f"{name}.json", "--format", fmt) for name in SAVED_REPORTS for fmt in ("json", "text", "svg")),
     *(("srgm", "fit", "history.json", "--model", model, *extra) for model in ("go", "mo") for extra in ((), _FIT)),
     ("causality", "build", "corpus.json"),
     ("causality", "build", "corpus-bundle/corpus.json"),
@@ -109,24 +104,6 @@ DIGESTS = {
     "causality build corpus-bundle/corpus.json": "9b9842ddaa448d5881534a3314607298073c2de3e91377bdb23ec226a19b7ac9",
     "convert defects log.csv": "e9516ae3ecbf67a5dd3a3166a957695898f6bd246e2a68e17e20003c0ed4cde6",
 }
-
-
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory) -> Path:
-    """The seed-1 inputs of every workload in one directory, plus the saved
-    json reports of the bundles in _SAVED."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    gen.VCU_FIXTURE = ROOT / gen.VCU_FIXTURE
-    out = tmp_path_factory.mktemp("outputs")
-    for workload in gen.GENERATORS:
-        gen.generate(workload, SEED, out / workload)
-        for entry in (out / workload).iterdir():
-            entry.rename(out / entry.name)
-    for name in _SAVED:
-        assert cli.main(["assess", str(out / name), "-o", str(out / f"{name}.json")]) in (0, 2)
-    return out
 
 
 def _digest(argv, capsysbinary) -> str:
