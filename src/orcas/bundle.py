@@ -55,13 +55,13 @@ from .domain import (
     total_effort,
 )
 from .errors import BundleError, OrcasError
-from .evidence import ACTIVITIES, CoverageStatus, RtmEntry, TcaEntry, validate_tca_entries
+from .evidence import (ACTIVITIES, DEFAULT_CONFIDENCE_THRESHOLD, CoverageStatus, RtmEntry, TcaEntry,
+                       validate_tca_entries)
 from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
 from .quantify import SystemKind, mode_applicability
 
 REQUIRED_FILES = ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json")
 
-DEFAULT_CONFIDENCE_THRESHOLD = 0.90
 DEFAULT_STABILITY_WINDOWS = 4
 BUILTIN_MATRIX_SOURCE = "builtin"
 CORPUS_SOURCE_PREFIX = "corpus:"
@@ -292,19 +292,14 @@ _DISTINCT = _Distinct()
 class _Rule(_Kind):
     """A check of the whole record: ``test`` holds for a field already
     read, else ``reason`` is raised, formatted with the value quoted by
-    :func:`_quote` and, as ``type``, the name of its JSON type. Where
-    ``test`` raises :class:`OrcasError`, its message is the reason."""
+    :func:`_quote`."""
 
     def __init__(self, test, reason: str):
         self.test, self.reason = test, reason
 
     def check(self, value: Any, file: str, where: str) -> Any:
-        try:
-            holds = self.test(value)
-        except OrcasError as exc:
-            raise _fail(file, where, str(exc)) from None
-        if not holds:
-            raise _fail(file, where, self.reason.format(_quote(value), type=type(value).__name__))
+        if not self.test(value):
+            raise _fail(file, where, self.reason.format(_quote(value)))
         return value
 
     def column(self, column: list) -> list | None:
@@ -342,8 +337,9 @@ class _Number(_Kind):
             return None
         if int in types:
             column = list(map(float, column))
-        # With NaN ruled out first, min and max are reliable; -0.0 passes lo=0.0 and keeps its sign.
-        if (not all(map(math.isfinite, column)) or (self.lo is not None and min(column) < self.lo)
+        # A sum is finite only where every term is; one that overflows sends the column to the record
+        # faces. With NaN ruled out first, min and max are reliable; -0.0 passes lo=0.0, keeping its sign.
+        if (not math.isfinite(sum(column)) or (self.lo is not None and min(column) < self.lo)
                 or (self.hi is not None and max(column) > self.hi)):
             return None
         return column

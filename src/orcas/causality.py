@@ -11,7 +11,7 @@ no data: lookups on absent rows raise, they never return silent zeros.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .domain import MODE_ORDER, DefectClass, Records
 from .errors import MissingCausalityRowError, OrcasError
@@ -49,9 +49,6 @@ class CausalityMatrix(NamedTuple):
     rows: Mapping[DefectClass, tuple[float, float, float, float]]
     provenance: str
     counts: Mapping[DefectClass, tuple[int, int, int, int]] | None = None
-
-    def has_row(self, defect_class: DefectClass) -> bool:
-        return defect_class in self.rows
 
     def row(self, defect_class: DefectClass) -> tuple[float, float, float, float]:
         try:
@@ -106,33 +103,3 @@ def estimate_causality(corpus: Records, provenance: str | None = None) -> Causal
         provenance=provenance,
         counts={cls: tuple(row) for cls, row in counts.items()},
     )
-
-
-def merge_causality(base: CausalityMatrix, overlay: CausalityMatrix) -> CausalityMatrix:
-    """Overlay rows replace base rows class-by-class."""
-    rows = dict(base.rows)
-    rows.update(overlay.rows)
-    counts = None
-    if base.counts is not None or overlay.counts is not None:
-        counts = dict(base.counts or {})
-        # A replaced row's counts no longer describe it; drop them unless
-        # the overlay brings its own.
-        for cls in overlay.rows:
-            counts.pop(cls, None)
-        counts.update(overlay.counts or {})
-        counts = counts or None
-    return CausalityMatrix(
-        rows=rows,
-        provenance=f"{base.provenance} + {overlay.provenance}",
-        counts=counts,
-    )
-
-
-def uniform_causality(classes: Iterable[DefectClass]) -> CausalityMatrix:
-    """Uniform (0.25 per mode) rows for the given classes.
-
-    This is the explicit escape hatch for classes missing from a matrix;
-    callers must surface a warning whenever it is used.
-    """
-    rows = {cls: (0.25, 0.25, 0.25, 0.25) for cls in classes}
-    return CausalityMatrix(rows=rows, provenance="uniform (0.25 per mode)")

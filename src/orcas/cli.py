@@ -27,7 +27,7 @@ from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
-from .growth import SrgmModel, fit_mean, fit_srgm, windowed_srgm_stability
+from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_mean, fit_srgm, windowed_srgm_stability
 from .report import (_INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
                      run_assessment)
 
@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--model", choices=sorted(_MODEL_NAMES), default="go")
     p_fit.add_argument("--stability-windows", type=int, default=0, metavar="N",
                        help="refit over N expanding windows and report stability")
-    p_fit.add_argument("--stability-threshold", type=float, default=0.10, metavar="X")
+    p_fit.add_argument("--stability-threshold", type=float, default=DEFAULT_STABILITY_THRESHOLD, metavar="X")
     p_fit.add_argument("--curve-samples", type=int, default=0, metavar="K",
                        help="include K+1 (effort, mean) samples of the fitted curve")
     p_fit.add_argument("-o", "--output", default=None, help="output file (default stdout)")

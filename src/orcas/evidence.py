@@ -37,6 +37,8 @@ SYSTEM_TEST = "system-test"
 
 ACTIVITIES = (UNIT_TEST, FUNCTION_TEST, SYSTEM_TEST)
 
+DEFAULT_CONFIDENCE_THRESHOLD = 0.90
+
 
 class GateDecision(str, Enum):
     PROCEED = "proceed"
@@ -143,7 +145,7 @@ def assessment_confidence(
     rtm_score: float,
     tca_score: float,
     structural_coverage: float,
-    threshold: float = 0.90,
+    threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
     rtm_weight: float = 0.5,
     tca_weight: float = 0.5,
 ) -> dict:

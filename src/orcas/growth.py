@@ -104,14 +104,14 @@ def mo_intensity(t: float, lambda0: float, theta: float) -> float:
     return lambda0 / (lambda0 * theta * t + 1.0)
 
 
-# Each model's mean function and the names of its parameters, in argument order.
-MEAN_FUNCTIONS = {SrgmModel.GOEL_OKUMOTO: (go_mean, ("a", "b")),
-                  SrgmModel.MUSA_OKUMOTO: (mo_mean, ("lambda0", "theta"))}
+# Each model's mean and intensity functions and the names of its parameters, in argument order.
+MODEL_FUNCTIONS = {SrgmModel.GOEL_OKUMOTO: (go_mean, go_intensity, ("a", "b")),
+                   SrgmModel.MUSA_OKUMOTO: (mo_mean, mo_intensity, ("lambda0", "theta"))}
 
 
 def fit_mean(fit: dict, t: float) -> float:
     """The mean function m(t) of a report's ``fit``."""
-    mean, names = MEAN_FUNCTIONS[SrgmModel(fit["model"])]
+    mean, _, names = MODEL_FUNCTIONS[SrgmModel(fit["model"])]
     return mean(t, *[fit["params"][name] for name in names])
 
 
@@ -233,20 +233,26 @@ def _bracket(sign: Callable[[float], float], s_lo: float, T: float) -> tuple[flo
     )
 
 
-def _fit(model: SrgmModel, params: dict[str, float], predicted_total: float, intensity: float,
-         log_likelihood: float, diagnostic: str | None) -> dict:
-    """A growth class's ``fit`` section of the report. ``params`` holds
-    {"a", "b"} (exponential) or {"lambda0", "theta"} (logarithmic, whose
-    unbounded mean predicts an infinite total), and ``intensity`` is the
-    fitted m'(horizon). A fit with a ``diagnostic`` is unconverged: its
-    parameters are the boundary the likelihood climbed toward, never point
-    estimates."""
-    if not all(map(math.isfinite, (*params.values(), log_likelihood, intensity))):
+def fit_section(model: SrgmModel, params: Mapping[str, float], horizon: float, log_likelihood: float,
+                diagnostic: str | None) -> dict:
+    """A growth class's ``fit`` section of the report, from the parameters
+    fitted over [0, ``horizon``]: {"a", "b"} (exponential) or {"lambda0",
+    "theta"} (logarithmic). ``predicted_total`` is the mean at infinite
+    effort, ``a`` or, for the unbounded logarithmic mean, infinity, and
+    ``current_intensity`` is m'(horizon). A fit with a ``diagnostic`` is
+    unconverged: its parameters are the boundary the likelihood climbed
+    toward, never point estimates."""
+    mean, intensity, names = MODEL_FUNCTIONS[model]
+    if set(params) != set(names):
+        raise OrcasError(f"params must be exactly the parameters of the {model.value} model: {', '.join(names)}")
+    values = [params[name] for name in names]
+    current_intensity = intensity(horizon, *values)
+    if not all(map(math.isfinite, (*values, log_likelihood, current_intensity))):
         raise OrcasError(f"growth fit is beyond floating-point range: parameters {params!r}, "
                          f"log-likelihood {log_likelihood!r}")
-    return {"model": model.value, "params": dict(sorted(params.items())), "predicted_total": predicted_total,
-            "current_intensity": intensity, "log_likelihood": log_likelihood,
-            "converged": diagnostic is None, "diagnostic": diagnostic}
+    return {"model": model.value, "params": dict(sorted(params.items())),
+            "predicted_total": mean(math.inf, *values), "current_intensity": current_intensity,
+            "log_likelihood": log_likelihood, "converged": diagnostic is None, "diagnostic": diagnostic}
 
 
 def _fit_go(events: list[float], horizon: float) -> dict:
@@ -279,8 +285,7 @@ def _fit_go(events: list[float], horizon: float) -> dict:
         hi, s_hi = _bracket(score, s_lo, T)
         b = newton_bisection(score, score_prime, lo, hi, flo=s_lo, fhi=s_hi)
     a = n / -math.expm1(-b * T)
-    return _fit(SrgmModel.GOEL_OKUMOTO, {"a": a, "b": b}, a, go_intensity(T, a, b),
-                go_log_likelihood(events, T, a, b), diagnostic)
+    return fit_section(SrgmModel.GOEL_OKUMOTO, {"a": a, "b": b}, T, go_log_likelihood(events, T, a, b), diagnostic)
 
 
 # The Musa-Okumoto summary: at most this many buckets of consecutive
@@ -410,8 +415,8 @@ def _fit_mo(events: list[float], horizon: float) -> dict:
         beta = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
     lambda0 = n * beta / math.log1p(beta * T)
     theta = math.log1p(beta * T) / n
-    return _fit(SrgmModel.MUSA_OKUMOTO, {"lambda0": lambda0, "theta": theta}, math.inf,
-                mo_intensity(T, lambda0, theta), mo_log_likelihood(events, T, lambda0, theta), diagnostic)
+    return fit_section(SrgmModel.MUSA_OKUMOTO, {"lambda0": lambda0, "theta": theta}, T,
+                       mo_log_likelihood(events, T, lambda0, theta), diagnostic)
 
 
 _FITTERS = {SrgmModel.GOEL_OKUMOTO: _fit_go, SrgmModel.MUSA_OKUMOTO: _fit_mo}
@@ -419,7 +424,7 @@ _FITTERS = {SrgmModel.GOEL_OKUMOTO: _fit_go, SrgmModel.MUSA_OKUMOTO: _fit_mo}
 
 def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = None) -> dict:
     """Maximum-likelihood fit to an ordered detection-effort history, as
-    the report's ``fit`` section (see :func:`_fit`).
+    the report's ``fit`` section (see :func:`fit_section`).
 
     ``horizon`` is the total observed effort and defaults to the last
     event. When the history shows no growth signal (events not
@@ -506,6 +511,14 @@ def srgm_class_rates(per_class_fits: Mapping[DefectClass, dict], unit: RateUnit)
                 f"use bounded estimation for this dataset"
             )
     return _rates({cls: fit["current_intensity"] for cls, fit in per_class_fits.items()}, unit, RateMethod.SRGM)
+
+
+def growth_section(model: SrgmModel, horizon: float, per_class: dict[str, dict]) -> dict:
+    """The report's ``growth`` section: ``per_class`` holds each class's
+    ``fit``, ``events`` and ``stability`` by class name, and ``all_stable``
+    is whether every class's refits are stable."""
+    return {"model": model.value, "horizon": horizon, "per_class": per_class,
+            "all_stable": all(entry["stability"]["stable"] for entry in per_class.values())}
 
 
 def stability_windows(events: Sequence[float], horizon: float, windows: int) -> list[tuple[float, int]]:

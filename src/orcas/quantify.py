@@ -88,8 +88,8 @@ def combine(
             continue
         row = matrix.row(DefectClass(name))
         per_cell[name] = {
-            mode.value: 0.0 if mode in excluded else row[i] * rate
-            for i, mode in enumerate(MODE_ORDER)
+            key: 0.0 if mode in excluded else p * rate
+            for key, mode, p in zip(_MODES, MODE_ORDER, row)
         }
     names = sorted(mode.value for mode in excluded)
     return {"unit": rates["unit"], "excluded": names, "per_cell": per_cell, **mode_sums(per_cell, names)}

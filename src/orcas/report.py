@@ -8,13 +8,15 @@ JSON. Reports emit as canonical JSON (sorted keys, shortest round-trip
 floats), a plain-text summary, or SVG growth-curve plots.
 
 A report is one dict, the one _REPORT_FIELDS describes, and every format
-renders it. The stages build its sections: ``combine`` returns ``modes``,
-``assessment_confidence`` returns ``evidence`` and
-``windowed_srgm_stability`` each growth class's ``stability``. A saved
-report is read back as that dict by :func:`report_from_json`, checked by
-the bundle's field kinds against _REPORT_FIELDS and _REPORT_RULES, which
-re-derive the margins, each class's stability and the gate by their
-stages: its first fault is raised as ``invalid report JSON: <where>: <reason>``.
+renders it. The stages and section builders build its sections:
+``combine`` returns ``modes``, ``srgm_class_rates`` ``rates``,
+``assessment_confidence`` ``evidence``, ``growth_section`` ``growth``,
+``fit_section`` each class's ``fit`` and ``stability`` its ``stability``.
+A saved report is read back as that dict by :func:`report_from_json`: the
+bundle's field kinds check each field's shape against _REPORT_FIELDS, and
+each part listed by _relations is derived again by its stage from the
+report's own primary fields and must equal the saved part. Its first fault
+is raised as ``invalid report JSON: <where>: <reason>``.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from functools import partial
 
 from ._version import __version__
 from .bundle import (
-    _EVENTS, _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _Flag, _Integer, _Map, _Number,
+    _EVENTS, _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _fail, _Flag, _Integer, _Map, _Number,
     _Object, _parse_json, _quote, _Rule, _String,
 )
-from .causality import merge_causality, uniform_causality
+from .causality import CausalityMatrix
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
 from .evidence import (
@@ -42,16 +45,18 @@ from .evidence import (
     tca_slots,
 )
 from .growth import (
-    MEAN_FUNCTIONS,
+    MODEL_FUNCTIONS,
     RateMethod,
     SrgmModel,
     bounded_class_rates,
     fit_mean,
+    fit_section,
+    growth_section,
     srgm_class_rates,
     stability,
     windowed_srgm_stability,
 )
-from .quantify import combine, mode_sums
+from .quantify import _MODES, SystemKind, combine
 
 SCHEMA_VERSION = 1
 
@@ -61,10 +66,9 @@ _POSITIVE = _Number(positive=True)
 _TEXT = "expected an array of strings"
 _TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
 _PAIRS = "expected an array of [effort, predicted total] pairs"
-# The parameter names of each growth model, by the model's name in a report.
-_PARAMS = {model.value: set(names) for model, (_, names) in MEAN_FUNCTIONS.items()}
 
-# A report, as run_assessment returns it and report_from_json reads it back.
+# A report, as run_assessment returns it and report_from_json reads it back:
+# the shape of each field. How the fields derive from one another is _relations'.
 _REPORT_FIELDS = (
     ("schema_version", _REQUIRED, _Integer()),
     ("mode_family", _REQUIRED, _Enum(ModeFamily)),
@@ -76,12 +80,6 @@ _REPORT_FIELDS = (
         ("per_class_total", _REQUIRED, _Map(DefectClass, _RATE)),
         ("total", _REQUIRED, _RATE),
     ))),
-    # The margins are the fsums of the cells, bit for bit: a renderer may print either.
-    ("modes", _REQUIRED, _Rule(lambda modes: mode_sums(modes["per_cell"], modes["excluded"]).items()
-                               <= modes.items(), "per_mode, per_class_total and total must be the sums of per_cell")),
-    ("modes", _REQUIRED, _Rule(lambda modes: all(row[mode] == 0.0 for row in modes["per_cell"].values()
-                                                 for mode in modes["excluded"]),
-                               "cells of excluded modes must be 0.0")),
     ("rates", _REQUIRED, _Object((
         ("method", _REQUIRED, _Enum(RateMethod)),
         ("unit", _REQUIRED, _Enum(RateUnit)),
@@ -100,19 +98,16 @@ _REPORT_FIELDS = (
         ("per_class", _REQUIRED, _Map(DefectClass, _Object((
             ("fit", _REQUIRED, _Object((
                 ("model", _REQUIRED, _Enum(SrgmModel)),
-                ("params", _REQUIRED, _Object(tuple((name, None, _POSITIVE) for names in _PARAMS.values()
-                                                    for name in sorted(names)))),
+                ("params", _REQUIRED, _Object(tuple((name, None, _POSITIVE)
+                                                    for _, _, names in MODEL_FUNCTIONS.values() for name in names))),
                 # The logarithmic model's mean is unbounded: it predicts no finite total.
                 ("predicted_total", _REQUIRED, _Rule(lambda total: type(total) in (int, float) and total > 0,
                                                      "expected a positive number or Infinity")),
                 ("current_intensity", _REQUIRED, _RATE),
                 ("log_likelihood", _REQUIRED, _Number()),
                 ("converged", _REQUIRED, _Flag()),
-                ("converged", _REQUIRED, _Rule(bool, "must be true: the rates stage refuses a fit that did not")),
                 ("diagnostic", _REQUIRED, _String(null=True)),
             ))),
-            ("fit", _REQUIRED, _Rule(lambda fit: set(fit["params"]) == _PARAMS[fit["model"]],
-                                     "params must be exactly the parameters of its model")),
             ("events", _REQUIRED, _EVENTS),
             ("stability", _REQUIRED, _Object((
                 ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"), _PAIRS,
@@ -122,65 +117,87 @@ _REPORT_FIELDS = (
                 ("stable", _REQUIRED, _Flag()),
                 ("threshold", _REQUIRED, _RATE),
             ))),
-            # The verdict is the stability stage's, over the saved series and threshold.
-            ("stability", _REQUIRED, _Rule(
-                lambda verdict: stability(verdict["series"], verdict["threshold"]) == verdict,
-                "must be what growth.stability computes from its series and threshold")),
         )))),
         ("all_stable", _REQUIRED, _Flag()),
     ), null=True)),
-    ("growth", _REQUIRED, _Rule(lambda growth: growth is None or all(
-        entry["fit"]["model"] == growth["model"] for entry in growth["per_class"].values()),
-        "each class's fit model must be growth.model")),
-    ("growth", _REQUIRED, _Rule(lambda growth: growth is None or growth["all_stable"] == all(
-        entry["stability"]["stable"] for entry in growth["per_class"].values()),
-        "all_stable must be true exactly when every class's stability is stable")),
     ("annotations", _REQUIRED, _TEXTS),
-    # No renderer reads the provenance: it is re-emitted as saved.
-    ("provenance", _REQUIRED, _Rule(lambda provenance: isinstance(provenance, dict),
-                                    "expected a JSON object, got {type}")),
+    # No renderer reads the provenance: it is re-emitted as saved. Its
+    # stability threshold is the one every class's stability is checked at.
+    ("provenance", _REQUIRED, _Object((
+        ("tool", _REQUIRED, _Object((("name", _REQUIRED, _String()), ("version", _REQUIRED, _String())))),
+        ("inputs", _REQUIRED, _Rule(lambda inputs: isinstance(inputs, dict) and all(
+            isinstance(digest, str) for digest in inputs.values()), "expected an object of file digests")),
+        ("matrix", _REQUIRED, _String()),
+        ("options", _REQUIRED, _Object((
+            ("matrix_source", _REQUIRED, _String()),
+            ("system_kind", _REQUIRED, _Enum(SystemKind)),
+            ("rate_method", _REQUIRED, _Enum(RateMethod)),
+            ("confidence_threshold", _REQUIRED, _Number(0.0, 1.0)),
+            ("stability_threshold", _REQUIRED, _RATE),
+            ("uniform_missing_rows", _REQUIRED, _Flag()),
+        ))),
+    ))),
 )
-
-
-def _rates_are_intensities(report: dict) -> bool:
-    """Each rate of a growth report is its class's fit's current_intensity, or 0.0 for a class without a fit."""
-    if report["growth"] is None:
-        return True
-    fits = report["growth"]["per_class"]
-    return all(rate == (fits[cls]["fit"]["current_intensity"] if cls in fits else 0.0)
-               for cls, rate in report["rates"]["per_class"].items())
-
-
-def _saved_stability_threshold(report: dict) -> float | None:
-    """A report's provenance.options.stability_threshold, or None where that is no number."""
-    options = report["provenance"].get("options")
-    value = options.get("stability_threshold") if isinstance(options, dict) else None
-    return value if type(value) in (int, float) else None
 
 
 # The annotation of a growth report whose refits are not all stable.
 _UNSTABLE_NOTE = "WARNING: growth-model refits exceed the stability threshold; predictions may be unreliable"
 
 
-# Rules that join fields of a report, checked after _REPORT_FIELDS, each with the field it names.
-_REPORT_RULES = (
-    ("evidence: gate", _Rule(lambda report: report["evidence"]["gate"] == gate_decision(
-        report["evidence"]["confidence"], report["evidence"]["confidence_threshold"]),
-        f"must be {GateDecision.DEFER.value} exactly when confidence < confidence_threshold")),
-    ("modes: unit", _Rule(lambda report: report["modes"]["unit"] == report["rates"]["unit"],
-                          "must equal rates.unit")),
-    ("growth", _Rule(lambda report: (report["growth"] is None) is (report["rates"]["method"] == RateMethod.BOUNDED),
-                     "must be null exactly when rates.method is bounded")),
-    ("rates: per_class", _Rule(_rates_are_intensities, "each rate must be its class's growth fit current_intensity, "
-                                                       "or 0.0 for a class without a fit")),
-    ("growth", _Rule(lambda report: report["growth"] is None or all(
-        entry["stability"]["threshold"] == _saved_stability_threshold(report)
-        for entry in report["growth"]["per_class"].values()),
-        "each class's stability threshold must be provenance.options.stability_threshold")),
-    ("annotations", _Rule(lambda report: (_UNSTABLE_NOTE in report["annotations"]) is (
-        report["growth"] is not None and not report["growth"]["all_stable"]),
-        "must hold the unstable-refits warning exactly when growth.all_stable is false")),
-)
+def _saved_modes(modes: dict, rates: dict) -> dict:
+    """The ``modes`` section as quantify.combine builds it, from the saved
+    cells as matrix rows at a rate of 1.0 for each class of positive rate: a
+    row for exactly those classes, excluded cells 0.0, the margins, and the
+    rates' unit. A class without saved cells gets a row of zeros, which the
+    comparison names as missing."""
+    cells = modes["per_cell"]
+    ones = {name: 1.0 if rate > 0.0 else 0.0 for name, rate in rates["per_class"].items()}
+    rows = {DefectClass(name): tuple(cells[name][mode] for mode in _MODES) if name in cells else (0.0,) * 4
+            for name, one in ones.items() if one}
+    return combine(CausalityMatrix(rows, "saved cells"), {"unit": rates["unit"], "per_class": ones},
+                   frozenset(map(FailureMode, modes["excluded"])))
+
+
+def _relations(report: dict):
+    """Each derived part of a report whose fields have the shapes of
+    _REPORT_FIELDS: its path, its saved value, and the call of the stage or
+    section builder that derives it from the report's own primary fields,
+    in the order the pipeline derives them."""
+    growth, rates, evidence = report["growth"], report["rates"], report["evidence"]
+    if growth is None:
+        # Bounded rates derive from the bundle's counts, which the report does not hold.
+        yield "rates: method", rates["method"], lambda: RateMethod.BOUNDED.value
+    else:
+        model, horizon = SrgmModel(growth["model"]), growth["horizon"]
+        threshold = report["provenance"]["options"]["stability_threshold"]
+        for cls, entry in growth["per_class"].items():
+            fit = entry["fit"]
+            yield (f"growth: per_class: {cls}: fit", fit,
+                   partial(fit_section, model, fit["params"], horizon, fit["log_likelihood"], fit["diagnostic"]))
+            yield (f"growth: per_class: {cls}: stability", entry["stability"],
+                   partial(stability, entry["stability"]["series"], threshold))
+        yield "growth", growth, partial(growth_section, model, horizon, growth["per_class"])
+        fits = {DefectClass(cls): entry["fit"] for cls, entry in growth["per_class"].items()}
+        yield "rates", rates, partial(srgm_class_rates, fits, RateUnit(rates["unit"]))
+    yield "modes", report["modes"], partial(_saved_modes, report["modes"], rates)
+    yield ("evidence: gate", evidence["gate"],
+           lambda: gate_decision(evidence["confidence"], evidence["confidence_threshold"]).value)
+    yield ("annotations: holds the unstable-refits warning", _UNSTABLE_NOTE in report["annotations"],
+           lambda: growth is not None and not growth["all_stable"])
+
+
+def _difference(where: str, derived, saved) -> tuple[str, str]:
+    """The first path at or below ``where`` at which ``saved``, not equal to
+    ``derived``, differs from it, and how."""
+    if isinstance(derived, dict) and isinstance(saved, dict):
+        for problem, keys in (("missing", derived.keys() - saved.keys()),
+                              ("unexpected", saved.keys() - derived.keys())):
+            if keys:
+                return where, f"{problem} key(s): {', '.join(sorted(keys))}"
+        key = next(key for key in derived if derived[key] != saved[key])
+        return _difference(f"{where}: {key}", derived[key], saved[key])
+    return where, f"must be {_quote(derived)}, got {_quote(saved)}"
+
 
 REPORT_FORMATS = ("json", "text", "svg")
 
@@ -306,13 +323,7 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
         fits[cls] = fit
         growth_per_class[cls.value] = {"fit": fit, "events": events, "stability": verdict}
     rates = srgm_class_rates(fits, bundle.effort.rate_unit)
-    growth = {
-        "model": bundle.srgm_model.value,
-        "horizon": horizon,
-        "per_class": growth_per_class,
-        "all_stable": all(entry["stability"]["stable"] for entry in growth_per_class.values()),
-    }
-    return rates, growth
+    return rates, growth_section(bundle.srgm_model, horizon, growth_per_class)
 
 
 def run_assessment(bundle: AssessmentBundle) -> dict:
@@ -328,11 +339,11 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
     with _stage("causality"):
         matrix = bundle.matrix
         needed = [DefectClass(name) for name, rate in rates["per_class"].items() if rate > 0.0]
-        missing = [cls for cls in needed if not matrix.has_row(cls)]
+        missing = [cls for cls in needed if cls not in matrix.rows]
         if missing:
             if not bundle.uniform_missing_rows:
                 raise MissingCausalityRowError(missing[0])
-            matrix = merge_causality(matrix, uniform_causality(missing))
+            matrix = matrix._replace(rows={**matrix.rows, **dict.fromkeys(missing, (0.25, 0.25, 0.25, 0.25))})
             names = ", ".join(cls.value for cls in missing)
             annotations.append(
                 f"WARNING: no causality data for class(es) {names}; uniform rows "
@@ -430,7 +441,8 @@ _INVALID_REPORT = "invalid report JSON"
 def report_from_json(data: bytes | str) -> dict:
     """The dict of a saved canonical JSON report (its bytes, or its text as
     ``bundle._read_text`` decodes it), as parsed: its schema_version is checked
-    first, so that another version is named, then all of it by _REPORT_FIELDS."""
+    first, so that another version is named, then the shape of every field by
+    _REPORT_FIELDS, then each derived part against its stage by _relations."""
     parsed = _parse_json(data if isinstance(data, str) else _decode(data, _INVALID_REPORT), _INVALID_REPORT)
     if not isinstance(parsed, dict):
         raise OrcasError(f"{_INVALID_REPORT}: expected an object")
@@ -438,8 +450,13 @@ def report_from_json(data: bytes | str) -> dict:
     if version != SCHEMA_VERSION:
         raise OrcasError(f"unsupported report schema_version {_quote(version)} (expected {SCHEMA_VERSION})")
     _Object(_REPORT_FIELDS).check(parsed, _INVALID_REPORT, "top level")
-    for where, rule in _REPORT_RULES:
-        rule.check(parsed, _INVALID_REPORT, where)
+    for where, saved, derive in _relations(parsed):
+        try:
+            derived = derive()
+        except OrcasError as exc:
+            raise _fail(_INVALID_REPORT, where, str(exc)) from None
+        if derived != saved:
+            raise _fail(_INVALID_REPORT, *_difference(where, derived, saved))
     return parsed
 
 

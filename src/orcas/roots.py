@@ -8,6 +8,10 @@ from typing import Callable
 from .errors import OrcasError
 
 
+# Relative step at which the iteration stops: about five ulps.
+_RTOL = 1e-15
+
+
 def _midpoint(a: float, b: float) -> float:
     # Equal to 0.5*(a + b) whenever that sum does not overflow.
     return 0.5 * a + 0.5 * b
@@ -18,7 +22,6 @@ def newton_bisection(
     dfunc: Callable[[float], float],
     lo: float,
     hi: float,
-    rtol: float = 1e-15,
     max_iter: int = 200,
     *,
     start: float | None = None,
@@ -71,7 +74,7 @@ def newton_bisection(
             candidate = lo  # force bisection
         if not (min(lo, hi) < candidate < max(lo, hi)):
             candidate = _midpoint(lo, hi)
-        if abs(candidate - x) <= rtol * abs(x):
+        if abs(candidate - x) <= _RTOL * abs(x):
             return candidate
         x = candidate
     raise OrcasError(

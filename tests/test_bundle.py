@@ -252,6 +252,9 @@ def test_history_loader(tmp_path):
     events, horizon = load_history_file(path)
     assert events == [1.0, 2.5, 4.0]
     assert horizon == 10.0
+    # Finite efforts whose sum is beyond float range are read one at a time, and kept.
+    path.write_text(json.dumps({"events": [1e308, 1.5e308, 1.7e308]}), encoding="utf-8")
+    assert load_history_file(path) == ([1e308, 1.5e308, 1.7e308], None)
 
 
 def test_history_loader_rejects_unknown_keys(tmp_path):

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from orcas.bundle import load_matrix_file, records_from_json
 from orcas.causality import (
     ROW_SUM_TOLERANCE,
-    CausalityMatrix,
     builtin_causality,
     estimate_causality,
-    merge_causality,
-    uniform_causality,
 )
 from orcas.domain import MODE_ORDER, DefectClass, FailureMode, count_by_class
 from orcas.errors import BundleError, MissingCausalityRowError, OrcasError
@@ -52,7 +49,7 @@ def test_builtin_rows_sum_to_one():
 def test_builtin_has_six_rows_and_no_relationship():
     matrix = builtin_causality()
     assert len(matrix.rows) == 6
-    assert not matrix.has_row(DefectClass.RELATIONSHIP)
+    assert DefectClass.RELATIONSHIP not in matrix.rows
     with pytest.raises(MissingCausalityRowError, match="no causality row: relationship"):
         matrix.row(DefectClass.RELATIONSHIP)
 
@@ -86,7 +83,7 @@ def test_estimate_multi_label_normalization():
 def test_estimate_leaves_unseen_classes_absent():
     matrix = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
     assert sorted(matrix.rows) == [DefectClass.TIMING]
-    assert not matrix.has_row(DefectClass.CHECKING)
+    assert DefectClass.CHECKING not in matrix.rows
 
 
 def test_estimate_rejects_empty_corpus():
@@ -160,43 +157,8 @@ def test_estimate_is_invariant_under_doubling(shapes):
 
 
 # ---------------------------------------------------------------------------
-# Merging and validation
+# Validation
 # ---------------------------------------------------------------------------
-
-
-def test_merge_with_empty_overlay_is_identity():
-    base = builtin_causality()
-    merged = merge_causality(base, CausalityMatrix(rows={}, provenance="empty"))
-    assert merged.rows == base.rows
-
-
-def test_merge_replaces_rows_class_by_class():
-    base = builtin_causality()
-    overlay = CausalityMatrix(
-        rows={DefectClass.ALGORITHM: (1.0, 0.0, 0.0, 0.0)}, provenance="override")
-    merged = merge_causality(base, overlay)
-    assert merged.row(DefectClass.ALGORITHM) == (1.0, 0.0, 0.0, 0.0)
-    assert merged.row(DefectClass.TIMING) == base.row(DefectClass.TIMING)
-    assert "built-in" in merged.provenance and "override" in merged.provenance
-
-
-def test_merge_keeps_base_only_rows():
-    a = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
-    b = estimate_causality(records(make_record(0, DefectClass.CHECKING, {FailureMode.A})))
-    merged = merge_causality(a, b)
-    assert merged.row(DefectClass.TIMING) == a.row(DefectClass.TIMING)
-
-
-def test_merge_drops_stale_counts_for_replaced_rows():
-    a = estimate_causality(records(make_record(0, DefectClass.TIMING, {FailureMode.C})))
-    overlay = CausalityMatrix(rows={DefectClass.TIMING: (1.0, 0.0, 0.0, 0.0)}, provenance="x")
-    merged = merge_causality(a, overlay)
-    assert merged.counts is None or DefectClass.TIMING not in merged.counts
-
-
-def test_uniform_causality_rows():
-    matrix = uniform_causality([DefectClass.RELATIONSHIP])
-    assert matrix.row(DefectClass.RELATIONSHIP) == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_matrix_rejects_bad_rows(tmp_path):

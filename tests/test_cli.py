@@ -102,19 +102,13 @@ def edit(*path, value=_DELETE):
 _CHECKING = ("growth", "per_class", "checking")
 _FIT = (*_CHECKING, "fit")
 _STABILITY = (*_CHECKING, "stability")
-_SUMS = "invalid report JSON: modes: per_mode, per_class_total and total must be the sums of per_cell"
-_INTENSITIES = ("invalid report JSON: rates: per_class: each rate must be its class's growth fit "
-                "current_intensity, or 0.0 for a class without a fit")
-_GROWTH_NULL = "invalid report JSON: growth: must be null exactly when rates.method is bounded"
-_VERDICT = ("invalid report JSON: growth: per_class: checking: stability: must be what growth.stability "
-            "computes from its series and threshold")
-
-
-_THRESHOLD = ("invalid report JSON: growth: each class's stability threshold must be "
-              "provenance.options.stability_threshold")
+# The class's rate, current intensity and cells' sum in the saved report.
+_RATE = "0.003861165103289957"
+_AT_FIT = "invalid report JSON: growth: per_class: checking: fit: "
+_AT_STABILITY = "invalid report JSON: growth: per_class: checking: stability: "
+_AT_THRESHOLD = _AT_STABILITY + "threshold: "
 _UNSTABLE = "WARNING: growth-model refits exceed the stability threshold; predictions may be unreliable"
-_NOTE = ("invalid report JSON: annotations: must hold the unstable-refits warning exactly when "
-         "growth.all_stable is false")
+_NOTE = "invalid report JSON: annotations: holds the unstable-refits warning: "
 
 
 def unstable_at_threshold_zero(raw):
@@ -127,6 +121,17 @@ def unstable_at_threshold_zero(raw):
     verdict.update(threshold=0.0, stable=False)
     report["growth"]["all_stable"] = False
     return json.dumps(report).encode()
+
+
+def recount(change):
+    """A mutation of a saved report that applies ``change`` to its modes and
+    recomputes the margins, so that they are the sums of the cells."""
+    def mutate(raw):
+        report = json.loads(raw)
+        change(report["modes"])
+        report["modes"].update(mode_sums(report["modes"]["per_cell"], report["modes"]["excluded"]))
+        return json.dumps(report).encode()
+    return mutate
 
 
 def exclude_mode_a(raw):
@@ -165,7 +170,7 @@ def exclude_mode_a(raw):
      "invalid report JSON: growth: per_class: expected a JSON object, got list"),
     (edit("growth", "horizon", value="x"), "invalid report JSON: growth: horizon: expected a number, got 'x'"),
     (edit(*_FIT, "params", value={}),
-     "invalid report JSON: growth: per_class: checking: fit: params must be exactly the parameters of its model"),
+     _AT_FIT + "params must be exactly the parameters of the goel-okumoto model: a, b"),
     (edit(*_FIT, "model", value="zz"), "invalid report JSON: growth: per_class: checking: fit: model: "
      "invalid value 'zz' (expected one of: goel-okumoto, musa-okumoto)"),
     (edit(*_CHECKING, "events", value=["a"]),
@@ -176,39 +181,52 @@ def exclude_mode_a(raw):
     (edit("modes", "per_mode", "A"), "invalid report JSON: modes: per_mode: missing key(s): A"),
     (edit("not_a_key", value=0), "invalid report JSON: top level: unknown key(s): not_a_key"),
     (edit("annotations", value=[1]), "invalid report JSON: annotations: expected an array of strings"),
-    (edit("modes", "per_class_total", "checking", value=123.0), _SUMS),
-    (edit("modes", "per_class_total", "checking"), _SUMS),
-    (edit("modes", "total", value=5.0), _SUMS),
-    (exclude_mode_a, "invalid report JSON: modes: cells of excluded modes must be 0.0"),
-    (edit("rates", "per_class", "checking", value=0.5), _INTENSITIES),
-    (edit("rates", "per_class", "timing", value=1e-3), _INTENSITIES),
-    (edit(*_FIT, "current_intensity", value=0.5), _INTENSITIES),
-    (edit("growth", value=None), _GROWTH_NULL),
-    (edit("rates", "method", value="bounded"), _GROWTH_NULL),
-    (edit("modes", "unit", value="per-demand"), "invalid report JSON: modes: unit: must equal rates.unit"),
-    (edit(*_FIT, "converged", value=False), "invalid report JSON: growth: per_class: checking: fit: converged: "
-     "must be true: the rates stage refuses a fit that did not"),
+    (edit("modes", "per_class_total", "checking", value=123.0),
+     f"invalid report JSON: modes: per_class_total: checking: must be {_RATE}, got 123.0"),
+    (edit("modes", "per_class_total", "checking"),
+     "invalid report JSON: modes: per_class_total: missing key(s): checking"),
+    (edit("modes", "total", value=5.0), f"invalid report JSON: modes: total: must be {_RATE}, got 5.0"),
+    (exclude_mode_a, "invalid report JSON: modes: per_cell: checking: A: must be 0.0, got 0.00139"),
+    (edit("rates", "per_class", "checking", value=0.5),
+     f"invalid report JSON: rates: per_class: checking: must be {_RATE}, got 0.5"),
+    (edit("rates", "per_class", "timing", value=1e-3),
+     "invalid report JSON: rates: per_class: timing: must be 0.0, got 0.001"),
+    (edit(*_FIT, "current_intensity", value=0.5), _AT_FIT + f"current_intensity: must be {_RATE}, got 0.5"),
+    (edit("growth", value=None), "invalid report JSON: rates: method: must be 'bounded', got 'srgm'"),
+    (edit("rates", "method", value="bounded"), "invalid report JSON: rates: method: must be 'srgm', got 'bounded'"),
+    (edit("modes", "unit", value="per-demand"),
+     "invalid report JSON: modes: unit: must be 'per-hour', got 'per-demand'"),
+    (edit(*_FIT, "converged", value=False), _AT_FIT + "converged: must be True, got False"),
     (edit("growth", "model", value="musa-okumoto"),
-     "invalid report JSON: growth: each class's fit model must be growth.model"),
+     _AT_FIT + "params must be exactly the parameters of the musa-okumoto model: lambda0, theta"),
     (edit("evidence", "confidence", value=0.01),
-     "invalid report JSON: evidence: gate: must be defer-to-BAHAMAS exactly when confidence < confidence_threshold"),
-    (edit(*_STABILITY, "stable", value=lambda stable: not stable), _VERDICT),
-    (edit(*_STABILITY, "max_relative_step", value=0.0), _VERDICT),
+     "invalid report JSON: evidence: gate: must be 'defer-to-BAHAMAS', got 'proceed'"),
+    (edit(*_STABILITY, "stable", value=lambda stable: not stable), _AT_STABILITY + "stable: must be True, got False"),
+    (edit(*_STABILITY, "max_relative_step", value=0.0), _AT_STABILITY + "max_relative_step: must be 0.0637"),
     (edit("growth", "all_stable", value=lambda stable: not stable),
-     "invalid report JSON: growth: all_stable must be true exactly when every class's stability is stable"),
+     "invalid report JSON: growth: all_stable: must be True, got False"),
     (edit(*_STABILITY, "series", 0, value=lambda pair: [*pair, 1.0]),
      "invalid report JSON: growth: per_class: checking: stability: series: "
      "expected an array of [effort, predicted total] pairs"),
     (edit(*_STABILITY, "series", value=lambda series: series[:1]),
      "invalid report JSON: growth: per_class: checking: stability: stability needs at least 2 fits"),
-    (edit(*_STABILITY, "threshold", value=0.5), _THRESHOLD),
-    (edit("provenance", "options", "stability_threshold", value=0.5), _THRESHOLD),
-    (edit("provenance", "options", "stability_threshold", value="0.1"), _THRESHOLD),
-    (edit("provenance", "options", "stability_threshold"), _THRESHOLD),
-    (edit("provenance", "options", value=5), _THRESHOLD),
-    (edit("provenance", "options"), _THRESHOLD),
-    (edit("annotations", value=lambda notes: [*notes, _UNSTABLE]), _NOTE),
-    (unstable_at_threshold_zero, _NOTE),
+    (edit(*_STABILITY, "threshold", value=0.5), _AT_THRESHOLD + "must be 0.1, got 0.5"),
+    (edit("provenance", "options", "stability_threshold", value=0.5), _AT_THRESHOLD + "must be 0.5, got 0.1"),
+    (edit("provenance", "options", "stability_threshold", value="0.1"),
+     "invalid report JSON: provenance: options: stability_threshold: expected a number, got '0.1'"),
+    (edit("provenance", "options", "stability_threshold"),
+     "invalid report JSON: provenance: options: missing key(s): stability_threshold"),
+    (edit("provenance", "options", value=5),
+     "invalid report JSON: provenance: options: expected a JSON object, got int"),
+    (edit("provenance", "options"), "invalid report JSON: provenance: missing key(s): options"),
+    (edit("annotations", value=lambda notes: [*notes, _UNSTABLE]), _NOTE + "must be False, got True"),
+    (unstable_at_threshold_zero, _NOTE + "must be True, got False"),
+    (recount(lambda modes: modes["per_cell"].pop("checking")),
+     "invalid report JSON: modes: per_cell: missing key(s): checking"),
+    (recount(lambda modes: modes["per_cell"].update(timing=dict.fromkeys("ABCD", 0.0))),
+     "invalid report JSON: modes: per_cell: unexpected key(s): timing"),
+    (edit(*_FIT, "params", "a", value=lambda a: 10 * a), _AT_FIT + "predicted_total: must be "),
+    (edit(*_FIT, "predicted_total", value=lambda total: 2 * total), _AT_FIT + "predicted_total: must be "),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -220,7 +238,8 @@ def exclude_mode_a(raw):
         "stable-negated", "max-step-zero", "all_stable-flipped", "series-item-of-three", "series-of-one-pair",
         "threshold-not-provenance", "provenance-threshold-changed", "provenance-threshold-string",
         "provenance-threshold-missing", "provenance-options-5", "provenance-options-missing",
-        "unstable-note-while-stable", "unstable-without-note"])
+        "unstable-note-while-stable", "unstable-without-note", "positive-rate-row-deleted",
+        "zero-rate-row-added", "params-a-times-10", "predicted_total-doubled"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.

@@ -36,7 +36,7 @@ def test_exhausted_iterations_raise_with_bracket_and_residual():
 
 def test_wrong_derivative_exhausts_a_small_budget():
     with pytest.raises(OrcasError, match="did not converge in 5 iterations"):
-        newton_bisection(lambda x: x - 0.3, lambda x: 1e-300, 0.0, 1.0, 1e-15, 5)
+        newton_bisection(lambda x: x - 0.3, lambda x: 1e-300, 0.0, 1.0, max_iter=5)
 
 
 def test_bracket_near_the_largest_float_does_not_overflow():
