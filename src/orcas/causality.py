@@ -22,8 +22,6 @@ ROW_SUM_TOLERANCE = 5e-4
 
 BUILTIN_PROVENANCE = "built-in"
 
-_MODE_INDEX = {mode: i for i, mode in enumerate(MODE_ORDER)}
-
 # Reference matrix, stored exactly as published (3 decimals, rows
 # normalized over modes A-D). There is no relationship row: the source
 # corpus contained no relationship defects.
@@ -59,12 +57,10 @@ class CausalityMatrix(NamedTuple):
     def to_dict(self) -> dict:
         out: dict = {
             "provenance": self.provenance,
-            "rows": {cls.value: list(row) for cls, row in sorted(self.rows.items(), key=lambda kv: kv[0].value)},
+            "rows": {cls: list(row) for cls, row in sorted(self.rows.items())},
         }
         if self.counts is not None:
-            out["counts"] = {
-                cls.value: list(row) for cls, row in sorted(self.counts.items(), key=lambda kv: kv[0].value)
-            }
+            out["counts"] = {cls: list(row) for cls, row in sorted(self.counts.items())}
         return out
 
 
@@ -91,7 +87,7 @@ def estimate_causality(corpus: Records, provenance: str | None = None) -> Causal
     for (cls, modes), number in labels.items():
         row = counts.setdefault(cls, [0, 0, 0, 0])
         for mode in modes:
-            row[_MODE_INDEX[mode]] += number
+            row[MODE_ORDER.index(mode)] += number
     rows = {}
     for cls, row in counts.items():
         total = sum(row)

@@ -31,12 +31,7 @@ from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_mean, fit_srgm, 
 from .report import (_INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
                      run_assessment)
 
-_MODEL_NAMES = {
-    "go": SrgmModel.GOEL_OKUMOTO,
-    "mo": SrgmModel.MUSA_OKUMOTO,
-    SrgmModel.GOEL_OKUMOTO.value: SrgmModel.GOEL_OKUMOTO,
-    SrgmModel.MUSA_OKUMOTO.value: SrgmModel.MUSA_OKUMOTO,
-}
+_MODEL_NAMES = {"go": SrgmModel.GOEL_OKUMOTO, "mo": SrgmModel.MUSA_OKUMOTO, **{model: model for model in SrgmModel}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +52,7 @@ def _parse_modes(values: list[str]) -> frozenset[FailureMode]:
             try:
                 modes.add(FailureMode(name.upper()))
             except ValueError:
-                valid = ", ".join(m.value for m in FailureMode)
+                valid = ", ".join(FailureMode)
                 raise OrcasError(f"invalid failure mode {name!r} (expected one of: {valid})") from None
     return frozenset(modes)
 
@@ -133,11 +128,11 @@ def _cmd_validate(args) -> int:
     print(f"bundle OK: {args.directory}")
     print(f"  defects: {len(bundle.defects)}")
     print(f"  effort: {bundle.effort.test_count} tests "
-          f"({bundle.effort.kind.value})")
+          f"({bundle.effort.kind})")
     print(f"  rtm entries: {len(bundle.rtm)}")
     print(f"  tca slots: {len(bundle.tca)}")
     print(f"  matrix: {bundle.matrix.provenance}")
-    print(f"  rates: {bundle.rate_method.value}")
+    print(f"  rates: {bundle.rate_method}")
     evidence = report["evidence"]
     print(f"  gate: {evidence['gate']} (confidence {evidence['confidence']:.4f}, "
           f"threshold {evidence['confidence_threshold']:.4f})")
@@ -157,7 +152,7 @@ def _cmd_assess(args) -> int:
     )
     report = run_assessment(bundle)
     _write_output(emit_report(report, args.format), args.output)
-    return 0 if report["evidence"]["gate"] == GateDecision.PROCEED.value else 2
+    return 0 if report["evidence"]["gate"] == GateDecision.PROCEED else 2
 
 
 def _cmd_causality_build(args) -> int:

@@ -1,5 +1,12 @@
 """Core vocabularies and record types shared by every other module.
 
+Each vocabulary (defect classes, failure modes, ...) is a :class:`Name`
+enum, whose member equals, hashes, prints, formats and quotes as its name
+in the files and the report: the stages take members and the names of a
+saved report alike, and only input parsing calls a vocabulary, to refuse
+a name outside it. The loaders return members, not names, as callers
+outside the package read ``value`` (the benchmark's tracer among them).
+
 The record types are named tuples, here and in :mod:`orcas.causality`
 and :mod:`orcas.bundle`, and check nothing when built: the loaders of
 :mod:`orcas.bundle` check every input, and the stages build only valid
@@ -14,7 +21,13 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 
-class DefectClass(str, Enum):
+class Name(str, Enum):
+    """A vocabulary whose members are their names."""
+
+    __str__, __format__, __repr__ = str.__str__, str.__format__, str.__repr__
+
+
+class DefectClass(Name):
     """Orthogonal defect classes; a defect carries exactly one."""
 
     FUNCTION = "function"
@@ -26,7 +39,7 @@ class DefectClass(str, Enum):
     TIMING = "timing"
 
 
-class FailureMode(str, Enum):
+class FailureMode(Name):
     """Failure-mode categories A through D.
 
     The same four categories describe both unsafe control actions and
@@ -41,15 +54,10 @@ class FailureMode(str, Enum):
 
 
 #: Failure modes in canonical column order.
-MODE_ORDER: tuple[FailureMode, ...] = (
-    FailureMode.A,
-    FailureMode.B,
-    FailureMode.C,
-    FailureMode.D,
-)
+MODE_ORDER: tuple[FailureMode, ...] = tuple(FailureMode)
 
 
-class TriggerKind(str, Enum):
+class TriggerKind(Name):
     """Environmental/input condition categories that surface defects."""
 
     SIMPLE_PATH = "simple-path"
@@ -65,7 +73,7 @@ class TriggerKind(str, Enum):
     NORMAL_MODE = "normal-mode"
 
 
-class TestLevel(str, Enum):
+class TestLevel(Name):
     """Tiers of the three-level testing-requirements model."""
 
     __test__ = False  # not a pytest class, despite the name
@@ -75,17 +83,17 @@ class TestLevel(str, Enum):
     SYSTEM = "system"
 
 
-class EffortKind(str, Enum):
+class EffortKind(Name):
     ON_DEMAND = "on-demand"
     CONTINUOUS = "continuous"
 
 
-class RateUnit(str, Enum):
+class RateUnit(Name):
     PER_HOUR = "per-hour"
     PER_DEMAND = "per-demand"
 
 
-class ModeFamily(str, Enum):
+class ModeFamily(Name):
     """Display-only label: do modes read as control actions or as
     information/feedback flows."""
 
@@ -114,9 +122,9 @@ class DefectRecord(NamedTuple):
         out: dict = {
             "id": self.id,
             "description": self.description,
-            "class": self.defect_class.value,
+            "class": self.defect_class,
             "detection_effort": self.detection_effort,
-            "observed_modes": sorted(m.value for m in self.observed_modes),
+            "observed_modes": sorted(self.observed_modes),
         }
         if self.resolution is not None:
             out["resolution"] = self.resolution
@@ -165,13 +173,13 @@ class EffortModel(NamedTuple):
 
     @property
     def rate_unit(self) -> RateUnit:
-        return RateUnit.PER_HOUR if self.kind is EffortKind.CONTINUOUS else RateUnit.PER_DEMAND
+        return RateUnit.PER_HOUR if self.kind == EffortKind.CONTINUOUS else RateUnit.PER_DEMAND
 
 
 def total_effort(model: EffortModel) -> float:
     """Total testing effort: demands for on-demand, hours (count x
     duration) for continuous."""
-    if model.kind is EffortKind.ON_DEMAND:
+    if model.kind == EffortKind.ON_DEMAND:
         return float(model.test_count)
     return model.test_count * model.test_duration
 

@@ -18,7 +18,7 @@ class MissingCausalityRowError(OrcasError):
 
     def __init__(self, defect_class):
         self.defect_class = defect_class
-        super().__init__(f"no causality row: {defect_class.value}")
+        super().__init__(f"no causality row: {defect_class}")
 
 
 class StageError(OrcasError):

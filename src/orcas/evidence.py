@@ -12,14 +12,13 @@ instead of standing on its own.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .domain import Records, TestLevel, TriggerKind
+from .domain import Name, Records, TestLevel, TriggerKind
 from .errors import OrcasError
 
 
-class CoverageStatus(str, Enum):
+class CoverageStatus(Name):
     COMPLETE = "complete"
     INDIRECT = "indirect"
     INCOMPLETE = "incomplete"
@@ -40,7 +39,7 @@ ACTIVITIES = (UNIT_TEST, FUNCTION_TEST, SYSTEM_TEST)
 DEFAULT_CONFIDENCE_THRESHOLD = 0.90
 
 
-class GateDecision(str, Enum):
+class GateDecision(Name):
     PROCEED = "proceed"
     DEFER = "defer-to-BAHAMAS"
 
@@ -90,7 +89,7 @@ def required_tca_template() -> tuple[tuple[TestLevel, str, TriggerKind], ...]:
 
 def slot_name(slot: tuple[TestLevel, str, TriggerKind]) -> str:
     level, activity, trigger = slot
-    return f"{level.value}/{activity}/{trigger.value}"
+    return f"{level}/{activity}/{trigger}"
 
 
 def _score(entries: Records) -> float:
@@ -177,5 +176,5 @@ def assessment_confidence(
         "structural_coverage": structural_coverage,
         "confidence": confidence,
         "confidence_threshold": threshold,
-        "gate": gate_decision(confidence, threshold).value,
+        "gate": gate_decision(confidence, threshold),
     }

@@ -29,22 +29,21 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from enum import Enum
 from functools import cached_property
-from operator import attrgetter, mul
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .domain import DefectClass, EffortModel, RateUnit, Records, count_by_class, total_effort
+from .domain import DefectClass, EffortModel, Name, RateUnit, Records, count_by_class, total_effort
 from .errors import OrcasError
 from .roots import newton_bisection
 
 
-class RateMethod(str, Enum):
+class RateMethod(Name):
     BOUNDED = "bounded"
     SRGM = "srgm"
 
 
-class SrgmModel(str, Enum):
+class SrgmModel(Name):
     GOEL_OKUMOTO = "goel-okumoto"
     MUSA_OKUMOTO = "musa-okumoto"
 
@@ -59,9 +58,7 @@ DEFAULT_STABILITY_THRESHOLD = 0.10
 
 def _rates(per_class: Mapping[DefectClass, float], unit: RateUnit, method: RateMethod) -> dict:
     """The report's ``rates`` section: a rate for every class by name, 0.0 where ``per_class`` has none."""
-    classes = sorted(DefectClass, key=attrgetter("value"))
-    return {"method": method.value, "unit": unit.value,
-            "per_class": {cls.value: per_class.get(cls, 0.0) for cls in classes}}
+    return {"method": method, "unit": unit, "per_class": {cls: per_class.get(cls, 0.0) for cls in sorted(DefectClass)}}
 
 
 def bounded_class_rates(defects: Records, effort: EffortModel) -> dict:
@@ -111,7 +108,7 @@ MODEL_FUNCTIONS = {SrgmModel.GOEL_OKUMOTO: (go_mean, go_intensity, ("a", "b")),
 
 def fit_mean(fit: dict, t: float) -> float:
     """The mean function m(t) of a report's ``fit``."""
-    mean, _, names = MODEL_FUNCTIONS[SrgmModel(fit["model"])]
+    mean, _, names = MODEL_FUNCTIONS[fit["model"]]
     return mean(t, *[fit["params"][name] for name in names])
 
 
@@ -244,13 +241,13 @@ def fit_section(model: SrgmModel, params: Mapping[str, float], horizon: float, l
     toward, never point estimates."""
     mean, intensity, names = MODEL_FUNCTIONS[model]
     if set(params) != set(names):
-        raise OrcasError(f"params must be exactly the parameters of the {model.value} model: {', '.join(names)}")
+        raise OrcasError(f"params must be exactly the parameters of the {model} model: {', '.join(names)}")
     values = [params[name] for name in names]
     current_intensity = intensity(horizon, *values)
     if not all(map(math.isfinite, (*values, log_likelihood, current_intensity))):
         raise OrcasError(f"growth fit is beyond floating-point range: parameters {params!r}, "
                          f"log-likelihood {log_likelihood!r}")
-    return {"model": model.value, "params": dict(sorted(params.items())),
+    return {"model": model, "params": dict(sorted(params.items())),
             "predicted_total": mean(math.inf, *values), "current_intensity": current_intensity,
             "log_likelihood": log_likelihood, "converged": diagnostic is None, "diagnostic": diagnostic}
 
@@ -507,7 +504,7 @@ def srgm_class_rates(per_class_fits: Mapping[DefectClass, dict], unit: RateUnit)
     for cls, fit in per_class_fits.items():
         if not fit["converged"]:
             raise OrcasError(
-                f"growth fit for class '{cls.value}' did not converge; "
+                f"growth fit for class '{cls}' did not converge; "
                 f"use bounded estimation for this dataset"
             )
     return _rates({cls: fit["current_intensity"] for cls, fit in per_class_fits.items()}, unit, RateMethod.SRGM)
@@ -517,7 +514,7 @@ def growth_section(model: SrgmModel, horizon: float, per_class: dict[str, dict])
     """The report's ``growth`` section: ``per_class`` holds each class's
     ``fit``, ``events`` and ``stability`` by class name, and ``all_stable``
     is whether every class's refits are stable."""
-    return {"model": model.value, "horizon": horizon, "per_class": per_class,
+    return {"model": model, "horizon": horizon, "per_class": per_class,
             "all_stable": all(entry["stability"]["stable"] for entry in per_class.values())}
 
 
@@ -547,6 +544,12 @@ def stability_windows(events: Sequence[float], horizon: float, windows: int) -> 
     return sizes
 
 
+def tracked_total(fit: dict, horizon: float) -> float:
+    """The total a stability series tracks for a window's ``fit``: its ``predicted_total``, or
+    the unbounded logarithmic model's mean at the full ``horizon``."""
+    return fit["predicted_total"] if fit["model"] == SrgmModel.GOEL_OKUMOTO else fit_mean(fit, horizon)
+
+
 def windowed_srgm_stability(
     events: Sequence[float],
     model: SrgmModel,
@@ -558,17 +561,14 @@ def windowed_srgm_stability(
 
     The windows are those of :func:`stability_windows`, so the last
     window's fit is ``fit_srgm(events, model, horizon)``, the full-horizon
-    fit. The events are validated once; each window fits its prefix. The
-    tracked prediction is the expected total defect count: the asymptote
-    for the exponential model, and the mean function evaluated at the full
-    horizon for the unbounded logarithmic model.
+    fit. The events are validated once; each window fits its prefix, and
+    the series tracks its :func:`tracked_total`.
     """
     events, horizon = _validate_events(events, horizon)
     window_fits: list[tuple[float, dict]] = []
     series: list[tuple[float, float]] = []
     for end, count in stability_windows(events, horizon, windows):
         fit = _fit_validated(events[:count], model, end)
-        predicted = fit["predicted_total"] if model is SrgmModel.GOEL_OKUMOTO else fit_mean(fit, horizon)
         window_fits.append((end, fit))
-        series.append((end, predicted))
+        series.append((end, tracked_total(fit, horizon)))
     return stability(series, threshold), window_fits

@@ -11,15 +11,14 @@ per demand); they are expected rates, not probabilities capped at 1.
 from __future__ import annotations
 
 import math
-from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .domain import MODE_ORDER, DefectClass, FailureMode
+from .domain import MODE_ORDER, FailureMode, Name
 from .errors import OrcasError
 from .causality import CausalityMatrix
 
 
-class SystemKind(str, Enum):
+class SystemKind(Name):
     CONTROL = "control"
     CONTINUOUS_MONITORING = "continuous-monitoring"
     CUSTOM = "custom"
@@ -35,19 +34,15 @@ def mode_applicability(
     so "provided when not needed" cannot occur); control systems exclude
     nothing; custom passes the caller's set through.
     """
-    if system_kind is SystemKind.CUSTOM:
+    if system_kind == SystemKind.CUSTOM:
         if custom_excluded is None:
             raise OrcasError("system kind 'custom' requires an explicit excluded-modes set")
         return frozenset(custom_excluded)
     if custom_excluded is not None:
-        raise OrcasError(f"excluded modes may only be given for system kind 'custom', not {system_kind.value!r}")
-    if system_kind is SystemKind.CONTINUOUS_MONITORING:
+        raise OrcasError(f"excluded modes may only be given for system kind 'custom', not {system_kind!r}")
+    if system_kind == SystemKind.CONTINUOUS_MONITORING:
         return frozenset({FailureMode.B})
     return frozenset()
-
-
-# The failure modes by their names in a report, in column order.
-_MODES = tuple(mode.value for mode in MODE_ORDER)
 
 
 def mode_sums(per_cell: Mapping[str, Mapping[str, float]], excluded: list[str]) -> dict:
@@ -56,18 +51,18 @@ def mode_sums(per_cell: Mapping[str, Mapping[str, float]], excluded: list[str]) 
     ``total`` (the sum of the modes not in ``excluded``). Each is an fsum,
     correctly rounded whatever the order of its terms, so a saved report's
     margins equal these bit for bit."""
-    per_mode = {mode: math.fsum(row[mode] for row in per_cell.values()) for mode in _MODES}
+    per_mode = {mode: math.fsum(row[mode] for row in per_cell.values()) for mode in MODE_ORDER}
     return {
         "per_mode": per_mode,
-        "per_class_total": {cls: math.fsum(row[mode] for mode in _MODES) for cls, row in per_cell.items()},
-        "total": math.fsum(per_mode[mode] for mode in _MODES if mode not in excluded),
+        "per_class_total": {cls: math.fsum(row[mode] for mode in MODE_ORDER) for cls, row in per_cell.items()},
+        "total": math.fsum(per_mode[mode] for mode in MODE_ORDER if mode not in excluded),
     }
 
 
 def combine(
     matrix: CausalityMatrix,
     rates: dict,
-    excluded: frozenset[FailureMode] | set[FailureMode] = frozenset(),
+    excluded: Iterable[FailureMode] = frozenset(),
 ) -> dict:
     """Apply the conditional-probability matrix to the class rates, the
     report's ``rates`` section (its ``per_class`` and ``unit``).
@@ -86,10 +81,7 @@ def combine(
             raise OrcasError(f"rate for {name} must be finite and >= 0, got {rate!r}")
         if rate == 0.0:
             continue
-        row = matrix.row(DefectClass(name))
-        per_cell[name] = {
-            key: 0.0 if mode in excluded else p * rate
-            for key, mode, p in zip(_MODES, MODE_ORDER, row)
-        }
-    names = sorted(mode.value for mode in excluded)
+        row = matrix.row(name)
+        per_cell[name] = {mode: 0.0 if mode in excluded else p * rate for mode, p in zip(MODE_ORDER, row)}
+    names = sorted(excluded)
     return {"unit": rates["unit"], "excluded": names, "per_cell": per_cell, **mode_sums(per_cell, names)}

@@ -54,9 +54,10 @@ from .growth import (
     growth_section,
     srgm_class_rates,
     stability,
+    tracked_total,
     windowed_srgm_stability,
 )
-from .quantify import _MODES, SystemKind, combine
+from .quantify import SystemKind, combine, mode_applicability
 
 SCHEMA_VERSION = 1
 
@@ -121,8 +122,8 @@ _REPORT_FIELDS = (
         ("all_stable", _REQUIRED, _Flag()),
     ), null=True)),
     ("annotations", _REQUIRED, _TEXTS),
-    # No renderer reads the provenance: it is re-emitted as saved. Its
-    # stability threshold is the one every class's stability is checked at.
+    # No renderer reads the provenance: it is re-emitted as saved. _relations
+    # ties its options to the sections they shaped.
     ("provenance", _REQUIRED, _Object((
         ("tool", _REQUIRED, _Object((("name", _REQUIRED, _String()), ("version", _REQUIRED, _String())))),
         ("inputs", _REQUIRED, _Rule(lambda inputs: isinstance(inputs, dict) and all(
@@ -152,10 +153,9 @@ def _saved_modes(modes: dict, rates: dict) -> dict:
     comparison names as missing."""
     cells = modes["per_cell"]
     ones = {name: 1.0 if rate > 0.0 else 0.0 for name, rate in rates["per_class"].items()}
-    rows = {DefectClass(name): tuple(cells[name][mode] for mode in _MODES) if name in cells else (0.0,) * 4
+    rows = {name: tuple(cells[name][mode] for mode in MODE_ORDER) if name in cells else (0.0,) * 4
             for name, one in ones.items() if one}
-    return combine(CausalityMatrix(rows, "saved cells"), {"unit": rates["unit"], "per_class": ones},
-                   frozenset(map(FailureMode, modes["excluded"])))
+    return combine(CausalityMatrix(rows, "saved cells"), {"unit": rates["unit"], "per_class": ones}, modes["excluded"])
 
 
 def _relations(report: dict):
@@ -163,25 +163,33 @@ def _relations(report: dict):
     _REPORT_FIELDS: its path, its saved value, and the call of the stage or
     section builder that derives it from the report's own primary fields,
     in the order the pipeline derives them."""
-    growth, rates, evidence = report["growth"], report["rates"], report["evidence"]
+    growth, rates, evidence, modes = report["growth"], report["rates"], report["evidence"], report["modes"]
+    options = report["provenance"]["options"]
     if growth is None:
         # Bounded rates derive from the bundle's counts, which the report does not hold.
-        yield "rates: method", rates["method"], lambda: RateMethod.BOUNDED.value
+        yield "rates: method", rates["method"], lambda: RateMethod.BOUNDED
     else:
-        model, horizon = SrgmModel(growth["model"]), growth["horizon"]
-        threshold = report["provenance"]["options"]["stability_threshold"]
+        model, horizon = growth["model"], growth["horizon"]
         for cls, entry in growth["per_class"].items():
-            fit = entry["fit"]
+            fit, series = entry["fit"], entry["stability"]["series"]
             yield (f"growth: per_class: {cls}: fit", fit,
                    partial(fit_section, model, fit["params"], horizon, fit["log_likelihood"], fit["diagnostic"]))
             yield (f"growth: per_class: {cls}: stability", entry["stability"],
-                   partial(stability, entry["stability"]["series"], threshold))
+                   partial(stability, series, options["stability_threshold"]))
+            # The last stability window spans the whole horizon: its fit is the class's fit.
+            yield (f"growth: per_class: {cls}: stability: series[{len(series) - 1}]", series[-1],
+                   lambda fit=fit: [horizon, tracked_total(fit, horizon)])
         yield "growth", growth, partial(growth_section, model, horizon, growth["per_class"])
-        fits = {DefectClass(cls): entry["fit"] for cls, entry in growth["per_class"].items()}
-        yield "rates", rates, partial(srgm_class_rates, fits, RateUnit(rates["unit"]))
-    yield "modes", report["modes"], partial(_saved_modes, report["modes"], rates)
+        fits = {cls: entry["fit"] for cls, entry in growth["per_class"].items()}
+        yield "rates", rates, partial(srgm_class_rates, fits, rates["unit"])
+    yield "modes", modes, partial(_saved_modes, modes, rates)
+    yield "provenance: options: rate_method", options["rate_method"], lambda: rates["method"]
+    yield ("provenance: options: confidence_threshold", options["confidence_threshold"],
+           lambda: evidence["confidence_threshold"])
+    if options["system_kind"] != SystemKind.CUSTOM:
+        yield "modes: excluded", modes["excluded"], lambda: sorted(mode_applicability(options["system_kind"]))
     yield ("evidence: gate", evidence["gate"],
-           lambda: gate_decision(evidence["confidence"], evidence["confidence_threshold"]).value)
+           partial(gate_decision, evidence["confidence"], evidence["confidence_threshold"]))
     yield ("annotations: holds the unstable-refits warning", _UNSTABLE_NOTE in report["annotations"],
            lambda: growth is not None and not growth["all_stable"])
 
@@ -298,7 +306,7 @@ def _stage(name: str):
 
 def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
     horizon = total_effort(bundle.effort)
-    if bundle.rate_method is RateMethod.BOUNDED:
+    if bundle.rate_method == RateMethod.BOUNDED:
         return bounded_class_rates(bundle.defects, bundle.effort), None
 
     per_class_events: dict[DefectClass, list[float]] = {}
@@ -306,11 +314,11 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
         per_class_events.setdefault(cls, []).append(effort)
     fits = {}
     growth_per_class = {}
-    for cls in sorted(per_class_events, key=lambda c: c.value):
+    for cls in sorted(per_class_events):
         events = sorted(per_class_events[cls])
         # A class history the growth model cannot fit is a fault of the
         # data: reported as the loader reports one, naming file and class.
-        where = f"defects.json: class '{cls.value}'"
+        where = f"defects.json: class '{cls}'"
         try:
             verdict, window_fits = windowed_srgm_stability(
                 events, bundle.srgm_model, horizon, bundle.stability_windows, bundle.stability_threshold)
@@ -321,7 +329,7 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
         if not fit["converged"]:
             raise BundleError(f"{where}: {fit['diagnostic']}")
         fits[cls] = fit
-        growth_per_class[cls.value] = {"fit": fit, "events": events, "stability": verdict}
+        growth_per_class[cls] = {"fit": fit, "events": events, "stability": verdict}
     rates = srgm_class_rates(fits, bundle.effort.rate_unit)
     return rates, growth_section(bundle.srgm_model, horizon, growth_per_class)
 
@@ -338,13 +346,12 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
 
     with _stage("causality"):
         matrix = bundle.matrix
-        needed = [DefectClass(name) for name, rate in rates["per_class"].items() if rate > 0.0]
-        missing = [cls for cls in needed if cls not in matrix.rows]
+        missing = [cls for cls, rate in rates["per_class"].items() if rate > 0.0 and cls not in matrix.rows]
         if missing:
             if not bundle.uniform_missing_rows:
                 raise MissingCausalityRowError(missing[0])
             matrix = matrix._replace(rows={**matrix.rows, **dict.fromkeys(missing, (0.25, 0.25, 0.25, 0.25))})
-            names = ", ".join(cls.value for cls in missing)
+            names = ", ".join(missing)
             annotations.append(
                 f"WARNING: no causality data for class(es) {names}; uniform rows "
                 f"(0.25 per mode) substituted on request"
@@ -386,9 +393,9 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
     rtm, tca, incomplete = bundle.rtm.columns, bundle.tca.columns, CoverageStatus.INCOMPLETE
     gaps = {
         "untraced_requirements": [req_id for req_id, status in zip(rtm["req_id"], rtm["status"])
-                                  if status is incomplete],
+                                  if status == incomplete],
         "uncovered_triggers": [slot_name(slot) for slot, status in zip(tca_slots(bundle.tca), tca["status"])
-                               if status is incomplete],
+                               if status == incomplete],
     }
 
     provenance = {
@@ -397,8 +404,8 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
         "matrix": bundle.matrix.provenance,
         "options": {
             "matrix_source": bundle.matrix_source,
-            "system_kind": bundle.system_kind.value,
-            "rate_method": bundle.rate_method.value,
+            "system_kind": bundle.system_kind,
+            "rate_method": bundle.rate_method,
             "confidence_threshold": bundle.confidence_threshold,
             "stability_threshold": bundle.stability_threshold,
             "uniform_missing_rows": bundle.uniform_missing_rows,
@@ -407,7 +414,7 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
 
     return {
         "schema_version": SCHEMA_VERSION,
-        "mode_family": bundle.mode_family.value,
+        "mode_family": bundle.mode_family,
         "modes": modes,
         "rates": rates,
         "evidence": evidence,
@@ -468,19 +475,19 @@ def _fmt_rate(value: float) -> str:
 def text_report(report: dict) -> str:
     """Human-readable summary of a report dict, centered on the mode/class
     rate table."""
-    prefix = "UCA" if report["mode_family"] == ModeFamily.CONTROL.value else "UIF"
+    prefix = "UCA" if report["mode_family"] == ModeFamily.CONTROL else "UIF"
     modes = report["modes"]
     unit = modes["unit"]
     lines = ["orcas assessment report", "=======================", ""]
 
     lines.append(f"failure-mode rates ({unit})")
     lines.append("")
-    header = ["class"] + [f"{prefix}-{m.value}" for m in MODE_ORDER] + ["Total"]
+    header = ["class"] + [f"{prefix}-{m}" for m in MODE_ORDER] + ["Total"]
     rows: list[list[str]] = []
     for cls, cells in sorted(modes["per_cell"].items()):
         total = modes["per_class_total"][cls]
-        rows.append([cls] + [_fmt_rate(cells[m.value]) for m in MODE_ORDER] + [_fmt_rate(total)])
-    totals = ["Total"] + [_fmt_rate(modes["per_mode"][m.value]) for m in MODE_ORDER] + [_fmt_rate(modes["total"])]
+        rows.append([cls] + [_fmt_rate(cells[m]) for m in MODE_ORDER] + [_fmt_rate(total)])
+    totals = ["Total"] + [_fmt_rate(modes["per_mode"][m]) for m in MODE_ORDER] + [_fmt_rate(modes["total"])]
     rows.append(totals)
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
     lines.append("  " + "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))

@@ -14,7 +14,7 @@ import pytest
 from conftest import default_tca_entries, nhpp_exponential_events, srgm_bundle, write_bundle
 from orcas import cli
 from orcas.fixtures import vcu_dir
-from orcas.growth import SrgmModel, fit_mean, fit_srgm
+from orcas.growth import SrgmModel, fit_mean, fit_srgm, stability
 from orcas.quantify import mode_sums
 
 
@@ -145,6 +145,17 @@ def exclude_mode_a(raw):
     return json.dumps(report).encode()
 
 
+def last_total_times_1_01(raw):
+    """The saved report with the last predicted total of the stability series
+    scaled by 1.01, and the stability verdict recomputed from the series."""
+    report = json.loads(raw)
+    entry = report["growth"]["per_class"]["checking"]
+    series = entry["stability"]["series"]
+    series[-1][1] *= 1.01
+    entry["stability"] = stability(series, entry["stability"]["threshold"])
+    return json.dumps(report).encode()
+
+
 @pytest.mark.parametrize("mutate, prefix", [
     (lambda raw: b"\xff", "invalid report JSON: byte 0: not valid UTF-8"),
     (lambda raw: raw[:10] + b"\xff" + raw[11:], "invalid report JSON: byte 10: not valid UTF-8"),
@@ -227,6 +238,13 @@ def exclude_mode_a(raw):
      "invalid report JSON: modes: per_cell: unexpected key(s): timing"),
     (edit(*_FIT, "params", "a", value=lambda a: 10 * a), _AT_FIT + "predicted_total: must be "),
     (edit(*_FIT, "predicted_total", value=lambda total: 2 * total), _AT_FIT + "predicted_total: must be "),
+    (edit("provenance", "options", "rate_method", value="bounded"),
+     "invalid report JSON: provenance: options: rate_method: must be 'srgm', got 'bounded'"),
+    (edit("provenance", "options", "confidence_threshold", value=0.5),
+     "invalid report JSON: provenance: options: confidence_threshold: must be 0.9, got 0.5"),
+    (edit("provenance", "options", "system_kind", value="continuous-monitoring"),
+     "invalid report JSON: modes: excluded: must be ['B'], got []"),
+    (last_total_times_1_01, _AT_STABILITY + "series[2]: must be [300.0, "),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -239,7 +257,8 @@ def exclude_mode_a(raw):
         "threshold-not-provenance", "provenance-threshold-changed", "provenance-threshold-string",
         "provenance-threshold-missing", "provenance-options-5", "provenance-options-missing",
         "unstable-note-while-stable", "unstable-without-note", "positive-rate-row-deleted",
-        "zero-rate-row-added", "params-a-times-10", "predicted_total-doubled"])
+        "zero-rate-row-added", "params-a-times-10", "predicted_total-doubled", "options-rate_method-bounded",
+        "options-confidence_threshold-changed", "options-system_kind-monitoring", "last-total-times-1.01"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.

@@ -1,18 +1,23 @@
+import importlib
 import json
 import pickle
+import pkgutil
 import tempfile
+from enum import Enum
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import orcas
 from orcas.domain import (
     DefectClass,
     DefectRecord,
     EffortKind,
     EffortModel,
     FailureMode,
+    Name,
     TestLevel,
     TriggerKind,
     count_by_class,
@@ -28,6 +33,23 @@ def test_vocabulary_sizes():
     assert len(FailureMode) == 4
     assert len(TriggerKind) == 11
     assert len(TestLevel) == 3
+
+
+def test_a_vocabulary_member_is_its_name():
+    # Every enum of the package: a member equals, hashes, prints, formats and
+    # quotes as its name, so a report holds members and saved names alike.
+    modules = [importlib.import_module(f"orcas.{info.name}")
+               for info in pkgutil.iter_modules(orcas.__path__) if info.name != "__main__"]
+    vocabularies = {value for module in modules for value in vars(module).values()
+                    if isinstance(value, type) and issubclass(value, Enum) and value not in (Enum, Name)}
+    assert len(vocabularies) == 12
+    for vocabulary in vocabularies:
+        assert issubclass(vocabulary, Name), vocabulary
+        for member in vocabulary:
+            assert str(member) == format(member) == f"{member}" == member.value
+            assert repr(member) == repr(member.value)
+            assert hash(member) == hash(member.value)
+            assert {member.value: 1}[member] == 1
 
 
 def test_total_effort_continuous_campaign():
