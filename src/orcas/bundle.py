@@ -237,10 +237,9 @@ def _parse_string(value: Any, file: str, where: str) -> str:
 # an array entry adds the record slot it fills and whether a fault names
 # the record by its id (the value of its first field) or by its index. A
 # slot of None marks a check of the whole record, named by the record
-# alone; in an object, a second entry for a key checks its value again as
-# a whole (a _Rule that joins its fields). The default is _REQUIRED for a
-# key that must be present, None for a key whose absence reads as None,
-# and otherwise a JSON value checked as if it were given.
+# alone. The default is _REQUIRED for a key that must be present, None for
+# a key whose absence reads as None, and otherwise a JSON value checked as
+# if it were given.
 
 _REQUIRED = object()
 
@@ -807,17 +806,17 @@ def load_bundle(
     # a test fails is the first offending record looked for.
     efforts = defects.columns["detection_effort"]
     if efforts and ((growth and min(efforts) <= 0.0) or max(efforts) > effort_total):
-        for id, effort in zip(defects.columns["id"], efforts):
-            if growth and effort <= 0.0:
+        for id, detection in zip(defects.columns["id"], efforts):
+            if growth and detection <= 0.0:
                 raise _fail(
                     "defects.json", f"record {_quote(id, _ID_LIMIT)}: detection_effort",
                     f"must be positive for rate_method 'srgm' (the growth model fits detection "
-                    f"efforts), got {effort!r}; record it or use rate_method 'bounded'",
+                    f"efforts), got {detection!r}; record it or use rate_method 'bounded'",
                 )
-            if effort > effort_total:
+            if detection > effort_total:
                 raise _fail(
                     "defects.json", f"record {_quote(id, _ID_LIMIT)}",
-                    f"detection_effort {effort!r} exceeds total testing effort "
+                    f"detection_effort {detection!r} exceeds total testing effort "
                     f"{effort_total!r}; detection efforts must be recorded in the effort model's "
                     f"unit ({unit})",
                 )

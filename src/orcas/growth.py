@@ -240,8 +240,6 @@ def fit_section(model: SrgmModel, params: Mapping[str, float], horizon: float, l
     unconverged: its parameters are the boundary the likelihood climbed
     toward, never point estimates."""
     mean, intensity, names = MODEL_FUNCTIONS[model]
-    if set(params) != set(names):
-        raise OrcasError(f"params must be exactly the parameters of the {model} model: {', '.join(names)}")
     values = [params[name] for name in names]
     current_intensity = intensity(horizon, *values)
     if not all(map(math.isfinite, (*values, log_likelihood, current_intensity))):
@@ -544,12 +542,6 @@ def stability_windows(events: Sequence[float], horizon: float, windows: int) -> 
     return sizes
 
 
-def tracked_total(fit: dict, horizon: float) -> float:
-    """The total a stability series tracks for a window's ``fit``: its ``predicted_total``, or
-    the unbounded logarithmic model's mean at the full ``horizon``."""
-    return fit["predicted_total"] if fit["model"] == SrgmModel.GOEL_OKUMOTO else fit_mean(fit, horizon)
-
-
 def windowed_srgm_stability(
     events: Sequence[float],
     model: SrgmModel,
@@ -561,8 +553,8 @@ def windowed_srgm_stability(
 
     The windows are those of :func:`stability_windows`, so the last
     window's fit is ``fit_srgm(events, model, horizon)``, the full-horizon
-    fit. The events are validated once; each window fits its prefix, and
-    the series tracks its :func:`tracked_total`.
+    fit. The events are validated once; each window fits its prefix, and the series tracks
+    its predicted total, or for the unbounded logarithmic model its mean at the horizon.
     """
     events, horizon = _validate_events(events, horizon)
     window_fits: list[tuple[float, dict]] = []
@@ -570,5 +562,16 @@ def windowed_srgm_stability(
     for end, count in stability_windows(events, horizon, windows):
         fit = _fit_validated(events[:count], model, end)
         window_fits.append((end, fit))
-        series.append((end, tracked_total(fit, horizon)))
+        series.append((end, fit["predicted_total"] if model == SrgmModel.GOEL_OKUMOTO else fit_mean(fit, horizon)))
     return stability(series, threshold), window_fits
+
+
+def growth_class(events: Sequence[float], model: SrgmModel, horizon: float, windows: int, threshold: float) -> dict:
+    """A class's entry in the report's ``growth`` section: its ``events`` and the ``stability``
+    of :func:`windowed_srgm_stability`, and its last window's ``fit``, over [0, ``horizon``].
+    Raises :class:`OrcasError` when that fit did not converge."""
+    verdict, window_fits = windowed_srgm_stability(events, model, horizon, windows, threshold)
+    fit = window_fits[-1][1]
+    if not fit["converged"]:
+        raise OrcasError(fit["diagnostic"])
+    return {"fit": fit, "events": events, "stability": verdict}

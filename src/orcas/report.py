@@ -10,13 +10,13 @@ floats), a plain-text summary, or SVG growth-curve plots.
 A report is one dict, the one _REPORT_FIELDS describes, and every format
 renders it. The stages and section builders build its sections:
 ``combine`` returns ``modes``, ``srgm_class_rates`` ``rates``,
-``assessment_confidence`` ``evidence``, ``growth_section`` ``growth``,
-``fit_section`` each class's ``fit`` and ``stability`` its ``stability``.
-A saved report is read back as that dict by :func:`report_from_json`: the
-bundle's field kinds check each field's shape against _REPORT_FIELDS, and
-each part listed by _relations is derived again by its stage from the
-report's own primary fields and must equal the saved part. Its first fault
-is raised as ``invalid report JSON: <where>: <reason>``.
+``assessment_confidence`` ``evidence``, ``growth_section`` ``growth`` and
+``growth_class`` each class's entry in it. A saved report is read back as
+that dict by :func:`report_from_json`: the bundle's field kinds check each
+field's shape against _REPORT_FIELDS, and each part listed by _relations
+is derived again by its stage from the report's own primary fields and
+must equal the saved part. Its first fault is raised as ``invalid report
+JSON: <where>: <reason>``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bundle import (
     _EVENTS, _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _fail, _Flag, _Integer, _Map, _Number,
     _Object, _parse_json, _quote, _Rule, _String,
 )
-from .causality import CausalityMatrix
+from .causality import ROW_SUM_TOLERANCE, CausalityMatrix
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
 from .evidence import (
@@ -50,12 +50,9 @@ from .growth import (
     SrgmModel,
     bounded_class_rates,
     fit_mean,
-    fit_section,
+    growth_class,
     growth_section,
     srgm_class_rates,
-    stability,
-    tracked_total,
-    windowed_srgm_stability,
 )
 from .quantify import SystemKind, combine, mode_applicability
 
@@ -66,7 +63,6 @@ _RATE = _Number(lo=0.0)
 _POSITIVE = _Number(positive=True)
 _TEXT = "expected an array of strings"
 _TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
-_PAIRS = "expected an array of [effort, predicted total] pairs"
 
 # A report, as run_assessment returns it and report_from_json reads it back:
 # the shape of each field. How the fields derive from one another is _relations'.
@@ -111,9 +107,8 @@ _REPORT_FIELDS = (
             ))),
             ("events", _REQUIRED, _EVENTS),
             ("stability", _REQUIRED, _Object((
-                ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"), _PAIRS,
-                                             indexed=True)),
-                ("series", _REQUIRED, _Rule(lambda series: all(len(pair) == 2 for pair in series), _PAIRS)),
+                ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"),
+                                             "expected an array of [effort, predicted total] pairs", indexed=True)),
                 ("max_relative_step", _REQUIRED, _RATE),
                 ("stable", _REQUIRED, _Flag()),
                 ("threshold", _REQUIRED, _RATE),
@@ -158,6 +153,19 @@ def _saved_modes(modes: dict, rates: dict) -> dict:
     return combine(CausalityMatrix(rows, "saved cells"), {"unit": rates["unit"], "per_class": ones}, modes["excluded"])
 
 
+def _implied_row(cells: dict, rate: float, excluded: list) -> dict:
+    """A class's saved ``cells``, once they imply a matrix row (each over the
+    positive ``rate``) of probabilities summing to 1 +/- ROW_SUM_TOLERANCE, or
+    to at most 1 + it with a mode ``excluded``. Checked on the cells: p*rate <=
+    rate where p <= 1, and 4 ulps of the rate cover the rounding of the sum."""
+    total, slack = math.fsum(cells.values()), ROW_SUM_TOLERANCE * rate + 4 * math.ulp(rate)
+    if max(cells.values()) > rate or total - rate > slack or (not excluded and rate - total > slack):
+        row = ", ".join(f"{cell / rate:.6g}" for cell in cells.values())
+        raise OrcasError(f"implies the matrix row [{row}] (sum {total / rate:.6g}), not probabilities in [0, 1] "
+                         f"that sum to {'at most 1.0 + ' if excluded else '1.0 +/- '}{ROW_SUM_TOLERANCE}")
+    return cells
+
+
 def _relations(report: dict):
     """Each derived part of a report whose fields have the shapes of
     _REPORT_FIELDS: its path, its saved value, and the call of the stage or
@@ -171,18 +179,15 @@ def _relations(report: dict):
     else:
         model, horizon = growth["model"], growth["horizon"]
         for cls, entry in growth["per_class"].items():
-            fit, series = entry["fit"], entry["stability"]["series"]
-            yield (f"growth: per_class: {cls}: fit", fit,
-                   partial(fit_section, model, fit["params"], horizon, fit["log_likelihood"], fit["diagnostic"]))
-            yield (f"growth: per_class: {cls}: stability", entry["stability"],
-                   partial(stability, series, options["stability_threshold"]))
-            # The last stability window spans the whole horizon: its fit is the class's fit.
-            yield (f"growth: per_class: {cls}: stability: series[{len(series) - 1}]", series[-1],
-                   lambda fit=fit: [horizon, tracked_total(fit, horizon)])
+            yield (f"growth: per_class: {cls}", entry, partial(
+                growth_class, entry["events"], model, horizon, len(entry["stability"]["series"]),
+                options["stability_threshold"]))
         yield "growth", growth, partial(growth_section, model, horizon, growth["per_class"])
         fits = {cls: entry["fit"] for cls, entry in growth["per_class"].items()}
         yield "rates", rates, partial(srgm_class_rates, fits, rates["unit"])
     yield "modes", modes, partial(_saved_modes, modes, rates)
+    for cls, cells in modes["per_cell"].items():
+        yield f"modes: per_cell: {cls}", cells, partial(_implied_row, cells, rates["per_class"][cls], modes["excluded"])
     yield "provenance: options: rate_method", options["rate_method"], lambda: rates["method"]
     yield ("provenance: options: confidence_threshold", options["confidence_threshold"],
            lambda: evidence["confidence_threshold"])
@@ -204,6 +209,9 @@ def _difference(where: str, derived, saved) -> tuple[str, str]:
                 return where, f"{problem} key(s): {', '.join(sorted(keys))}"
         key = next(key for key in derived if derived[key] != saved[key])
         return _difference(f"{where}: {key}", derived[key], saved[key])
+    if isinstance(derived, list) and isinstance(saved, list) and len(derived) == len(saved):
+        i = next(i for i, (item, saved_item) in enumerate(zip(derived, saved)) if item != saved_item)
+        return _difference(f"{where}[{i}]", derived[i], saved[i])
     return where, f"must be {_quote(derived)}, got {_quote(saved)}"
 
 
@@ -312,25 +320,16 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
     per_class_events: dict[DefectClass, list[float]] = {}
     for cls, effort in zip(bundle.defects.columns["defect_class"], bundle.defects.columns["detection_effort"]):
         per_class_events.setdefault(cls, []).append(effort)
-    fits = {}
     growth_per_class = {}
     for cls in sorted(per_class_events):
-        events = sorted(per_class_events[cls])
-        # A class history the growth model cannot fit is a fault of the
-        # data: reported as the loader reports one, naming file and class.
-        where = f"defects.json: class '{cls}'"
         try:
-            verdict, window_fits = windowed_srgm_stability(
-                events, bundle.srgm_model, horizon, bundle.stability_windows, bundle.stability_threshold)
+            growth_per_class[cls] = growth_class(sorted(per_class_events[cls]), bundle.srgm_model, horizon,
+                                                 bundle.stability_windows, bundle.stability_threshold)
         except OrcasError as exc:
-            raise BundleError(f"{where}: {exc}") from exc
-        # The last stability window spans the whole horizon: it is the fit.
-        fit = window_fits[-1][1]
-        if not fit["converged"]:
-            raise BundleError(f"{where}: {fit['diagnostic']}")
-        fits[cls] = fit
-        growth_per_class[cls] = {"fit": fit, "events": events, "stability": verdict}
-    rates = srgm_class_rates(fits, bundle.effort.rate_unit)
+            # A class history the growth model cannot fit is a fault of the
+            # data: reported as the loader reports one, naming file and class.
+            raise BundleError(f"defects.json: class '{cls}': {exc}") from exc
+    rates = srgm_class_rates({cls: entry["fit"] for cls, entry in growth_per_class.items()}, bundle.effort.rate_unit)
     return rates, growth_section(bundle.srgm_model, horizon, growth_per_class)
 
 
@@ -597,13 +596,12 @@ def svg_report(report: dict) -> str:
         curve = [(horizon * k / samples, fit_mean(fit, horizon * k / samples)) for k in range(samples + 1)]
         y_max = max(len(events), max(y for _, y in curve), 1.0) * 1.08
         params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(fit["params"].items()))
-        flag = "" if fit["converged"] else " (NOT CONVERGED)"
         panels.append("\n".join([
             f'  <g transform="translate(0,0)">',
             f'    <rect x="{_MARGIN}" y="{offset + _MARGIN}" width="{_SVG_W - 2 * _MARGIN}" '
             f'height="{_SVG_H - 2 * _MARGIN}" fill="none" stroke="#888"/>',
             f'    <text x="{_MARGIN}" y="{offset + _MARGIN - 12}" font-family="monospace" '
-            f'font-size="13">{cls_name}: {fit["model"]} ({params}){flag}</text>',
+            f'font-size="13">{cls_name}: {fit["model"]} ({params})</text>',
             f'    <polyline points="{_svg_points(observed, horizon, y_max, offset)}" '
             f'fill="none" stroke="#1a52a8" stroke-width="1.5"/>',
             f'    <polyline points="{_svg_points(curve, horizon, y_max, offset)}" '

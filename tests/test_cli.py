@@ -104,11 +104,14 @@ _FIT = (*_CHECKING, "fit")
 _STABILITY = (*_CHECKING, "stability")
 # The class's rate, current intensity and cells' sum in the saved report.
 _RATE = "0.003861165103289957"
+# The class's fitted a, its predicted total.
+_A = "181.16552471200785"
 _AT_FIT = "invalid report JSON: growth: per_class: checking: fit: "
 _AT_STABILITY = "invalid report JSON: growth: per_class: checking: stability: "
 _AT_THRESHOLD = _AT_STABILITY + "threshold: "
 _UNSTABLE = "WARNING: growth-model refits exceed the stability threshold; predictions may be unreliable"
 _NOTE = "invalid report JSON: annotations: holds the unstable-refits warning: "
+_AT_CELLS = "invalid report JSON: modes: per_cell: checking: implies the matrix row "
 
 
 def unstable_at_threshold_zero(raw):
@@ -132,6 +135,13 @@ def recount(change):
         report["modes"].update(mode_sums(report["modes"]["per_cell"], report["modes"]["excluded"]))
         return json.dumps(report).encode()
     return mutate
+
+
+def scale_checking_cells(factor):
+    """A change to a report's modes that scales the class's cells by ``factor``."""
+    def change(modes):
+        modes["per_cell"]["checking"] = {mode: factor * cell for mode, cell in modes["per_cell"]["checking"].items()}
+    return change
 
 
 def exclude_mode_a(raw):
@@ -180,8 +190,7 @@ def last_total_times_1_01(raw):
     (edit("growth", "per_class", value=[]),
      "invalid report JSON: growth: per_class: expected a JSON object, got list"),
     (edit("growth", "horizon", value="x"), "invalid report JSON: growth: horizon: expected a number, got 'x'"),
-    (edit(*_FIT, "params", value={}),
-     _AT_FIT + "params must be exactly the parameters of the goel-okumoto model: a, b"),
+    (edit(*_FIT, "params", value={}), _AT_FIT + "params: missing key(s): a, b"),
     (edit(*_FIT, "model", value="zz"), "invalid report JSON: growth: per_class: checking: fit: model: "
      "invalid value 'zz' (expected one of: goel-okumoto, musa-okumoto)"),
     (edit(*_CHECKING, "events", value=["a"]),
@@ -208,19 +217,16 @@ def last_total_times_1_01(raw):
     (edit("modes", "unit", value="per-demand"),
      "invalid report JSON: modes: unit: must be 'per-hour', got 'per-demand'"),
     (edit(*_FIT, "converged", value=False), _AT_FIT + "converged: must be True, got False"),
-    (edit("growth", "model", value="musa-okumoto"),
-     _AT_FIT + "params must be exactly the parameters of the musa-okumoto model: lambda0, theta"),
+    (edit("growth", "model", value="musa-okumoto"), _AT_FIT + "model: must be 'musa-okumoto', got 'goel-okumoto'"),
     (edit("evidence", "confidence", value=0.01),
      "invalid report JSON: evidence: gate: must be 'defer-to-BAHAMAS', got 'proceed'"),
     (edit(*_STABILITY, "stable", value=lambda stable: not stable), _AT_STABILITY + "stable: must be True, got False"),
     (edit(*_STABILITY, "max_relative_step", value=0.0), _AT_STABILITY + "max_relative_step: must be 0.0637"),
     (edit("growth", "all_stable", value=lambda stable: not stable),
      "invalid report JSON: growth: all_stable: must be True, got False"),
-    (edit(*_STABILITY, "series", 0, value=lambda pair: [*pair, 1.0]),
-     "invalid report JSON: growth: per_class: checking: stability: series: "
-     "expected an array of [effort, predicted total] pairs"),
+    (edit(*_STABILITY, "series", 0, value=lambda pair: [*pair, 1.0]), _AT_STABILITY + "series[0]: must be [100.0, "),
     (edit(*_STABILITY, "series", value=lambda series: series[:1]),
-     "invalid report JSON: growth: per_class: checking: stability: stability needs at least 2 fits"),
+     "invalid report JSON: growth: per_class: checking: stability needs at least 2 windows, got 1"),
     (edit(*_STABILITY, "threshold", value=0.5), _AT_THRESHOLD + "must be 0.1, got 0.5"),
     (edit("provenance", "options", "stability_threshold", value=0.5), _AT_THRESHOLD + "must be 0.5, got 0.1"),
     (edit("provenance", "options", "stability_threshold", value="0.1"),
@@ -236,7 +242,7 @@ def last_total_times_1_01(raw):
      "invalid report JSON: modes: per_cell: missing key(s): checking"),
     (recount(lambda modes: modes["per_cell"].update(timing=dict.fromkeys("ABCD", 0.0))),
      "invalid report JSON: modes: per_cell: unexpected key(s): timing"),
-    (edit(*_FIT, "params", "a", value=lambda a: 10 * a), _AT_FIT + "predicted_total: must be "),
+    (edit(*_FIT, "params", "a", value=lambda a: 10 * a), _AT_FIT + f"params: a: must be {_A}, got 1811.65"),
     (edit(*_FIT, "predicted_total", value=lambda total: 2 * total), _AT_FIT + "predicted_total: must be "),
     (edit("provenance", "options", "rate_method", value="bounded"),
      "invalid report JSON: provenance: options: rate_method: must be 'srgm', got 'bounded'"),
@@ -244,7 +250,18 @@ def last_total_times_1_01(raw):
      "invalid report JSON: provenance: options: confidence_threshold: must be 0.9, got 0.5"),
     (edit("provenance", "options", "system_kind", value="continuous-monitoring"),
      "invalid report JSON: modes: excluded: must be ['B'], got []"),
-    (last_total_times_1_01, _AT_STABILITY + "series[2]: must be [300.0, "),
+    (last_total_times_1_01, _AT_STABILITY + f"series[2][1]: must be {_A}, got 182.97"),
+    (edit(*_CHECKING, "events", value=lambda events: events[:len(events) // 2]),
+     _AT_FIT + "params: a: must be 90.0000000"),
+    (edit(*_CHECKING, "events", 0, value=lambda effort: 1.01 * effort), _AT_FIT + "params: a: must be 181.1655252"),
+    (edit(*_CHECKING, "events", 0, value=0.0),
+     "invalid report JSON: growth: per_class: checking: detection efforts must be positive and finite, got 0.0"),
+    (edit(*_STABILITY, "series", value=lambda series: series[:-1]),
+     _AT_STABILITY + "series[0][0]: must be 150.0, got 100.0"),
+    (recount(scale_checking_cells(100.0)), _AT_CELLS + "[36, 24.4, 25.6, 14] (sum 100), not probabilities"),
+    (recount(scale_checking_cells(2.0)),
+     _AT_CELLS + "[0.72, 0.488, 0.512, 0.28] (sum 2), not probabilities in [0, 1] that sum to 1.0 +/- 0.0005"),
+    (recount(scale_checking_cells(0.999)), _AT_CELLS + "[0.35964, 0.243756, 0.255744, 0.13986] (sum 0.999)"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -258,7 +275,9 @@ def last_total_times_1_01(raw):
         "provenance-threshold-missing", "provenance-options-5", "provenance-options-missing",
         "unstable-note-while-stable", "unstable-without-note", "positive-rate-row-deleted",
         "zero-rate-row-added", "params-a-times-10", "predicted_total-doubled", "options-rate_method-bounded",
-        "options-confidence_threshold-changed", "options-system_kind-monitoring", "last-total-times-1.01"])
+        "options-confidence_threshold-changed", "options-system_kind-monitoring", "last-total-times-1.01",
+        "events-first-half", "event-times-1.01", "event-zero", "series-pair-dropped", "cells-times-100",
+        "cells-times-2", "cells-times-0.999"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.

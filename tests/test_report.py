@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from orcas import cli
 from orcas.bundle import _Object, load_bundle
+from orcas.causality import ROW_SUM_TOLERANCE
 from orcas.domain import DefectClass, FailureMode
 from orcas.errors import BundleError, OrcasError, StageError
 from orcas.evidence import GateDecision
 from orcas.fixtures import vcu_dir
+from orcas.quantify import mode_sums
 from orcas.report import (
     _REPORT_FIELDS,
     canonical_json_bytes,
@@ -152,6 +154,41 @@ def test_uniform_escape_hatch_warns_and_proceeds(tmp_path):
     # The only pin of a report with substituted rows: no digest of tests/test_outputs.py covers one.
     assert hashlib.sha256(canonical_json_bytes(report)).hexdigest() == (
         "6bb9f367f916086d7317eaad0b26815700bd6cb76a55fa7be93103810fdeb7c1")
+
+
+def test_a_loaded_row_at_the_row_sum_tolerance_reads_back(tmp_path):
+    # The loader accepts rows that sum to exactly 1 +- the tolerance. At these
+    # rates their cells sum beyond the bounds times the rate by the rounding
+    # of the products, which the report check allows.
+    rows = {"checking": [0.36, 0.2445, 0.256, 0.14], "timing": [0.19, 0.048, 0.524, 0.2375]}
+    assert [math.fsum(row) for row in rows.values()] == [1 + ROW_SUM_TOLERANCE, 1 - ROW_SUM_TOLERANCE]
+    directory = write_bundle(
+        tmp_path / "b",
+        defects=[{"id": f"D-{i}", "description": "x", "class": cls, "detection_effort": 1.0}
+                 for i, cls in enumerate(["checking", "timing"] * 3)],
+        effort={"kind": "continuous", "test_count": 7, "test_duration": 1.0},
+        config={"structural_coverage": 1.0, "system_kind": "control", "matrix": "matrix.json"},
+        **{"matrix.json": {"provenance": "edge", "rows": rows}},
+    )
+    report = run_assessment(load_bundle(directory))
+    cells, rates = report["modes"]["per_cell"], report["rates"]["per_class"]
+    assert math.fsum(cells["checking"].values()) > (1 + ROW_SUM_TOLERANCE) * rates["checking"]
+    assert math.fsum(cells["timing"].values()) < (1 - ROW_SUM_TOLERANCE) * rates["timing"]
+    assert report_from_json(emit_report(report, "json")) == report
+
+
+def test_cells_beyond_their_rate_are_refused_where_a_mode_is_excluded(vcu_report):
+    # The VCU report excludes mode B, so its checking cells imply a row that
+    # sums to 0.756, and only the upper bound applies.
+    report = copy.deepcopy(vcu_report)
+    modes = report["modes"]
+    modes["per_cell"]["checking"] = {mode: 1.5 * cell for mode, cell in modes["per_cell"]["checking"].items()}
+    modes.update(mode_sums(modes["per_cell"], modes["excluded"]))
+    with pytest.raises(OrcasError) as err:
+        report_from_json(emit_report(report, "json"))
+    assert str(err.value) == (
+        "invalid report JSON: modes: per_cell: checking: implies the matrix row [0.54, 0, 0.384, 0.21] "
+        "(sum 1.134), not probabilities in [0, 1] that sum to at most 1.0 + 0.0005")
 
 
 def test_zero_defect_bundle_proceeds(tmp_path):
