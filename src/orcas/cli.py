@@ -27,7 +27,7 @@ from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
-from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_mean, fit_srgm, windowed_srgm_stability
+from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_srgm, mean_curve, windowed_srgm_stability
 from .report import (_INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
                      run_assessment)
 
@@ -175,9 +175,7 @@ def _cmd_srgm_fit(args) -> int:
     else:
         out["fit"] = fit = fit_srgm(events, model, horizon=horizon)
     if args.curve_samples > 0:
-        k = args.curve_samples
-        out["curve"] = [[effective_horizon * i / k, fit_mean(fit, effective_horizon * i / k)]
-                        for i in range(k + 1)]
+        out["curve"] = mean_curve(fit, effective_horizon, args.curve_samples)
     _write_output(canonical_json_bytes(out), args.output)
     if not fit["converged"]:
         print(f"warning: fit did not converge: {fit['diagnostic']}", file=sys.stderr)

@@ -10,17 +10,20 @@ process to the per-class detection-effort history:
 
 and reads the class rate as the fitted intensity m'(t) at the assessment
 horizon. Fit trustworthiness is gauged by the stability rule: successive
-refits over expanding windows must not move the predicted total by more
-than 10% (default).
+refits over expanding windows must not move the tracked total (the
+exponential model's predicted total, the logarithmic model's mean at the
+horizon) by more than 10% (default).
 
-Maximum likelihood is computed by profiling the likelihood down to one
-dimension and solving the resulting score equation with a safeguarded
-Newton/bisection iteration on a bracketed root; the second parameter then
-follows in closed form. For the logarithmic model a 64-bucket summary of
-the events settles most bracket signs, the floor's included, and its
-second-order expansion starts Newton about 1e-7 from the root, so a fit
-of a few thousand events makes 4-5 passes over them. This is
-deterministic: the same events always produce bit-identical parameters.
+MODELS holds one class per model, by name: its parameter names, mean and
+intensity, its profile score (the likelihood profiled down to one
+dimension) and the figure its refits track. One fitter, _fit_validated,
+solves either model's score equation with a safeguarded Newton/bisection
+iteration on a bracketed root; the second parameter then follows in closed
+form. For the logarithmic model a 64-bucket summary of the events settles
+most bracket signs, the floor's included, and its second-order expansion
+starts Newton about 1e-7 from the root, so a fit of a few thousand events
+makes 4-5 passes over them. This is deterministic: the same events always
+produce bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from contextlib import contextmanager
 from functools import cached_property
 from operator import mul
 from typing import Callable, Mapping, Sequence
@@ -101,17 +103,6 @@ def mo_intensity(t: float, lambda0: float, theta: float) -> float:
     return lambda0 / (lambda0 * theta * t + 1.0)
 
 
-# Each model's mean and intensity functions and the names of its parameters, in argument order.
-MODEL_FUNCTIONS = {SrgmModel.GOEL_OKUMOTO: (go_mean, go_intensity, ("a", "b")),
-                   SrgmModel.MUSA_OKUMOTO: (mo_mean, mo_intensity, ("lambda0", "theta"))}
-
-
-def fit_mean(fit: dict, t: float) -> float:
-    """The mean function m(t) of a report's ``fit``."""
-    mean, _, names = MODEL_FUNCTIONS[fit["model"]]
-    return mean(t, *[fit["params"][name] for name in names])
-
-
 def go_log_likelihood(events: Sequence[float], horizon: float, a: float, b: float) -> float:
     """Exact event-time log-likelihood of the exponential model:
     sum(ln(a*b*exp(-b*t_i))) - m(horizon)."""
@@ -152,13 +143,10 @@ _BRACKET_FLOOR = 1e-12
 _BOUNDARY_RATE = 1e-9
 
 
-_TOO_FEW_EVENTS = "insufficient failure data: at least 2 detection events are required"
-
-
 def _validate_events(events: Sequence[float], horizon: float | None) -> tuple[list[float], float]:
     events = [float(t) for t in events]
     if len(events) < 2:
-        raise OrcasError(_TOO_FEW_EVENTS)
+        raise OrcasError("insufficient failure data: at least 2 detection events are required")
     previous = 0.0
     for t in events:
         if not math.isfinite(t) or t <= 0.0:
@@ -183,20 +171,6 @@ def _no_growth_diagnostic(n: int, total: float, horizon: float) -> str:
         f"likelihood has no interior maximum (constant-rate limit); collect more "
         f"data or use bounded estimation"
     )
-
-
-def _score_at_floor(
-    n: int, effort_sum: float, T: float, score: Callable[[float], float]
-) -> float | None:
-    """The profile score at the bracket floor, or a stand-in with its
-    sign, or None when the history shows no growth: its mean detection
-    effort is not below half the horizon, or the score is not positive at
-    the floor. The score then has no root and the likelihood no interior
-    maximum."""
-    if n * T / 2.0 - effort_sum <= 0.0:
-        return None
-    s = score(_BRACKET_FLOOR / T)
-    return None if s <= 0.0 else s
 
 
 def _not_nan(s: float, x: float) -> float:
@@ -230,57 +204,62 @@ def _bracket(sign: Callable[[float], float], s_lo: float, T: float) -> tuple[flo
     )
 
 
-def fit_section(model: SrgmModel, params: Mapping[str, float], horizon: float, log_likelihood: float,
-                diagnostic: str | None) -> dict:
-    """A growth class's ``fit`` section of the report, from the parameters
-    fitted over [0, ``horizon``]: {"a", "b"} (exponential) or {"lambda0",
-    "theta"} (logarithmic). ``predicted_total`` is the mean at infinite
-    effort, ``a`` or, for the unbounded logarithmic mean, infinity, and
-    ``current_intensity`` is m'(horizon). A fit with a ``diagnostic`` is
-    unconverged: its parameters are the boundary the likelihood climbed
-    toward, never point estimates."""
-    mean, intensity, names = MODEL_FUNCTIONS[model]
-    values = [params[name] for name in names]
-    current_intensity = intensity(horizon, *values)
-    if not all(map(math.isfinite, (*values, log_likelihood, current_intensity))):
-        raise OrcasError(f"growth fit is beyond floating-point range: parameters {params!r}, "
-                         f"log-likelihood {log_likelihood!r}")
-    return {"model": model, "params": dict(sorted(params.items())),
-            "predicted_total": mean(math.inf, *values), "current_intensity": current_intensity,
-            "log_likelihood": log_likelihood, "converged": diagnostic is None, "diagnostic": diagnostic}
+class _Profile:
+    """A growth model's profile score in one parameter x, the other
+    substituted in closed form, over a sorted history of n events in [0, T].
+    Each model's class holds its parameter ``names`` (in argument order),
+    ``mean`` and ``intensity``; the exact ``score(x)``; ``sign(x)``, the
+    score or a stand-in with its sign; ``slope(x)``, which steers Newton;
+    ``estimate(a, hi)``, a Newton start in [a, hi] or None for the midpoint;
+    ``at_root(x)``, the parameters and log-likelihood; and ``tracked(fit,
+    horizon)``, the figure its stability series tracks."""
+
+    def __init__(self, events: list[float], T: float) -> None:
+        self.events = events
+        self.n = len(events)
+        self.T = T
+        self.effort_sum = math.fsum(events)
+
+    def estimate(self, a: float, hi: float) -> float | None:
+        return None
 
 
-def _fit_go(events: list[float], horizon: float) -> dict:
-    n = len(events)
-    effort_sum = math.fsum(events)
-    T = horizon
+class _GoProfile(_Profile):
+    """Goel-Okumoto profile score in b, after substituting a = n/(1 - exp(-b*T)):
 
-    def score(b: float) -> float:
-        # Profile score equation in b after substituting a = n/(1 - exp(-bT)).
+        score(b) = n/b - sum(t_i) - n*T/(exp(b*T) - 1).
+
+    It costs O(1). Its stability series tracks the predicted total, a.
+    """
+
+    names = ("a", "b")
+    mean, intensity = staticmethod(go_mean), staticmethod(go_intensity)
+
+    def score(self, b: float) -> float:
         # Past bT ~ 700 the expm1 term underflows the sum anyway; skip it
         # instead of overflowing.
+        n, T = self.n, self.T
         bt = b * T
         tail = n * T / math.expm1(bt) if bt < 700.0 else 0.0
-        return n / b - effort_sum - tail
+        return n / b - self.effort_sum - tail
 
-    def score_prime(b: float) -> float:
+    sign = score
+
+    def slope(self, b: float) -> float:
+        n, T = self.n, self.T
         bt = b * T
         if bt >= 700.0:
             return -n / (b * b)
         e = math.expm1(bt)
         return -n / (b * b) + n * T * T * math.exp(bt) / (e * e)
 
-    lo = _BRACKET_FLOOR / T
-    s_lo = _score_at_floor(n, effort_sum, T, score)
-    diagnostic = None
-    if s_lo is None:
-        b = _BOUNDARY_RATE / T
-        diagnostic = _no_growth_diagnostic(n, effort_sum, T)
-    else:
-        hi, s_hi = _bracket(score, s_lo, T)
-        b = newton_bisection(score, score_prime, lo, hi, flo=s_lo, fhi=s_hi)
-    a = n / -math.expm1(-b * T)
-    return fit_section(SrgmModel.GOEL_OKUMOTO, {"a": a, "b": b}, T, go_log_likelihood(events, T, a, b), diagnostic)
+    def at_root(self, b: float) -> tuple[tuple[float, float], float]:
+        a = self.n / -math.expm1(-b * self.T)
+        return (a, b), go_log_likelihood(self.events, self.T, a, b)
+
+    @staticmethod
+    def tracked(fit: dict, horizon: float) -> float:
+        return fit["predicted_total"]
 
 
 # The Musa-Okumoto summary: at most this many buckets of consecutive
@@ -290,22 +269,21 @@ _SUMMARY_BUCKETS = 64
 _BOUND_SLACK = 1e-12
 
 
-class _MoProfile:
-    """Musa-Okumoto profile score of one sorted history in
-    beta = lambda0*theta, after substituting lambda0 = n*beta/ln(beta*T + 1):
+class _MoProfile(_Profile):
+    """Musa-Okumoto profile score in beta = lambda0*theta, after
+    substituting lambda0 = n*beta/ln(beta*T + 1):
 
         score(beta) = n/beta - n*T/((beta*T + 1)*ln(beta*T + 1)) - sum(q_i),
         q_i = t_i/(beta*t_i + 1).
 
     :meth:`score` is exact and costs a pass over the events. The other
     methods read a summary of at most 64 buckets of consecutive events
-    (count, first, last, mean, variance) and cost O(64).
+    (count, first, last, mean, variance) and cost O(64). The mean is
+    unbounded, so its stability series tracks the mean at the horizon.
     """
 
-    def __init__(self, events: list[float], T: float) -> None:
-        self.events = events
-        self.n = len(events)
-        self.T = T
+    names = ("lambda0", "theta")
+    mean, intensity = staticmethod(mo_mean), staticmethod(mo_intensity)
 
     @cached_property
     def buckets(self) -> list[tuple[int, float, float, float, float]]:
@@ -390,59 +368,77 @@ class _MoProfile:
             return None
         return newton_bisection(self.approx, self.slope, a, hi, flo=g_a, fhi=g_hi)
 
+    def at_root(self, beta: float) -> tuple[tuple[float, float], float]:
+        n, T = self.n, self.T
+        lambda0 = n * beta / math.log1p(beta * T)
+        theta = math.log1p(beta * T) / n
+        return (lambda0, theta), mo_log_likelihood(self.events, T, lambda0, theta)
 
-def _fit_mo(events: list[float], horizon: float) -> dict:
-    n = len(events)
-    effort_sum = math.fsum(events)
-    T = horizon
-    profile = _MoProfile(events, T)
-    lo = _BRACKET_FLOOR / T
-    s_lo = _score_at_floor(n, effort_sum, T, profile.sign)
-    diagnostic = None
-    if s_lo is None:
-        beta = _BOUNDARY_RATE / T
-        diagnostic = _no_growth_diagnostic(n, effort_sum, T)
-    else:
-        hi, s_hi = _bracket(profile.sign, s_lo, T)
-        # Newton on the exact score, from the root of the bucket-mean score
-        # in the last octave the bracket search crossed.
-        start = profile.estimate(lo if hi == 1.0 / T else 0.5 * hi, hi)
-        beta = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
-    lambda0 = n * beta / math.log1p(beta * T)
-    theta = math.log1p(beta * T) / n
-    return fit_section(SrgmModel.MUSA_OKUMOTO, {"lambda0": lambda0, "theta": theta}, T,
-                       mo_log_likelihood(events, T, lambda0, theta), diagnostic)
+    @staticmethod
+    def tracked(fit: dict, horizon: float) -> float:
+        return fit_mean(fit, horizon)
 
 
-_FITTERS = {SrgmModel.GOEL_OKUMOTO: _fit_go, SrgmModel.MUSA_OKUMOTO: _fit_mo}
+# Each growth model's profile class, by name.
+MODELS = {SrgmModel.GOEL_OKUMOTO: _GoProfile, SrgmModel.MUSA_OKUMOTO: _MoProfile}
+
+
+def fit_mean(fit: dict, t: float) -> float:
+    """The mean function m(t) of a report's ``fit``."""
+    profile = MODELS[fit["model"]]
+    return profile.mean(t, *[fit["params"][name] for name in profile.names])
+
+
+def mean_curve(fit: dict, horizon: float, samples: int) -> list[list[float]]:
+    """[t, m(t)] of a report's ``fit`` at ``samples`` + 1 efforts evenly spaced over [0, ``horizon``]."""
+    return [[horizon * i / samples, fit_mean(fit, horizon * i / samples)] for i in range(samples + 1)]
 
 
 def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = None) -> dict:
-    """Maximum-likelihood fit to an ordered detection-effort history, as
-    the report's ``fit`` section (see :func:`fit_section`).
-
-    ``horizon`` is the total observed effort and defaults to the last
-    event. When the history shows no growth signal (events not
-    front-loaded), the score equation has no root: the fit is not
-    ``converged`` and has a diagnostic instead of a fabricated optimum.
-    """
+    """Maximum-likelihood fit to an ordered detection-effort history over
+    [0, ``horizon``] (by default the last event), as a growth class's ``fit``
+    section of the report: the ``params``, {"a", "b"} (exponential) or
+    {"lambda0", "theta"} (logarithmic); ``predicted_total``, the mean at
+    infinite effort, ``a`` or, for the unbounded logarithmic mean, infinity;
+    ``current_intensity``, m'(horizon); and the ``log_likelihood``. Where the
+    history shows no growth signal (events not front-loaded), the score has
+    no root: the fit is not ``converged``, has a ``diagnostic``, and its
+    parameters are the boundary the likelihood climbed toward, never point
+    estimates."""
     events, horizon = _validate_events(events, horizon)
     return _fit_validated(events, model, horizon)
 
 
 def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> dict:
     """:func:`fit_srgm` on a history :func:`_validate_events` has returned."""
-    fitter = _FITTERS.get(model)
-    if fitter is None:
+    if model not in MODELS:
         raise OrcasError(f"unknown growth model {model!r}")
-    with _float_range():
-        return fitter(events, horizon)
-
-
-@contextmanager
-def _float_range():
     try:
-        yield
+        profile = MODELS[model](events, horizon)
+        n, T, effort_sum = profile.n, horizon, profile.effort_sum
+        lo = _BRACKET_FLOOR / T
+        # No growth: the mean detection effort is not below half the horizon,
+        # or the score is not positive at the floor. The score then has no
+        # root and the likelihood no interior maximum. A NaN score at the
+        # floor is neither: _bracket raises on it.
+        if n * T / 2.0 - effort_sum <= 0.0 or (s_lo := profile.sign(lo)) <= 0.0:
+            root, diagnostic = _BOUNDARY_RATE / T, _no_growth_diagnostic(n, effort_sum, T)
+        else:
+            hi, s_hi = _bracket(profile.sign, s_lo, T)
+            # Newton on the exact score, from the profile's estimate in the
+            # last octave the bracket search crossed.
+            start = profile.estimate(lo if hi == 1.0 / T else 0.5 * hi, hi)
+            root = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
+            diagnostic = None
+        values, log_likelihood = profile.at_root(root)
+        params = dict(zip(profile.names, values))
+        current_intensity = profile.intensity(T, *values)
+        if not all(map(math.isfinite, (*values, log_likelihood, current_intensity))):
+            raise OrcasError(f"growth fit is beyond floating-point range: parameters {params!r}, "
+                             f"log-likelihood {log_likelihood!r}")
+        return {"model": model, "params": params,
+                "predicted_total": profile.mean(math.inf, *values), "current_intensity": current_intensity,
+                "log_likelihood": log_likelihood, "converged": diagnostic is None, "diagnostic": diagnostic}
     except ArithmeticError as exc:
         raise OrcasError(f"growth fit is beyond floating-point range: {exc}") from exc
 
@@ -516,32 +512,6 @@ def growth_section(model: SrgmModel, horizon: float, per_class: dict[str, dict])
             "all_stable": all(entry["stability"]["stable"] for entry in per_class.values())}
 
 
-def stability_windows(events: Sequence[float], horizon: float, windows: int) -> list[tuple[float, int]]:
-    """End effort and event count of each expanding stability window.
-
-    ``events`` is a sorted detection history. Window k ends at k/windows
-    of the horizon (the last at exactly the horizon) and holds every event
-    up to its end. Raises :class:`OrcasError` unless there are at least 2
-    windows and 2 events, and every window holds at least 2 events.
-    """
-    if windows < 2:
-        raise OrcasError(f"stability needs at least 2 windows, got {windows}")
-    if len(events) < 2:
-        raise OrcasError(_TOO_FEW_EVENTS)
-    sizes = []
-    for k in range(1, windows + 1):
-        end = horizon if k == windows else horizon * k / windows
-        count = bisect_right(events, end)
-        if count < 2:
-            raise OrcasError(
-                f"stability window ending at effort {end:.6g} contains "
-                f"{count} event(s); need at least 2 (reduce the window "
-                f"count or use bounded estimation)"
-            )
-        sizes.append((end, count))
-    return sizes
-
-
 def windowed_srgm_stability(
     events: Sequence[float],
     model: SrgmModel,
@@ -551,18 +521,29 @@ def windowed_srgm_stability(
 ) -> tuple[dict, list[tuple[float, dict]]]:
     """Refit over expanding effort windows and run the stability check.
 
-    The windows are those of :func:`stability_windows`, so the last
-    window's fit is ``fit_srgm(events, model, horizon)``, the full-horizon
-    fit. The events are validated once; each window fits its prefix, and the series tracks
-    its predicted total, or for the unbounded logarithmic model its mean at the horizon.
-    """
+    ``events`` is a sorted detection history, validated once. Window k ends
+    at k/windows of the horizon (the last at exactly the horizon, so its fit
+    is ``fit_srgm(events, model, horizon)``) and fits every event up to its
+    end; the series tracks each fit's figure (see :class:`_Profile`). Raises
+    :class:`OrcasError` unless there are at least 2 windows and every window
+    holds at least 2 events."""
     events, horizon = _validate_events(events, horizon)
+    if windows < 2:
+        raise OrcasError(f"stability needs at least 2 windows, got {windows}")
     window_fits: list[tuple[float, dict]] = []
     series: list[tuple[float, float]] = []
-    for end, count in stability_windows(events, horizon, windows):
+    for k in range(1, windows + 1):
+        end = horizon if k == windows else horizon * k / windows
+        count = bisect_right(events, end)
+        if count < 2:
+            raise OrcasError(
+                f"stability window ending at effort {end:.6g} contains "
+                f"{count} event(s); need at least 2 (reduce the window "
+                f"count or use bounded estimation)"
+            )
         fit = _fit_validated(events[:count], model, end)
         window_fits.append((end, fit))
-        series.append((end, fit["predicted_total"] if model == SrgmModel.GOEL_OKUMOTO else fit_mean(fit, horizon)))
+        series.append((end, MODELS[model].tracked(fit, horizon)))
     return stability(series, threshold), window_fits
 
 

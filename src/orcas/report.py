@@ -15,8 +15,8 @@ renders it. The stages and section builders build its sections:
 that dict by :func:`report_from_json`: the bundle's field kinds check each
 field's shape against _REPORT_FIELDS, and each part listed by _relations
 is derived again by its stage from the report's own primary fields and
-must equal the saved part. Its first fault is raised as ``invalid report
-JSON: <where>: <reason>``.
+must equal the saved part, type for type. Its first fault, or a stage's
+float overflow, is raised as ``invalid report JSON: <where>: <reason>``.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ from .evidence import (
     tca_slots,
 )
 from .growth import (
-    MODEL_FUNCTIONS,
+    MODELS,
     RateMethod,
     SrgmModel,
     bounded_class_rates,
-    fit_mean,
     growth_class,
     growth_section,
+    mean_curve,
     srgm_class_rates,
 )
 from .quantify import SystemKind, combine, mode_applicability
@@ -96,7 +96,7 @@ _REPORT_FIELDS = (
             ("fit", _REQUIRED, _Object((
                 ("model", _REQUIRED, _Enum(SrgmModel)),
                 ("params", _REQUIRED, _Object(tuple((name, None, _POSITIVE)
-                                                    for _, _, names in MODEL_FUNCTIONS.values() for name in names))),
+                                                    for profile in MODELS.values() for name in profile.names))),
                 # The logarithmic model's mean is unbounded: it predicts no finite total.
                 ("predicted_total", _REQUIRED, _Rule(lambda total: type(total) in (int, float) and total > 0,
                                                      "expected a positive number or Infinity")),
@@ -199,19 +199,23 @@ def _relations(report: dict):
            lambda: growth is not None and not growth["all_stable"])
 
 
-def _difference(where: str, derived, saved) -> tuple[str, str]:
-    """The first path at or below ``where`` at which ``saved``, not equal to
-    ``derived``, differs from it, and how."""
+def _difference(where: str, derived, saved) -> tuple[str, str] | None:
+    """None if ``saved`` equals ``derived`` value for value, each of the same
+    JSON type (a Name counts as a str), so that it re-emits as the stage
+    writes it; otherwise the first path at or below ``where`` at which they
+    differ, and how."""
+    if derived is saved:
+        return None
     if isinstance(derived, dict) and isinstance(saved, dict):
         for problem, keys in (("missing", derived.keys() - saved.keys()),
                               ("unexpected", saved.keys() - derived.keys())):
             if keys:
                 return where, f"{problem} key(s): {', '.join(sorted(keys))}"
-        key = next(key for key in derived if derived[key] != saved[key])
-        return _difference(f"{where}: {key}", derived[key], saved[key])
+        return next(filter(None, (_difference(f"{where}: {key}", derived[key], saved[key]) for key in derived)), None)
     if isinstance(derived, list) and isinstance(saved, list) and len(derived) == len(saved):
-        i = next(i for i, (item, saved_item) in enumerate(zip(derived, saved)) if item != saved_item)
-        return _difference(f"{where}[{i}]", derived[i], saved[i])
+        return next(filter(None, map(_difference, (f"{where}[{i}]" for i in range(len(saved))), derived, saved)), None)
+    if derived == saved and (str if isinstance(derived, str) else type(derived)) is type(saved):
+        return None
     return where, f"must be {_quote(derived)}, got {_quote(saved)}"
 
 
@@ -459,10 +463,11 @@ def report_from_json(data: bytes | str) -> dict:
     for where, saved, derive in _relations(parsed):
         try:
             derived = derive()
-        except OrcasError as exc:
+        except (OrcasError, ArithmeticError) as exc:
             raise _fail(_INVALID_REPORT, where, str(exc)) from None
-        if derived != saved:
-            raise _fail(_INVALID_REPORT, *_difference(where, derived, saved))
+        difference = _difference(where, derived, saved)
+        if difference:
+            raise _fail(_INVALID_REPORT, *difference)
     return parsed
 
 
@@ -592,8 +597,7 @@ def svg_report(report: dict) -> str:
         fit = entry["fit"]
         events = [float(t) for t in entry["events"]]
         observed = [(0.0, 0.0)] + [(t, i + 1.0) for i, t in enumerate(events)]
-        samples = 100
-        curve = [(horizon * k / samples, fit_mean(fit, horizon * k / samples)) for k in range(samples + 1)]
+        curve = mean_curve(fit, horizon, 100)
         y_max = max(len(events), max(y for _, y in curve), 1.0) * 1.08
         params = ", ".join(f"{k}={v:.4g}" for k, v in sorted(fit["params"].items()))
         panels.append("\n".join([

@@ -262,6 +262,11 @@ def last_total_times_1_01(raw):
     (recount(scale_checking_cells(2.0)),
      _AT_CELLS + "[0.72, 0.488, 0.512, 0.28] (sum 2), not probabilities in [0, 1] that sum to 1.0 +/- 0.0005"),
     (recount(scale_checking_cells(0.999)), _AT_CELLS + "[0.35964, 0.243756, 0.255744, 0.13986] (sum 0.999)"),
+    (edit("modes", "per_cell", "checking", value=lambda cells: {**cells, "A": 1e308, "C": 1e308}),
+     "invalid report JSON: modes: intermediate overflow in fsum"),
+    (edit("rates", "per_class", "timing", value=0),
+     "invalid report JSON: rates: per_class: timing: must be 0.0, got 0"),
+    (edit(*_STABILITY, "series", 0, 0, value=100), _AT_STABILITY + "series[0][0]: must be 100.0, got 100"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -277,7 +282,7 @@ def last_total_times_1_01(raw):
         "zero-rate-row-added", "params-a-times-10", "predicted_total-doubled", "options-rate_method-bounded",
         "options-confidence_threshold-changed", "options-system_kind-monitoring", "last-total-times-1.01",
         "events-first-half", "event-times-1.01", "event-zero", "series-pair-dropped", "cells-times-100",
-        "cells-times-2", "cells-times-0.999"])
+        "cells-times-2", "cells-times-0.999", "cells-A-and-C-1e308", "zero-rate-int", "series-end-int"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.

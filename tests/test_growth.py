@@ -24,7 +24,7 @@ from orcas.growth import (
     stability,
     windowed_srgm_stability,
 )
-from orcas.growth import _BRACKET_FLOOR, _bracket, _MoProfile
+from orcas.growth import _BRACKET_FLOOR, MODELS, _bracket, _MoProfile
 
 from conftest import nhpp_exponential_events
 
@@ -205,6 +205,22 @@ def test_fit_rejects_bad_event_sequences():
         fit_srgm([0.0, 2.0], SrgmModel.GOEL_OKUMOTO)
     with pytest.raises(OrcasError, match="horizon"):
         fit_srgm([1.0, 5.0], SrgmModel.GOEL_OKUMOTO, horizon=4.0)
+
+
+def test_an_unknown_growth_model_is_refused():
+    events = sorted(nhpp_exponential_events(100.0, 0.01, 300.0, random.Random(5)))
+    with pytest.raises(OrcasError, match="^unknown growth model 'weibull'$"):
+        fit_srgm(events, "weibull", horizon=300.0)
+    with pytest.raises(OrcasError, match="^unknown growth model 'weibull'$"):
+        windowed_srgm_stability(events, "weibull", 300.0, windows=4)
+
+
+@pytest.mark.parametrize("model", list(SrgmModel))
+def test_each_model_names_its_fits_params(model):
+    events = sorted(nhpp_exponential_events(100.0, 0.01, 300.0, random.Random(5)))
+    fit = fit_srgm(events, model, horizon=300.0)
+    assert fit["converged"]
+    assert MODELS[model].names == tuple(fit["params"])
 
 
 def test_go_fit_survives_events_far_below_horizon():

@@ -191,6 +191,21 @@ def test_cells_beyond_their_rate_are_refused_where_a_mode_is_excluded(vcu_report
         "(sum 1.134), not probabilities in [0, 1] that sum to at most 1.0 + 0.0005")
 
 
+@pytest.mark.parametrize("path", [("per_mode", "B"), ("per_cell", "checking", "B")])
+def test_an_integer_for_a_derived_float_is_refused(vcu_report, path):
+    # The VCU report excludes mode B, so these are 0.0. Written as 0, they
+    # would re-emit as bytes that no assessment writes.
+    report = copy.deepcopy(vcu_report)
+    node = report["modes"]
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] == 0.0
+    node[path[-1]] = 0
+    with pytest.raises(OrcasError) as err:
+        report_from_json(json.dumps(report))
+    assert str(err.value) == f"invalid report JSON: modes: {': '.join(path)}: must be 0.0, got 0"
+
+
 def test_zero_defect_bundle_proceeds(tmp_path):
     directory = write_bundle(tmp_path / "b", defects=[])
     report = run_assessment(load_bundle(directory))
