@@ -68,7 +68,15 @@ CORPUS_SOURCE_PREFIX = "corpus:"
 
 
 class AssessmentBundle(NamedTuple):
-    """A fully validated dataset plus effective assessment options."""
+    """A fully validated dataset plus effective assessment options.
+
+    Of the record arrays it keeps the columns the stages read: of the
+    defects ``id``, ``defect_class``, ``detection_effort`` and
+    ``observed_modes``, of the RTM ``req_id`` and ``status``, and every TCA
+    column. A defect's ``description`` and ``resolution`` and a
+    requirement's ``description`` are checked, not kept: their rows read
+    them as None. The file readers (:func:`load_defects_file` and the rest)
+    keep every field."""
 
     defects: Records
     effort: EffortModel
@@ -430,10 +438,6 @@ class _Map(_Enum):
         return {self.members[key]: self.kind.check(item, file, f"{where}: {key}") for key, item in data.items()}
 
 
-# The detection efforts of a failure history, also those of a saved report.
-_EVENTS = _Array(_Number(lo=0.0), "expected a nonempty array of detection efforts", indexed=True, nonempty=True)
-
-
 _DEFECT_FIELDS = (
     ("id", _REQUIRED, _String(nonempty=True), "id", False),
     ("class", _REQUIRED, _Enum(DefectClass), "defect_class", True),
@@ -485,7 +489,8 @@ _CONFIG_FIELDS = (
     ("tca_weight", 0.5, _Number(0.0)),
 )
 _HISTORY_FIELDS = (
-    ("events", _REQUIRED, _EVENTS),
+    ("events", _REQUIRED, _Array(_Number(lo=0.0), "expected a nonempty array of detection efforts",
+                                 indexed=True, nonempty=True)),
     ("horizon", None, _Number(0.0, null=True)),
 )
 # The length, range and sum of a row are checked by load_matrix_file.
@@ -529,10 +534,16 @@ def _by_column(fields: tuple, objects: list) -> dict[str, list] | None:
     if set(map(type, objects)) != {dict} or not keys.issuperset(set().union(*objects)):
         return None
     columns = {}
+    pulled: dict[str, tuple[Any, list]] = {}  # by key: the default and the values of its first entry
     try:
         for key, default, kind, slot, _ in fields:
-            column = kind.column(list(map(itemgetter(key), objects)) if default is _REQUIRED
-                                 else list(map(dict.get, objects, repeat(key), repeat(default))))
+            if key in pulled and pulled[key][0] == default:
+                values = pulled[key][1]  # no column face changes the list it is given
+            else:
+                values = (list(map(itemgetter(key), objects)) if default is _REQUIRED
+                          else list(map(dict.get, objects, repeat(key), repeat(default))))
+                pulled[key] = default, values
+            column = kind.column(values)
             if column is None:
                 return None
             if slot is not None:
@@ -772,6 +783,11 @@ def resolve_matrix_source(source: str, directory: Path, *,
     return load_matrix_file(matrix_path, digests=digests), matrix_path
 
 
+def _kept(records: Records, *names: str) -> Records:
+    """``records`` with the columns ``names`` alone; its rows read any other field as None."""
+    return Records(records.row, {name: records.columns[name] for name in names})
+
+
 def load_bundle(
     directory: Path | str,
     matrix_source: str | None = None,
@@ -791,9 +807,12 @@ def load_bundle(
     paths = {name: directory / name for name in REQUIRED_FILES}
     digests: dict[str, str] = {}
 
-    defects = load_defects_file(paths["defects.json"], digests=digests)
+    # Each record's every field is checked, but the bundle keeps only the columns the stages read,
+    # so that no description or resolution is alive while corpus.json is parsed.
+    defects = _kept(load_defects_file(paths["defects.json"], digests=digests),
+                    "id", "defect_class", "detection_effort", "observed_modes")
     effort = load_effort_file(paths["effort.json"], digests=digests)
-    rtm = load_rtm_file(paths["rtm.json"], digests=digests)
+    rtm = _kept(load_rtm_file(paths["rtm.json"], digests=digests), "req_id", "status")
     tca = load_tca_file(paths["tca.json"], digests=digests)
     config = _parse_config(paths["config.json"], digests)
     if config["rtm_weight"] == config["tca_weight"] == 0.0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 
@@ -132,11 +133,13 @@ class DefectRecord(NamedTuple):
 
 
 class Records:
-    """The records of one input array, kept as the columns its field table
-    checked: ``columns`` maps each field of the ``row`` type to its values
-    in record order. ``len`` is the record count. Iterating or indexing
-    builds ``row`` tuples from the columns on demand; a slice is the
-    records it selects."""
+    """The records of one input array, kept as columns: ``columns`` maps
+    fields of the ``row`` type, its first field among them, to their values
+    in record order. A file reader keeps every field; an
+    :class:`orcas.bundle.AssessmentBundle` keeps only those its stages read.
+    ``len`` is the record count. Iterating or indexing builds ``row`` tuples
+    from the columns on demand, with None for a field not kept; a slice is
+    the records it selects."""
 
     __slots__ = ("row", "columns")
 
@@ -147,12 +150,13 @@ class Records:
         return len(self.columns[self.row._fields[0]])
 
     def __iter__(self) -> Iterator:
-        return map(self.row._make, zip(*map(self.columns.__getitem__, self.row._fields)))
+        return map(self.row._make, zip(*(self.columns.get(name, repeat(None)) for name in self.row._fields)))
 
     def __getitem__(self, index: int | slice):
         if isinstance(index, slice):
             return Records(self.row, {name: column[index] for name, column in self.columns.items()})
-        return self.row._make([self.columns[name][index] for name in self.row._fields])
+        return self.row._make([self.columns[name][index] if name in self.columns else None
+                               for name in self.row._fields])
 
     def __eq__(self, other) -> bool:
         return type(other) is Records and (self.row, self.columns) == (other.row, other.columns)

@@ -28,8 +28,8 @@ from functools import partial
 
 from ._version import __version__
 from .bundle import (
-    _EVENTS, _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _fail, _Flag, _Integer, _Map, _Number,
-    _Object, _parse_json, _quote, _Rule, _String,
+    _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _fail, _Flag, _Integer, _Map, _Number, _Object,
+    _parse_json, _quote, _Rule, _String,
 )
 from .causality import ROW_SUM_TOLERANCE, CausalityMatrix
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
@@ -58,8 +58,26 @@ from .quantify import SystemKind, combine, mode_applicability
 
 SCHEMA_VERSION = 1
 
+
+class _Float(_Number):
+    """A number that the stages write as a float, in a field that no
+    relation derives from another (for bounded rates, the rates too): a
+    saved int would pass every relation and re-emit as an int, bytes that
+    run_assessment never writes."""
+
+    def check(self, value, file: str, where: str) -> float:
+        number = super().check(value, file, where)
+        if type(value) is not float:
+            raise _fail(file, where, f"must be {_quote(number)}, got {_quote(value)}")
+        return number
+
+    def column(self, column: list) -> list | None:
+        return None if int in set(map(type, column)) else super().column(column)
+
+
 # The field kinds of a saved report's table.
 _RATE = _Number(lo=0.0)
+_PRIMARY_RATE = _Float(lo=0.0)
 _POSITIVE = _Number(positive=True)
 _TEXT = "expected an array of strings"
 _TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
@@ -80,10 +98,10 @@ _REPORT_FIELDS = (
     ("rates", _REQUIRED, _Object((
         ("method", _REQUIRED, _Enum(RateMethod)),
         ("unit", _REQUIRED, _Enum(RateUnit)),
-        ("per_class", _REQUIRED, _Map(DefectClass, _RATE, complete=True)),
+        ("per_class", _REQUIRED, _Map(DefectClass, _PRIMARY_RATE, complete=True)),
     ))),
     ("evidence", _REQUIRED, _Object((
-        *((key, _REQUIRED, _Number(0.0, 1.0))
+        *((key, _REQUIRED, _Float(0.0, 1.0))
           for key in ("rtm_score", "tca_score", "structural_coverage", "confidence", "confidence_threshold")),
         ("gate", _REQUIRED, _Enum(GateDecision)),
     ))),
@@ -91,7 +109,7 @@ _REPORT_FIELDS = (
                                  ("uncovered_triggers", _REQUIRED, _TEXTS)))),
     ("growth", _REQUIRED, _Object((
         ("model", _REQUIRED, _Enum(SrgmModel)),
-        ("horizon", _REQUIRED, _POSITIVE),
+        ("horizon", _REQUIRED, _Float(positive=True)),
         ("per_class", _REQUIRED, _Map(DefectClass, _Object((
             ("fit", _REQUIRED, _Object((
                 ("model", _REQUIRED, _Enum(SrgmModel)),
@@ -105,7 +123,8 @@ _REPORT_FIELDS = (
                 ("converged", _REQUIRED, _Flag()),
                 ("diagnostic", _REQUIRED, _String(null=True)),
             ))),
-            ("events", _REQUIRED, _EVENTS),
+            ("events", _REQUIRED, _Array(_PRIMARY_RATE, "expected a nonempty array of detection efforts",
+                                         indexed=True, nonempty=True)),
             ("stability", _REQUIRED, _Object((
                 ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"),
                                              "expected an array of [effort, predicted total] pairs", indexed=True)),
@@ -129,7 +148,7 @@ _REPORT_FIELDS = (
             ("system_kind", _REQUIRED, _Enum(SystemKind)),
             ("rate_method", _REQUIRED, _Enum(RateMethod)),
             ("confidence_threshold", _REQUIRED, _Number(0.0, 1.0)),
-            ("stability_threshold", _REQUIRED, _RATE),
+            ("stability_threshold", _REQUIRED, _PRIMARY_RATE),
             ("uniform_missing_rows", _REQUIRED, _Flag()),
         ))),
     ))),

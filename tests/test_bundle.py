@@ -9,6 +9,7 @@ from orcas.bundle import (
     defects_from_csv,
     load_bundle,
     load_corpus_file,
+    load_defects_file,
     load_history_file,
     load_matrix_file,
     load_rtm_file,
@@ -50,6 +51,19 @@ def test_fixture_defect_classes(vcu_bundle_dir):
     classes = [d.defect_class for d in bundle.defects]
     assert classes.count(DefectClass.ALGORITHM) == 2
     assert classes.count(DefectClass.CHECKING) == 6
+
+
+def test_a_bundle_keeps_the_columns_its_stages_read(vcu_bundle_dir):
+    # The file readers keep every field; a bundle's rows read the others as None.
+    bundle = load_bundle(vcu_bundle_dir)
+    assert set(bundle.defects.columns) == {"id", "defect_class", "detection_effort", "observed_modes"}
+    assert set(bundle.rtm.columns) == {"req_id", "status"}
+    defects = load_defects_file(vcu_bundle_dir / "defects.json")
+    assert all(defects.columns["description"])
+    assert list(bundle.defects) == [row._replace(description=None, resolution=None) for row in defects]
+    assert bundle.defects[-1] == defects[-1]._replace(description=None, resolution=None)
+    rtm = load_rtm_file(vcu_bundle_dir / "rtm.json")
+    assert list(bundle.rtm[2:4]) == [row._replace(description=None) for row in rtm[2:4]]
 
 
 # ---------------------------------------------------------------------------

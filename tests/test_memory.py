@@ -5,7 +5,8 @@ after; it must not keep the input's bytes beside them (nor, for the CSV
 converter, a wider copy of the text). The peaks are measured with
 tracemalloc on the seed-1 inputs of the benchmark workloads, and bounded
 by the peak of the same parse of the text alone plus half the file's size:
-a second copy of the input would exceed it.
+a second copy of the input would exceed it. A loaded bundle keeps only the
+columns its stages read, less than the defect file's reader keeps alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import tracemalloc
 import pytest
 
 from orcas import cli
-from orcas.bundle import defects_from_csv, load_corpus_file, load_defects_file, load_rtm_file
+from orcas.bundle import defects_from_csv, load_bundle, load_corpus_file, load_defects_file, load_rtm_file
 
 # The excess over the parse of the text alone a reader may hold, as a fraction of its file's size.
 EXCESS = 0.5
@@ -52,6 +53,14 @@ def test_a_loader_holds_one_copy_of_its_input(workdir, load, name):
     path = workdir / name
     peak, _ = peak_and_kept(lambda: load(path))
     assert peak - parse_peak(path) < EXCESS * path.stat().st_size
+
+
+def test_a_bundle_keeps_less_than_its_defect_file_alone(workdir):
+    # The file reader keeps every field; the bundle drops the descriptions and resolutions of its
+    # defects and requirements, which outweigh its RTM, TCA and matrix.
+    _, bundle = peak_and_kept(lambda: load_bundle(workdir / "corpus-bundle"))
+    _, defects = peak_and_kept(lambda: load_defects_file(workdir / "corpus-bundle" / "defects.json"))
+    assert bundle < defects
 
 
 def test_report_reads_one_copy_of_the_saved_report(workdir, monkeypatch, tmp_path):

@@ -206,6 +206,38 @@ def test_an_integer_for_a_derived_float_is_refused(vcu_report, path):
     assert str(err.value) == f"invalid report JSON: modes: {': '.join(path)}: must be 0.0, got 0"
 
 
+@pytest.fixture(scope="module")
+def whole_efforts_report(tmp_path_factory):
+    """A growth report whose detection efforts are whole numbers, each written as a float."""
+    directory = srgm_bundle(tmp_path_factory.mktemp("whole"))
+    path = directory / "defects.json"
+    defects = json.loads(path.read_text(encoding="utf-8"))
+    for defect in defects:
+        defect["detection_effort"] = math.ceil(defect["detection_effort"])
+    path.write_text(json.dumps(defects), encoding="utf-8")
+    return run_assessment(load_bundle(directory))
+
+
+@pytest.mark.parametrize("name, path, where", [
+    ("vcu", ("rates", "per_class", "timing"), "rates: per_class: timing"),
+    ("vcu", ("evidence", "structural_coverage"), "evidence: structural_coverage"),
+    ("growth", ("growth", "horizon"), "growth: horizon"),
+    ("growth", ("growth", "per_class", "checking", "events", 0), "growth: per_class: checking: events[0]"),
+    ("vcu", ("provenance", "options", "stability_threshold"), "provenance: options: stability_threshold"),
+], ids=["bounded-rate", "evidence-score", "horizon", "event", "stability-threshold"])
+def test_an_integer_for_a_primary_float_is_refused(vcu_report, whole_efforts_report, name, path, where):
+    # No relation derives these fields, so an int passed every relation and re-emitted as an int.
+    report = copy.deepcopy(vcu_report if name == "vcu" else whole_efforts_report)
+    node = report
+    for key in path[:-1]:
+        node = node[key]
+    assert type(node[path[-1]]) is float
+    value = node[path[-1]] = int(node[path[-1]])
+    with pytest.raises(OrcasError) as err:
+        report_from_json(json.dumps(report))
+    assert str(err.value) == f"invalid report JSON: {where}: must be {float(value)!r}, got {value}"
+
+
 def test_zero_defect_bundle_proceeds(tmp_path):
     directory = write_bundle(tmp_path / "b", defects=[])
     report = run_assessment(load_bundle(directory))
