@@ -758,29 +758,27 @@ def _parse_config(path: Path, digests: dict[str, str] | None = None) -> dict:
 
 
 def resolve_matrix_source(source: str, directory: Path, *,
-                          digests: dict[str, str] | None = None) -> tuple[CausalityMatrix, Path | None]:
-    """Resolve "builtin", "corpus:<file>" or a matrix file path.
-
-    Returns the matrix and the file it came from (None for builtin);
-    relative paths resolve against the bundle directory. ``digests``, if
-    given, receives the SHA-256 of the file read.
+                          digests: dict[str, str] | None = None) -> CausalityMatrix:
+    """The matrix of "builtin", "corpus:<file>" (estimated from that
+    corpus) or a matrix file path; relative paths resolve against the
+    bundle directory. ``digests``, if given, receives the SHA-256 of the
+    file read.
     """
     if source == BUILTIN_MATRIX_SOURCE:
-        return causality_mod.builtin_causality(), None
+        return causality_mod.builtin_causality()
     if source.startswith(CORPUS_SOURCE_PREFIX):
         corpus_path = Path(source[len(CORPUS_SOURCE_PREFIX):])
         if not corpus_path.is_absolute():
             corpus_path = directory / corpus_path
         corpus = load_corpus_file(corpus_path, digests=digests)
         try:
-            matrix = causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
+            return causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
         except OrcasError as exc:
             raise _fail(corpus_path.name, "corpus", str(exc)) from exc
-        return matrix, corpus_path
     matrix_path = Path(source)
     if not matrix_path.is_absolute():
         matrix_path = directory / matrix_path
-    return load_matrix_file(matrix_path, digests=digests), matrix_path
+    return load_matrix_file(matrix_path, digests=digests)
 
 
 def _kept(records: Records, *names: str) -> Records:
@@ -862,6 +860,6 @@ def load_bundle(
             config[key] = value
     # The other config keys are the bundle's own fields.
     source = config.pop("matrix")
-    matrix, _ = resolve_matrix_source(source, directory, digests=digests)
+    matrix = resolve_matrix_source(source, directory, digests=digests)
     return AssessmentBundle(defects=defects, effort=effort, rtm=rtm, tca=tca, matrix=matrix,
                             matrix_source=source, input_digests=digests, **config)

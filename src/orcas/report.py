@@ -238,24 +238,20 @@ def _difference(where: str, derived, saved) -> tuple[str, str] | None:
     return where, f"must be {_quote(derived)}, got {_quote(saved)}"
 
 
-REPORT_FORMATS = ("json", "text", "svg")
-
-
 def canonical_json_bytes(data) -> bytes:
-    """Canonical JSON: sorted keys, two-space indent, UTF-8, trailing
-    newline. Identical input always yields identical bytes.
+    """Canonical JSON: the UTF-8 bytes of ``json.dumps(data, sort_keys=True,
+    indent=2, ensure_ascii=False)`` plus a newline.
 
-    The bytes are those of ``json.dumps(data, sort_keys=True, indent=2,
-    ensure_ascii=False)`` plus a newline. ``json.dumps`` writes an
-    indented document one item at a time in Python; here a list of finite
-    floats, such as a growth fit's events, is written with one join.
+    ``json.dumps`` writes an indented document one item at a time in
+    Python; here a list of finite floats, such as a growth fit's events, is
+    written with one join, and the standard library writes every other leaf.
     """
     out: list[str] = []
     try:
         _write_json(data, "\n", out)
     except (TypeError, RecursionError):
-        # An object JSON has no encoding for, keys that do not sort, or a
-        # container that holds itself: json.dumps raises its own error.
+        # An object or key JSON has no encoding for, keys that do not sort,
+        # or a container that holds itself: json.dumps raises its own error.
         out = [json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)]
     out.append("\n")
     return "".join(out).encode("utf-8")
@@ -265,36 +261,12 @@ def canonical_json_bytes(data) -> bytes:
 _encode_str = json.encoder.encode_basestring
 
 
-def _scalar_json(value) -> str:
-    """json.dumps's text of None, a bool, an int or a float."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"not a JSON scalar: {type(value).__name__}")
-
-
 def _write_json(value, newline: str, out: list[str]) -> None:
     """Append the canonical JSON of ``value`` to ``out``. ``newline`` is a
     line break and the indent of the line the value starts on."""
     if isinstance(value, str):
         out.append(_encode_str(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+    elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
             out.append("[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]")
@@ -305,19 +277,18 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             separator = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
+    elif isinstance(value, dict) and value:
         inner = newline + "  "
         separator = "{" + inner
         for key, item in sorted(value.items()):
-            out.append(separator + _encode_str(key if isinstance(key, str) else _scalar_json(key)) + ": ")
+            if not (isinstance(key, (str, int, float)) or key is None):
+                raise TypeError(key)  # a key json.dumps refuses
+            out.append(separator + _encode_str(key if isinstance(key, str) else json.dumps(key)) + ": ")
             _write_json(item, inner, out)
             separator = "," + inner
         out.append(newline + "}")
-    else:
-        out.append(_scalar_json(value))
+    else:  # a scalar or an empty container
+        out.append(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +423,19 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_RENDERERS = {
+    "json": canonical_json_bytes,
+    "text": lambda report: text_report(report).encode("utf-8"),
+    "svg": lambda report: svg_report(report).encode("utf-8"),
+}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
 def emit_report(report: dict, format: str = "json") -> bytes:
-    """Serialize a report dict (:func:`run_assessment`, :func:`report_from_json`). Formats: json, text, svg."""
-    if format == "json":
-        return canonical_json_bytes(report)
-    if format == "text":
-        return text_report(report).encode("utf-8")
-    if format == "svg":
-        return svg_report(report).encode("utf-8")
-    raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
+    """Serialize a report dict (:func:`run_assessment`, :func:`report_from_json`) in one of REPORT_FORMATS."""
+    if format not in REPORT_FORMATS:
+        raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
+    return _RENDERERS[format](report)
 
 
 # Names a saved report in its error messages, which carry no file name.

@@ -190,6 +190,7 @@ def last_total_times_1_01(raw):
     (edit("growth", "per_class", value=[]),
      "invalid report JSON: growth: per_class: expected a JSON object, got list"),
     (edit("growth", "horizon", value="x"), "invalid report JSON: growth: horizon: expected a number, got 'x'"),
+    (edit("growth", "horizon", value=0.0), "invalid report JSON: growth: horizon: must be positive, got 0.0"),
     (edit(*_FIT, "params", value={}), _AT_FIT + "params: missing key(s): a, b"),
     (edit(*_FIT, "model", value="zz"), "invalid report JSON: growth: per_class: checking: fit: model: "
      "invalid value 'zz' (expected one of: goel-okumoto, musa-okumoto)"),
@@ -270,7 +271,7 @@ def last_total_times_1_01(raw):
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
-        "fit-params-empty", "fit-model-unknown", "events-string", "growth-5", "stability-null",
+        "growth-horizon-zero", "fit-params-empty", "fit-model-unknown", "events-string", "growth-5", "stability-null",
         "per_mode-without-A", "unknown-top-level-key", "annotations-numbers", "per_class_total-123",
         "per_class_total-without-checking", "total-5", "excluded-mode-with-cells", "rate-not-intensity",
         "rate-without-fit", "intensity-not-rate", "srgm-without-growth", "bounded-with-growth",

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from orcas import cli
 from orcas.bundle import _Object, load_bundle
 from orcas.causality import ROW_SUM_TOLERANCE
-from orcas.domain import DefectClass, FailureMode
+from orcas.domain import DefectClass, FailureMode, Name
 from orcas.errors import BundleError, OrcasError, StageError
 from orcas.evidence import GateDecision
 from orcas.fixtures import vcu_dir
@@ -320,6 +320,8 @@ def test_canonical_json_is_json_dumps(value):
 @pytest.mark.parametrize("value", [
     [], {}, [1.5], (0.1, 2.0), [-0.0, 1e300, 5e-324], [1.0, 2], [1.0, True], [1.0, math.nan],
     {1: "int key", 2: 0.5}, {1.5: [], -math.inf: {}}, {None: 1}, {True: 2, False: [1.0]},
+    10**100, [[1.0, 2.0], [3.0, 4.0]], {"x": [math.inf, 1.0]},
+    dict.fromkeys(Name("Glyph", [("ACCENT", "é"), ("CONTROL", "\x01\n\t"), ("QUOTE", '"\\')]), [0.5]),
 ])
 def test_canonical_json_edge_cases_are_json_dumps(value):
     assert canonical_json_bytes(value) == dumps_canonically(value)
@@ -328,7 +330,8 @@ def test_canonical_json_edge_cases_are_json_dumps(value):
 def test_canonical_json_raises_what_json_dumps_raises():
     cycle = []
     cycle.append(cycle)
-    for value in ({"a": object()}, {("tuple", "key"): 1}, {"a": 1, 2: 3}, cycle):
+    for value in ({"a": object()}, {("tuple", "key"): 1}, {"a": 1, 2: 3}, cycle,
+                  {b"k": 1}, {frozenset(): 1}, {"a": {1}}, {"a": b"x"}):
         with pytest.raises(Exception) as expected:
             dumps_canonically(value)
         with pytest.raises(expected.type, match="^" + re.escape(str(expected.value)) + "$"):
