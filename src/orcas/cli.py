@@ -22,14 +22,15 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .bundle import _read_text, defects_from_csv, load_bundle, load_corpus_file, load_history_file
+from .bundle import defects_from_csv, load_bundle, load_corpus_file, load_history_file
 from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
 from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_srgm, mean_curve, windowed_srgm_stability
-from .report import (_INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
+from .report import (INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
                      run_assessment)
+from .schema import read_text
 
 _MODEL_NAMES = {"go": SrgmModel.GOEL_OKUMOTO, "mo": SrgmModel.MUSA_OKUMOTO, **{model: model for model in SrgmModel}}
 
@@ -183,7 +184,7 @@ def _cmd_srgm_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = report_from_json(_read_text(Path(args.assessment), _INVALID_REPORT))
+    report = report_from_json(read_text(Path(args.assessment), INVALID_REPORT))
     _write_output(emit_report(report, args.format), args.output)
     return 0
 

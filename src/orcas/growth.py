@@ -112,14 +112,6 @@ def go_log_likelihood(events: Sequence[float], horizon: float, a: float, b: floa
     return n * math.log(a * b) - b * math.fsum(events) - go_mean(horizon, a, b)
 
 
-def go_gradient(events: Sequence[float], horizon: float, a: float, b: float) -> tuple[float, float]:
-    """Analytic gradient of :func:`go_log_likelihood` in (a, b)."""
-    n = len(events)
-    d_a = n / a + math.expm1(-b * horizon)
-    d_b = n / b - math.fsum(events) - a * horizon * math.exp(-b * horizon)
-    return (d_a, d_b)
-
-
 def mo_log_likelihood(events: Sequence[float], horizon: float, lambda0: float, theta: float) -> float:
     """Exact event-time log-likelihood of the logarithmic model."""
     if lambda0 <= 0 or theta <= 0:

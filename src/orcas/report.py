@@ -12,8 +12,9 @@ renders it. The stages and section builders build its sections:
 ``combine`` returns ``modes``, ``srgm_class_rates`` ``rates``,
 ``assessment_confidence`` ``evidence``, ``growth_section`` ``growth`` and
 ``growth_class`` each class's entry in it. A saved report is read back as
-that dict by :func:`report_from_json`: the bundle's field kinds check each
-field's shape against _REPORT_FIELDS, and each part listed by _relations
+that dict by :func:`report_from_json`: the field kinds of
+:mod:`orcas.schema`, which also check the bundle, check each field's
+shape against _REPORT_FIELDS, and each part listed by _relations
 is derived again by its stage from the report's own primary fields and
 must equal the saved part, type for type. Its first fault, or a stage's
 float overflow, is raised as ``invalid report JSON: <where>: <reason>``.
@@ -27,10 +28,7 @@ from contextlib import contextmanager
 from functools import partial
 
 from ._version import __version__
-from .bundle import (
-    _REQUIRED, AssessmentBundle, _Array, _decode, _Enum, _EnumSet, _fail, _Flag, _Integer, _Map, _Number, _Object,
-    _parse_json, _quote, _Rule, _String,
-)
+from .bundle import AssessmentBundle
 from .causality import ROW_SUM_TOLERANCE, CausalityMatrix
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
@@ -55,101 +53,87 @@ from .growth import (
     srgm_class_rates,
 )
 from .quantify import SystemKind, combine, mode_applicability
+from .schema import (REQUIRED, Array, Enum, EnumSet, Flag, Float, Integer, Map, Number, Object, Rule, String, decode,
+                     fail, parse_json, quote)
 
 SCHEMA_VERSION = 1
 
 
-class _Float(_Number):
-    """A number that the stages write as a float, in a field that no
-    relation derives from another (for bounded rates, the rates too): a
-    saved int would pass every relation and re-emit as an int, bytes that
-    run_assessment never writes."""
-
-    def check(self, value, file: str, where: str) -> float:
-        number = super().check(value, file, where)
-        if type(value) is not float:
-            raise _fail(file, where, f"must be {_quote(number)}, got {_quote(value)}")
-        return number
-
-    def column(self, column: list) -> list | None:
-        return None if int in set(map(type, column)) else super().column(column)
-
-
 # The field kinds of a saved report's table.
-_RATE = _Number(lo=0.0)
-_PRIMARY_RATE = _Float(lo=0.0)
-_POSITIVE = _Number(positive=True)
+_RATE = Number(lo=0.0)
+_PRIMARY_RATE = Float(lo=0.0)
+_POSITIVE = Number(positive=True)
 _TEXT = "expected an array of strings"
-_TEXTS = _Array(_Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
+_TEXTS = Array(Rule(lambda text: isinstance(text, str), _TEXT), _TEXT)
 
 # A report, as run_assessment returns it and report_from_json reads it back:
 # the shape of each field. How the fields derive from one another is _relations'.
 _REPORT_FIELDS = (
-    ("schema_version", _REQUIRED, _Integer()),
-    ("mode_family", _REQUIRED, _Enum(ModeFamily)),
-    ("modes", _REQUIRED, _Object((
-        ("unit", _REQUIRED, _Enum(RateUnit)),
-        ("excluded", _REQUIRED, _EnumSet(FailureMode, "expected an array of failure modes")),
-        ("per_cell", _REQUIRED, _Map(DefectClass, _Map(FailureMode, _RATE, complete=True))),
-        ("per_mode", _REQUIRED, _Map(FailureMode, _RATE, complete=True)),
-        ("per_class_total", _REQUIRED, _Map(DefectClass, _RATE)),
-        ("total", _REQUIRED, _RATE),
+    ("schema_version", REQUIRED, Integer()),
+    ("mode_family", REQUIRED, Enum(ModeFamily)),
+    ("modes", REQUIRED, Object((
+        ("unit", REQUIRED, Enum(RateUnit)),
+        ("excluded", REQUIRED, EnumSet(FailureMode, "expected an array of failure modes")),
+        ("per_cell", REQUIRED, Map(DefectClass, Map(FailureMode, _RATE, complete=True))),
+        ("per_mode", REQUIRED, Map(FailureMode, _RATE, complete=True)),
+        ("per_class_total", REQUIRED, Map(DefectClass, _RATE)),
+        ("total", REQUIRED, _RATE),
     ))),
-    ("rates", _REQUIRED, _Object((
-        ("method", _REQUIRED, _Enum(RateMethod)),
-        ("unit", _REQUIRED, _Enum(RateUnit)),
-        ("per_class", _REQUIRED, _Map(DefectClass, _PRIMARY_RATE, complete=True)),
+    ("rates", REQUIRED, Object((
+        ("method", REQUIRED, Enum(RateMethod)),
+        ("unit", REQUIRED, Enum(RateUnit)),
+        ("per_class", REQUIRED, Map(DefectClass, _PRIMARY_RATE, complete=True)),
     ))),
-    ("evidence", _REQUIRED, _Object((
-        *((key, _REQUIRED, _Float(0.0, 1.0))
+    ("evidence", REQUIRED, Object((
+        *((key, REQUIRED, Float(0.0, 1.0))
           for key in ("rtm_score", "tca_score", "structural_coverage", "confidence", "confidence_threshold")),
-        ("gate", _REQUIRED, _Enum(GateDecision)),
+        ("gate", REQUIRED, Enum(GateDecision)),
     ))),
-    ("gaps", _REQUIRED, _Object((("untraced_requirements", _REQUIRED, _TEXTS),
-                                 ("uncovered_triggers", _REQUIRED, _TEXTS)))),
-    ("growth", _REQUIRED, _Object((
-        ("model", _REQUIRED, _Enum(SrgmModel)),
-        ("horizon", _REQUIRED, _Float(positive=True)),
-        ("per_class", _REQUIRED, _Map(DefectClass, _Object((
-            ("fit", _REQUIRED, _Object((
-                ("model", _REQUIRED, _Enum(SrgmModel)),
-                ("params", _REQUIRED, _Object(tuple((name, None, _POSITIVE)
-                                                    for profile in MODELS.values() for name in profile.names))),
+    ("gaps", REQUIRED, Object((("untraced_requirements", REQUIRED, _TEXTS),
+                               ("uncovered_triggers", REQUIRED, _TEXTS)))),
+    ("growth", REQUIRED, Object((
+        ("model", REQUIRED, Enum(SrgmModel)),
+        ("horizon", REQUIRED, Float(positive=True)),
+        ("per_class", REQUIRED, Map(DefectClass, Object((
+            ("fit", REQUIRED, Object((
+                ("model", REQUIRED, Enum(SrgmModel)),
+                ("params", REQUIRED, Object(tuple((name, None, _POSITIVE)
+                                                  for profile in MODELS.values() for name in profile.names))),
                 # The logarithmic model's mean is unbounded: it predicts no finite total.
-                ("predicted_total", _REQUIRED, _Rule(lambda total: type(total) in (int, float) and total > 0,
-                                                     "expected a positive number or Infinity")),
-                ("current_intensity", _REQUIRED, _RATE),
-                ("log_likelihood", _REQUIRED, _Number()),
-                ("converged", _REQUIRED, _Flag()),
-                ("diagnostic", _REQUIRED, _String(null=True)),
+                ("predicted_total", REQUIRED, Rule(lambda total: type(total) in (int, float) and total > 0,
+                                                   "expected a positive number or Infinity")),
+                ("current_intensity", REQUIRED, _RATE),
+                ("log_likelihood", REQUIRED, Number()),
+                ("converged", REQUIRED, Flag()),
+                ("diagnostic", REQUIRED, String(null=True)),
             ))),
-            ("events", _REQUIRED, _Array(_PRIMARY_RATE, "expected a nonempty array of detection efforts",
-                                         indexed=True, nonempty=True)),
-            ("stability", _REQUIRED, _Object((
-                ("series", _REQUIRED, _Array(_Array(_Number(), "expected an array of numbers"),
-                                             "expected an array of [effort, predicted total] pairs", indexed=True)),
-                ("max_relative_step", _REQUIRED, _RATE),
-                ("stable", _REQUIRED, _Flag()),
-                ("threshold", _REQUIRED, _RATE),
+            ("events", REQUIRED, Array(_PRIMARY_RATE, "expected a nonempty array of detection efforts",
+                                       indexed=True, nonempty=True)),
+            ("stability", REQUIRED, Object((
+                ("series", REQUIRED, Array(Array(Number(), "expected an array of numbers"),
+                                           "expected an array of [effort, predicted total] pairs", indexed=True)),
+                ("max_relative_step", REQUIRED, _RATE),
+                ("stable", REQUIRED, Flag()),
+                ("threshold", REQUIRED, _RATE),
             ))),
         )))),
-        ("all_stable", _REQUIRED, _Flag()),
+        ("all_stable", REQUIRED, Flag()),
     ), null=True)),
-    ("annotations", _REQUIRED, _TEXTS),
+    ("annotations", REQUIRED, _TEXTS),
     # No renderer reads the provenance: it is re-emitted as saved. _relations
     # ties its options to the sections they shaped.
-    ("provenance", _REQUIRED, _Object((
-        ("tool", _REQUIRED, _Object((("name", _REQUIRED, _String()), ("version", _REQUIRED, _String())))),
-        ("inputs", _REQUIRED, _Rule(lambda inputs: isinstance(inputs, dict) and all(
+    ("provenance", REQUIRED, Object((
+        ("tool", REQUIRED, Object((("name", REQUIRED, String()), ("version", REQUIRED, String())))),
+        ("inputs", REQUIRED, Rule(lambda inputs: isinstance(inputs, dict) and all(
             isinstance(digest, str) for digest in inputs.values()), "expected an object of file digests")),
-        ("matrix", _REQUIRED, _String()),
-        ("options", _REQUIRED, _Object((
-            ("matrix_source", _REQUIRED, _String()),
-            ("system_kind", _REQUIRED, _Enum(SystemKind)),
-            ("rate_method", _REQUIRED, _Enum(RateMethod)),
-            ("confidence_threshold", _REQUIRED, _Number(0.0, 1.0)),
-            ("stability_threshold", _REQUIRED, _PRIMARY_RATE),
-            ("uniform_missing_rows", _REQUIRED, _Flag()),
+        ("matrix", REQUIRED, String()),
+        ("options", REQUIRED, Object((
+            ("matrix_source", REQUIRED, String()),
+            ("system_kind", REQUIRED, Enum(SystemKind)),
+            ("rate_method", REQUIRED, Enum(RateMethod)),
+            ("confidence_threshold", REQUIRED, Number(0.0, 1.0)),
+            ("stability_threshold", REQUIRED, _PRIMARY_RATE),
+            ("uniform_missing_rows", REQUIRED, Flag()),
         ))),
     ))),
 )
@@ -235,7 +219,7 @@ def _difference(where: str, derived, saved) -> tuple[str, str] | None:
         return next(filter(None, map(_difference, (f"{where}[{i}]" for i in range(len(saved))), derived, saved)), None)
     if derived == saved and (str if isinstance(derived, str) else type(derived)) is type(saved):
         return None
-    return where, f"must be {_quote(derived)}, got {_quote(saved)}"
+    return where, f"must be {quote(derived)}, got {quote(saved)}"
 
 
 def canonical_json_bytes(data) -> bytes:
@@ -439,29 +423,29 @@ def emit_report(report: dict, format: str = "json") -> bytes:
 
 
 # Names a saved report in its error messages, which carry no file name.
-_INVALID_REPORT = "invalid report JSON"
+INVALID_REPORT = "invalid report JSON"
 
 
 def report_from_json(data: bytes | str) -> dict:
     """The dict of a saved canonical JSON report (its bytes, or its text as
-    ``bundle._read_text`` decodes it), as parsed: its schema_version is checked
+    ``schema.read_text`` decodes it), as parsed: its schema_version is checked
     first, so that another version is named, then the shape of every field by
     _REPORT_FIELDS, then each derived part against its stage by _relations."""
-    parsed = _parse_json(data if isinstance(data, str) else _decode(data, _INVALID_REPORT), _INVALID_REPORT)
+    parsed = parse_json(data if isinstance(data, str) else decode(data, INVALID_REPORT), INVALID_REPORT)
     if not isinstance(parsed, dict):
-        raise OrcasError(f"{_INVALID_REPORT}: expected an object")
+        raise OrcasError(f"{INVALID_REPORT}: expected an object")
     version = parsed.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise OrcasError(f"unsupported report schema_version {_quote(version)} (expected {SCHEMA_VERSION})")
-    _Object(_REPORT_FIELDS).check(parsed, _INVALID_REPORT, "top level")
+        raise OrcasError(f"unsupported report schema_version {quote(version)} (expected {SCHEMA_VERSION})")
+    Object(_REPORT_FIELDS).check(parsed, INVALID_REPORT, "top level")
     for where, saved, derive in _relations(parsed):
         try:
             derived = derive()
         except (OrcasError, ArithmeticError) as exc:
-            raise _fail(_INVALID_REPORT, where, str(exc)) from None
+            raise fail(INVALID_REPORT, where, str(exc)) from None
         difference = _difference(where, derived, saved)
         if difference:
-            raise _fail(_INVALID_REPORT, *difference)
+            raise fail(INVALID_REPORT, *difference)
     return parsed
 
 

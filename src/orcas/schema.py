@@ -1,0 +1,433 @@
+"""The one input layer: reading, parsing and the field kinds.
+
+Every input of the tool, the CSV defect log and a saved report included, is
+read and decoded by :func:`read_text`, which drops the bytes before it
+returns, and, if JSON, parsed by :func:`parse_json` and checked by a table of
+the field kinds below: the bundle's tables are in :mod:`orcas.bundle`, the
+saved report's in :mod:`orcas.report`. A fault is :func:`fail`'s
+``<file>: <where>: <reason>``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sys
+from itertools import repeat
+from operator import itemgetter
+from pathlib import Path
+from types import NoneType
+from typing import Any
+
+from .domain import Records
+from .errors import BundleError
+
+# ---------------------------------------------------------------------------
+# Fault naming and input reading
+# ---------------------------------------------------------------------------
+
+
+def fail(file: str, where: str, reason: str) -> BundleError:
+    return BundleError(f"{file}: {where}: {reason}")
+
+
+# Longest repr of a bad value quoted whole in an error message.
+_QUOTE_LIMIT = 30
+# Longest repr of a record id or req_id quoted whole in an error location:
+# room for UUIDs, paths and URLs, and a bad-class line stays under 300 bytes.
+ID_LIMIT = 100
+
+
+def quote(value: Any, limit: int = _QUOTE_LIMIT) -> str:
+    """``repr(value)`` for an error message, cut after ``limit`` characters
+    and marked with "..." where cut."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def read_text(path: Path, file: str | None = None, digests: dict[str, str] | None = None) -> str:
+    """The text of one input file, decoded by :func:`decode` (errors name ``file``, by default the
+    file's name). With ``digests``, also record the SHA-256 of its bytes under the file's name. Only
+    this frame holds the bytes, so the caller parses the text with one copy of the input alive."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise BundleError(f"{path.name}: file not found in {path.parent}") from None
+    except OSError as exc:
+        raise BundleError(f"{path.name}: cannot read: {exc}") from exc
+    if digests is not None:
+        digests[path.name] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    return decode(raw, file or path.name)
+
+
+def decode(raw: bytes, file: str) -> str:
+    """The UTF-8 text of an input's bytes, with universal newlines as in
+    text-mode reading: CR LF and a lone CR become LF, so the line numbers
+    of errors count a lone CR as a line end."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise fail(file, f"byte {exc.start}", "not valid UTF-8") from None
+    if "\r" in text:
+        # One replacement at a time: at most two copies of the text beside the bytes.
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
+
+
+def parse_json(text: str, file: str) -> Any:
+    """The JSON document in an input's text; ``file`` names the input in
+    error messages."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise fail(file, f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from exc
+    except ValueError:
+        # The integer-literal length limit (sys.get_int_max_str_digits).
+        raise fail(file, "top level",
+                   f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise fail(file, "top level", "invalid JSON: nested too deeply") from None
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):
+        # A \uD800-\uDFFF escape that is not half of a pair decodes to a
+        # lone surrogate, which no report can encode as UTF-8. Most files
+        # hold no backslash, ruled out by one memchr-speed search.
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise fail(file, "top level", "invalid JSON: a \\u escape is an unpaired UTF-16 surrogate") from None
+    return data
+
+
+def expect_object(data: Any, file: str, where: str, allowed: set[str], required: set[str]) -> dict:
+    if not isinstance(data, dict):
+        raise fail(file, where, f"expected a JSON object, got {type(data).__name__}")
+    unknown = set(data) - allowed
+    if unknown:
+        raise fail(file, where, f"unknown key(s): {', '.join(sorted(unknown))}")
+    missing = required - set(data)
+    if missing:
+        raise fail(file, where, f"missing key(s): {', '.join(sorted(missing))}")
+    return data
+
+
+# ---------------------------------------------------------------------------
+# Field kinds
+# ---------------------------------------------------------------------------
+
+# Each input record kind is described once, as a tuple of field entries in
+# the order of their checks. An object entry is (JSON key, default, kind);
+# an array entry adds the record slot it fills and whether a fault names
+# the record by its id (the value of its first field) or by its index. A
+# slot of None marks a check of the whole record, named by the record
+# alone; in an object, a second entry of a key checks it again. The default
+# is REQUIRED for a key that must be present, None for a key whose absence
+# reads as None, and otherwise a JSON value checked as if it were given.
+
+REQUIRED = object()
+
+
+class Kind:
+    """The rules of one field, in two faces.
+
+    ``check(value, file, where)`` converts one JSON value or raises the
+    rule's message at ``where``. :meth:`column` converts a whole column by
+    passes that make no Python call per value, or returns None (or raises
+    KeyError, TypeError or OverflowError) to have the array read a record
+    at a time; it may refuse what ``check`` accepts, never the reverse.
+    Where ``null`` is set, JSON null reads as None.
+    """
+
+    null = False
+
+    def column(self, column: list) -> list | None:
+        return None
+
+
+class String(Kind):
+    """A string; with ``nonempty``, one that names its record."""
+
+    def __init__(self, null: bool = False, nonempty: bool = False):
+        self.null, self.nonempty, self.types = null, nonempty, ({str, NoneType} if null else {str})
+
+    def check(self, value: Any, file: str, where: str) -> str:
+        if not isinstance(value, str):
+            raise fail(file, where, f"expected a string, got {quote(value)}")
+        if not value and self.nonempty:
+            raise fail(file, where, "must be a nonempty string")
+        return value
+
+    def column(self, column: list) -> list | None:
+        ok = set(map(type, column)) <= self.types and (not self.nonempty or all(column))
+        return column if ok else None
+
+
+class _Distinct(Kind):
+    """A check of the whole record: its id is no earlier record's. The
+    record reader keeps the ids it has seen, so this kind has no check."""
+
+    def column(self, column: list) -> list | None:
+        return column if len(set(column)) == len(column) else None
+
+
+DISTINCT = _Distinct()
+
+
+class Rule(Kind):
+    """A check of the whole record: ``test`` holds for a field already
+    read, else ``reason`` is raised, formatted with the value quoted by
+    :func:`quote`."""
+
+    def __init__(self, test, reason: str):
+        self.test, self.reason = test, reason
+
+    def check(self, value: Any, file: str, where: str) -> Any:
+        if not self.test(value):
+            raise fail(file, where, self.reason.format(quote(value)))
+        return value
+
+    def column(self, column: list) -> list | None:
+        return column if all(map(self.test, column)) else None
+
+
+class Enum(Kind):
+    def __init__(self, enum_cls: type):
+        # Keyed by plain strings, as parsed names are: member keys raised a 24,000-defect load's peak RSS.
+        self.enum_cls, self.members = enum_cls, {str(member): member for member in enum_cls}
+
+    def check(self, value: Any, file: str, where: str):
+        try:
+            return self.enum_cls(value)
+        except ValueError:
+            expected = ", ".join(self.enum_cls)
+            raise fail(file, where, f"invalid value {quote(value)} (expected one of: {expected})") from None
+
+    def column(self, column: list) -> list:
+        return list(map(self.members.__getitem__, column))
+
+
+class Number(Kind):
+    """A finite number in [``lo``, ``hi``], read as a float; with
+    ``positive``, one above 0."""
+
+    def __init__(self, lo: float | None = None, hi: float | None = None, null: bool = False,
+                 positive: bool = False):
+        self.lo, self.hi, self.null, self.positive = lo, hi, null, positive
+
+    def check(self, value: Any, file: str, where: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise fail(file, where, f"expected a number, got {quote(value)}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise fail(file, where, "expected a finite number, got an integer beyond floating-point range") from None
+        if not math.isfinite(number):
+            raise fail(file, where, f"expected a finite number, got {quote(value)}")
+        if self.lo is not None and number < self.lo:
+            raise fail(file, where, f"must be >= {self.lo}, got {quote(value)}")
+        if self.hi is not None and number > self.hi:
+            raise fail(file, where, f"must be <= {self.hi}, got {quote(value)}")
+        if self.positive and number <= 0.0:
+            raise fail(file, where, f"must be positive, got {quote(value)}")
+        return number
+
+    def column(self, column: list) -> list | None:
+        types = set(map(type, column))
+        if not types <= {float, int} or self.positive:  # bool is neither
+            return None
+        if int in types:
+            column = list(map(float, column))
+        # A sum is finite only where every term is; one that overflows sends the column to the record
+        # faces. With NaN ruled out first, min and max are reliable; -0.0 passes lo=0.0, keeping its sign.
+        if (not math.isfinite(sum(column)) or (self.lo is not None and min(column) < self.lo)
+                or (self.hi is not None and max(column) > self.hi)):
+            return None
+        return column
+
+
+class Float(Number):
+    """A number that the stages write as a float, in a field of a saved
+    report that no relation derives from another (for bounded rates, the
+    rates too): a saved int would pass every relation and re-emit as an
+    int, bytes that run_assessment never writes."""
+
+    def check(self, value, file: str, where: str) -> float:
+        number = super().check(value, file, where)
+        if type(value) is not float:
+            raise fail(file, where, f"must be {quote(number)}, got {quote(value)}")
+        return number
+
+    def column(self, column: list) -> list | None:
+        return None if int in set(map(type, column)) else super().column(column)
+
+
+class Integer(Kind):
+    def __init__(self, lo: int | None = None):
+        self.lo = lo
+
+    def check(self, value: Any, file: str, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or (self.lo is not None and value < self.lo):
+            at_least = "" if self.lo is None else f" >= {self.lo}"
+            raise fail(file, where, f"expected an integer{at_least}, got {quote(value)}")
+        return value
+
+
+class Flag(Kind):
+    def check(self, value: Any, file: str, where: str) -> bool:
+        if not isinstance(value, bool):
+            raise fail(file, where, f"expected true or false, got {quote(value)}")
+        return value
+
+
+class Array(Kind):
+    """An array (nonempty with ``nonempty``) of values read by ``kind``, a
+    column at a time where its column face can, each named by its index
+    with ``indexed``. ``message`` says what any other value should be, with
+    ``{}`` for the value."""
+
+    def __init__(self, kind: Kind, message: str, indexed: bool = False, nonempty: bool = False,
+                 null: bool = False):
+        self.kind, self.message, self.indexed, self.nonempty, self.null = kind, message, indexed, nonempty, null
+
+    def check(self, value: Any, file: str, where: str) -> list:
+        if not isinstance(value, list) or (self.nonempty and not value):
+            raise fail(file, where, self.message.format(quote(value)))
+        try:
+            column = self.kind.column(value) if value else None
+        except (KeyError, TypeError, OverflowError):
+            column = None
+        # One item at a time only where the column face refuses, as to raise the first fault.
+        return column if column is not None else [
+            self.kind.check(item, file, f"{where}[{i}]" if self.indexed else where) for i, item in enumerate(value)]
+
+
+class EnumSet(Array):
+    """An array of enum values, read as a frozenset."""
+
+    def __init__(self, enum_cls: type, message: str, null: bool = False):
+        super().__init__(Enum(enum_cls), message, null=null)
+
+    def check(self, value: Any, file: str, where: str) -> frozenset:
+        return frozenset(super().check(value, file, where))
+
+    def column(self, column: list) -> list | None:
+        if not set(map(type, column)) <= {list}:
+            return None
+        # One frozenset per distinct list, shared by its records; no tuple outlives its lookup.
+        sets = {key: frozenset(map(self.kind.members.__getitem__, key)) for key in set(map(tuple, column))}
+        return list(map(sets.__getitem__, map(tuple, column)))
+
+
+class Object(Kind):
+    """A JSON object described by a table of (key, default, kind) entries,
+    read as a dict by key; its keys are named after it, unless at top level."""
+
+    def __init__(self, fields: tuple, null: bool = False):
+        self.fields, self.keys, self.null = fields, table_keys(fields), null
+
+    def check(self, value: Any, file: str, where: str) -> dict:
+        data = expect_object(value, file, where, *self.keys)
+        at = "" if where == "top level" else f"{where}: "
+        return {key: _value(data, key, default, kind, file, at + key) for key, default, kind in self.fields}
+
+
+class Map(Enum):
+    """A JSON object keyed by values of ``enum_cls`` (by all of them with
+    ``complete``), each value read by ``kind``; read as a dict by member."""
+
+    def __init__(self, enum_cls: type, kind: Kind, complete: bool = False, null: bool = False):
+        super().__init__(enum_cls)
+        self.kind, self.null, self.required = kind, null, set(self.members) if complete else set()
+
+    def check(self, value: Any, file: str, where: str) -> dict:
+        for key in value if isinstance(value, dict) else ():
+            super().check(key, file, where)  # a key that names no member
+        data = expect_object(value, file, where, set(self.members), self.required)
+        return {self.members[key]: self.kind.check(item, file, f"{where}: {key}") for key, item in data.items()}
+
+
+# ---------------------------------------------------------------------------
+# Table readers
+# ---------------------------------------------------------------------------
+
+
+def table_keys(fields: tuple) -> tuple[set[str], set[str]]:
+    """The keys a table allows and those it requires."""
+    return {entry[0] for entry in fields}, {entry[0] for entry in fields if entry[1] is REQUIRED}
+
+
+def _value(data: dict, key: str, default: Any, kind: Kind, file: str, where: str) -> Any:
+    """One field of a JSON object, checked by ``kind``; a missing key with
+    the default None reads as None unchecked."""
+    value = data.get(key, default)
+    if value is None and (kind.null or key not in data):
+        return None
+    return kind.check(value, file, where)
+
+
+# A record array is read a column at a time by the column faces, with no
+# Python call per record, and kept as the columns of its fields. When a
+# column check fails, the record faces read the array one record at a time
+# and raise the first fault in record order (or, where the column face was
+# the stricter, return the same columns), so each rule and message has one
+# definition.
+
+
+def by_column(fields: tuple, objects: list) -> dict[str, list] | None:
+    """The checked columns of a nonempty array by field, or None if the
+    array is empty or a column check fails."""
+    keys, _ = table_keys(fields)
+    # All objects, and no key outside the table (a missing required key is
+    # found when its column is read).
+    if set(map(type, objects)) != {dict} or not keys.issuperset(set().union(*objects)):
+        return None
+    columns = {}
+    pulled: dict[str, tuple[Any, list]] = {}  # by key: the default and the values of its first entry
+    try:
+        for key, default, kind, slot, _ in fields:
+            if key in pulled and pulled[key][0] == default:
+                values = pulled[key][1]  # no column face changes the list it is given
+            else:
+                values = (list(map(itemgetter(key), objects)) if default is REQUIRED
+                          else list(map(dict.get, objects, repeat(key), repeat(default))))
+                pulled[key] = default, values
+            column = kind.column(values)
+            if column is None:
+                return None
+            if slot is not None:
+                columns[slot] = column
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return columns
+
+
+def by_record(fields: tuple, objects: list, file: str, label: str,
+              numbers: list[int] | None = None) -> dict[str, list]:
+    """The columns of an array by field, read one record at a time; each
+    record is named ``label`` and its number in ``numbers`` (by default its
+    index) or its id."""
+    keys, required = table_keys(fields)
+    columns: dict[str, list] = {entry[3]: [] for entry in fields if entry[3] is not None}
+    seen: set[str] = set()
+    for index, obj in zip(numbers or range(len(objects)), objects):
+        data = expect_object(obj, file, f"{label} {index}", keys, required)
+        for key, default, kind, slot, by_id in fields:
+            where = (f"{label} {quote(data[fields[0][0]], ID_LIMIT) if by_id else index}"
+                     + (f": {key}" if slot else ""))
+            if kind is DISTINCT:
+                if data[key] in seen:
+                    raise fail(file, where, f"duplicate {key}")
+                seen.add(data[key])
+            else:
+                value = _value(data, key, default, kind, file, where)
+                if slot is not None:
+                    columns[slot].append(value)
+    return columns
+
+
+def parse_records(row: type, fields: tuple, objects: list, file: str, label: str = "record",
+                  numbers: list[int] | None = None) -> Records:
+    """The ``row`` records of an array, numbered as :func:`by_record` numbers them."""
+    columns = by_column(fields, objects)
+    return Records(row, columns if columns is not None else by_record(fields, objects, file, label, numbers))

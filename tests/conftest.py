@@ -1,12 +1,13 @@
 """Shared fixtures: the packaged case-study bundle, the seed-1 inputs of
-the benchmark workloads, a synthetic event-history generator, and a
-bundle-directory writer for tests that need datasets the fixture does
-not cover."""
+the benchmark workloads, a synthetic event-history generator, the
+Goel-Okumoto gradient oracle, and a bundle-directory writer for tests
+that need datasets the fixture does not cover."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -48,6 +49,16 @@ def workdir(tmp_path_factory) -> Path:
     for name in SAVED_REPORTS:
         assert cli.main(["assess", str(out / name), "-o", str(out / f"{name}.json")]) in (0, 2)
     return out
+
+
+def go_gradient(events: list[float], horizon: float, a: float, b: float) -> tuple[float, float]:
+    """The analytic gradient in (a, b) of the Goel-Okumoto log-likelihood
+    n ln(a b) - b sum(t_i) - a (1 - exp(-b T)): zero at the fit, an oracle of
+    the fitter that reduces the likelihood to one parameter."""
+    n = len(events)
+    d_a = n / a + math.expm1(-b * horizon)
+    d_b = n / b - math.fsum(events) - a * horizon * math.exp(-b * horizon)
+    return (d_a, d_b)
 
 
 def default_tca_entries(status: str = "complete") -> list[dict]:

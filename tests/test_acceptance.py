@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import nhpp_exponential_events
+from conftest import go_gradient, nhpp_exponential_events
 from orcas.bundle import load_rtm_file, load_tca_file, records_from_json
 from orcas.causality import CausalityMatrix, builtin_causality, estimate_causality
 from orcas.domain import MODE_ORDER, DefectClass, FailureMode, RateUnit
@@ -22,7 +22,6 @@ from orcas.fixtures import vcu_dir
 from orcas.growth import (
     SrgmModel,
     fit_srgm,
-    go_gradient,
     go_log_likelihood,
     stability,
 )

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from orcas import bundle as bundle_module
+from orcas import schema
 from orcas.bundle import (
     AssessmentBundle,
     defects_from_csv,
@@ -197,6 +198,27 @@ def test_matrix_corpus_source(tmp_path):
     assert bundle.matrix.provenance == "corpus:corpus.json"
 
 
+# Either source would resolve to the bundle directory itself.
+EMPTY_SOURCES = [("", "must be a nonempty string"),
+                 ("corpus:", "expected a corpus file after 'corpus:', got 'corpus:'")]
+
+
+@pytest.mark.parametrize("source, reason", EMPTY_SOURCES)
+def test_config_matrix_source_naming_no_file_is_refused(tmp_path, source, reason):
+    directory = write_bundle(tmp_path / "b", config={"structural_coverage": 1.0, "system_kind": "control",
+                                                     "matrix": source})
+    with pytest.raises(BundleError) as err:
+        load_bundle(directory)
+    assert str(err.value) == f"config.json: matrix: {reason}"
+
+
+@pytest.mark.parametrize("source, reason", EMPTY_SOURCES)
+def test_matrix_source_override_naming_no_file_is_refused(tmp_path, source, reason):
+    with pytest.raises(BundleError) as err:
+        load_bundle(write_bundle(tmp_path / "b"), matrix_source=source)
+    assert str(err.value) == f"override of config.json: matrix: {reason}"
+
+
 def test_relative_matrix_path_resolves_against_bundle(tmp_path):
     directory = write_bundle(tmp_path / "b")
     (directory / "m.json").write_text(json.dumps(builtin_causality().to_dict()), encoding="utf-8")
@@ -344,7 +366,7 @@ def test_clean_bundle_loads_without_the_per_record_parsers(tmp_path, monkeypatch
     def per_record(*args):
         raise AssertionError("the per-record parser ran on a clean array")
 
-    monkeypatch.setattr(bundle_module, "_by_record", per_record)
+    monkeypatch.setattr(schema, "by_record", per_record)
     defects = [
         {"id": "D-1", "description": "x", "class": "checking", "detection_effort": 10},
         {"id": "D-2", "description": "y", "class": "timing", "detection_effort": -0.0,

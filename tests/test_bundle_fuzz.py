@@ -2,9 +2,9 @@
 
 Differential: the record parsers must accept and reject exactly what the
 oracles below accept and reject, with byte-identical messages. The oracles
-are the earlier parsers, which call one generic helper of orcas.bundle per
-check and build one row per record (the loaders return their rows when
-iterated); arrays
+are the earlier parsers, which call one helper of their own per field
+check, with its message written out, and build one row per record (the
+loaders return their rows when iterated); arrays
 that are valid by construction must load by the column path, and the same
 arrays with one or two faults must give the oracle's outcome. Robustness:
 any JSON value or any bytes in any bundle file yields a bundle or a
@@ -19,6 +19,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -28,19 +29,11 @@ from orcas.bundle import (
     BUILTIN_MATRIX_SOURCE,
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_STABILITY_WINDOWS,
+    _CONFIG_FIELDS,
     _CORPUS_FIELDS,
     _DEFECT_FIELDS,
     _RTM_FIELDS,
     AssessmentBundle,
-    _by_column,
-    _expect_array,
-    _expect_object,
-    _fail,
-    _parse_config,
-    _parse_enum,
-    _parse_number,
-    _parse_string,
-    _quote,
     _read_json,
     load_bundle,
     load_corpus_file,
@@ -66,6 +59,7 @@ from orcas.errors import BundleError
 from orcas.evidence import ACTIVITIES, CoverageStatus, RtmEntry, TcaEntry
 from orcas.growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
 from orcas.quantify import SystemKind
+from orcas.schema import Object, by_column, fail, quote
 
 from conftest import default_tca_entries, write_bundle
 
@@ -81,37 +75,83 @@ def write_files(directory, files):
 
 
 # ---------------------------------------------------------------------------
-# Oracle: each record checked by one generic helper call per field, in the
-# order of the checks, and built as a row; the TCA activity, once checked
-# by its row's constructor, is checked once the entry's fields are read.
+# Oracle: each record checked by one helper call per field, in the order of
+# the checks, and built as a row; the TCA activity, once checked by its
+# row's constructor, is checked once the entry's fields are read. The
+# helpers share no check with orcas.schema, only its message format.
 # ---------------------------------------------------------------------------
+
+
+def _oracle_array(data, file):
+    if type(data) is not list:
+        raise fail(file, "top level", f"expected a JSON array, got {type(data).__name__}")
+    return data
+
+
+def _oracle_enum(enum_cls, value, file, where):
+    names = [member.value for member in enum_cls]
+    if type(value) is not str or value not in names:
+        raise fail(file, where, f"invalid value {quote(value)} (expected one of: {', '.join(names)})")
+    return enum_cls(value)
+
+
+def _oracle_number(value, file, where, lo=None, hi=None):
+    if type(value) not in (int, float):
+        raise fail(file, where, f"expected a number, got {quote(value)}")
+    if type(value) is int and abs(value) >= int(sys.float_info.max) + 2 ** 970:
+        # At or past the midpoint of the largest float and 2**1024, an int rounds out of range.
+        raise fail(file, where, "expected a finite number, got an integer beyond floating-point range")
+    number = float(value)
+    if number != number or number in (math.inf, -math.inf):
+        raise fail(file, where, f"expected a finite number, got {quote(value)}")
+    if lo is not None and number < lo:
+        raise fail(file, where, f"must be >= {lo}, got {quote(value)}")
+    if hi is not None and number > hi:
+        raise fail(file, where, f"must be <= {hi}, got {quote(value)}")
+    return number
+
+
+def _oracle_string(value, file, where):
+    if type(value) is not str:
+        raise fail(file, where, f"expected a string, got {quote(value)}")
+    return value
+
+
+def _oracle_object(data, file, where, allowed, required):
+    if type(data) is not dict:
+        raise fail(file, where, f"expected a JSON object, got {type(data).__name__}")
+    for problem, keys in (("unknown", data.keys() - allowed), ("missing", required - data.keys())):
+        if keys:
+            raise fail(file, where, f"{problem} key(s): {', '.join(sorted(keys))}")
+    return data
+
 
 _ORACLE_DEFECT_KEYS = {"id", "description", "class", "detection_effort", "observed_modes", "resolution"}
 
 
 def _oracle_parse_defect(obj, file, index, require_modes):
     where = f"record {index}"
-    data = _expect_object(obj, file, where, _ORACLE_DEFECT_KEYS, {"id", "description", "class"})
-    record_id = _parse_string(data["id"], file, f"{where}: id")
+    data = _oracle_object(obj, file, where, _ORACLE_DEFECT_KEYS, {"id", "description", "class"})
+    record_id = _oracle_string(data["id"], file, f"{where}: id")
     if not record_id:
-        raise _fail(file, f"{where}: id", "must be a nonempty string")
-    where = f"record {_quote(record_id)}"
-    defect_class = _parse_enum(DefectClass, data["class"], file, f"{where}: class")
-    effort = _parse_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
+        raise fail(file, f"{where}: id", "must be a nonempty string")
+    where = f"record {quote(record_id)}"
+    defect_class = _oracle_enum(DefectClass, data["class"], file, f"{where}: class")
+    effort = _oracle_number(data.get("detection_effort", 0.0), file, f"{where}: detection_effort", lo=0.0)
     raw_modes = data.get("observed_modes", [])
     if not isinstance(raw_modes, list):
-        raise _fail(file, f"{where}: observed_modes", f"expected an array, got {_quote(raw_modes)}")
+        raise fail(file, f"{where}: observed_modes", f"expected an array, got {quote(raw_modes)}")
     modes = frozenset(
-        _parse_enum(FailureMode, m, file, f"{where}: observed_modes") for m in raw_modes
+        _oracle_enum(FailureMode, m, file, f"{where}: observed_modes") for m in raw_modes
     )
     if require_modes and not modes:
-        raise _fail(file, where, "corpus records must label at least one observed failure mode")
+        raise fail(file, where, "corpus records must label at least one observed failure mode")
     resolution = data.get("resolution")
     if resolution is not None:
-        resolution = _parse_string(resolution, file, f"{where}: resolution")
+        resolution = _oracle_string(resolution, file, f"{where}: resolution")
     return DefectRecord(
         id=record_id,
-        description=_parse_string(data["description"], file, f"{where}: description"),
+        description=_oracle_string(data["description"], file, f"{where}: description"),
         defect_class=defect_class,
         detection_effort=effort,
         observed_modes=modes,
@@ -122,10 +162,10 @@ def _oracle_parse_defect(obj, file, index, require_modes):
 def _oracle_load_defect_file(path, require_modes):
     records = []
     seen_ids = set()
-    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+    for index, obj in enumerate(_oracle_array(_read_json(path), path.name)):
         record = _oracle_parse_defect(obj, path.name, index, require_modes)
         if record.id in seen_ids:
-            raise _fail(path.name, f"record {_quote(record.id)}", "duplicate id")
+            raise fail(path.name, f"record {quote(record.id)}", "duplicate id")
         seen_ids.add(record.id)
         records.append(record)
     return tuple(records)
@@ -134,83 +174,83 @@ def _oracle_load_defect_file(path, require_modes):
 def _oracle_load_corpus_file(path):
     records = _oracle_load_defect_file(path, require_modes=True)
     if not records:
-        raise _fail(path.name, "top level", "no corpus records")
+        raise fail(path.name, "top level", "no corpus records")
     return records
 
 
 def _oracle_load_rtm_file(path):
     entries = []
     seen = set()
-    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+    for index, obj in enumerate(_oracle_array(_read_json(path), path.name)):
         where = f"entry {index}"
-        data = _expect_object(obj, path.name, where, {"req_id", "description", "status"},
+        data = _oracle_object(obj, path.name, where, {"req_id", "description", "status"},
                               {"req_id", "description", "status"})
-        req_id = _parse_string(data["req_id"], path.name, f"{where}: req_id")
+        req_id = _oracle_string(data["req_id"], path.name, f"{where}: req_id")
         if not req_id:
-            raise _fail(path.name, f"{where}: req_id", "must be a nonempty string")
+            raise fail(path.name, f"{where}: req_id", "must be a nonempty string")
         if req_id in seen:
-            raise _fail(path.name, f"entry {_quote(req_id)}", "duplicate req_id")
+            raise fail(path.name, f"entry {quote(req_id)}", "duplicate req_id")
         seen.add(req_id)
         entries.append(RtmEntry(
             req_id=req_id,
-            description=_parse_string(data["description"], path.name, f"{where}: description"),
-            status=_parse_enum(CoverageStatus, data["status"], path.name, f"entry {_quote(req_id)}: status"),
+            description=_oracle_string(data["description"], path.name, f"{where}: description"),
+            status=_oracle_enum(CoverageStatus, data["status"], path.name, f"entry {quote(req_id)}: status"),
         ))
     if not entries:
-        raise _fail(path.name, "top level",
-                    "no entries; an empty traceability matrix cannot be scored")
+        raise fail(path.name, "top level",
+                   "no entries; an empty traceability matrix cannot be scored")
     return tuple(entries)
 
 
 def _oracle_load_tca_file(path):
     entries = []
-    for index, obj in enumerate(_expect_array(_read_json(path), path.name)):
+    for index, obj in enumerate(_oracle_array(_read_json(path), path.name)):
         where = f"entry {index}"
-        data = _expect_object(obj, path.name, where, {"level", "activity", "trigger", "status"},
+        data = _oracle_object(obj, path.name, where, {"level", "activity", "trigger", "status"},
                               {"level", "activity", "trigger", "status"})
         entry = TcaEntry(
-            level=_parse_enum(TestLevel, data["level"], path.name, f"{where}: level"),
-            activity=_parse_string(data["activity"], path.name, f"{where}: activity"),
-            trigger=_parse_enum(TriggerKind, data["trigger"], path.name, f"{where}: trigger"),
-            status=_parse_enum(CoverageStatus, data["status"], path.name, f"{where}: status"),
+            level=_oracle_enum(TestLevel, data["level"], path.name, f"{where}: level"),
+            activity=_oracle_string(data["activity"], path.name, f"{where}: activity"),
+            trigger=_oracle_enum(TriggerKind, data["trigger"], path.name, f"{where}: trigger"),
+            status=_oracle_enum(CoverageStatus, data["status"], path.name, f"{where}: status"),
         )
         if entry.activity not in ACTIVITIES:
-            raise _fail(path.name, where,
-                        f"activity must be one of {', '.join(ACTIVITIES)}; got {entry.activity!r}")
+            raise fail(path.name, where,
+                       f"activity must be one of {', '.join(ACTIVITIES)}; got {entry.activity!r}")
         entries.append(entry)
     return tuple(entries)
 
 
 def _oracle_load_effort_file(path):
-    data = _expect_object(
+    data = _oracle_object(
         _read_json(path), path.name, "top level",
         {"kind", "test_count", "test_duration"}, {"kind", "test_count"},
     )
-    kind = _parse_enum(EffortKind, data["kind"], path.name, "kind")
+    kind = _oracle_enum(EffortKind, data["kind"], path.name, "kind")
     count = data["test_count"]
     if isinstance(count, bool) or not isinstance(count, int):
-        raise _fail(path.name, "test_count", f"expected an integer, got {_quote(count)}")
+        raise fail(path.name, "test_count", f"expected an integer, got {quote(count)}")
     duration = data.get("test_duration")
     if duration is not None:
-        duration = _parse_number(duration, path.name, "test_duration")
+        duration = _oracle_number(duration, path.name, "test_duration")
     if count <= 0:
-        raise _fail(path.name, "top level", f"test_count must be positive, got {count}")
+        raise fail(path.name, "top level", f"test_count must be positive, got {count}")
     if kind is EffortKind.CONTINUOUS:
         if duration is None:
-            raise _fail(path.name, "top level", "continuous effort requires test_duration (hours per test)")
+            raise fail(path.name, "top level", "continuous effort requires test_duration (hours per test)")
         if duration <= 0:
-            raise _fail(path.name, "top level", f"test_duration must be positive, got {duration!r}")
+            raise fail(path.name, "top level", f"test_duration must be positive, got {duration!r}")
     elif duration is not None:
-        raise _fail(path.name, "top level",
-                    "on-demand effort takes no test_duration; remove it or use kind=continuous")
+        raise fail(path.name, "top level",
+                   "on-demand effort takes no test_duration; remove it or use kind=continuous")
     model = EffortModel(kind=kind, test_count=count, test_duration=duration)
     try:
         total = total_effort(model)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
-        raise _fail(path.name, "test_count",
-                    "total testing effort (test_count x test_duration) is beyond floating-point range")
+        raise fail(path.name, "test_count",
+                   "total testing effort (test_count x test_duration) is beyond floating-point range")
     return model
 
 
@@ -221,45 +261,49 @@ _ORACLE_CONFIG_KEYS = {"structural_coverage", "system_kind", "excluded_modes", "
 
 def _oracle_parse_config(path):
     file = path.name
-    data = _expect_object(_read_json(path), file, "top level", _ORACLE_CONFIG_KEYS,
+    data = _oracle_object(_read_json(path), file, "top level", _ORACLE_CONFIG_KEYS,
                           {"structural_coverage", "system_kind"})
     config = {}
-    config["structural_coverage"] = _parse_number(
+    config["structural_coverage"] = _oracle_number(
         data["structural_coverage"], file, "structural_coverage", lo=0.0, hi=1.0)
-    config["system_kind"] = _parse_enum(SystemKind, data["system_kind"], file, "system_kind")
+    config["system_kind"] = _oracle_enum(SystemKind, data["system_kind"], file, "system_kind")
     raw_excluded = data.get("excluded_modes")
     if raw_excluded is not None:
         if not isinstance(raw_excluded, list):
-            raise _fail(file, "excluded_modes", "expected an array of failure modes")
+            raise fail(file, "excluded_modes", "expected an array of failure modes")
         config["excluded_modes"] = frozenset(
-            _parse_enum(FailureMode, m, file, "excluded_modes") for m in raw_excluded)
+            _oracle_enum(FailureMode, m, file, "excluded_modes") for m in raw_excluded)
     else:
         config["excluded_modes"] = None
-    config["confidence_threshold"] = _parse_number(
+    config["confidence_threshold"] = _oracle_number(
         data.get("confidence_threshold", DEFAULT_CONFIDENCE_THRESHOLD),
         file, "confidence_threshold", lo=0.0, hi=1.0)
-    config["stability_threshold"] = _parse_number(
+    config["stability_threshold"] = _oracle_number(
         data.get("stability_threshold", DEFAULT_STABILITY_THRESHOLD),
         file, "stability_threshold", lo=0.0)
-    config["rate_method"] = _parse_enum(
+    config["rate_method"] = _oracle_enum(
         RateMethod, data.get("rate_method", RateMethod.BOUNDED.value), file, "rate_method")
-    config["srgm_model"] = _parse_enum(
+    config["srgm_model"] = _oracle_enum(
         SrgmModel, data.get("srgm_model", SrgmModel.GOEL_OKUMOTO.value), file, "srgm_model")
     windows = data.get("stability_windows", DEFAULT_STABILITY_WINDOWS)
     if isinstance(windows, bool) or not isinstance(windows, int) or windows < 2:
-        raise _fail(file, "stability_windows", f"expected an integer >= 2, got {_quote(windows)}")
+        raise fail(file, "stability_windows", f"expected an integer >= 2, got {quote(windows)}")
     config["stability_windows"] = windows
-    config["matrix"] = _parse_string(data.get("matrix", BUILTIN_MATRIX_SOURCE), file, "matrix")
+    config["matrix"] = _oracle_string(data.get("matrix", BUILTIN_MATRIX_SOURCE), file, "matrix")
+    if config["matrix"] == "":
+        raise fail(file, "matrix", "must be a nonempty string")
+    if config["matrix"] == "corpus:":
+        raise fail(file, "matrix", "expected a corpus file after 'corpus:', got 'corpus:'")
     flag = data.get("uniform_missing_rows", False)
     if not isinstance(flag, bool):
-        raise _fail(file, "uniform_missing_rows", f"expected true or false, got {_quote(flag)}")
+        raise fail(file, "uniform_missing_rows", f"expected true or false, got {quote(flag)}")
     config["uniform_missing_rows"] = flag
     if "mode_family" in data:
-        config["mode_family"] = _parse_enum(ModeFamily, data["mode_family"], file, "mode_family")
+        config["mode_family"] = _oracle_enum(ModeFamily, data["mode_family"], file, "mode_family")
     else:
         config["mode_family"] = None
-    config["rtm_weight"] = _parse_number(data.get("rtm_weight", 0.5), file, "rtm_weight", lo=0.0)
-    config["tca_weight"] = _parse_number(data.get("tca_weight", 0.5), file, "tca_weight", lo=0.0)
+    config["rtm_weight"] = _oracle_number(data.get("rtm_weight", 0.5), file, "rtm_weight", lo=0.0)
+    config["tca_weight"] = _oracle_number(data.get("tca_weight", 0.5), file, "tca_weight", lo=0.0)
     return config
 
 
@@ -462,15 +506,22 @@ def test_effort_loader_matches_oracle(tmp_path_factory, document):
         assert typed(result) == typed(expected)
 
 
+def _load_config(path):
+    """config.json read by its table, as load_bundle reads it."""
+    return Object(_CONFIG_FIELDS).check(_read_json(path), path.name, "top level")
+
+
 @settings(FUZZ, max_examples=200)
 @given(document=object_documents(valid_configs(), "seed"))
 @example(document={"structural_coverage": 1, "system_kind": "custom", "excluded_modes": None,
                    "mode_family": None})
 @example(document={"structural_coverage": 1, "system_kind": "custom", "excluded_modes": ["A", "E"]})
+@example(document={"structural_coverage": 1, "system_kind": "control", "matrix": ""})
+@example(document={"structural_coverage": 1, "system_kind": "control", "matrix": "corpus:"})
 def test_config_parser_matches_oracle(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(document), encoding="utf-8")
-    assert typed(outcome(_parse_config, path)) == typed(outcome(_oracle_parse_config, path))
+    assert typed(outcome(_load_config, path)) == typed(outcome(_oracle_parse_config, path))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +598,7 @@ def write_array(tmp_path_factory, name, records):
 @given(corpus=st.booleans(), data=st.data())
 def test_clean_defect_arrays_load_by_column_as_the_oracle(tmp_path_factory, corpus, data):
     records = data.draw(clean_defect_arrays(corpus))
-    assert _by_column(_CORPUS_FIELDS if corpus else _DEFECT_FIELDS, records) is not None
+    assert by_column(_CORPUS_FIELDS if corpus else _DEFECT_FIELDS, records) is not None
     path = write_array(tmp_path_factory, "defects.json", records)
     load, oracle = ((load_corpus_file, _oracle_load_corpus_file) if corpus else
                     (load_defects_file, lambda p: _oracle_load_defect_file(p, require_modes=False)))
@@ -579,7 +630,7 @@ RTM_FAULTS = [("req_id", ""), ("req_id", 5), ("req_id", "R-0"), ("description", 
 @settings(FUZZ, max_examples=100)
 @given(entries=clean_rtm_arrays())
 def test_clean_rtm_arrays_load_by_column_as_the_oracle(tmp_path_factory, entries):
-    assert _by_column(_RTM_FIELDS, entries) is not None
+    assert by_column(_RTM_FIELDS, entries) is not None
     path = write_array(tmp_path_factory, "rtm.json", entries)
     assert outcome(load_rtm_file, path) == outcome(_oracle_load_rtm_file, path)
 

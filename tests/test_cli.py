@@ -52,6 +52,16 @@ def test_assess_proceeds_at_lower_threshold():
     assert report["evidence"]["gate"] == "proceed"
 
 
+@pytest.mark.parametrize("threshold, reason", [
+    ("1.5", "must be <= 1.0, got 1.5"), ("-0.5", "must be >= 0.0, got -0.5"),
+    ("nan", "expected a finite number, got nan"), ("inf", "expected a finite number, got inf"),
+])
+def test_assess_refuses_a_confidence_threshold_outside_the_unit_interval_at_load(threshold, reason):
+    result = run_cli("assess", vcu_dir(), "--confidence-threshold", threshold)
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (
+        1, b"", f"orcas: error: override of config.json: confidence_threshold: {reason}\n")
+
+
 def test_assess_output_is_byte_identical_across_runs():
     first = run_cli("assess", vcu_dir())
     second = run_cli("assess", vcu_dir())

@@ -13,7 +13,6 @@ from orcas.growth import (
     bounded_class_rates,
     fit_mean,
     fit_srgm,
-    go_gradient,
     go_intensity,
     go_log_likelihood,
     go_mean,
@@ -26,7 +25,7 @@ from orcas.growth import (
 )
 from orcas.growth import _BRACKET_FLOOR, MODELS, _bracket, _MoProfile
 
-from conftest import nhpp_exponential_events
+from conftest import go_gradient, nhpp_exponential_events
 
 
 def defect_objects(counts: dict[DefectClass, int], prefix: str = "") -> list[dict]:

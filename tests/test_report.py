@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orcas import cli
-from orcas.bundle import _Object, load_bundle
+from orcas.bundle import load_bundle
 from orcas.causality import ROW_SUM_TOLERANCE
 from orcas.domain import DefectClass, FailureMode, Name
 from orcas.errors import BundleError, OrcasError, StageError
@@ -26,6 +26,7 @@ from orcas.report import (
     run_assessment,
     text_report,
 )
+from orcas.schema import Object
 
 from conftest import srgm_bundle, write_bundle
 
@@ -459,7 +460,7 @@ REPORT_BUNDLES = {
 def test_report_is_the_dict_its_table_describes(name, tmp_path):
     report = run_assessment(REPORT_BUNDLES[name](tmp_path))
     assert next(iter(report)) == "schema_version"
-    _Object(_REPORT_FIELDS).check(report, "report", "top level")
+    Object(_REPORT_FIELDS).check(report, "report", "top level")
     assert report_from_json(emit_report(report, "json")) == report
 
 
