@@ -15,7 +15,8 @@ below by a table of field entries, whose field kinds are those of
                  records that each label an observed failure mode
 
 Every file is read, parsed and checked against its table by
-:mod:`orcas.schema`, and the rules that join fields or files are checked
+:mod:`orcas.schema` (a record file a block at a time, keeping only the
+columns asked for), and the rules that join fields or files are checked
 here; the first violation raises :class:`BundleError` naming the file,
 the entry, and the reason. No partial loads. A class history that the
 growth model cannot fit (too few events for the stability windows, or no
@@ -53,7 +54,7 @@ from .evidence import (ACTIVITIES, DEFAULT_CONFIDENCE_THRESHOLD, CoverageStatus,
 from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
 from .quantify import SystemKind, mode_applicability
 from .schema import (DISTINCT, ID_LIMIT, REQUIRED, Array, Enum, EnumSet, Flag, Integer, Map, Number, Object, Rule,
-                     String, by_record, fail, parse_json, parse_records, quote, read_text, table_keys)
+                     String, by_record, fail, parse_json, parse_records, quote, read_records, read_text, table_keys)
 
 REQUIRED_FILES = ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json")
 
@@ -70,8 +71,9 @@ class AssessmentBundle(NamedTuple):
     ``observed_modes``, of the RTM ``req_id`` and ``status``, and every TCA
     column. A defect's ``description`` and ``resolution`` and a
     requirement's ``description`` are checked, not kept: their rows read
-    them as None. The file readers (:func:`load_defects_file` and the rest)
-    keep every field."""
+    them as None. :func:`load_bundle` passes these columns to the file
+    readers (:func:`load_defects_file` and the rest) as ``keep``; without
+    it they keep every field."""
 
     defects: Records
     effort: EffortModel
@@ -129,6 +131,13 @@ _EFFORT_FIELDS = (
     ("test_count", REQUIRED, Integer()),
     ("test_duration", None, Number(null=True)),
 )
+# The kinds of a matrix source, in the order of their checks: config.json's "matrix" and a saved
+# report's provenance.options.matrix_source.
+MATRIX_SOURCE = (
+    String(nonempty=True),
+    Rule(lambda source: source != CORPUS_SOURCE_PREFIX,
+         f"expected a corpus file after '{CORPUS_SOURCE_PREFIX}', got {{}}"),
+)
 _CONFIG_FIELDS = (
     ("structural_coverage", REQUIRED, Number(0.0, 1.0)),
     ("system_kind", REQUIRED, Enum(SystemKind)),
@@ -138,9 +147,7 @@ _CONFIG_FIELDS = (
     ("rate_method", RateMethod.BOUNDED, Enum(RateMethod)),
     ("srgm_model", SrgmModel.GOEL_OKUMOTO, Enum(SrgmModel)),
     ("stability_windows", DEFAULT_STABILITY_WINDOWS, Integer(2)),
-    ("matrix", BUILTIN_MATRIX_SOURCE, String(nonempty=True)),
-    ("matrix", BUILTIN_MATRIX_SOURCE, Rule(lambda source: source != CORPUS_SOURCE_PREFIX,
-                                           f"expected a corpus file after '{CORPUS_SOURCE_PREFIX}', got {{}}")),
+    *(("matrix", BUILTIN_MATRIX_SOURCE, kind) for kind in MATRIX_SOURCE),
     ("uniform_missing_rows", False, Flag()),
     ("mode_family", None, Enum(ModeFamily)),  # null is refused, not read as absent
     ("rtm_weight", 0.5, Number(0.0)),
@@ -191,9 +198,18 @@ def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
     return parse_json(read_text(path, digests=digests), path.name)
 
 
-def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None) -> Records:
+def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None,
+                  keep: tuple[str, ...] | None) -> Records:
+    """The records of the file at ``path``, of the array ``kind``, with the
+    columns ``keep`` (every column of the row type if None)."""
     path = Path(path)
-    return records_from_json(kind, _read_json(path, digests), path.name)
+    row, fields, _, _ = _ARRAYS[kind]
+    keep = row._fields if keep is None else keep
+    columns = read_records(path, fields, keep, digests)
+    if columns is None:
+        # A fault, or a doubt: the whole text names the first fault, or reads the columns.
+        columns = records_from_json(kind, _read_json(path, digests), path.name).columns
+    return Records(row, {name: columns[name] for name in keep})
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +217,20 @@ def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None) -
 # ---------------------------------------------------------------------------
 
 
-def load_defects_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
+def load_defects_file(path: Path | str, *, digests: dict[str, str] | None = None,
+                      keep: tuple[str, ...] | None = None) -> Records:
     """Defect records from a defects.json file. ``digests``, if given,
     receives the SHA-256 of the file under its name (as do the other
-    file loaders)."""
-    return _load_records("defects.json", path, digests)
+    file loaders). Every field of every record is checked; ``keep``, if
+    given, names the columns kept, the row type's first among them (as
+    for load_corpus_file and load_rtm_file), and the rows read any other
+    as None."""
+    return _load_records("defects.json", path, digests, keep)
 
 
-def load_corpus_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
-    return _load_records("corpus.json", path, digests)
+def load_corpus_file(path: Path | str, *, digests: dict[str, str] | None = None,
+                     keep: tuple[str, ...] | None = None) -> Records:
+    return _load_records("corpus.json", path, digests, keep)
 
 
 def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None) -> EffortModel:
@@ -238,12 +259,13 @@ def load_effort_file(path: Path | str, *, digests: dict[str, str] | None = None)
     return model
 
 
-def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
-    return _load_records("rtm.json", path, digests)
+def load_rtm_file(path: Path | str, *, digests: dict[str, str] | None = None,
+                  keep: tuple[str, ...] | None = None) -> Records:
+    return _load_records("rtm.json", path, digests, keep)
 
 
 def load_tca_file(path: Path | str, *, digests: dict[str, str] | None = None) -> Records:
-    return _load_records("tca.json", path, digests)
+    return _load_records("tca.json", path, digests, None)
 
 
 def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None) -> CausalityMatrix:
@@ -351,7 +373,7 @@ def resolve_matrix_source(source: str, directory: Path, *,
         corpus_path = Path(source[len(CORPUS_SOURCE_PREFIX):])
         if not corpus_path.is_absolute():
             corpus_path = directory / corpus_path
-        corpus = load_corpus_file(corpus_path, digests=digests)
+        corpus = load_corpus_file(corpus_path, digests=digests, keep=("id", "defect_class", "observed_modes"))
         try:
             return causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
         except OrcasError as exc:
@@ -360,11 +382,6 @@ def resolve_matrix_source(source: str, directory: Path, *,
     if not matrix_path.is_absolute():
         matrix_path = directory / matrix_path
     return load_matrix_file(matrix_path, digests=digests)
-
-
-def _kept(records: Records, *names: str) -> Records:
-    """``records`` with the columns ``names`` alone; its rows read any other field as None."""
-    return Records(records.row, {name: records.columns[name] for name in names})
 
 
 def load_bundle(
@@ -387,12 +404,11 @@ def load_bundle(
     paths = {name: directory / name for name in REQUIRED_FILES}
     digests: dict[str, str] = {}
 
-    # Each record's every field is checked, but the bundle keeps only the columns the stages read,
-    # so that no description or resolution is alive while corpus.json is parsed.
-    defects = _kept(load_defects_file(paths["defects.json"], digests=digests),
-                    "id", "defect_class", "detection_effort", "observed_modes")
+    # Each record's every field is checked, but the bundle keeps only the columns the stages read.
+    defects = load_defects_file(paths["defects.json"], digests=digests,
+                                keep=("id", "defect_class", "detection_effort", "observed_modes"))
     effort = load_effort_file(paths["effort.json"], digests=digests)
-    rtm = _kept(load_rtm_file(paths["rtm.json"], digests=digests), "req_id", "status")
+    rtm = load_rtm_file(paths["rtm.json"], digests=digests, keep=("req_id", "status"))
     tca = load_tca_file(paths["tca.json"], digests=digests)
     config = Object(_CONFIG_FIELDS).check(_read_json(paths["config.json"], digests), "config.json", "top level")
     if config["rtm_weight"] == config["tca_weight"] == 0.0:

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from functools import partial
 
 from ._version import __version__
-from .bundle import AssessmentBundle
+from .bundle import MATRIX_SOURCE, AssessmentBundle
 from .causality import ROW_SUM_TOLERANCE, CausalityMatrix
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
 from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
@@ -128,7 +128,7 @@ _REPORT_FIELDS = (
             isinstance(digest, str) for digest in inputs.values()), "expected an object of file digests")),
         ("matrix", REQUIRED, String()),
         ("options", REQUIRED, Object((
-            ("matrix_source", REQUIRED, String()),
+            *(("matrix_source", REQUIRED, kind) for kind in MATRIX_SOURCE),
             ("system_kind", REQUIRED, Enum(SystemKind)),
             ("rate_method", REQUIRED, Enum(RateMethod)),
             ("confidence_threshold", REQUIRED, Number(0.0, 1.0)),

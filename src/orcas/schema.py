@@ -4,15 +4,19 @@ Every input of the tool, the CSV defect log and a saved report included, is
 read and decoded by :func:`read_text`, which drops the bytes before it
 returns, and, if JSON, parsed by :func:`parse_json` and checked by a table of
 the field kinds below: the bundle's tables are in :mod:`orcas.bundle`, the
-saved report's in :mod:`orcas.report`. A fault is :func:`fail`'s
-``<file>: <where>: <reason>``.
+saved report's in :mod:`orcas.report`. A record file is first read by
+:func:`read_records`, a block at a time, keeping only the columns its caller
+asks for; on any fault or doubt its caller reads it whole as above, which
+names the first fault. A fault is :func:`fail`'s ``<file>: <where>: <reason>``.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import math
+import re
 import sys
 from itertools import repeat
 from operator import itemgetter
@@ -89,15 +93,22 @@ def parse_json(text: str, file: str) -> Any:
                    f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise fail(file, "top level", "invalid JSON: nested too deeply") from None
+    if _lone_surrogate(text, data):
+        raise fail(file, "top level", "invalid JSON: a \\u escape is an unpaired UTF-16 surrogate")
+    return data
+
+
+def _lone_surrogate(text: str, data: Any) -> bool:
+    """Whether ``data``, parsed from ``text``, holds a lone surrogate: a
+    \\uD800-\\uDFFF escape that is not half of a pair, which no report can
+    encode as UTF-8. Most files hold no backslash, ruled out by one
+    memchr-speed search."""
     if "\\" in text and ("\\ud" in text or "\\uD" in text):
-        # A \uD800-\uDFFF escape that is not half of a pair decodes to a
-        # lone surrogate, which no report can encode as UTF-8. Most files
-        # hold no backslash, ruled out by one memchr-speed search.
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
-            raise fail(file, "top level", "invalid JSON: a \\u escape is an unpaired UTF-16 surrogate") from None
-    return data
+            return True
+    return False
 
 
 def expect_object(data: Any, file: str, where: str, allowed: set[str], required: set[str]) -> dict:
@@ -431,3 +442,109 @@ def parse_records(row: type, fields: tuple, objects: list, file: str, label: str
     """The ``row`` records of an array, numbered as :func:`by_record` numbers them."""
     columns = by_column(fields, objects)
     return Records(row, columns if columns is not None else by_record(fields, objects, file, label, numbers))
+
+
+# A record file is read a block at a time and parsed a piece at a time: the
+# records from one record boundary to the last boundary in the text read so
+# far. A record boundary is a "{" that follows an LF and any spaces or tabs.
+# Strict JSON strings hold no raw LF, so such a "{" is outside every string,
+# and in a record file every object outside a string is a record (a nested one
+# is a fault). CR and LF are JSON whitespace, so a piece parses to the values
+# it would as part of the text decode() returns. A file read so is never held
+# whole, as text or as parsed objects, unless no line of it opens a record (a
+# minified file, or one with lone-CR line ends): its one piece is then the
+# whole array.
+
+_BLOCK = 256 * 1024
+_SPACE = " \t\n\r"  # JSON whitespace
+# What comes before the first record: whitespace, and "[" and whitespace unless the file is not an array.
+_HEAD = re.compile(r"[ \t\n\r]*(\[[ \t\n\r]*)?")
+# Up to the last record boundary. (A literal after ".*" is searched for at C speed.)
+_LAST_BOUNDARY = re.compile(r".*\n[ \t]*(?=\{)", re.DOTALL)
+
+
+def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
+                 digests: dict[str, str] | None = None) -> dict[str, list] | None:
+    """The columns ``keep`` of the record array of the file at ``path``, read
+    by the column faces of the table ``fields``, a block of the file at a
+    time; with ``digests``, also the SHA-256 of its bytes under its name.
+
+    None where the file is not a nonempty UTF-8 array whose every piece
+    parses as JSON and passes the column faces, and whose ids are distinct:
+    for any fault or doubt, the caller reads the whole text, which names the
+    first fault."""
+    hasher = hashlib.sha256()
+    # The columns read: those kept, and those of the keys no two records may share.
+    slots = {key: slot for key, _, _, slot, _ in reversed(fields) if slot is not None}
+    distinct = [slots[key] for key, _, kind, _, _ in fields if kind is DISTINCT]
+    columns: dict[str, list] = {slot: [] for slot in (*keep, *distinct)}
+    # Which ids are distinct is a property of the whole file, checked once at its end.
+    fields = tuple(entry for entry in fields if entry[2] is not DISTINCT)
+    # The text not yet parsed, from the "[" that opens its piece.
+    pending, scan, opened = "", 0, False
+    try:
+        with path.open("rb") as handle:
+            for text in _texts(handle, hasher):
+                pending += text
+                if not opened:
+                    head = _HEAD.match(pending)
+                    if head.end() == len(pending):
+                        continue
+                    if head.group(1) is None:
+                        return None  # a top level that is not an array, or a BOM
+                    pending, opened = "[" + pending[head.end():], True
+                cut = _LAST_BOUNDARY.match(pending, scan)
+                if cut is None:
+                    # A boundary not yet read whole starts at the last line end, if any.
+                    line_end = pending.rfind("\n", scan)
+                    scan = line_end if line_end >= 0 else len(pending)
+                    continue
+                comma = pending.rfind(",", 0, cut.end())
+                if comma < 0 or pending[comma + 1:cut.end()].strip(_SPACE):
+                    return None  # a piece without its trailing comma
+                if not _append(fields, _parse_piece(pending[:comma] + "]"), columns):
+                    return None
+                pending, scan = "[" + pending[cut.end():], 0
+    except (OSError, UnicodeDecodeError):
+        return None
+    # The last piece, the whole array where no line opens a record: its text is dropped before its
+    # columns are read, and its records before the ids are checked, as a whole-text read drops them.
+    objects = _parse_piece(pending)
+    del pending
+    if not _append(fields, objects, columns):
+        return None
+    del objects
+    if any(DISTINCT.column(columns[slot]) is None for slot in distinct):
+        return None
+    if digests is not None:
+        digests[path.name] = "sha256:" + hasher.hexdigest()
+    return {slot: columns[slot] for slot in keep}
+
+
+def _texts(handle, hasher):
+    """The text of each block of the binary file ``handle``, after adding the block to ``hasher``."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while raw := handle.read(_BLOCK):
+        hasher.update(raw)
+        yield decoder.decode(raw)
+    yield decoder.decode(b"", final=True)
+
+
+def _parse_piece(piece: str) -> Any:
+    """The JSON value of ``piece``, or None on any fault."""
+    try:
+        objects = json.loads(piece)
+    except (ValueError, RecursionError):  # a JSONDecodeError, or an integer of too many digits
+        return None
+    return None if _lone_surrogate(piece, objects) else objects
+
+
+def _append(fields: tuple, objects: Any, columns: dict[str, list]) -> bool:
+    """Append to ``columns`` those of the records ``objects``, read by their
+    column faces; False where ``objects`` is None or empty, or a face refuses it."""
+    read = None if objects is None else by_column(fields, objects)
+    if read is None:
+        return False
+    for slot, column in columns.items():
+        column.extend(read[slot])
+    return True

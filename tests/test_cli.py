@@ -278,6 +278,10 @@ def last_total_times_1_01(raw):
     (edit("rates", "per_class", "timing", value=0),
      "invalid report JSON: rates: per_class: timing: must be 0.0, got 0"),
     (edit(*_STABILITY, "series", 0, 0, value=100), _AT_STABILITY + "series[0][0]: must be 100.0, got 100"),
+    (edit("provenance", "options", "matrix_source", value=""),
+     "invalid report JSON: provenance: options: matrix_source: must be a nonempty string"),
+    (edit("provenance", "options", "matrix_source", value="corpus:"),
+     "invalid report JSON: provenance: options: matrix_source: expected a corpus file after 'corpus:', got 'corpus:'"),
 ], ids=["0xff", "0xff-at-byte-10", "evidence-null", "annotations-5", "rates-per_class-array",
         "nested-100000-deep", "5000-digit-integer", "unpaired-surrogate-annotation", "missing-file",
         "gaps-array", "gaps-numbers", "provenance-5", "growth-per_class-array", "growth-horizon-string",
@@ -293,7 +297,8 @@ def last_total_times_1_01(raw):
         "zero-rate-row-added", "params-a-times-10", "predicted_total-doubled", "options-rate_method-bounded",
         "options-confidence_threshold-changed", "options-system_kind-monitoring", "last-total-times-1.01",
         "events-first-half", "event-times-1.01", "event-zero", "series-pair-dropped", "cells-times-100",
-        "cells-times-2", "cells-times-0.999", "cells-A-and-C-1e308", "zero-rate-int", "series-end-int"])
+        "cells-times-2", "cells-times-0.999", "cells-A-and-C-1e308", "zero-rate-int", "series-end-int",
+        "matrix_source-empty", "matrix_source-corpus-without-file"])
 def test_report_rejects_a_malformed_report_in_one_line(tmp_path, mutate, prefix):
     # Mutated copies of a real `assess -o` output of a Goel-Okumoto bundle;
     # None deletes the file.
