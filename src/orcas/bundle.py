@@ -20,8 +20,9 @@ columns asked for), and the rules that join fields or files are checked
 here; the first violation raises :class:`BundleError` naming the file,
 the entry, and the reason. No partial loads. A class history that the
 growth model cannot fit (too few events for the stability windows, or no
-growth signal) is found by the fit itself, in the rates stage of
-:func:`orcas.report.run_assessment`, which raises it as a
+growth signal) is found by the fit itself, and a class of positive rate
+that the matrix has no row for after the rates, in
+:func:`orcas.report.run_assessment`, which raises each as a
 :class:`BundleError` of the same form; ``orcas validate`` runs both.
 """
 
@@ -51,7 +52,7 @@ from .domain import (
 from .errors import BundleError, OrcasError
 from .evidence import (ACTIVITIES, DEFAULT_CONFIDENCE_THRESHOLD, CoverageStatus, RtmEntry, TcaEntry,
                        validate_tca_entries)
-from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
+from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel, validate_events
 from .quantify import SystemKind, mode_applicability
 from .schema import (DISTINCT, ID_LIMIT, REQUIRED, Array, Enum, EnumSet, Flag, Integer, Map, Number, Object, Rule,
                      String, by_record, fail, parse_json, parse_records, quote, read_records, read_text, table_keys)
@@ -291,10 +292,16 @@ def load_matrix_file(path: Path | str, *, digests: dict[str, str] | None = None)
 
 
 def load_history_file(path: Path | str) -> tuple[list[float], float | None]:
-    """Failure-history file for growth-model fitting:
-    {"events": [efforts...], "horizon"?: total observed effort}."""
+    """Failure-history file for growth-model fitting, {"events": [efforts...], "horizon"?:
+    total observed effort}, that :func:`orcas.growth.validate_events` accepts."""
     path = Path(path)
     values = Object(_HISTORY_FIELDS).check(_read_json(path), path.name, "top level")
+    # The events alone, then with the horizon, so that a fault names the key at fault.
+    for where, horizon in (("events", None), ("horizon", values["horizon"])):
+        try:
+            validate_events(values["events"], horizon)
+        except OrcasError as exc:
+            raise fail(path.name, where, str(exc)) from None
     return values["events"], values["horizon"]
 
 
@@ -374,10 +381,7 @@ def resolve_matrix_source(source: str, directory: Path, *,
         if not corpus_path.is_absolute():
             corpus_path = directory / corpus_path
         corpus = load_corpus_file(corpus_path, digests=digests, keep=("id", "defect_class", "observed_modes"))
-        try:
-            return causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
-        except OrcasError as exc:
-            raise fail(corpus_path.name, "corpus", str(exc)) from exc
+        return causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
     matrix_path = Path(source)
     if not matrix_path.is_absolute():
         matrix_path = directory / matrix_path

@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .domain import MODE_ORDER, DefectClass, Records
-from .errors import MissingCausalityRowError, OrcasError
+from .errors import OrcasError
 
 #: Printed probabilities are rounded to 3 decimals, so row sums may be off
 #: by up to half a unit in the last place per entry.
@@ -52,7 +52,7 @@ class CausalityMatrix(NamedTuple):
         try:
             return self.rows[defect_class]
         except KeyError:
-            raise MissingCausalityRowError(defect_class) from None
+            raise OrcasError(f"no causality row: {defect_class}") from None
 
     def to_dict(self) -> dict:
         out: dict = {

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. A fault of a bundle's data is
+a :class:`BundleError` that reads ``<file>: <where>: <reason>``, as
+:func:`orcas.schema.fail` builds it, whichever step finds it."""
 
 
 class OrcasError(Exception):
@@ -11,20 +13,3 @@ class BundleError(OrcasError):
     Messages carry the file name and the offending key/entry so callers
     can fix the dataset without reading a stack trace.
     """
-
-
-class MissingCausalityRowError(OrcasError):
-    """A causality-matrix row was requested for a class with no data."""
-
-    def __init__(self, defect_class):
-        self.defect_class = defect_class
-        super().__init__(f"no causality row: {defect_class}")
-
-
-class StageError(OrcasError):
-    """A pipeline stage failed; wraps the underlying module error."""
-
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"stage '{stage}': {cause}")

@@ -135,7 +135,10 @@ _BRACKET_FLOOR = 1e-12
 _BOUNDARY_RATE = 1e-9
 
 
-def _validate_events(events: Sequence[float], horizon: float | None) -> tuple[list[float], float]:
+def validate_events(events: Sequence[float], horizon: float | None) -> tuple[list[float], float]:
+    """The ``events`` and ``horizon`` (by default the last event) as floats, once they are a history a
+    growth model can fit: 2 or more positive, finite, nondecreasing events, and a finite horizon at or
+    after the last; otherwise raises :class:`OrcasError`."""
     events = [float(t) for t in events]
     if len(events) < 2:
         raise OrcasError("insufficient failure data: at least 2 detection events are required")
@@ -397,12 +400,12 @@ def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = 
     no root: the fit is not ``converged``, has a ``diagnostic``, and its
     parameters are the boundary the likelihood climbed toward, never point
     estimates."""
-    events, horizon = _validate_events(events, horizon)
+    events, horizon = validate_events(events, horizon)
     return _fit_validated(events, model, horizon)
 
 
 def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> dict:
-    """:func:`fit_srgm` on a history :func:`_validate_events` has returned."""
+    """:func:`fit_srgm` on a history :func:`validate_events` has returned."""
     if model not in MODELS:
         raise OrcasError(f"unknown growth model {model!r}")
     try:
@@ -519,7 +522,7 @@ def windowed_srgm_stability(
     end; the series tracks each fit's figure (see :class:`_Profile`). Raises
     :class:`OrcasError` unless there are at least 2 windows and every window
     holds at least 2 events."""
-    events, horizon = _validate_events(events, horizon)
+    events, horizon = validate_events(events, horizon)
     if windows < 2:
         raise OrcasError(f"stability needs at least 2 windows, got {windows}")
     window_fits: list[tuple[float, dict]] = []

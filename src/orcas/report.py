@@ -1,11 +1,14 @@
 """Assessment orchestration and report emission.
 
 :func:`run_assessment` executes the pipeline on a validated bundle:
-causality resolution, per-class rate estimation, matrix combination,
-evidence scoring, and the confidence gate. The resulting report is a
-pure function of the bundle; running it twice yields byte-identical
-JSON. Reports emit as canonical JSON (sorted keys, shortest round-trip
-floats), a plain-text summary, or SVG growth-curve plots.
+per-class rate estimation, causality resolution, matrix combination,
+evidence scoring, and the confidence gate. A class it cannot assess, a
+history the growth model cannot fit or a positive rate with no causality
+row, is a fault of the bundle: ``defects.json: class '<cls>': <reason>``,
+as the loader names one. The resulting report is a pure function of the
+bundle; running it twice yields byte-identical JSON. Reports emit as
+canonical JSON (sorted keys, shortest round-trip floats), a plain-text
+summary, or SVG growth-curve plots.
 
 A report is one dict, the one _REPORT_FIELDS describes, and every format
 renders it. The stages and section builders build its sections:
@@ -24,14 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from functools import partial
 
 from ._version import __version__
 from .bundle import MATRIX_SOURCE, AssessmentBundle
 from .causality import ROW_SUM_TOLERANCE, CausalityMatrix
 from .domain import MODE_ORDER, DefectClass, FailureMode, ModeFamily, RateUnit, total_effort
-from .errors import BundleError, MissingCausalityRowError, OrcasError, StageError
+from .errors import OrcasError
 from .evidence import (
     CoverageStatus,
     GateDecision,
@@ -280,16 +282,6 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except (StageError, BundleError):
-        raise
-    except OrcasError as exc:
-        raise StageError(name, exc) from exc
-
-
 def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
     horizon = total_effort(bundle.effort)
     if bundle.rate_method == RateMethod.BOUNDED:
@@ -306,7 +298,7 @@ def _estimate_rates(bundle: AssessmentBundle) -> tuple[dict, dict | None]:
         except OrcasError as exc:
             # A class history the growth model cannot fit is a fault of the
             # data: reported as the loader reports one, naming file and class.
-            raise BundleError(f"defects.json: class '{cls}': {exc}") from exc
+            raise fail("defects.json", f"class '{cls}'", str(exc)) from exc
     rates = srgm_class_rates({cls: entry["fit"] for cls, entry in growth_per_class.items()}, bundle.effort.rate_unit)
     return rates, growth_section(bundle.srgm_model, horizon, growth_per_class)
 
@@ -318,36 +310,27 @@ def run_assessment(bundle: AssessmentBundle) -> dict:
     environment-dependent."""
     annotations: list[str] = []
 
-    with _stage("rates"):
-        rates, growth = _estimate_rates(bundle)
+    rates, growth = _estimate_rates(bundle)
 
-    with _stage("causality"):
-        matrix = bundle.matrix
-        missing = [cls for cls, rate in rates["per_class"].items() if rate > 0.0 and cls not in matrix.rows]
-        if missing:
-            if not bundle.uniform_missing_rows:
-                raise MissingCausalityRowError(missing[0])
-            matrix = matrix._replace(rows={**matrix.rows, **dict.fromkeys(missing, (0.25, 0.25, 0.25, 0.25))})
-            names = ", ".join(missing)
-            annotations.append(
-                f"WARNING: no causality data for class(es) {names}; uniform rows "
-                f"(0.25 per mode) substituted on request"
-            )
-
-    with _stage("quantify"):
-        modes = combine(matrix, rates, bundle.excluded_modes)
-
-    with _stage("evidence"):
-        rtm_score = score_rtm(bundle.rtm)
-        tca_score = score_tca(bundle.tca)
-        evidence = assessment_confidence(
-            rtm_score,
-            tca_score,
-            bundle.structural_coverage,
-            threshold=bundle.confidence_threshold,
-            rtm_weight=bundle.rtm_weight,
-            tca_weight=bundle.tca_weight,
+    matrix = bundle.matrix
+    missing = [cls for cls, rate in rates["per_class"].items() if rate > 0.0 and cls not in matrix.rows]
+    if missing:
+        if not bundle.uniform_missing_rows:
+            raise fail("defects.json", f"class '{missing[0]}'",
+                       f"no causality row in the {matrix.provenance} matrix; give a matrix with "
+                       f"a row for it, or set uniform_missing_rows to substitute a uniform row")
+        matrix = matrix._replace(rows={**matrix.rows, **dict.fromkeys(missing, (0.25, 0.25, 0.25, 0.25))})
+        names = ", ".join(missing)
+        annotations.append(
+            f"WARNING: no causality data for class(es) {names}; uniform rows "
+            f"(0.25 per mode) substituted on request"
         )
+
+    modes = combine(matrix, rates, bundle.excluded_modes)
+
+    evidence = assessment_confidence(score_rtm(bundle.rtm), score_tca(bundle.tca), bundle.structural_coverage,
+                                     threshold=bundle.confidence_threshold, rtm_weight=bundle.rtm_weight,
+                                     tca_weight=bundle.tca_weight)
 
     names = ", ".join(name for name, rate in rates["per_class"].items() if rate == 0.0)
     if names:
@@ -428,14 +411,11 @@ INVALID_REPORT = "invalid report JSON"
 
 def report_from_json(data: bytes | str) -> dict:
     """The dict of a saved canonical JSON report (its bytes, or its text as
-    ``schema.read_text`` decodes it), as parsed: its schema_version is checked
-    first, so that another version is named, then the shape of every field by
-    _REPORT_FIELDS, then each derived part against its stage by _relations."""
+    ``schema.read_text`` decodes it), as parsed: an object's schema_version is
+    checked first, so that another version is named, then the shape of every
+    field by _REPORT_FIELDS, then each derived part against its stage by _relations."""
     parsed = parse_json(data if isinstance(data, str) else decode(data, INVALID_REPORT), INVALID_REPORT)
-    if not isinstance(parsed, dict):
-        raise OrcasError(f"{INVALID_REPORT}: expected an object")
-    version = parsed.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(parsed, dict) and (version := parsed.get("schema_version")) != SCHEMA_VERSION:
         raise OrcasError(f"unsupported report schema_version {quote(version)} (expected {SCHEMA_VERSION})")
     Object(_REPORT_FIELDS).check(parsed, INVALID_REPORT, "top level")
     for where, saved, derive in _relations(parsed):

@@ -10,12 +10,14 @@ arrays with one or two faults must give the oracle's outcome. Robustness:
 any JSON value or any bytes in any bundle file yields a bundle or a
 BundleError, and nothing else. Agreement: `orcas validate` accepts a
 bundle exactly when `orcas assess` can run on it, and otherwise prints
-the error line that `assess` prints.
+the error line that `assess` prints, in the `<file>: <where>: <reason>`
+form that the benchmark's checks require of a refused bundle.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -61,7 +63,7 @@ from orcas.growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel
 from orcas.quantify import SystemKind
 from orcas.schema import Object, by_column, fail, quote
 
-from conftest import default_tca_entries, write_bundle
+from conftest import ROOT, default_tca_entries, write_bundle
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -779,6 +781,12 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_checks_spec = importlib.util.spec_from_file_location("perfbench_checks", ROOT / "perfbench" / "checks.py")
+_checks = importlib.util.module_from_spec(_checks_spec)
+_checks_spec.loader.exec_module(_checks)
+# One refusal line: `orcas: error: <file>: <where>: <reason>`.
+ERROR_LINE = _checks.ERROR_LINE
+
 _RELATIONSHIP_BUNDLE = {**BASE_FILES,
                         "defects.json": [{"id": "D-1", "description": "x", "class": "relationship",
                                           "detection_effort": 1.0}],
@@ -808,4 +816,6 @@ def test_validate_accepts_exactly_what_assess_runs(tmp_path_factory, files):
     else:
         assert validated == assessed == 1
         assert validate_err == assess_err
-        assert validate_err.startswith("orcas: error: ") and validate_err.count("\n") == 1
+        assert validate_err.endswith("\n") and validate_err.count("\n") == 1
+        line = ERROR_LINE.fullmatch(validate_err[:-1])
+        assert line and line["file"] in files, validate_err

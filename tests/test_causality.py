@@ -13,7 +13,7 @@ from orcas.causality import (
     estimate_causality,
 )
 from orcas.domain import MODE_ORDER, DefectClass, FailureMode, count_by_class
-from orcas.errors import BundleError, MissingCausalityRowError, OrcasError
+from orcas.errors import BundleError, OrcasError
 
 
 def make_record(i, defect_class, modes):
@@ -50,7 +50,7 @@ def test_builtin_has_six_rows_and_no_relationship():
     matrix = builtin_causality()
     assert len(matrix.rows) == 6
     assert DefectClass.RELATIONSHIP not in matrix.rows
-    with pytest.raises(MissingCausalityRowError, match="no causality row: relationship"):
+    with pytest.raises(OrcasError, match="no causality row: relationship"):
         matrix.row(DefectClass.RELATIONSHIP)
 
 

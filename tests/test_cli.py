@@ -378,6 +378,40 @@ def test_srgm_fit_musa_okumoto(tmp_path):
     assert math.isinf(out["fit"]["predicted_total"])
 
 
+def test_a_defect_class_without_a_causality_row_is_one_bundle_fault(tmp_path, capsys):
+    directory = shutil.copytree(vcu_dir(), tmp_path / "vcu")
+    defects = json.loads((directory / "defects.json").read_text(encoding="utf-8"))
+    defects[0]["class"] = "relationship"
+    (directory / "defects.json").write_text(json.dumps(defects), encoding="utf-8")
+    line = ("orcas: error: defects.json: class 'relationship': no causality row in the built-in matrix; "
+            "give a matrix with a row for it, or set uniform_missing_rows to substitute a uniform row\n")
+    for command in ("validate", "assess"):
+        assert cli.main([command, str(directory)]) == 1
+        assert capsys.readouterr() == ("", line)
+
+
+# A history fault names the file and its key; an option fault names neither.
+_FRONT_LOADED = {"events": [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 40.0], "horizon": 100.0}
+
+
+@pytest.mark.parametrize("history, options, line", [
+    ({"events": [2.0, 1.0]}, [], "history.json: events: detection efforts must be nondecreasing"),
+    ({"events": [2.0]}, [],
+     "history.json: events: insufficient failure data: at least 2 detection events are required"),
+    ({"events": [0.0, 1.0]}, [], "history.json: events: detection efforts must be positive and finite, got 0.0"),
+    ({"events": [1.0, 2.0], "horizon": 1.5}, [],
+     "history.json: horizon: observation horizon 1.5 is before the last event 2.0"),
+    (_FRONT_LOADED, ["--stability-windows", "1"], "stability needs at least 2 windows, got 1"),
+    (_FRONT_LOADED, ["--stability-windows", "2", "--stability-threshold", "-0.5"],
+     "stability threshold must be finite and >= 0, got -0.5"),
+], ids=["decreasing", "one-event", "zero-effort", "horizon", "one-window", "negative-threshold"])
+def test_srgm_fit_fault_lines(tmp_path, capsys, history, options, line):
+    path = tmp_path / "history.json"
+    path.write_text(json.dumps(history), encoding="utf-8")
+    assert cli.main(["srgm", "fit", str(path), *options]) == 1
+    assert capsys.readouterr() == ("", f"orcas: error: {line}\n")
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
 def test_srgm_fit_rejects_a_non_finite_stability_threshold(tmp_path, threshold):
     # Accepted, either would be written as NaN or Infinity: not JSON.
@@ -421,7 +455,8 @@ def test_uniform_missing_rows_flag(tmp_path):
     )
     without = run_cli("assess", directory)
     assert without.returncode == 1
-    assert b"no causality row: relationship" in without.stderr
+    assert b"orcas: error: defects.json: class 'relationship': no causality row in the built-in matrix; " in (
+        without.stderr)
     validated = run_cli("validate", directory)
     assert validated.returncode == 1
     assert validated.stderr == without.stderr

@@ -324,8 +324,8 @@ def test_windowed_stability_rejects_sparse_windows():
 def test_stability_series_validates_events_once(monkeypatch):
     from orcas import growth
     calls = []
-    validate = growth._validate_events
-    monkeypatch.setattr(growth, "_validate_events", lambda *args: calls.append(args) or validate(*args))
+    validate = growth.validate_events
+    monkeypatch.setattr(growth, "validate_events", lambda *args: calls.append(args) or validate(*args))
     events = sorted(nhpp_exponential_events(100.0, 0.01, 300.0, random.Random(5)))
     _, window_fits = windowed_srgm_stability(events, SrgmModel.MUSA_OKUMOTO, 300.0, windows=4)
     assert len(window_fits) == 4

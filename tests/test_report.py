@@ -14,7 +14,7 @@ from orcas import cli
 from orcas.bundle import load_bundle
 from orcas.causality import ROW_SUM_TOLERANCE
 from orcas.domain import DefectClass, FailureMode, Name
-from orcas.errors import BundleError, OrcasError, StageError
+from orcas.errors import BundleError, OrcasError
 from orcas.evidence import GateDecision
 from orcas.fixtures import vcu_dir
 from orcas.quantify import mode_sums
@@ -124,7 +124,7 @@ def test_emit_rejects_unknown_format(vcu_report):
 
 
 # ---------------------------------------------------------------------------
-# Escape hatch and stage errors
+# Escape hatch and the missing-row fault
 # ---------------------------------------------------------------------------
 
 
@@ -141,8 +141,11 @@ def relationship_bundle(tmp_path, **config_extra):
 
 def test_relationship_defect_fails_without_escape_hatch(tmp_path):
     bundle = load_bundle(relationship_bundle(tmp_path))
-    with pytest.raises(StageError, match="no causality row: relationship"):
+    with pytest.raises(BundleError) as err:
         run_assessment(bundle)
+    assert str(err.value) == (
+        "defects.json: class 'relationship': no causality row in the built-in matrix; give a matrix "
+        "with a row for it, or set uniform_missing_rows to substitute a uniform row")
 
 
 def test_uniform_escape_hatch_warns_and_proceeds(tmp_path):
@@ -345,6 +348,10 @@ def test_report_from_json_rejects_garbage():
         report_from_json(b"not json")
     with pytest.raises(OrcasError, match="schema_version"):
         report_from_json(b'{"schema_version": 99}')
+    # A value that is not an object is named by the field table, in the form of every other fault.
+    with pytest.raises(OrcasError) as err:
+        report_from_json(b"[1]")
+    assert str(err.value) == "invalid report JSON: top level: expected a JSON object, got list"
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -468,21 +475,3 @@ def test_total_is_finite_sum_of_modes(vcu_report):
     modes = vcu_report["modes"]
     included = [modes["per_mode"][m] for m in modes["per_mode"] if m not in modes["excluded"]]
     assert modes["total"] == pytest.approx(math.fsum(included), abs=1e-18)
-
-
-def test_stage_wraps_an_orcas_error_once():
-    from orcas.errors import OrcasError
-    from orcas.report import _stage
-    with pytest.raises(StageError) as err:
-        with _stage("outer"):
-            with _stage("inner"):
-                raise OrcasError("boom")
-    assert str(err.value) == "stage 'inner': boom"
-    fault = BundleError("defects.json: class 'checking': boom")
-    with pytest.raises(BundleError) as err:
-        with _stage("rates"):
-            raise fault
-    assert err.value is fault
-    with pytest.raises(ValueError, match="not an orcas error"):
-        with _stage("rates"):
-            raise ValueError("not an orcas error")
