@@ -68,13 +68,14 @@ class AssessmentBundle(NamedTuple):
     """A fully validated dataset plus effective assessment options.
 
     Of the record arrays it keeps the columns the stages read: of the
-    defects ``id``, ``defect_class``, ``detection_effort`` and
-    ``observed_modes``, of the RTM ``req_id`` and ``status``, and every TCA
-    column. A defect's ``description`` and ``resolution`` and a
-    requirement's ``description`` are checked, not kept: their rows read
-    them as None. :func:`load_bundle` passes these columns to the file
-    readers (:func:`load_defects_file` and the rest) as ``keep``; without
-    it they keep every field."""
+    defects ``defect_class``, ``detection_effort`` and ``observed_modes``,
+    of the RTM ``req_id`` and ``status``, and every TCA column. A defect's
+    ``id``, ``description`` and ``resolution`` and a requirement's
+    ``description`` are checked, not kept: their rows read them as None.
+    Only a detection-effort fault names a defect after the read, and reads
+    the ids again to do so. :func:`load_bundle` passes these columns to
+    the file readers (:func:`load_defects_file` and the rest) as ``keep``;
+    without it they keep every field."""
 
     defects: Records
     effort: EffortModel
@@ -223,9 +224,8 @@ def load_defects_file(path: Path | str, *, digests: dict[str, str] | None = None
     """Defect records from a defects.json file. ``digests``, if given,
     receives the SHA-256 of the file under its name (as do the other
     file loaders). Every field of every record is checked; ``keep``, if
-    given, names the columns kept, the row type's first among them (as
-    for load_corpus_file and load_rtm_file), and the rows read any other
-    as None."""
+    given, names the columns kept (as for load_corpus_file and
+    load_rtm_file), and the rows read any other as None."""
     return _load_records("defects.json", path, digests, keep)
 
 
@@ -410,7 +410,7 @@ def load_bundle(
 
     # Each record's every field is checked, but the bundle keeps only the columns the stages read.
     defects = load_defects_file(paths["defects.json"], digests=digests,
-                                keep=("id", "defect_class", "detection_effort", "observed_modes"))
+                                keep=("defect_class", "detection_effort", "observed_modes"))
     effort = load_effort_file(paths["effort.json"], digests=digests)
     rtm = load_rtm_file(paths["rtm.json"], digests=digests, keep=("req_id", "status"))
     tca = load_tca_file(paths["tca.json"], digests=digests)
@@ -425,7 +425,9 @@ def load_bundle(
     # a test fails is the first offending record looked for.
     efforts = defects.columns["detection_effort"]
     if efforts and ((growth and min(efforts) <= 0.0) or max(efforts) > effort_total):
-        for id, detection in zip(defects.columns["id"], efforts):
+        # No stage reads the ids, so only a fault reads them again, to name its record.
+        ids = load_defects_file(paths["defects.json"], keep=("id",)).columns["id"]
+        for id, detection in zip(ids, efforts):
             if growth and detection <= 0.0:
                 raise fail(
                     "defects.json", f"record {quote(id, ID_LIMIT)}: detection_effort",

@@ -169,10 +169,10 @@ def _cmd_srgm_fit(args) -> int:
     effective_horizon = horizon if horizon is not None else events[-1]
     out = {"events": len(events), "horizon": effective_horizon}
     if args.stability_windows:
-        out["stability"], window_fits = windowed_srgm_stability(
+        out["stability"], fit = windowed_srgm_stability(
             events, model, effective_horizon, args.stability_windows, args.stability_threshold)
-        # The last stability window spans the whole horizon: it is the fit.
-        out["fit"] = fit = window_fits[-1][1]
+        # The last stability window spans the whole horizon: its fit is the fit.
+        out["fit"] = fit
     else:
         out["fit"] = fit = fit_srgm(events, model, horizon=horizon)
     if args.curve_samples > 0:

@@ -134,12 +134,12 @@ class DefectRecord(NamedTuple):
 
 class Records:
     """The records of one input array, kept as columns: ``columns`` maps
-    fields of the ``row`` type, its first field among them, to their values
-    in record order. A file reader keeps every field; an
+    one or more fields of the ``row`` type to their values in record order.
+    A file reader keeps every field; an
     :class:`orcas.bundle.AssessmentBundle` keeps only those its stages read.
-    ``len`` is the record count. Iterating or indexing builds ``row`` tuples
-    from the columns on demand, with None for a field not kept; a slice is
-    the records it selects."""
+    ``len`` is the record count, the length of any column. Iterating or
+    indexing builds ``row`` tuples from the columns on demand, with None
+    for a field not kept; a slice is the records it selects."""
 
     __slots__ = ("row", "columns")
 
@@ -147,7 +147,7 @@ class Records:
         self.row, self.columns = row, columns
 
     def __len__(self) -> int:
-        return len(self.columns[self.row._fields[0]])
+        return len(next(iter(self.columns.values())))
 
     def __iter__(self) -> Iterator:
         return map(self.row._make, zip(*(self.columns.get(name, repeat(None)) for name in self.row._fields)))

@@ -206,7 +206,7 @@ class _Profile:
     ``mean`` and ``intensity``; the exact ``score(x)``; ``sign(x)``, the
     score or a stand-in with its sign; ``slope(x)``, which steers Newton;
     ``estimate(a, hi)``, a Newton start in [a, hi] or None for the midpoint;
-    ``at_root(x)``, the parameters and log-likelihood; and ``tracked(fit,
+    ``at_root(x)``, the parameters; ``log_likelihood``; and ``tracked(fit,
     horizon)``, the figure its stability series tracks."""
 
     def __init__(self, events: list[float], T: float) -> None:
@@ -229,6 +229,7 @@ class _GoProfile(_Profile):
 
     names = ("a", "b")
     mean, intensity = staticmethod(go_mean), staticmethod(go_intensity)
+    log_likelihood = staticmethod(go_log_likelihood)
 
     def score(self, b: float) -> float:
         # Past bT ~ 700 the expm1 term underflows the sum anyway; skip it
@@ -248,9 +249,8 @@ class _GoProfile(_Profile):
         e = math.expm1(bt)
         return -n / (b * b) + n * T * T * math.exp(bt) / (e * e)
 
-    def at_root(self, b: float) -> tuple[tuple[float, float], float]:
-        a = self.n / -math.expm1(-b * self.T)
-        return (a, b), go_log_likelihood(self.events, self.T, a, b)
+    def at_root(self, b: float) -> tuple[float, float]:
+        return self.n / -math.expm1(-b * self.T), b
 
     @staticmethod
     def tracked(fit: dict, horizon: float) -> float:
@@ -279,6 +279,7 @@ class _MoProfile(_Profile):
 
     names = ("lambda0", "theta")
     mean, intensity = staticmethod(mo_mean), staticmethod(mo_intensity)
+    log_likelihood = staticmethod(mo_log_likelihood)
 
     @cached_property
     def buckets(self) -> list[tuple[int, float, float, float, float]]:
@@ -363,11 +364,9 @@ class _MoProfile(_Profile):
             return None
         return newton_bisection(self.approx, self.slope, a, hi, flo=g_a, fhi=g_hi)
 
-    def at_root(self, beta: float) -> tuple[tuple[float, float], float]:
+    def at_root(self, beta: float) -> tuple[float, float]:
         n, T = self.n, self.T
-        lambda0 = n * beta / math.log1p(beta * T)
-        theta = math.log1p(beta * T) / n
-        return (lambda0, theta), mo_log_likelihood(self.events, T, lambda0, theta)
+        return n * beta / math.log1p(beta * T), math.log1p(beta * T) / n
 
     @staticmethod
     def tracked(fit: dict, horizon: float) -> float:
@@ -404,8 +403,11 @@ def fit_srgm(events: Sequence[float], model: SrgmModel, horizon: float | None = 
     return _fit_validated(events, model, horizon)
 
 
-def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> dict:
-    """:func:`fit_srgm` on a history :func:`validate_events` has returned."""
+def _fit_validated(events: list[float], model: SrgmModel, horizon: float, likelihood: bool = True) -> dict:
+    """:func:`fit_srgm` on a history :func:`validate_events` has returned.
+    Without ``likelihood``, the fit's ``log_likelihood`` is None: with
+    finite, positive parameters it is finite, so skipping its pass over the
+    events loses no fault, and a fit beyond range still names it."""
     if model not in MODELS:
         raise OrcasError(f"unknown growth model {model!r}")
     try:
@@ -425,10 +427,15 @@ def _fit_validated(events: list[float], model: SrgmModel, horizon: float) -> dic
             start = profile.estimate(lo if hi == 1.0 / T else 0.5 * hi, hi)
             root = newton_bisection(profile.score, profile.slope, lo, hi, start=start, flo=s_lo, fhi=s_hi)
             diagnostic = None
-        values, log_likelihood = profile.at_root(root)
+        values = profile.at_root(root)
         params = dict(zip(profile.names, values))
         current_intensity = profile.intensity(T, *values)
-        if not all(map(math.isfinite, (*values, log_likelihood, current_intensity))):
+        finite = all(map(math.isfinite, (*values, current_intensity)))
+        log_likelihood = None
+        if likelihood or not finite:
+            log_likelihood = profile.log_likelihood(events, T, *values)
+            finite = finite and math.isfinite(log_likelihood)
+        if not finite:
             raise OrcasError(f"growth fit is beyond floating-point range: parameters {params!r}, "
                              f"log-likelihood {log_likelihood!r}")
         return {"model": model, "params": params,
@@ -513,19 +520,20 @@ def windowed_srgm_stability(
     horizon: float,
     windows: int,
     threshold: float = DEFAULT_STABILITY_THRESHOLD,
-) -> tuple[dict, list[tuple[float, dict]]]:
-    """Refit over expanding effort windows and run the stability check.
+) -> tuple[dict, dict]:
+    """Refit over expanding effort windows and run the stability check: the
+    verdict of :func:`stability` and the last window's fit.
 
     ``events`` is a sorted detection history, validated once. Window k ends
     at k/windows of the horizon (the last at exactly the horizon, so its fit
     is ``fit_srgm(events, model, horizon)``) and fits every event up to its
-    end; the series tracks each fit's figure (see :class:`_Profile`). Raises
-    :class:`OrcasError` unless there are at least 2 windows and every window
-    holds at least 2 events."""
+    end; the series tracks each fit's figure (see :class:`_Profile`). Only
+    the last fit computes its log-likelihood. Raises :class:`OrcasError`
+    unless there are at least 2 windows and every window holds at least 2
+    events, or where a window's fit raises."""
     events, horizon = validate_events(events, horizon)
     if windows < 2:
         raise OrcasError(f"stability needs at least 2 windows, got {windows}")
-    window_fits: list[tuple[float, dict]] = []
     series: list[tuple[float, float]] = []
     for k in range(1, windows + 1):
         end = horizon if k == windows else horizon * k / windows
@@ -536,18 +544,16 @@ def windowed_srgm_stability(
                 f"{count} event(s); need at least 2 (reduce the window "
                 f"count or use bounded estimation)"
             )
-        fit = _fit_validated(events[:count], model, end)
-        window_fits.append((end, fit))
+        fit = _fit_validated(events[:count], model, end, likelihood=k == windows)
         series.append((end, MODELS[model].tracked(fit, horizon)))
-    return stability(series, threshold), window_fits
+    return stability(series, threshold), fit
 
 
 def growth_class(events: Sequence[float], model: SrgmModel, horizon: float, windows: int, threshold: float) -> dict:
     """A class's entry in the report's ``growth`` section: its ``events`` and the ``stability``
     of :func:`windowed_srgm_stability`, and its last window's ``fit``, over [0, ``horizon``].
     Raises :class:`OrcasError` when that fit did not converge."""
-    verdict, window_fits = windowed_srgm_stability(events, model, horizon, windows, threshold)
-    fit = window_fits[-1][1]
+    verdict, fit = windowed_srgm_stability(events, model, horizon, windows, threshold)
     if not fit["converged"]:
         raise OrcasError(fit["diagnostic"])
     return {"fit": fit, "events": events, "stability": verdict}

@@ -18,8 +18,8 @@ import json
 import math
 import re
 import sys
-from itertools import repeat
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import itemgetter, ne
 from pathlib import Path
 from types import NoneType
 from typing import Any
@@ -176,10 +176,13 @@ class String(Kind):
 
 class _Distinct(Kind):
     """A check of the whole record: its id is no earlier record's. The
-    record reader keeps the ids it has seen, so this kind has no check."""
+    record reader keeps the ids it has seen, so this kind has no check.
+    The column face compares the neighbours of a sorted copy, a list of
+    references: a set of 24,000 ids is 14 times its size."""
 
     def column(self, column: list) -> list | None:
-        return column if len(set(column)) == len(column) else None
+        ids = sorted(column)
+        return column if all(map(ne, ids, islice(ids, 1, None))) else None
 
 
 DISTINCT = _Distinct()
@@ -455,7 +458,7 @@ def parse_records(row: type, fields: tuple, objects: list, file: str, label: str
 # minified file, or one with lone-CR line ends): its one piece is then the
 # whole array.
 
-_BLOCK = 256 * 1024
+_BLOCK = 64 * 1024
 _SPACE = " \t\n\r"  # JSON whitespace
 # What comes before the first record: whitespace, and "[" and whitespace unless the file is not an array.
 _HEAD = re.compile(r"[ \t\n\r]*(\[[ \t\n\r]*)?")

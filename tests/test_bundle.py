@@ -55,14 +55,16 @@ def test_fixture_defect_classes(vcu_bundle_dir):
 
 
 def test_a_bundle_keeps_the_columns_its_stages_read(vcu_bundle_dir):
-    # The file readers keep every field; a bundle's rows read the others as None.
+    # The file readers keep every field; a bundle's rows read the others as None. No stage reads
+    # a defect's id: only a detection-effort fault names one, reading the file again.
     bundle = load_bundle(vcu_bundle_dir)
-    assert set(bundle.defects.columns) == {"id", "defect_class", "detection_effort", "observed_modes"}
+    assert set(bundle.defects.columns) == {"defect_class", "detection_effort", "observed_modes"}
     assert set(bundle.rtm.columns) == {"req_id", "status"}
     defects = load_defects_file(vcu_bundle_dir / "defects.json")
     assert all(defects.columns["description"])
-    assert list(bundle.defects) == [row._replace(description=None, resolution=None) for row in defects]
-    assert bundle.defects[-1] == defects[-1]._replace(description=None, resolution=None)
+    assert len(bundle.defects) == len(defects)
+    assert list(bundle.defects) == [row._replace(id=None, description=None, resolution=None) for row in defects]
+    assert bundle.defects[-1] == defects[-1]._replace(id=None, description=None, resolution=None)
     rtm = load_rtm_file(vcu_bundle_dir / "rtm.json")
     assert list(bundle.rtm[2:4]) == [row._replace(description=None) for row in rtm[2:4]]
 
@@ -109,6 +111,31 @@ def test_detection_effort_beyond_campaign_rejected(tmp_path):
     defects = [{"id": "D-1", "description": "x", "class": "checking", "detection_effort": 101.0}]
     with pytest.raises(BundleError, match="exceeds total testing effort"):
         load_bundle(write_bundle(tmp_path / "b", defects=defects))
+
+
+_UUID = "123e4567-e89b-12d3-a456-426614174000"
+
+
+@pytest.mark.parametrize("efforts, method, line", [
+    ([5.0, 0.0, 101.0, -0.0], "srgm",
+     f"defects.json: record '{_UUID}-3': detection_effort: must be positive for rate_method 'srgm' "
+     "(the growth model fits detection efforts), got 0.0; record it or use rate_method 'bounded'"),
+    ([5.0, 101.0, 0.0, 102.0], "srgm",
+     f"defects.json: record '{_UUID}-3': detection_effort 101.0 exceeds total testing effort 100.0; "
+     "detection efforts must be recorded in the effort model's unit (per-hour)"),
+    ([5.0, 0.0, 101.0, 102.0], "bounded",
+     f"defects.json: record '{_UUID}-2': detection_effort 101.0 exceeds total testing effort 100.0; "
+     "detection efforts must be recorded in the effort model's unit (per-hour)"),
+], ids=["nonpositive-srgm", "beyond-campaign-srgm", "beyond-campaign-bounded"])
+def test_detection_effort_fault_names_the_first_bad_record_in_file_order(tmp_path, efforts, method, line):
+    # A bundle keeps no ids, so the fault reads them again. The ids run against their sorted
+    # order, and each is a UUID with a suffix, printed whole.
+    defects = [{"id": f"{_UUID}-{len(efforts) - i}", "description": "x", "class": "checking",
+                "detection_effort": effort} for i, effort in enumerate(efforts)]
+    config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": method}
+    with pytest.raises(BundleError) as raised:
+        load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
+    assert str(raised.value) == line
 
 
 def test_unknown_config_key_rejected(tmp_path):

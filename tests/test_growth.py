@@ -309,9 +309,9 @@ def test_windowed_stability_on_synthetic_data():
     horizon = 300.0
     events = sorted(
         t for _ in range(4) for t in nhpp_exponential_events(50.0, 0.02, horizon, rng))
-    verdict, window_fits = windowed_srgm_stability(
+    verdict, fit = windowed_srgm_stability(
         events, SrgmModel.GOEL_OKUMOTO, horizon, windows=4)
-    assert len(window_fits) == 4
+    assert fit == fit_srgm(events, SrgmModel.GOEL_OKUMOTO, horizon)
     assert [end for end, _ in verdict["series"]] == [75.0, 150.0, 225.0, 300.0]
     assert all(total > 0 for _, total in verdict["series"])
 
@@ -327,8 +327,8 @@ def test_stability_series_validates_events_once(monkeypatch):
     validate = growth.validate_events
     monkeypatch.setattr(growth, "validate_events", lambda *args: calls.append(args) or validate(*args))
     events = sorted(nhpp_exponential_events(100.0, 0.01, 300.0, random.Random(5)))
-    _, window_fits = windowed_srgm_stability(events, SrgmModel.MUSA_OKUMOTO, 300.0, windows=4)
-    assert len(window_fits) == 4
+    verdict, _ = windowed_srgm_stability(events, SrgmModel.MUSA_OKUMOTO, 300.0, windows=4)
+    assert len(verdict["series"]) == 4
     assert len(calls) == 1
 
 
@@ -516,13 +516,22 @@ short_histories = st.tuples(
 
 
 def assert_windows_are_cold_fits(model, events, horizon, windows):
-    verdict, window_fits = windowed_srgm_stability(events, model, horizon, windows)
-    assert verdict["series"][-1][0] == horizon
-    assert [end for end, _ in window_fits] == [end for end, _ in verdict["series"]]
-    # Every window, the last (the full-horizon fit) included, is the fit
-    # of its own prefix, bit for bit.
-    for end, fit in window_fits:
-        assert fit == fit_srgm([t for t in events if t <= end], model, horizon=end)
+    # Each window's figure is that of the cold fit of its own prefix, bit for
+    # bit, and the fit returned is the last (full-horizon) cold fit. Where a
+    # cold fit raises, the first such fault is the windows' fault: the window
+    # fits that skip their log-likelihood lose none.
+    ends = [horizon * k / windows for k in range(1, windows)] + [horizon]
+    try:
+        fits = [fit_srgm([t for t in events if t <= end], model, horizon=end) for end in ends]
+    except OrcasError as exc:
+        with pytest.raises(OrcasError) as raised:
+            windowed_srgm_stability(events, model, horizon, windows)
+        assert str(raised.value) == str(exc)
+        return
+    verdict, fit = windowed_srgm_stability(events, model, horizon, windows)
+    assert verdict["series"] == [[end, MODELS[model].tracked(cold, horizon)] for end, cold in zip(ends, fits)]
+    assert fit == fits[-1]
+    assert math.isfinite(fit["log_likelihood"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -546,11 +555,12 @@ def test_window_fit_keeps_the_cold_root_of_a_multi_root_score():
     # sign near lambda0*theta*T = 6.6, 20 and 191; the cold bracket search
     # meets 6.6 first. The first of two windows must take that root too.
     events = [0.01, 1.74, 2.15, 3.92]
-    _, window_fits = windowed_srgm_stability(events, SrgmModel.MUSA_OKUMOTO, 10.0, 2)
-    end, fit = window_fits[0]
+    verdict, _ = windowed_srgm_stability(events, SrgmModel.MUSA_OKUMOTO, 10.0, 2)
+    end, tracked = verdict["series"][0]
     assert end == 5.0
-    assert fit == fit_srgm(events, SrgmModel.MUSA_OKUMOTO, horizon=5.0)
+    fit = fit_srgm(events, SrgmModel.MUSA_OKUMOTO, horizon=5.0)
     assert fit["params"]["lambda0"] * fit["params"]["theta"] * end == pytest.approx(6.61, rel=1e-3)
+    assert tracked == fit_mean(fit, 10.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -675,6 +685,10 @@ def test_extreme_scales_give_a_finite_fit_or_an_error(model, seed, n, exponent, 
     horizon = None if horizon_factor is None else events[-1] * horizon_factor
     if horizon is not None and math.isinf(horizon):
         return
+    # Window fits without their log-likelihood raise where cold fits do.
+    end = horizon if horizon is not None else events[-1]
+    if sum(t <= end / 2 for t in events) >= 2:
+        assert_windows_are_cold_fits(model, events, end, 2)
     try:
         fit = fit_srgm(events, model, horizon=horizon)
     except OrcasError:
@@ -698,3 +712,7 @@ def test_extreme_scale_histories(model):
     assert all(math.isfinite(v) for v in tiny["params"].values())
     with pytest.raises(OrcasError, match="floating-point range"):
         fit_srgm([t * 1e300 for t in base], model, horizon=1e300)
+    # The window fits, which skip the log-likelihood but the last's, fit and
+    # fail as cold fits do: finite parameters give a finite log-likelihood.
+    for scale in (1e-300, 1e300):
+        assert_windows_are_cold_fits(model, [t * scale for t in base], scale, 4)

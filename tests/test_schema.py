@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import ast
 import math
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orcas
 from orcas.domain import DefectClass, FailureMode
 from orcas.evidence import ACTIVITIES
-from orcas.schema import Enum, EnumSet, Float, Number, Rule, String
+from orcas.schema import DISTINCT, Enum, EnumSet, Float, Number, Rule, String
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -96,6 +98,40 @@ def test_a_column_the_column_face_reads_passes_the_value_check(name, data):
 def test_the_column_face_reads_a_clean_column(name, values):
     # The contract above is not vacuous: each of these kinds reads a clean column at once.
     assert column_of(KINDS[name][0], values) is not None
+
+
+# Ids with near-duplicates: a case, a trailing space or a combining accent
+# apart. "é" in NFC and in NFD are different strings, so distinct ids.
+NEAR_IDS = ["D-1", "d-1", "D-1 ", "D-10", "\u00e9", "e\u0301", "\U0001F600"]
+ID_LISTS = st.lists(st.text(max_size=3) | st.sampled_from(NEAR_IDS), max_size=12)
+
+
+@CONTRACT
+@given(ids=ID_LISTS, seed=st.integers(0, 2**32 - 1))
+@example(ids=["caf\u00e9", "cafe\u0301"], seed=0)
+@example(ids=["caf\u00e9", "cafe\u0301", "caf\u00e9"], seed=0)
+def test_the_distinct_face_agrees_with_a_set(ids, seed):
+    shuffled = ids[:]
+    random.Random(seed).shuffle(shuffled)
+    for column in (ids, sorted(ids), shuffled):
+        read = DISTINCT.column(column)
+        assert (read is not None) == (len(set(column)) == len(column)), column
+        assert read is None or read is column
+
+
+@pytest.mark.parametrize("order", ["file", "shuffled"])
+def test_the_distinct_face_holds_less_than_a_set_of_the_ids(order):
+    # 24,000 ids, as in the benchmark's defect files: a set of them peaks at 2.5 MiB.
+    ids = [f"D-{i + 1:06d}" for i in range(24_000)]
+    if order == "shuffled":
+        random.Random(1).shuffle(ids)
+    tracemalloc.start()
+    try:
+        assert DISTINCT.column(ids) is ids
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 def test_no_module_imports_a_private_name_of_another():
