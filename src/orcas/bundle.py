@@ -207,6 +207,8 @@ def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None,
     path = Path(path)
     row, fields, _, _ = _ARRAYS[kind]
     keep = row._fields if keep is None else keep
+    if not keep:
+        raise OrcasError(f"{kind}: keep names no column; a record count needs one")
     columns = read_records(path, fields, keep, digests)
     if columns is None:
         # A fault, or a doubt: the whole text names the first fault, or reads the columns.
@@ -224,8 +226,8 @@ def load_defects_file(path: Path | str, *, digests: dict[str, str] | None = None
     """Defect records from a defects.json file. ``digests``, if given,
     receives the SHA-256 of the file under its name (as do the other
     file loaders). Every field of every record is checked; ``keep``, if
-    given, names the columns kept (as for load_corpus_file and
-    load_rtm_file), and the rows read any other as None."""
+    given, names the columns kept, one at least (as for load_corpus_file
+    and load_rtm_file), and the rows read any other as None."""
     return _load_records("defects.json", path, digests, keep)
 
 
@@ -425,22 +427,25 @@ def load_bundle(
     # a test fails is the first offending record looked for.
     efforts = defects.columns["detection_effort"]
     if efforts and ((growth and min(efforts) <= 0.0) or max(efforts) > effort_total):
+        at = next(i for i, d in enumerate(efforts) if (growth and d <= 0.0) or d > effort_total)
+        detection = efforts[at]
         # No stage reads the ids, so only a fault reads them again, to name its record.
-        ids = load_defects_file(paths["defects.json"], keep=("id",)).columns["id"]
-        for id, detection in zip(ids, efforts):
-            if growth and detection <= 0.0:
-                raise fail(
-                    "defects.json", f"record {quote(id, ID_LIMIT)}: detection_effort",
-                    f"must be positive for rate_method 'srgm' (the growth model fits detection "
-                    f"efforts), got {detection!r}; record it or use rate_method 'bounded'",
-                )
-            if detection > effort_total:
-                raise fail(
-                    "defects.json", f"record {quote(id, ID_LIMIT)}",
-                    f"detection_effort {detection!r} exceeds total testing effort "
-                    f"{effort_total!r}; detection efforts must be recorded in the effort model's "
-                    f"unit ({unit})",
-                )
+        again: dict[str, str] = {}
+        ids = load_defects_file(paths["defects.json"], digests=again, keep=("id",)).columns["id"]
+        if again["defects.json"] != digests["defects.json"]:
+            raise fail("defects.json", "top level", "the file changed while the bundle was read")
+        if growth and detection <= 0.0:
+            raise fail(
+                "defects.json", f"record {quote(ids[at], ID_LIMIT)}: detection_effort",
+                f"must be positive for rate_method 'srgm' (the growth model fits detection "
+                f"efforts), got {detection!r}; record it or use rate_method 'bounded'",
+            )
+        raise fail(
+            "defects.json", f"record {quote(ids[at], ID_LIMIT)}",
+            f"detection_effort {detection!r} exceeds total testing effort "
+            f"{effort_total!r}; detection efforts must be recorded in the effort model's "
+            f"unit ({unit})",
+        )
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:

@@ -17,7 +17,7 @@ from orcas.bundle import (
 )
 from orcas.causality import builtin_causality
 from orcas.domain import DefectClass, FailureMode, ModeFamily, total_effort
-from orcas.errors import BundleError
+from orcas.errors import BundleError, OrcasError
 from orcas.growth import RateMethod
 from orcas.quantify import SystemKind
 from orcas.report import run_assessment
@@ -136,6 +136,30 @@ def test_detection_effort_fault_names_the_first_bad_record_in_file_order(tmp_pat
     with pytest.raises(BundleError) as raised:
         load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
     assert str(raised.value) == line
+
+
+def test_a_defect_file_changed_before_the_ids_are_read_again_is_a_fault(tmp_path, monkeypatch):
+    # The fault's record is found in the efforts of the first read; a second read that differs,
+    # here one without the bad record, cannot name it.
+    good = {"id": "D-1", "description": "x", "class": "checking", "detection_effort": 5.0}
+    bad = {"id": "D-2", "description": "y", "class": "checking", "detection_effort": 101.0}
+    directory = write_bundle(tmp_path / "b", defects=[good, bad])
+    load = bundle_module.load_defects_file
+
+    def load_after_a_change(path, **kwargs):
+        if kwargs.get("keep") == ("id",):
+            write_bundle(directory, defects=[good])
+        return load(path, **kwargs)
+
+    monkeypatch.setattr(bundle_module, "load_defects_file", load_after_a_change)
+    with pytest.raises(BundleError) as raised:
+        load_bundle(directory)
+    assert str(raised.value) == "defects.json: top level: the file changed while the bundle was read"
+
+
+def test_a_record_file_read_keeping_no_column_is_refused(vcu_bundle_dir):
+    with pytest.raises(OrcasError, match="^defects.json: keep names no column; a record count needs one$"):
+        load_defects_file(vcu_bundle_dir / "defects.json", keep=())
 
 
 def test_unknown_config_key_rejected(tmp_path):

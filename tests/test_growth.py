@@ -515,23 +515,34 @@ short_histories = st.tuples(
                     10.0 ** spec[3]))
 
 
+def window_ends(horizon, windows):
+    return [horizon * k / windows for k in range(1, windows)] + [horizon]
+
+
 def assert_windows_are_cold_fits(model, events, horizon, windows):
     # Each window's figure is that of the cold fit of its own prefix, bit for
-    # bit, and the fit returned is the last (full-horizon) cold fit. Where a
-    # cold fit raises, the first such fault is the windows' fault: the window
-    # fits that skip their log-likelihood lose none.
-    ends = [horizon * k / windows for k in range(1, windows)] + [horizon]
+    # bit, and the fit returned is the last (full-horizon) cold fit.
+    ends = window_ends(horizon, windows)
+    fits = [fit_srgm([t for t in events if t <= end], model, horizon=end) for end in ends]
+    verdict, fit = windowed_srgm_stability(events, model, horizon, windows)
+    assert verdict["series"] == [[end, MODELS[model].tracked(cold, horizon)] for end, cold in zip(ends, fits)]
+    assert fit == fits[-1]
+    assert math.isfinite(fit["log_likelihood"])
+
+
+def assert_windows_fit_or_fail_as_cold_fits(model, events, horizon, windows):
+    # Where the cold fit of a window's prefix raises, the windows raise the
+    # first such fault: the window fits that skip their log-likelihood lose
+    # none. Otherwise the windows are the cold fits.
     try:
-        fits = [fit_srgm([t for t in events if t <= end], model, horizon=end) for end in ends]
+        for end in window_ends(horizon, windows):
+            fit_srgm([t for t in events if t <= end], model, horizon=end)
     except OrcasError as exc:
         with pytest.raises(OrcasError) as raised:
             windowed_srgm_stability(events, model, horizon, windows)
         assert str(raised.value) == str(exc)
         return
-    verdict, fit = windowed_srgm_stability(events, model, horizon, windows)
-    assert verdict["series"] == [[end, MODELS[model].tracked(cold, horizon)] for end, cold in zip(ends, fits)]
-    assert fit == fits[-1]
-    assert math.isfinite(fit["log_likelihood"])
+    assert_windows_are_cold_fits(model, events, horizon, windows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -688,7 +699,7 @@ def test_extreme_scales_give_a_finite_fit_or_an_error(model, seed, n, exponent, 
     # Window fits without their log-likelihood raise where cold fits do.
     end = horizon if horizon is not None else events[-1]
     if sum(t <= end / 2 for t in events) >= 2:
-        assert_windows_are_cold_fits(model, events, end, 2)
+        assert_windows_fit_or_fail_as_cold_fits(model, events, end, 2)
     try:
         fit = fit_srgm(events, model, horizon=horizon)
     except OrcasError:
@@ -714,5 +725,7 @@ def test_extreme_scale_histories(model):
         fit_srgm([t * 1e300 for t in base], model, horizon=1e300)
     # The window fits, which skip the log-likelihood but the last's, fit and
     # fail as cold fits do: finite parameters give a finite log-likelihood.
-    for scale in (1e-300, 1e300):
-        assert_windows_are_cold_fits(model, [t * scale for t in base], scale, 4)
+    assert_windows_are_cold_fits(model, [t * 1e-300 for t in base], 1e-300, 4)
+    with pytest.raises(OrcasError, match="floating-point range"):
+        windowed_srgm_stability([t * 1e300 for t in base], model, 1e300, 4)
+    assert_windows_fit_or_fail_as_cold_fits(model, [t * 1e300 for t in base], 1e300, 4)
