@@ -382,7 +382,7 @@ def resolve_matrix_source(source: str, directory: Path, *,
         corpus_path = Path(source[len(CORPUS_SOURCE_PREFIX):])
         if not corpus_path.is_absolute():
             corpus_path = directory / corpus_path
-        corpus = load_corpus_file(corpus_path, digests=digests, keep=("id", "defect_class", "observed_modes"))
+        corpus = load_corpus_file(corpus_path, digests=digests, keep=("defect_class", "observed_modes"))
         return causality_mod.estimate_causality(corpus, provenance=f"corpus:{corpus_path.name}")
     matrix_path = Path(source)
     if not matrix_path.is_absolute():

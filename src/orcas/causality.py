@@ -75,14 +75,9 @@ def estimate_causality(corpus: Records, provenance: str | None = None) -> Causal
     Each record contributes one count to every (class, mode) cell named by
     its observed modes; rows are then normalized per class, so multi-label
     records spread their row mass across all modes they caused. Classes
-    with no records get no row.
+    with no records get no row. The corpus loader refuses an empty corpus and unlabeled records.
     """
-    if not corpus:
-        raise OrcasError("no corpus records")
     labels = Counter(zip(corpus.columns["defect_class"], corpus.columns["observed_modes"]))
-    if not all([modes for _, modes in labels]):
-        unlabeled = next(id for id, modes in zip(corpus.columns["id"], corpus.columns["observed_modes"]) if not modes)
-        raise OrcasError(f"corpus record '{unlabeled}' has no observed failure modes")
     counts: dict[DefectClass, list[int]] = {}
     for (cls, modes), number in labels.items():
         row = counts.setdefault(cls, [0, 0, 0, 0])

@@ -98,9 +98,7 @@ def _score(entries: Records) -> float:
 
 
 def score_rtm(entries: Records) -> float:
-    """Mean entry score over all requirements."""
-    if not entries:
-        raise OrcasError("cannot score an empty requirements traceability matrix")
+    """Mean entry score over all requirements (the RTM loader refuses an empty matrix)."""
     return _score(entries) / len(entries)
 
 
@@ -130,8 +128,7 @@ def validate_tca_entries(entries: Records) -> None:
 
 
 def score_tca(entries: Records) -> float:
-    """Sum of slot scores over the 15-slot template."""
-    validate_tca_entries(entries)
+    """Sum of slot scores over the 15-slot template; :func:`validate_tca_entries` checks the slots at load."""
     return _score(entries) / len(required_tca_template())
 
 
@@ -154,17 +151,8 @@ def assessment_confidence(
     Confidence is the weighted mean of the RTM and TCA scores (equal
     weights by default). Structural coverage is reported alongside but
     deliberately not folded into the number; :func:`gate_decision` decides the gate.
+    Its inputs are a loaded bundle's: the loader checks coverage, threshold and weights.
     """
-    for name, value in (
-        ("rtm_score", rtm_score),
-        ("tca_score", tca_score),
-        ("structural_coverage", structural_coverage),
-        ("threshold", threshold),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise OrcasError(f"{name} must be in [0, 1], got {value!r}")
-    if rtm_weight < 0 or tca_weight < 0 or rtm_weight + tca_weight <= 0:
-        raise OrcasError("confidence weights must be nonnegative and not both zero")
     # One power of two scales both weights below 1, so that no sum or product
     # overflows; being exact, it leaves every result at ordinary weights unchanged.
     exponent = math.frexp(max(rtm_weight, tca_weight))[1]

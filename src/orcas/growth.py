@@ -68,11 +68,9 @@ def bounded_class_rates(defects: Records, effort: EffortModel) -> dict:
     report's ``rates`` section.
 
     Classes with no detected defects get rate 0: more testing effort can
-    only lower these rates, never raise them.
+    only lower these rates, never raise them. The effort loader makes the total positive.
     """
     effort_total = total_effort(effort)
-    if effort_total <= 0:
-        raise OrcasError(f"total testing effort must be positive, got {effort_total!r}")
     counts = count_by_class(defects)
     return _rates({cls: count / effort_total for cls, count in counts.items()}, effort.rate_unit,
                   RateMethod.BOUNDED)
@@ -494,15 +492,9 @@ def stability(
 
 
 def srgm_class_rates(per_class_fits: Mapping[DefectClass, dict], unit: RateUnit) -> dict:
-    """The report's ``rates`` section from fits over the assessment horizon:
-    each fit's ``current_intensity`` m'(horizon), the residual
+    """The report's ``rates`` section from the converged fits of :func:`growth_class` over the
+    assessment horizon: each fit's ``current_intensity`` m'(horizon), the residual
     defect-manifestation rate there. Classes without a fit get rate 0."""
-    for cls, fit in per_class_fits.items():
-        if not fit["converged"]:
-            raise OrcasError(
-                f"growth fit for class '{cls}' did not converge; "
-                f"use bounded estimation for this dataset"
-            )
     return _rates({cls: fit["current_intensity"] for cls, fit in per_class_fits.items()}, unit, RateMethod.SRGM)
 
 

@@ -70,15 +70,12 @@ def combine(
     Returns the report's ``modes`` section, keyed by class and mode names:
     ``per_cell`` has a row for every class with a nonzero rate, excluded
     modes are exact zeros, and its margins are those of :func:`mode_sums`.
-    A negative or non-finite rate raises. Every class with a nonzero rate
-    must have a matrix row; a missing row raises rather than silently
-    dropping that class's contribution.
+    The rate stages make each rate finite and nonnegative. Every class with a nonzero
+    rate must have a matrix row; a missing one raises rather than dropping its contribution.
     """
     excluded = frozenset(excluded)
     per_cell: dict[str, dict[str, float]] = {}
     for name, rate in sorted(rates["per_class"].items()):
-        if not 0.0 <= rate < math.inf:
-            raise OrcasError(f"rate for {name} must be finite and >= 0, got {rate!r}")
         if rate == 0.0:
             continue
         row = matrix.row(name)

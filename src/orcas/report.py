@@ -534,17 +534,19 @@ def svg_report(report: dict) -> str:
     """Cumulative detections vs fitted mean curves of a report dict, one
     panel per class.
 
-    Reports produced with bounded estimation have no fitted curves; the
-    output is then a single panel stating that nothing can be plotted.
+    Reports produced with bounded estimation, or with no defects, have no fitted
+    curves; the output is then a single panel stating that nothing can be plotted, and why.
     """
     growth = report["growth"]
     if growth is None or not growth["per_class"]:
+        why = ("rates were estimated with the bounded method" if growth is None
+               else "no class has detection events to fit")
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="80">\n'
             f'  <text x="16" y="32" font-family="monospace" font-size="13">'
             f"no growth-model fits in this report; nothing to plot</text>\n"
             f'  <text x="16" y="52" font-family="monospace" font-size="13">'
-            f"(rates were estimated with the bounded method)</text>\n"
+            f"({why})</text>\n"
             f"</svg>\n"
         )
 

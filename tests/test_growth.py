@@ -9,6 +9,7 @@ from orcas.bundle import records_from_json
 from orcas.domain import DefectClass, EffortKind, EffortModel, RateUnit
 from orcas.errors import OrcasError
 from orcas.growth import (
+    DEFAULT_STABILITY_THRESHOLD,
     SrgmModel,
     bounded_class_rates,
     fit_mean,
@@ -16,6 +17,7 @@ from orcas.growth import (
     go_intensity,
     go_log_likelihood,
     go_mean,
+    growth_class,
     mo_intensity,
     mo_log_likelihood,
     mo_mean,
@@ -359,11 +361,17 @@ def test_mo_intensity_at_time_zero_is_initial():
     assert mo_intensity(0.0, 1.0, 0.1) == 1.0
 
 
-def test_srgm_class_rates_rejects_unconverged_fit():
-    fit = fit_srgm([float(i) for i in range(1, 30)], SrgmModel.GOEL_OKUMOTO, horizon=29.0)
+def test_growth_class_raises_the_no_growth_diagnostic():
+    # growth_class, which gives srgm_class_rates its fits, raises the fit's own diagnostic.
+    events = [float(i) for i in range(1, 30)]
+    fit = fit_srgm(events, SrgmModel.GOEL_OKUMOTO, horizon=29.0)
     assert not fit["converged"]
-    with pytest.raises(OrcasError, match="bounded"):
-        srgm_class_rates({DefectClass.CHECKING: fit}, RateUnit.PER_HOUR)
+    with pytest.raises(OrcasError) as err:
+        growth_class(events, SrgmModel.GOEL_OKUMOTO, 29.0, 2, DEFAULT_STABILITY_THRESHOLD)
+    assert str(err.value) == fit["diagnostic"]
+    assert str(err.value).startswith("no reliability growth in the event history: mean detection effort 15 "
+                                     "is not below half the horizon 14.5")
+    assert str(err.value).endswith("use bounded estimation")
 
 
 # ---------------------------------------------------------------------------

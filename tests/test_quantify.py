@@ -119,12 +119,6 @@ def test_combine_ignores_zero_rate_classes_without_rows():
     assert result["total"] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_class_rates_validation():
-    for rate in (-1.0, math.inf, math.nan):
-        with pytest.raises(OrcasError, match="rate for timing must be finite and >= 0"):
-            combine(builtin_causality(), rates_of({DefectClass.ALGORITHM: 0.5, DefectClass.TIMING: rate}))
-
-
 def test_excluded_modes_are_zeroed_not_redistributed():
     result = combine(builtin_causality(), VCU_RATES, excluded={FailureMode.B})
     unexcluded = combine(builtin_causality(), VCU_RATES)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -115,6 +116,24 @@ def test_svg_without_fits_has_note(vcu_report):
     assert svg.startswith("<svg")
     assert "no growth-model fits" in svg
     assert "polyline" not in svg
+
+
+def test_svg_without_fits_says_why(vcu_report, vcu_bundle_dir, tmp_path):
+    # A bounded report names its method; a growth report of a bundle with no
+    # defects has no class to fit, and says so instead.
+    note = '  <text x="16" y="52" font-family="monospace" font-size="13">({})</text>\n'
+    bounded = emit_report(vcu_report, "svg").decode("utf-8")
+    assert note.format("rates were estimated with the bounded method") in bounded
+    directory = shutil.copytree(vcu_bundle_dir, tmp_path / "vcu")
+    (directory / "defects.json").write_text("[]", encoding="utf-8")
+    config = json.loads((directory / "config.json").read_text(encoding="utf-8"))
+    (directory / "config.json").write_text(json.dumps({**config, "rate_method": "srgm"}), encoding="utf-8")
+    report = run_assessment(load_bundle(directory))
+    assert report["rates"]["method"] == "srgm" and report["growth"]["per_class"] == {}
+    svg = emit_report(report, "svg").decode("utf-8")
+    assert svg == bounded.replace(note.format("rates were estimated with the bounded method"),
+                                  note.format("no class has detection events to fit"))
+    assert emit_report(report_from_json(emit_report(report, "json")), "svg").decode("utf-8") == svg
 
 
 def test_emit_rejects_unknown_format(vcu_report):
