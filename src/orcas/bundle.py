@@ -68,14 +68,15 @@ class AssessmentBundle(NamedTuple):
     """A fully validated dataset plus effective assessment options.
 
     Of the record arrays it keeps the columns the stages read: of the
-    defects ``defect_class``, ``detection_effort`` and ``observed_modes``,
-    of the RTM ``req_id`` and ``status``, and every TCA column. A defect's
-    ``id``, ``description`` and ``resolution`` and a requirement's
-    ``description`` are checked, not kept: their rows read them as None.
+    defects ``defect_class``, and ``detection_effort`` where the growth
+    model reads it (``rate_method`` ``srgm``), of the RTM ``req_id`` and
+    ``status``, and every TCA column. Every other field is checked, not
+    kept: the rows read it as None. A bounded bundle's efforts are checked
+    against the total effort and then dropped, before a corpus is read.
     Only a detection-effort fault names a defect after the read, and reads
-    the ids again to do so. :func:`load_bundle` passes these columns to
-    the file readers (:func:`load_defects_file` and the rest) as ``keep``;
-    without it they keep every field."""
+    the ids again to do so. :func:`load_bundle` passes these columns (with
+    the efforts) to the file readers (:func:`load_defects_file` and the
+    rest) as ``keep``; without it they keep every field."""
 
     defects: Records
     effort: EffortModel
@@ -411,8 +412,7 @@ def load_bundle(
     digests: dict[str, str] = {}
 
     # Each record's every field is checked, but the bundle keeps only the columns the stages read.
-    defects = load_defects_file(paths["defects.json"], digests=digests,
-                                keep=("defect_class", "detection_effort", "observed_modes"))
+    defects = load_defects_file(paths["defects.json"], digests=digests, keep=("defect_class", "detection_effort"))
     effort = load_effort_file(paths["effort.json"], digests=digests)
     rtm = load_rtm_file(paths["rtm.json"], digests=digests, keep=("req_id", "status"))
     tca = load_tca_file(paths["tca.json"], digests=digests)
@@ -446,6 +446,9 @@ def load_bundle(
             f"{effort_total!r}; detection efforts must be recorded in the effort model's "
             f"unit ({unit})",
         )
+    if not growth:
+        # Only the check above reads a bounded bundle's efforts: they die before the corpus is read.
+        del defects.columns["detection_effort"], efforts
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:

@@ -19,6 +19,7 @@ import argparse
 import gc
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from ._version import __version__
@@ -28,8 +29,7 @@ from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
 from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_srgm, mean_curve, windowed_srgm_stability
-from .report import (INVALID_REPORT, REPORT_FORMATS, canonical_json_bytes, emit_report, report_from_json,
-                     run_assessment)
+from .report import INVALID_REPORT, REPORT_FORMATS, emit_report, report_from_json, run_assessment, write_json
 from .schema import read_text
 
 _MODEL_NAMES = {"go": SrgmModel.GOEL_OKUMOTO, "mo": SrgmModel.MUSA_OKUMOTO, **{model: model for model in SrgmModel}}
@@ -58,12 +58,15 @@ def _parse_modes(values: list[str]) -> frozenset[FailureMode]:
     return frozenset(modes)
 
 
-def _write_output(data: bytes, output: str | None) -> None:
+def _write_output(output: str | None, emit) -> None:
+    """Call ``emit`` with the write function of the command's output: stdout's
+    for None or "-", else that of the file ``output``, which it creates."""
     if output is None or output == "-":
-        sys.stdout.buffer.write(data)
+        emit(sys.stdout.buffer.write)
         sys.stdout.buffer.flush()
     else:
-        Path(output).write_bytes(data)
+        with open(output, "wb") as handle:
+            emit(handle.write)
 
 
 def build_parser() -> _Parser:
@@ -152,14 +155,14 @@ def _cmd_assess(args) -> int:
         uniform_missing_rows=args.uniform_missing_rows,
     )
     report = run_assessment(bundle)
-    _write_output(emit_report(report, args.format), args.output)
+    _write_output(args.output, partial(emit_report, report, args.format))
     return 0 if report["evidence"]["gate"] == GateDecision.PROCEED else 2
 
 
 def _cmd_causality_build(args) -> int:
     corpus = load_corpus_file(args.corpus)
     matrix = estimate_causality(corpus, provenance=f"corpus:{Path(args.corpus).name}")
-    _write_output(canonical_json_bytes(matrix.to_dict()), args.output)
+    _write_output(args.output, partial(write_json, matrix.to_dict()))
     return 0
 
 
@@ -177,7 +180,7 @@ def _cmd_srgm_fit(args) -> int:
         out["fit"] = fit = fit_srgm(events, model, horizon=horizon)
     if args.curve_samples > 0:
         out["curve"] = mean_curve(fit, effective_horizon, args.curve_samples)
-    _write_output(canonical_json_bytes(out), args.output)
+    _write_output(args.output, partial(write_json, out))
     if not fit["converged"]:
         print(f"warning: fit did not converge: {fit['diagnostic']}", file=sys.stderr)
     return 0
@@ -185,13 +188,13 @@ def _cmd_srgm_fit(args) -> int:
 
 def _cmd_report(args) -> int:
     report = report_from_json(read_text(Path(args.assessment), INVALID_REPORT))
-    _write_output(emit_report(report, args.format), args.output)
+    _write_output(args.output, partial(emit_report, report, args.format))
     return 0
 
 
 def _cmd_convert_defects(args) -> int:
     records = defects_from_csv(args.csv)
-    _write_output(canonical_json_bytes([r.to_dict() for r in records]), args.output)
+    _write_output(args.output, partial(write_json, [r.to_dict() for r in records]))
     return 0
 
 

@@ -226,28 +226,64 @@ def _difference(where: str, derived, saved) -> tuple[str, str] | None:
 
 def canonical_json_bytes(data) -> bytes:
     """Canonical JSON: the UTF-8 bytes of ``json.dumps(data, sort_keys=True,
-    indent=2, ensure_ascii=False)`` plus a newline.
-
-    ``json.dumps`` writes an indented document one item at a time in
-    Python; here a list of finite floats, such as a growth fit's events, is
-    written with one join, and the standard library writes every other leaf.
-    """
-    out: list[str] = []
+    indent=2, ensure_ascii=False)`` plus a newline, as :func:`write_json`
+    writes them."""
+    blocks: list[bytes] = []
     try:
-        _write_json(data, "\n", out)
+        write_json(data, blocks.append)
     except (TypeError, RecursionError):
         # An object or key JSON has no encoding for, keys that do not sort,
         # or a container that holds itself: json.dumps raises its own error.
-        out = [json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)]
+        return (json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return b"".join(blocks)
+
+
+# The characters of text gathered before they are written, and the floats of a list written at once.
+_BLOCK = 64 * 1024
+_FLOAT_SLICE = 1024
+
+
+class _Blocks:
+    """Pieces of text, passed to ``write`` as UTF-8 blocks of about _BLOCK characters."""
+
+    __slots__ = ("write", "pieces", "size")
+
+    def __init__(self, write) -> None:
+        self.write, self.pieces, self.size = write, [], 0
+
+    def append(self, piece: str) -> None:
+        self.pieces.append(piece)
+        self.size += len(piece)
+        if self.size >= _BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        self.write("".join(self.pieces).encode("utf-8"))
+        self.pieces, self.size = [], 0
+
+
+def write_json(data, write) -> None:
+    """Pass the canonical JSON of ``data`` (:func:`canonical_json_bytes`) to
+    ``write``, a function of bytes, in UTF-8 blocks of about 64 KiB, so that
+    the whole text is never held.
+
+    ``json.dumps`` writes an indented document one item at a time in
+    Python; here a list of finite floats, such as a growth fit's events, is
+    written a slice at a time with one join each, and the standard library
+    writes every other leaf. A value JSON cannot encode raises TypeError or
+    RecursionError, after the blocks before it are written.
+    """
+    out = _Blocks(write)
+    _write_json(data, "\n", out)
     out.append("\n")
-    return "".join(out).encode("utf-8")
+    out.flush()
 
 
 # json.dumps's string encoder under ensure_ascii=False.
 _encode_str = json.encoder.encode_basestring
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
+def _write_json(value, newline: str, out: _Blocks) -> None:
     """Append the canonical JSON of ``value`` to ``out``. ``newline`` is a
     line break and the indent of the line the value starts on."""
     if isinstance(value, str):
@@ -255,7 +291,11 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]")
+            separator, head = "," + inner, "[" + inner
+            for start in range(0, len(value), _FLOAT_SLICE):
+                out.append(head + separator.join(map(float.__repr__, value[start:start + _FLOAT_SLICE])))
+                head = separator
+            out.append(newline + "]")
             return
         separator = "[" + inner
         for item in value:
@@ -398,11 +438,19 @@ _RENDERERS = {
 REPORT_FORMATS = tuple(_RENDERERS)
 
 
-def emit_report(report: dict, format: str = "json") -> bytes:
-    """Serialize a report dict (:func:`run_assessment`, :func:`report_from_json`) in one of REPORT_FORMATS."""
+def emit_report(report: dict, format: str = "json", write=None) -> bytes | None:
+    """Serialize a report dict (:func:`run_assessment`, :func:`report_from_json`) in one of REPORT_FORMATS:
+    its bytes, or with ``write``, a function of bytes, None once they are passed to it (JSON by
+    :func:`write_json`, a block at a time)."""
     if format not in REPORT_FORMATS:
         raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
-    return _RENDERERS[format](report)
+    if write is None:
+        return _RENDERERS[format](report)
+    if format == "json":
+        write_json(report, write)
+    else:
+        write(_RENDERERS[format](report))
+    return None
 
 
 # Names a saved report in its error messages, which carry no file name.

@@ -19,7 +19,7 @@ import math
 import re
 import sys
 from itertools import islice, repeat
-from operator import itemgetter, ne
+from operator import itemgetter, lt, ne
 from pathlib import Path
 from types import NoneType
 from typing import Any
@@ -449,21 +449,22 @@ def parse_records(row: type, fields: tuple, objects: list, file: str, label: str
 
 # A record file is read a block at a time and parsed a piece at a time: the
 # records from one record boundary to the last boundary in the text read so
-# far. A record boundary is a "{" that follows an LF and any spaces or tabs.
-# Strict JSON strings hold no raw LF, so such a "{" is outside every string,
-# and in a record file every object outside a string is a record (a nested one
-# is a fault). CR and LF are JSON whitespace, so a piece parses to the values
-# it would as part of the text decode() returns. A file read so is never held
-# whole, as text or as parsed objects, unless no line of it opens a record (a
-# minified file, or one with lone-CR line ends): its one piece is then the
-# whole array.
+# far. A record boundary is a "}", a "," and a "{" with only JSON whitespace
+# between them. Such a cut may fall in a string, or inside a record, but then
+# its piece does not parse; a piece that parses ends with a "}" that closes a
+# record, so the next piece starts outside every string, and in a record file
+# every object outside a string is a record (a nested one is a fault). A
+# piece parses to the values it would as part of the text decode() returns,
+# whatever its layout and line ends, so a file read so is never held whole, as
+# text or as parsed objects. A piece that does not parse is a doubt.
 
 _BLOCK = 64 * 1024
-_SPACE = " \t\n\r"  # JSON whitespace
 # What comes before the first record: whitespace, and "[" and whitespace unless the file is not an array.
 _HEAD = re.compile(r"[ \t\n\r]*(\[[ \t\n\r]*)?")
-# Up to the last record boundary. (A literal after ".*" is searched for at C speed.)
-_LAST_BOUNDARY = re.compile(r".*\n[ \t]*(?=\{)", re.DOTALL)
+# Up to the last record boundary; group 1 ends its piece. (A literal after ".*" is searched for at C speed.)
+_LAST_BOUNDARY = re.compile(r".*(\})[ \t\n\r]*,[ \t\n\r]*(?=\{)", re.DOTALL)
+# Joins the ids of one piece.
+_SEPARATOR = "\0"
 
 
 def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
@@ -477,11 +478,13 @@ def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
     for any fault or doubt, the caller reads the whole text, which names the
     first fault."""
     hasher = hashlib.sha256()
-    # The columns read: those kept, and those of the keys no two records may share.
+    # The columns of the keys no two records may share: one kept is checked at the end of the file,
+    # one not kept as its pieces arrive, without holding it.
     slots = {key: slot for key, _, _, slot, _ in reversed(fields) if slot is not None}
     distinct = [slots[key] for key, _, kind, _, _ in fields if kind is DISTINCT]
-    columns: dict[str, list] = {slot: [] for slot in (*keep, *distinct)}
-    # Which ids are distinct is a property of the whole file, checked once at its end.
+    columns: dict[str, list] = {slot: [] for slot in keep}
+    streamed = {slot: _StreamedIds() for slot in distinct if slot not in columns}
+    # Which ids are distinct is a property of the whole file, not of a piece.
     fields = tuple(entry for entry in fields if entry[2] is not DISTINCT)
     # The text not yet parsed, from the "[" that opens its piece.
     pending, scan, opened = "", 0, False
@@ -498,30 +501,60 @@ def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
                     pending, opened = "[" + pending[head.end():], True
                 cut = _LAST_BOUNDARY.match(pending, scan)
                 if cut is None:
-                    # A boundary not yet read whole starts at the last line end, if any.
-                    line_end = pending.rfind("\n", scan)
-                    scan = line_end if line_end >= 0 else len(pending)
+                    # A boundary not yet read whole starts at the last "}", if any.
+                    brace = pending.rfind("}", scan)
+                    scan = brace if brace >= 0 else len(pending)
                     continue
-                comma = pending.rfind(",", 0, cut.end())
-                if comma < 0 or pending[comma + 1:cut.end()].strip(_SPACE):
-                    return None  # a piece without its trailing comma
-                if not _append(fields, _parse_piece(pending[:comma] + "]"), columns):
+                if not _append(fields, _parse_piece(pending[:cut.end(1)] + "]"), columns, streamed):
                     return None
                 pending, scan = "[" + pending[cut.end():], 0
     except (OSError, UnicodeDecodeError):
         return None
-    # The last piece, the whole array where no line opens a record: its text is dropped before its
-    # columns are read, and its records before the ids are checked, as a whole-text read drops them.
+    # The last piece: its text is dropped before its columns are read, and its records before the ids
+    # are checked, as a whole-text read drops them.
     objects = _parse_piece(pending)
     del pending
-    if not _append(fields, objects, columns):
+    if not _append(fields, objects, columns, streamed):
         return None
     del objects
-    if any(DISTINCT.column(columns[slot]) is None for slot in distinct):
+    if any(DISTINCT.column(columns[slot]) is None for slot in distinct if slot in columns):
+        return None
+    if not all(ids.distinct() for ids in streamed.values()):
         return None
     if digests is not None:
         digests[path.name] = "sha256:" + hasher.hexdigest()
-    return {slot: columns[slot] for slot in keep}
+    return columns
+
+
+class _StreamedIds:
+    """The ids of a column that is not kept, checked distinct a piece at a
+    time. Ids that strictly increase through the file are distinct by the
+    neighbour test of :class:`_Distinct`'s column face, so only the last is
+    needed; each piece's ids are also kept packed into one string, which only
+    a file whose ids break order unpacks, at its end, to sort them. An id that
+    holds the separator unpacks as its parts, which can add a repeat but never
+    hide one: a false repeat is a doubt, which the whole-text reader settles."""
+
+    __slots__ = ("last", "ordered", "packed")
+
+    def __init__(self) -> None:
+        self.last, self.ordered, self.packed = None, True, []
+
+    def add(self, ids: list[str]) -> None:
+        """Take the next piece's ids, a nonempty column of strings."""
+        self.packed.append(_SEPARATOR.join(ids))
+        if self.ordered:
+            self.ordered = (self.last is None or self.last < ids[0]) and all(map(lt, ids, islice(ids, 1, None)))
+            self.last = ids[-1]
+
+    def distinct(self) -> bool:
+        if self.ordered:
+            return True
+        # Each piece's string dies as its ids are unpacked.
+        ids: list[str] = []
+        while self.packed:
+            ids += self.packed.pop().split(_SEPARATOR)
+        return DISTINCT.column(ids) is not None
 
 
 def _texts(handle, hasher):
@@ -542,12 +575,15 @@ def _parse_piece(piece: str) -> Any:
     return None if _lone_surrogate(piece, objects) else objects
 
 
-def _append(fields: tuple, objects: Any, columns: dict[str, list]) -> bool:
+def _append(fields: tuple, objects: Any, columns: dict[str, list], streamed: dict[str, _StreamedIds]) -> bool:
     """Append to ``columns`` those of the records ``objects``, read by their
-    column faces; False where ``objects`` is None or empty, or a face refuses it."""
+    column faces, and pass ``streamed`` their ids; False where ``objects`` is
+    None or empty, or a face refuses it."""
     read = None if objects is None else by_column(fields, objects)
     if read is None:
         return False
     for slot, column in columns.items():
         column.extend(read[slot])
+    for slot, ids in streamed.items():
+        ids.add(read[slot])
     return True

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -54,19 +55,25 @@ def test_fixture_defect_classes(vcu_bundle_dir):
     assert classes.count(DefectClass.CHECKING) == 6
 
 
-def test_a_bundle_keeps_the_columns_its_stages_read(vcu_bundle_dir):
+def test_a_bundle_keeps_the_columns_its_stages_read(vcu_bundle_dir, tmp_path):
     # The file readers keep every field; a bundle's rows read the others as None. No stage reads
-    # a defect's id: only a detection-effort fault names one, reading the file again.
-    bundle = load_bundle(vcu_bundle_dir)
-    assert set(bundle.defects.columns) == {"defect_class", "detection_effort", "observed_modes"}
-    assert set(bundle.rtm.columns) == {"req_id", "status"}
+    # a defect's id or observed modes: only a detection-effort fault names a defect, reading the
+    # file again. Only the growth model reads the efforts, which a bounded bundle drops once checked.
+    growth = shutil.copytree(vcu_bundle_dir, tmp_path / "srgm")
+    config = json.loads((growth / "config.json").read_text(encoding="utf-8"))
+    (growth / "config.json").write_text(json.dumps({**config, "rate_method": "srgm"}), encoding="utf-8")
     defects = load_defects_file(vcu_bundle_dir / "defects.json")
     assert all(defects.columns["description"])
-    assert len(bundle.defects) == len(defects)
-    assert list(bundle.defects) == [row._replace(id=None, description=None, resolution=None) for row in defects]
-    assert bundle.defects[-1] == defects[-1]._replace(id=None, description=None, resolution=None)
     rtm = load_rtm_file(vcu_bundle_dir / "rtm.json")
-    assert list(bundle.rtm[2:4]) == [row._replace(description=None) for row in rtm[2:4]]
+    for directory, kept in ((vcu_bundle_dir, {"defect_class"}), (growth, {"defect_class", "detection_effort"})):
+        bundle = load_bundle(directory)
+        assert set(bundle.defects.columns) == kept
+        assert set(bundle.rtm.columns) == {"req_id", "status"}
+        assert len(bundle.defects) == len(defects)
+        dropped = dict.fromkeys(set(defects.row._fields) - kept)
+        assert list(bundle.defects) == [row._replace(**dropped) for row in defects]
+        assert bundle.defects[-1] == defects[-1]._replace(**dropped)
+        assert list(bundle.rtm[2:4]) == [row._replace(description=None) for row in rtm[2:4]]
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +440,11 @@ def test_clean_bundle_loads_without_the_per_record_parsers(tmp_path, monkeypatch
     config = {"structural_coverage": 1.0, "system_kind": "control", "matrix": "corpus:corpus.json"}
     bundle = load_bundle(write_bundle(tmp_path / "b", defects=defects, rtm=rtm, config=config,
                                       **{"corpus.json": corpus}))
-    assert [repr(r.detection_effort) for r in bundle.defects] == ["10.0", "-0.0", "0.0"]
-    assert bundle.defects[2].observed_modes == frozenset({FailureMode.A, FailureMode.C})
+    # A bounded bundle keeps neither efforts nor modes: the file reader returns them.
+    read = load_defects_file(tmp_path / "b" / "defects.json")
+    assert [repr(r.detection_effort) for r in read] == ["10.0", "-0.0", "0.0"]
+    assert read[2].observed_modes == frozenset({FailureMode.A, FailureMode.C})
+    assert [r.defect_class for r in bundle.defects] == [DefectClass.CHECKING, DefectClass.TIMING, DefectClass.TIMING]
     assert [entry.req_id for entry in bundle.rtm] == ["R-1", "R-2"]
     assert bundle.matrix.counts == {DefectClass.CHECKING: (2, 0, 2, 0), DefectClass.TIMING: (0, 0, 0, 1)}
     csv_path = tmp_path / "log.csv"

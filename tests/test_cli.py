@@ -13,9 +13,12 @@ import pytest
 
 from conftest import default_tca_entries, nhpp_exponential_events, srgm_bundle, write_bundle
 from orcas import cli
+from orcas.bundle import defects_from_csv, load_bundle, load_corpus_file, load_history_file
+from orcas.causality import estimate_causality
 from orcas.fixtures import vcu_dir
 from orcas.growth import SrgmModel, fit_mean, fit_srgm, stability
 from orcas.quantify import mode_sums
+from orcas.report import canonical_json_bytes, emit_report, run_assessment
 
 
 def run_cli(*args, **kwargs):
@@ -732,3 +735,44 @@ def test_package_exports_only_the_api_the_readme_documents():
     for name in orcas.__all__:
         assert name in namespace
         assert re.search(rf"\b{name}\b", readme), name
+
+
+def stdout_and_file(capsysbinary, tmp_path, *args):
+    """The exit code, the stdout bytes and the ``-o`` file bytes of one command run both ways."""
+    code = cli.main([*map(str, args)])
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main([*map(str, args), "-o", str(out)]) == code
+    assert capsysbinary.readouterr().out == b""
+    return code, stdout, out.read_bytes()
+
+
+def assess_bundles(workdir, tmp_path):
+    """The shipped fixture, the test bundles and every seed-1 benchmark bundle that assess accepts."""
+    yield vcu_dir()
+    yield srgm_bundle(tmp_path / "go")
+    yield srgm_bundle(tmp_path / "mo", "musa-okumoto")
+    yield write_bundle(tmp_path / "minimal", defects=[{"id": "D-1", "description": "é", "class": "timing"}])
+    yield from (workdir / name for name in ("vcu", "go", "mo-a", "mo-b", "corpus-bundle"))
+
+
+def test_assess_streams_the_bytes_emit_report_returns(workdir, tmp_path, capsysbinary):
+    # The report is written a block at a time, to stdout or to the -o file; the library's bytes are the same.
+    for directory in assess_bundles(workdir, tmp_path):
+        code, stdout, written = stdout_and_file(capsysbinary, tmp_path, "assess", directory)
+        assert code in (0, 2)
+        assert stdout == written == emit_report(run_assessment(load_bundle(directory)), "json"), directory
+
+
+def test_every_json_command_streams_its_canonical_bytes(workdir, tmp_path, capsysbinary):
+    # causality build, srgm fit and convert defects write through the report's JSON writer.
+    corpus = workdir / "corpus.json"
+    matrix = estimate_causality(load_corpus_file(corpus), provenance="corpus:corpus.json").to_dict()
+    events, horizon = load_history_file(workdir / "history.json")
+    fit = {"events": len(events), "horizon": horizon if horizon is not None else events[-1],
+           "fit": fit_srgm(events, SrgmModel.GOEL_OKUMOTO, horizon=horizon)}
+    records = [record.to_dict() for record in defects_from_csv(workdir / "log.csv")]
+    for args, data in ((("causality", "build", corpus), matrix), (("srgm", "fit", workdir / "history.json"), fit),
+                       (("convert", "defects", workdir / "log.csv"), records)):
+        assert stdout_and_file(capsysbinary, tmp_path, *args) == (0, canonical_json_bytes(data),
+                                                                  canonical_json_bytes(data)), args
