@@ -14,11 +14,13 @@ below by a table of field entries, whose field kinds are those of
   corpus.json    optional labeled corpus (_CORPUS_FIELDS): defect
                  records that each label an observed failure mode
 
-Every file is read, parsed and checked against its table by
+Every file is read once, parsed and checked against its table by
 :mod:`orcas.schema` (a record file a block at a time, keeping only the
 columns asked for), and the rules that join fields or files are checked
 here; the first violation raises :class:`BundleError` naming the file,
-the entry, and the reason. No partial loads. A class history that the
+the entry, and the reason. No partial loads. The rules that join each
+detection effort to effort.json and config.json are entries of the
+defects' table, so those two are read first. A class history that the
 growth model cannot fit (too few events for the stability windows, or no
 growth signal) is found by the fit itself, and a class of positive rate
 that the matrix has no row for after the rates, in
@@ -54,7 +56,7 @@ from .evidence import (ACTIVITIES, DEFAULT_CONFIDENCE_THRESHOLD, CoverageStatus,
                        validate_tca_entries)
 from .growth import DEFAULT_STABILITY_THRESHOLD, RateMethod, SrgmModel, validate_events
 from .quantify import SystemKind, mode_applicability
-from .schema import (DISTINCT, ID_LIMIT, REQUIRED, Array, Enum, EnumSet, Flag, Integer, Map, Number, Object, Rule,
+from .schema import (DISTINCT, REQUIRED, Array, Enum, EnumSet, Flag, Integer, Map, Number, Object, Rule,
                      String, by_record, fail, parse_json, parse_records, quote, read_records, read_text, table_keys)
 
 REQUIRED_FILES = ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json")
@@ -71,12 +73,9 @@ class AssessmentBundle(NamedTuple):
     defects ``defect_class``, and ``detection_effort`` where the growth
     model reads it (``rate_method`` ``srgm``), of the RTM ``req_id`` and
     ``status``, and every TCA column. Every other field is checked, not
-    kept: the rows read it as None. A bounded bundle's efforts are checked
-    against the total effort and then dropped, before a corpus is read.
-    Only a detection-effort fault names a defect after the read, and reads
-    the ids again to do so. :func:`load_bundle` passes these columns (with
-    the efforts) to the file readers (:func:`load_defects_file` and the
-    rest) as ``keep``; without it they keep every field."""
+    kept: the rows read it as None. :func:`load_bundle` passes these
+    columns to the file readers (:func:`load_defects_file` and the rest)
+    as ``keep``; without it they keep every field."""
 
     defects: Records
     effort: EffortModel
@@ -181,15 +180,15 @@ _ARRAYS = {
 }
 
 
-def records_from_json(kind: str, values: Any, file: str | None = None) -> Records:
+def records_from_json(kind: str, values: Any, file: str | None = None, *, rules: tuple = ()) -> Records:
     """The records of a parsed JSON array of ``kind`` (``defects.json``, ``corpus.json``,
-    ``rtm.json`` or ``tca.json``), checked as that file's loader checks them: the
+    ``rtm.json`` or ``tca.json``), checked as that file's loader checks them (with ``rules``): the
     first fault raises the loader's :class:`BundleError`, naming ``file`` (default ``kind``)."""
     row, fields, label, empty = _ARRAYS[kind]
     file = file or kind
     if not isinstance(values, list):
         raise fail(file, "top level", f"expected a JSON array, got {type(values).__name__}")
-    records = parse_records(row, fields, values, file, label)
+    records = parse_records(row, fields + rules, values, file, label)
     if empty and not records:
         raise fail(file, "top level", empty)
     return records
@@ -202,18 +201,18 @@ def _read_json(path: Path, digests: dict[str, str] | None = None) -> Any:
 
 
 def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None,
-                  keep: tuple[str, ...] | None) -> Records:
-    """The records of the file at ``path``, of the array ``kind``, with the
-    columns ``keep`` (every column of the row type if None)."""
+                  keep: tuple[str, ...] | None, rules: tuple = ()) -> Records:
+    """The records of the file at ``path``, of the array ``kind``, with the columns ``keep``
+    (every column of the row type if None), checked also by the table entries ``rules``."""
     path = Path(path)
     row, fields, _, _ = _ARRAYS[kind]
     keep = row._fields if keep is None else keep
     if not keep:
         raise OrcasError(f"{kind}: keep names no column; a record count needs one")
-    columns = read_records(path, fields, keep, digests)
+    columns = read_records(path, fields + rules, keep, digests)
     if columns is None:
         # A fault, or a doubt: the whole text names the first fault, or reads the columns.
-        columns = records_from_json(kind, _read_json(path, digests), path.name).columns
+        columns = records_from_json(kind, _read_json(path, digests), path.name, rules=rules).columns
     return Records(row, {name: columns[name] for name in keep})
 
 
@@ -223,13 +222,26 @@ def _load_records(kind: str, path: Path | str, digests: dict[str, str] | None,
 
 
 def load_defects_file(path: Path | str, *, digests: dict[str, str] | None = None,
-                      keep: tuple[str, ...] | None = None) -> Records:
+                      keep: tuple[str, ...] | None = None,
+                      campaign: tuple[EffortModel, RateMethod] | None = None) -> Records:
     """Defect records from a defects.json file. ``digests``, if given,
     receives the SHA-256 of the file under its name (as do the other
     file loaders). Every field of every record is checked; ``keep``, if
     given, names the columns kept, one at least (as for load_corpus_file
-    and load_rtm_file), and the rows read any other as None."""
-    return _load_records("defects.json", path, digests, keep)
+    and load_rtm_file), and the rows read any other as None. With
+    ``campaign``, a bundle's effort model and rate method, each detection
+    effort is also at most the total effort, and above 0 under ``srgm``."""
+    rules: tuple = ()
+    if campaign is not None:
+        effort, rate_method = campaign
+        total = total_effort(effort)
+        rules = (Rule(total.__ge__, f"detection_effort {{}} exceeds total testing effort {total!r}; detection "
+                                    f"efforts must be recorded in the effort model's unit ({effort.rate_unit})"),)
+        if rate_method == RateMethod.SRGM:
+            rules += (Rule((0.0).__lt__, "detection_effort must be positive for rate_method 'srgm' (the growth model "
+                                         "fits detection efforts), got {}; record it or use rate_method 'bounded'"),)
+    return _load_records("defects.json", path, digests, keep,
+                         tuple(("detection_effort", 0.0, rule, None, True) for rule in rules))
 
 
 def load_corpus_file(path: Path | str, *, digests: dict[str, str] | None = None,
@@ -411,44 +423,16 @@ def load_bundle(
     paths = {name: directory / name for name in REQUIRED_FILES}
     digests: dict[str, str] = {}
 
-    # Each record's every field is checked, but the bundle keeps only the columns the stages read.
-    defects = load_defects_file(paths["defects.json"], digests=digests, keep=("defect_class", "detection_effort"))
     effort = load_effort_file(paths["effort.json"], digests=digests)
-    rtm = load_rtm_file(paths["rtm.json"], digests=digests, keep=("req_id", "status"))
-    tca = load_tca_file(paths["tca.json"], digests=digests)
     config = Object(_CONFIG_FIELDS).check(_read_json(paths["config.json"], digests), "config.json", "top level")
     if config["rtm_weight"] == config["tca_weight"] == 0.0:
         raise fail("config.json", "top level", "rtm_weight and tca_weight must not both be zero")
-
-    effort_total = total_effort(effort)
-    unit = effort.rate_unit
-    growth = config["rate_method"] == RateMethod.SRGM
-    # Efforts are finite once loaded, so min and max are reliable; only when
-    # a test fails is the first offending record looked for.
-    efforts = defects.columns["detection_effort"]
-    if efforts and ((growth and min(efforts) <= 0.0) or max(efforts) > effort_total):
-        at = next(i for i, d in enumerate(efforts) if (growth and d <= 0.0) or d > effort_total)
-        detection = efforts[at]
-        # No stage reads the ids, so only a fault reads them again, to name its record.
-        again: dict[str, str] = {}
-        ids = load_defects_file(paths["defects.json"], digests=again, keep=("id",)).columns["id"]
-        if again["defects.json"] != digests["defects.json"]:
-            raise fail("defects.json", "top level", "the file changed while the bundle was read")
-        if growth and detection <= 0.0:
-            raise fail(
-                "defects.json", f"record {quote(ids[at], ID_LIMIT)}: detection_effort",
-                f"must be positive for rate_method 'srgm' (the growth model fits detection "
-                f"efforts), got {detection!r}; record it or use rate_method 'bounded'",
-            )
-        raise fail(
-            "defects.json", f"record {quote(ids[at], ID_LIMIT)}",
-            f"detection_effort {detection!r} exceeds total testing effort "
-            f"{effort_total!r}; detection efforts must be recorded in the effort model's "
-            f"unit ({unit})",
-        )
-    if not growth:
-        # Only the check above reads a bounded bundle's efforts: they die before the corpus is read.
-        del defects.columns["detection_effort"], efforts
+    # Every field is checked, each effort against the campaign too; only the growth model reads the efforts.
+    kept = ("defect_class", "detection_effort") if config["rate_method"] == RateMethod.SRGM else ("defect_class",)
+    defects = load_defects_file(paths["defects.json"], digests=digests, keep=kept,
+                                campaign=(effort, config["rate_method"]))
+    rtm = load_rtm_file(paths["rtm.json"], digests=digests, keep=("req_id", "status"))
+    tca = load_tca_file(paths["tca.json"], digests=digests)
     try:
         validate_tca_entries(tca)
     except OrcasError as exc:

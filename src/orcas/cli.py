@@ -28,9 +28,10 @@ from .causality import estimate_causality
 from .domain import FailureMode
 from .errors import OrcasError
 from .evidence import GateDecision
-from .growth import DEFAULT_STABILITY_THRESHOLD, SrgmModel, fit_srgm, mean_curve, windowed_srgm_stability
+from .growth import (DEFAULT_STABILITY_THRESHOLD, SrgmModel, check_stability_options, fit_srgm, mean_curve,
+                     windowed_srgm_stability)
 from .report import INVALID_REPORT, REPORT_FORMATS, emit_report, report_from_json, run_assessment, write_json
-from .schema import read_text
+from .schema import fail, read_text
 
 _MODEL_NAMES = {"go": SrgmModel.GOEL_OKUMOTO, "mo": SrgmModel.MUSA_OKUMOTO, **{model: model for model in SrgmModel}}
 
@@ -171,13 +172,17 @@ def _cmd_srgm_fit(args) -> int:
     model = _MODEL_NAMES[args.model]
     effective_horizon = horizon if horizon is not None else events[-1]
     out = {"events": len(events), "horizon": effective_horizon}
-    if args.stability_windows:
-        out["stability"], fit = windowed_srgm_stability(
-            events, model, effective_horizon, args.stability_windows, args.stability_threshold)
-        # The last stability window spans the whole horizon: its fit is the fit.
-        out["fit"] = fit
-    else:
-        out["fit"] = fit = fit_srgm(events, model, horizon=horizon)
+    windows, threshold = args.stability_windows, args.stability_threshold
+    if windows:
+        check_stability_options(windows, threshold)
+    try:
+        if windows:  # the last stability window spans the whole horizon: its fit is the fit
+            out["stability"], fit = windowed_srgm_stability(events, model, effective_horizon, windows, threshold)
+        else:
+            fit = fit_srgm(events, model, horizon=horizon)
+    except OrcasError as exc:  # the options hold: the history's events are at fault, as a bundle class's are
+        raise fail(Path(args.history).name, "events", str(exc)) from exc
+    out["fit"] = fit
     if args.curve_samples > 0:
         out["curve"] = mean_curve(fit, effective_horizon, args.curve_samples)
     _write_output(args.output, partial(write_json, out))

@@ -462,10 +462,7 @@ def stability(
     no step exceeds the threshold.
     """
     pairs = [(float(end), float(total)) for end, total in series]
-    if len(pairs) < 2:
-        raise OrcasError("stability needs at least 2 fits")
-    if not 0 <= threshold < math.inf:
-        raise OrcasError(f"stability threshold must be finite and >= 0, got {threshold!r}")
+    check_stability_options(len(pairs), threshold)
     previous_end = -math.inf
     for end, total in pairs:
         if end <= previous_end:
@@ -506,6 +503,14 @@ def growth_section(model: SrgmModel, horizon: float, per_class: dict[str, dict])
             "all_stable": all(entry["stability"]["stable"] for entry in per_class.values())}
 
 
+def check_stability_options(windows: int, threshold: float) -> None:
+    """Raise :class:`OrcasError` unless there are 2 stability windows or more and a finite threshold >= 0."""
+    if windows < 2:
+        raise OrcasError(f"stability needs at least 2 windows, got {windows}")
+    if not 0 <= threshold < math.inf:
+        raise OrcasError(f"stability threshold must be finite and >= 0, got {threshold!r}")
+
+
 def windowed_srgm_stability(
     events: Sequence[float],
     model: SrgmModel,
@@ -524,8 +529,7 @@ def windowed_srgm_stability(
     unless there are at least 2 windows and every window holds at least 2
     events, or where a window's fit raises."""
     events, horizon = validate_events(events, horizon)
-    if windows < 2:
-        raise OrcasError(f"stability needs at least 2 windows, got {windows}")
+    check_stability_options(windows, threshold)
     series: list[tuple[float, float]] = []
     for k in range(1, windows + 1):
         end = horizon if k == windows else horizon * k / windows

@@ -456,7 +456,9 @@ def parse_records(row: type, fields: tuple, objects: list, file: str, label: str
 # every object outside a string is a record (a nested one is a fault). A
 # piece parses to the values it would as part of the text decode() returns,
 # whatever its layout and line ends, so a file read so is never held whole, as
-# text or as parsed objects. A piece that does not parse is a doubt.
+# text or as parsed objects. A piece cut in a string is cut again once, at the
+# last boundary before the string; any other piece that does not parse, or
+# none left, is a doubt.
 
 _BLOCK = 64 * 1024
 # What comes before the first record: whitespace, and "[" and whitespace unless the file is not an array.
@@ -505,9 +507,13 @@ def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
                     brace = pending.rfind("}", scan)
                     scan = brace if brace >= 0 else len(pending)
                     continue
-                if not _append(fields, _parse_piece(pending[:cut.end(1)] + "]"), columns, streamed):
+                objects = _parse_piece(pending[:cut.end(1)] + "]")
+                if type(objects) is int and (cut := _LAST_BOUNDARY.match(pending, 0, objects)):
+                    objects = _parse_piece(pending[:cut.end(1)] + "]")  # the cut fell in a string: cut before it
+                if not _append(fields, objects, columns, streamed):
                     return None
-                pending, scan = "[" + pending[cut.end():], 0
+                # The piece's records die before the next block is read.
+                pending, scan, objects = "[" + pending[cut.end():], 0, None
     except (OSError, UnicodeDecodeError):
         return None
     # The last piece: its text is dropped before its columns are read, and its records before the ids
@@ -563,23 +569,23 @@ def _texts(handle, hasher):
     while raw := handle.read(_BLOCK):
         hasher.update(raw)
         yield decoder.decode(raw)
-    yield decoder.decode(b"", final=True)
+    decoder.decode(b"", final=True)  # no text, but raises where the file ends inside a character
 
 
 def _parse_piece(piece: str) -> Any:
-    """The JSON value of ``piece``, or None on any fault."""
+    """The JSON value of ``piece``; on a fault None, or if it leaves a string open, where the string opens."""
     try:
         objects = json.loads(piece)
-    except (ValueError, RecursionError):  # a JSONDecodeError, or an integer of too many digits
-        return None
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer of too many digits
+        return exc.pos if getattr(exc, "msg", None) == "Unterminated string starting at" else None
     return None if _lone_surrogate(piece, objects) else objects
 
 
 def _append(fields: tuple, objects: Any, columns: dict[str, list], streamed: dict[str, _StreamedIds]) -> bool:
     """Append to ``columns`` those of the records ``objects``, read by their
     column faces, and pass ``streamed`` their ids; False where ``objects`` is
-    None or empty, or a face refuses it."""
-    read = None if objects is None else by_column(fields, objects)
+    not a list or is empty, or a face refuses it."""
+    read = by_column(fields, objects) if type(objects) is list else None
     if read is None:
         return False
     for slot, column in columns.items():

@@ -57,8 +57,8 @@ def test_fixture_defect_classes(vcu_bundle_dir):
 
 def test_a_bundle_keeps_the_columns_its_stages_read(vcu_bundle_dir, tmp_path):
     # The file readers keep every field; a bundle's rows read the others as None. No stage reads
-    # a defect's id or observed modes: only a detection-effort fault names a defect, reading the
-    # file again. Only the growth model reads the efforts, which a bounded bundle drops once checked.
+    # a defect's id or observed modes: a detection-effort fault names its defect as the file is
+    # read. Only the growth model reads the efforts, which a bounded bundle never keeps.
     growth = shutil.copytree(vcu_bundle_dir, tmp_path / "srgm")
     config = json.loads((growth / "config.json").read_text(encoding="utf-8"))
     (growth / "config.json").write_text(json.dumps({**config, "rate_method": "srgm"}), encoding="utf-8")
@@ -125,7 +125,7 @@ _UUID = "123e4567-e89b-12d3-a456-426614174000"
 
 @pytest.mark.parametrize("efforts, method, line", [
     ([5.0, 0.0, 101.0, -0.0], "srgm",
-     f"defects.json: record '{_UUID}-3': detection_effort: must be positive for rate_method 'srgm' "
+     f"defects.json: record '{_UUID}-3': detection_effort must be positive for rate_method 'srgm' "
      "(the growth model fits detection efforts), got 0.0; record it or use rate_method 'bounded'"),
     ([5.0, 101.0, 0.0, 102.0], "srgm",
      f"defects.json: record '{_UUID}-3': detection_effort 101.0 exceeds total testing effort 100.0; "
@@ -135,8 +135,8 @@ _UUID = "123e4567-e89b-12d3-a456-426614174000"
      "detection efforts must be recorded in the effort model's unit (per-hour)"),
 ], ids=["nonpositive-srgm", "beyond-campaign-srgm", "beyond-campaign-bounded"])
 def test_detection_effort_fault_names_the_first_bad_record_in_file_order(tmp_path, efforts, method, line):
-    # A bundle keeps no ids, so the fault reads them again. The ids run against their sorted
-    # order, and each is a UUID with a suffix, printed whole.
+    # The rules are checked as the file is read, where each record is named by its id. The ids run
+    # against their sorted order, and each is a UUID with a suffix, printed whole.
     defects = [{"id": f"{_UUID}-{len(efforts) - i}", "description": "x", "class": "checking",
                 "detection_effort": effort} for i, effort in enumerate(efforts)]
     config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": method}
@@ -145,23 +145,47 @@ def test_detection_effort_fault_names_the_first_bad_record_in_file_order(tmp_pat
     assert str(raised.value) == line
 
 
-def test_a_defect_file_changed_before_the_ids_are_read_again_is_a_fault(tmp_path, monkeypatch):
-    # The fault's record is found in the efforts of the first read; a second read that differs,
-    # here one without the bad record, cannot name it.
-    good = {"id": "D-1", "description": "x", "class": "checking", "detection_effort": 5.0}
-    bad = {"id": "D-2", "description": "y", "class": "checking", "detection_effort": 101.0}
-    directory = write_bundle(tmp_path / "b", defects=[good, bad])
+@pytest.mark.parametrize("efforts, method, fault", [
+    ([5.0, 10.0], "bounded", None),
+    ([5.0, 10.0], "srgm", None),
+    ([5.0, 0.0], "srgm", "detection_effort must be positive"),
+    ([5.0, 101.0], "srgm", "detection_effort 101.0 exceeds"),
+    ([5.0, 101], "bounded", "detection_effort 101 exceeds"),
+], ids=["clean-bounded", "clean-srgm", "nonpositive-srgm", "beyond-campaign-srgm", "beyond-campaign-bounded"])
+def test_a_bundle_reads_its_defect_file_once(tmp_path, monkeypatch, efforts, method, fault):
+    # The detection-effort rules are checked in the one read, which also names the record at fault.
+    calls = []
     load = bundle_module.load_defects_file
 
-    def load_after_a_change(path, **kwargs):
-        if kwargs.get("keep") == ("id",):
-            write_bundle(directory, defects=[good])
+    def counted(path, **kwargs):
+        calls.append(kwargs)
         return load(path, **kwargs)
 
-    monkeypatch.setattr(bundle_module, "load_defects_file", load_after_a_change)
+    monkeypatch.setattr(bundle_module, "load_defects_file", counted)
+    defects = [{"id": f"D-{i}", "description": "x", "class": "checking", "detection_effort": effort}
+               for i, effort in enumerate(efforts)]
+    config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": method}
+    directory = write_bundle(tmp_path / "b", defects=defects, config=config)
+    if fault is None:
+        assert len(load_bundle(directory).defects) == len(efforts)
+    else:
+        with pytest.raises(BundleError, match=f"^defects\\.json: record 'D-1': {fault}"):
+            load_bundle(directory)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("file, change, line", [
+    ("effort.json", {"kind": "continuous", "test_count": 0, "test_duration": 1.0},
+     "effort.json: top level: test_count must be positive, got 0"),
+    ("config.json", {"structural_coverage": 1.0, "system_kind": "control", "rtm_weight": 0, "tca_weight": 0},
+     "config.json: top level: rtm_weight and tca_weight must not both be zero"),
+])
+def test_effort_and_config_faults_are_named_before_a_defect_fault(tmp_path, file, change, line):
+    # The detection-effort rules read effort.json and config.json, so both are read first.
+    defects = [{"id": "D-1", "description": "x", "class": "bogus", "detection_effort": 1.0}]
     with pytest.raises(BundleError) as raised:
-        load_bundle(directory)
-    assert str(raised.value) == "defects.json: top level: the file changed while the bundle was read"
+        load_bundle(write_bundle(tmp_path / "b", defects=defects, **{file.split(".")[0]: change}))
+    assert str(raised.value) == line
 
 
 def test_a_record_file_read_keeping_no_column_is_refused(vcu_bundle_dir):
@@ -543,7 +567,7 @@ def test_srgm_bundle_requires_detection_efforts(tmp_path, record):
                record]
     config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"}
     with pytest.raises(BundleError,
-                       match=r"defects\.json: record 'D-2': detection_effort: must be positive"):
+                       match=r"^defects\.json: record 'D-2': detection_effort must be positive"):
         load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config))
     # The bounded method does not use detection efforts.
     load_bundle(write_bundle(tmp_path / "c", defects=defects))

@@ -393,7 +393,7 @@ def test_a_defect_class_without_a_causality_row_is_one_bundle_fault(tmp_path, ca
         assert capsys.readouterr() == ("", line)
 
 
-# A history fault names the file and its key; an option fault names neither.
+# A history fault names the file and its key, also one only the fit finds; an option fault names neither.
 _FRONT_LOADED = {"events": [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 40.0], "horizon": 100.0}
 
 
@@ -404,10 +404,19 @@ _FRONT_LOADED = {"events": [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 40.0], "horizon": 100
     ({"events": [0.0, 1.0]}, [], "history.json: events: detection efforts must be positive and finite, got 0.0"),
     ({"events": [1.0, 2.0], "horizon": 1.5}, [],
      "history.json: horizon: observation horizon 1.5 is before the last event 2.0"),
+    ({"events": [50.0, 60.0, 90.0]}, ["--stability-windows", "4"],
+     "history.json: events: stability window ending at effort 22.5 contains 0 event(s); need at least 2 "
+     "(reduce the window count or use bounded estimation)"),
+    ({"events": [1e300, 1.5e300, 1.7e300], "horizon": 1e301}, [],
+     "history.json: events: growth-model score is not a number at 1e-313: the detection efforts are beyond "
+     "floating-point range"),
     (_FRONT_LOADED, ["--stability-windows", "1"], "stability needs at least 2 windows, got 1"),
     (_FRONT_LOADED, ["--stability-windows", "2", "--stability-threshold", "-0.5"],
      "stability threshold must be finite and >= 0, got -0.5"),
-], ids=["decreasing", "one-event", "zero-effort", "horizon", "one-window", "negative-threshold"])
+    ({"events": [50.0, 60.0, 90.0]}, ["--stability-windows", "4", "--stability-threshold", "-0.5"],
+     "stability threshold must be finite and >= 0, got -0.5"),
+], ids=["decreasing", "one-event", "zero-effort", "horizon", "empty-window", "beyond-float-range", "one-window",
+        "negative-threshold", "negative-threshold-before-empty-window"])
 def test_srgm_fit_fault_lines(tmp_path, capsys, history, options, line):
     path = tmp_path / "history.json"
     path.write_text(json.dumps(history), encoding="utf-8")
@@ -576,7 +585,8 @@ def test_validate_rejects_srgm_bundle_without_detection_efforts(tmp_path):
     defects = [{"id": f"D-{i}", "description": "x", "class": "checking"} for i in range(3)]
     config = {"structural_coverage": 1.0, "system_kind": "control", "rate_method": "srgm"}
     result = run_cli("validate", write_bundle(tmp_path / "b", defects=defects, config=config))
-    assert_one_error_line(result, "defects.json: record 'D-0': detection_effort: ")
+    assert_one_error_line(result, "defects.json: record 'D-0': detection_effort must be positive for rate_method "
+                                  "'srgm' (the growth model fits detection efforts), got 0.0; ")
 
 
 @pytest.mark.parametrize("model", ["goel-okumoto", "musa-okumoto"])

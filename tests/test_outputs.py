@@ -77,10 +77,10 @@ DIGESTS = {
     "assess bad-test-count --format json": "cb1fe9a9ed0f2600045b5a2c67e689d0327e585bf8474476b1d14e4edcc5080f",
     "assess bad-test-count --format text": "cb1fe9a9ed0f2600045b5a2c67e689d0327e585bf8474476b1d14e4edcc5080f",
     "assess bad-test-count --format svg": "cb1fe9a9ed0f2600045b5a2c67e689d0327e585bf8474476b1d14e4edcc5080f",
-    "validate bad-srgm-no-effort": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
-    "assess bad-srgm-no-effort --format json": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
-    "assess bad-srgm-no-effort --format text": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
-    "assess bad-srgm-no-effort --format svg": "42da1321ecf453e196da0ca3c885361d0a68a5b0c113c1ec570d75e4b7403a64",
+    "validate bad-srgm-no-effort": "1bb81b8f07b391670d1dad35be17f1cbf224c92e4ecf7b1569cafdeb9cf57554",
+    "assess bad-srgm-no-effort --format json": "1bb81b8f07b391670d1dad35be17f1cbf224c92e4ecf7b1569cafdeb9cf57554",
+    "assess bad-srgm-no-effort --format text": "1bb81b8f07b391670d1dad35be17f1cbf224c92e4ecf7b1569cafdeb9cf57554",
+    "assess bad-srgm-no-effort --format svg": "1bb81b8f07b391670d1dad35be17f1cbf224c92e4ecf7b1569cafdeb9cf57554",
     "assess vcu --uniform-missing-rows --exclude-modes B,C":
         "0de72ecfacb4b1a462b8931c68eaa0833ef8a7618f4492b111efbe53db7d9265",
     "assess vcu --uniform-missing-rows --exclude-modes B,C --format text":

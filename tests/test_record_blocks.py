@@ -11,7 +11,10 @@ arrive. The files are indented or minified, with LF, CR LF or lone-CR line
 ends, and may hold a BOM, escapes, text that looks like a record boundary in
 a string, ids in file order or shuffled, an id that holds the separator of
 the streamed id check, a nested object at a line start, or one fault in the
-first, a middle or the last record; a repeated id is placed anywhere.
+first, a middle or the last record; a repeated id is placed anywhere. A file
+whose descriptions hold a record boundary is still read in pieces, and a
+detection effort that breaks a bundle's campaign rules is named as the whole
+text names it.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ import json
 import re
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orcas import schema
+from orcas import bundle
 from orcas.bundle import _ARRAYS, load_corpus_file, load_defects_file, load_rtm_file, records_from_json
-from orcas.domain import DefectClass, FailureMode
+from orcas.domain import DefectClass, EffortKind, EffortModel, FailureMode
 from orcas.errors import BundleError
 from orcas.evidence import CoverageStatus
+from orcas.growth import RateMethod
 from orcas.schema import parse_json, read_text
 
 DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -112,8 +118,8 @@ def record_files(draw):
         text = draw(st.sampled_from(["[]", "[\n]\n", "", "\n"]))
     text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
     bom = draw(st.booleans()) and draw(st.booleans())
-    # A boundary in a string is a doubt, and so may be an id that holds the separator: the whole text
-    # is read.
+    # A boundary in a string may be a doubt (the cut again before the string may find no boundary),
+    # and so may be an id that holds the separator: the whole text may be read.
     doubt = any(BOUNDARY.search(value) or (key in ("id", "req_id") and schema._SEPARATOR in value)
                 for obj in objects for key, value in obj.items() if isinstance(value, str))
     return kind, ("\ufeff" * bom + text).encode("utf-8", "surrogatepass"), fault is None and not bom and not doubt
@@ -156,3 +162,68 @@ def test_block_reader_matches_the_whole_text_reader(tmp_path_factory, case, bloc
             # A file without fault, BOM or doubt is read by the blocks, not by the whole text.
             assert schema.read_records(path, fields, row._fields) == whole[0]
             assert schema.read_records(path, fields, keep) == {name: whole[0][name] for name in keep}
+
+
+def defect_file(path, descriptions, efforts=None, fault_at=None):
+    """A defects.json of one indented record per description, ids in file order; the record at
+    ``fault_at`` has a class no enum holds."""
+    efforts = efforts or [1.0] * len(descriptions)
+    objects = [{"id": f"D-{i:03}", "class": "bogus" if i == fault_at else "checking", "detection_effort": effort,
+                "description": description} for i, (description, effort) in enumerate(zip(descriptions, efforts))]
+    path.write_text(json.dumps(objects, indent=2), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("block", [150, 200, 256, 333, 1000])
+@pytest.mark.parametrize("fault_at", [None, 1, 17])
+def test_a_cut_in_a_string_is_cut_again_before_the_string(tmp_path, block, fault_at):
+    # Every description but the last holds record boundaries, so many a block's text ends in one.
+    # The block reader cuts again before the string it fell in, and with blocks longer than a
+    # record (at most 118 bytes here), reads the file in pieces; a fault is named as the whole text
+    # names it. (A cut in the last string of the file has no boundary before it: a doubt.)
+    path = defect_file(tmp_path / "defects.json",
+                       [f"see {{x}},{{y}} and {{z}} , {{w}} {i}" for i in range(19)] + ["the last"], fault_at=fault_at)
+    row, fields, _, _ = _ARRAYS["defects.json"]
+    whole = outcome(lambda path, digests: records_from_json(
+        "defects.json", parse_json(read_text(path, digests=digests), path.name), path.name), path)
+    with patch.object(schema, "_BLOCK", block):
+        assert outcome(lambda path, digests: load_defects_file(path, digests=digests), path) == whole
+        if fault_at is None:
+            assert schema.read_records(path, fields, row._fields) == whole[0]
+        else:
+            assert whole == f"defects.json: record 'D-{fault_at:03}': class: invalid value 'bogus' " + (
+                "(expected one of: " + ", ".join(DefectClass) + ")")
+
+
+@pytest.mark.parametrize("method", list(RateMethod))
+@pytest.mark.parametrize("effort", [None, 0, 0.0, -0.0, 100, 100.0, 101, 100.5])
+def test_detection_effort_rules_agree_across_readers(tmp_path, method, effort):
+    # Nineteen records of effort 1.0, and one of ``effort`` late in the file, in a later piece
+    # than the first with small blocks: the block reader, which checks the rules a piece at a time,
+    # and the whole-text reader return the same columns or name the same record.
+    efforts = [1.0] * 20
+    if effort is not None:
+        efforts[17] = effort
+    path = defect_file(tmp_path / "defects.json", ["x"] * 20, efforts)
+    campaign = (EffortModel(EffortKind.CONTINUOUS, 100, 1.0), method)
+    pieces: list = []
+
+    def read_records(*args):
+        pieces.append(schema.read_records(*args))
+        return pieces[-1]
+
+    def load(path, digests):
+        return load_defects_file(path, digests=digests, campaign=campaign)
+
+    with patch.object(bundle, "read_records", lambda *args: None):
+        whole = outcome(load, path)
+    with patch.object(schema, "_BLOCK", 64), patch.object(bundle, "read_records", read_records):
+        assert outcome(load, path) == whole
+    # A file whose efforts keep the rules is read by the blocks, not by the whole text.
+    clean = effort is None or (0 < effort <= 100 if method == RateMethod.SRGM else effort <= 100)
+    assert (pieces[0] is not None) == clean
+    if not clean:
+        reason = (f"detection_effort {effort!r} exceeds total testing effort 100.0" if effort > 0 else
+                  f"detection_effort must be positive for rate_method 'srgm' (the growth model fits detection "
+                  f"efforts), got {effort!r}")
+        assert whole.startswith(f"defects.json: record 'D-017': {reason}; ")
