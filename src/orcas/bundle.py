@@ -332,8 +332,10 @@ def defects_from_csv(path: Path | str) -> Records:
     path = Path(path)
     file = path.name
     # The text's "\n"-terminated lines, one at a time (io.StringIO would hold 4 bytes per
-    # character). strict: an unterminated quote is an error, not the rest of the file in one field.
-    rows = csv.reader(map(itemgetter(0), re.finditer(r"[^\n]*\n|[^\n]+", read_text(path))), strict=True)
+    # character), after the BOM a spreadsheet's "CSV UTF-8" starts with. strict: an unterminated
+    # quote is an error, not the rest of the file in one field.
+    text = read_text(path).removeprefix("\ufeff")
+    rows = csv.reader(map(itemgetter(0), re.finditer(r"[^\n]*\n|[^\n]+", text)), strict=True)
     try:
         header = next(rows, None)
     except csv.Error as exc:

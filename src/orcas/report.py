@@ -228,93 +228,74 @@ def canonical_json_bytes(data) -> bytes:
     """Canonical JSON: the UTF-8 bytes of ``json.dumps(data, sort_keys=True,
     indent=2, ensure_ascii=False)`` plus a newline, as :func:`write_json`
     writes them."""
-    blocks: list[bytes] = []
+    pieces: list[str] = []
     try:
-        write_json(data, blocks.append)
+        _write_json(data, "\n", pieces.append)
     except (TypeError, RecursionError):
         # An object or key JSON has no encoding for, keys that do not sort,
         # or a container that holds itself: json.dumps raises its own error.
         return (json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-    return b"".join(blocks)
+    pieces.append("\n")
+    return "".join(pieces).encode("utf-8")
 
 
-# The characters of text gathered before they are written, and the floats of a list written at once.
-_BLOCK = 64 * 1024
+# The floats of a list written at once, which bound the largest piece.
 _FLOAT_SLICE = 1024
-
-
-class _Blocks:
-    """Pieces of text, passed to ``write`` as UTF-8 blocks of about _BLOCK characters."""
-
-    __slots__ = ("write", "pieces", "size")
-
-    def __init__(self, write) -> None:
-        self.write, self.pieces, self.size = write, [], 0
-
-    def append(self, piece: str) -> None:
-        self.pieces.append(piece)
-        self.size += len(piece)
-        if self.size >= _BLOCK:
-            self.flush()
-
-    def flush(self) -> None:
-        self.write("".join(self.pieces).encode("utf-8"))
-        self.pieces, self.size = [], 0
 
 
 def write_json(data, write) -> None:
     """Pass the canonical JSON of ``data`` (:func:`canonical_json_bytes`) to
-    ``write``, a function of bytes, in UTF-8 blocks of about 64 KiB, so that
-    the whole text is never held.
+    ``write``, a function of bytes, piece by piece, each as soon as it is
+    encoded as UTF-8, so that the whole text is never held: the sinks, a
+    file's buffer or a list, gather the pieces.
 
     ``json.dumps`` writes an indented document one item at a time in
     Python; here a list of finite floats, such as a growth fit's events, is
     written a slice at a time with one join each, and the standard library
     writes every other leaf. A value JSON cannot encode raises TypeError or
-    RecursionError, after the blocks before it are written.
+    RecursionError, after the pieces before it are written.
     """
-    out = _Blocks(write)
-    _write_json(data, "\n", out)
-    out.append("\n")
-    out.flush()
+    _write_json(data, "\n", lambda piece: write(piece.encode("utf-8")))
+    write(b"\n")
 
 
 # json.dumps's string encoder under ensure_ascii=False.
 _encode_str = json.encoder.encode_basestring
 
 
-def _write_json(value, newline: str, out: _Blocks) -> None:
-    """Append the canonical JSON of ``value`` to ``out``. ``newline`` is a
-    line break and the indent of the line the value starts on."""
+def _write_json(value, newline: str, put) -> None:
+    """Pass the canonical JSON of ``value`` to ``put``, a function of str,
+    piece by piece. ``newline`` is a line break and the indent of the line
+    the value starts on."""
     if isinstance(value, str):
-        out.append(_encode_str(value))
+        put(_encode_str(value))
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
             separator, head = "," + inner, "[" + inner
             for start in range(0, len(value), _FLOAT_SLICE):
-                out.append(head + separator.join(map(float.__repr__, value[start:start + _FLOAT_SLICE])))
+                put(head + separator.join(map(float.__repr__, value[start:start + _FLOAT_SLICE])))
                 head = separator
-            out.append(newline + "]")
+            put(newline + "]")
             return
         separator = "[" + inner
         for item in value:
-            out.append(separator)
-            _write_json(item, inner, out)
+            put(separator)
+            _write_json(item, inner, put)
             separator = "," + inner
-        out.append(newline + "]")
+        put(newline + "]")
     elif isinstance(value, dict) and value:
         inner = newline + "  "
         separator = "{" + inner
         for key, item in sorted(value.items()):
             if not (isinstance(key, (str, int, float)) or key is None):
                 raise TypeError(key)  # a key json.dumps refuses
-            out.append(separator + _encode_str(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            _write_json(item, inner, out)
+            put(separator + _encode_str(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _write_json(item, inner, put)
             separator = "," + inner
-        out.append(newline + "}")
+        put(newline + "}")
     else:  # a scalar or an empty container
-        out.append(json.dumps(value))
+        put(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +422,7 @@ REPORT_FORMATS = tuple(_RENDERERS)
 def emit_report(report: dict, format: str = "json", write=None) -> bytes | None:
     """Serialize a report dict (:func:`run_assessment`, :func:`report_from_json`) in one of REPORT_FORMATS:
     its bytes, or with ``write``, a function of bytes, None once they are passed to it (JSON by
-    :func:`write_json`, a block at a time)."""
+    :func:`write_json`, piece by piece)."""
     if format not in REPORT_FORMATS:
         raise OrcasError(f"unknown report format {format!r} (expected one of: {', '.join(REPORT_FORMATS)})")
     if write is None:

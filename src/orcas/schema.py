@@ -52,8 +52,9 @@ def quote(value: Any, limit: int = _QUOTE_LIMIT) -> str:
 
 def read_text(path: Path, file: str | None = None, digests: dict[str, str] | None = None) -> str:
     """The text of one input file, decoded by :func:`decode` (errors name ``file``, by default the
-    file's name). With ``digests``, also record the SHA-256 of its bytes under the file's name. Only
-    this frame holds the bytes, so the caller parses the text with one copy of the input alive."""
+    file's name). With ``digests``, also record the SHA-256 of its bytes under the file's name, where
+    another file of that name with other bytes is a fault. Only this frame holds the bytes, so the
+    caller parses the text with one copy of the input alive."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -61,8 +62,17 @@ def read_text(path: Path, file: str | None = None, digests: dict[str, str] | Non
     except OSError as exc:
         raise BundleError(f"{path.name}: cannot read: {exc}") from exc
     if digests is not None:
-        digests[path.name] = "sha256:" + hashlib.sha256(raw).hexdigest()
+        _record_digest(digests, path, hashlib.sha256(raw))
     return decode(raw, file or path.name)
+
+
+def _record_digest(digests: dict[str, str], path: Path, hasher) -> None:
+    """Record the digest of ``hasher``, the SHA-256 of the file at ``path``, under the file's name. A
+    report keys its input digests by name, so a second file of that name with other bytes is a fault."""
+    digest = "sha256:" + hasher.hexdigest()
+    if digests.setdefault(path.name, digest) != digest:
+        raise fail(path.name, "top level", f"{path} differs from the input of this name already read, and a "
+                                           "report keys input digests by file name; rename one of them")
 
 
 def decode(raw: bytes, file: str) -> str:
@@ -449,22 +459,23 @@ def parse_records(row: type, fields: tuple, objects: list, file: str, label: str
 
 # A record file is read a block at a time and parsed a piece at a time: the
 # records from one record boundary to the last boundary in the text read so
-# far. A record boundary is a "}", a "," and a "{" with only JSON whitespace
-# between them. Such a cut may fall in a string, or inside a record, but then
-# its piece does not parse; a piece that parses ends with a "}" that closes a
-# record, so the next piece starts outside every string, and in a record file
-# every object outside a string is a record (a nested one is a fault). A
-# piece parses to the values it would as part of the text decode() returns,
-# whatever its layout and line ends, so a file read so is never held whole, as
-# text or as parsed objects. A piece cut in a string is cut again once, at the
-# last boundary before the string; any other piece that does not parse, or
-# none left, is a doubt.
+# far. A record boundary is a "}", a "," and a "{" that a key and its colon
+# follow, with only JSON whitespace between them. In a file the loaders
+# accept, no boundary lies in a string: there a '"' after the "{" can only
+# close the string, and the next '"' opens a table key or a mode letter, none
+# of which starts with ":". So a piece that parses ends with a "}" that closes
+# a record, and the next piece starts outside every string; in a record file
+# every object outside a string is a record (a nested one is a fault). A cut
+# in a string, or inside a record, leaves a piece that does not parse: a
+# doubt, as is a piece that fails a column face. A piece parses to the values
+# it would as part of the text decode() returns, whatever its layout and line
+# ends, so a file read so is never held whole, as text or as parsed objects.
 
 _BLOCK = 64 * 1024
 # What comes before the first record: whitespace, and "[" and whitespace unless the file is not an array.
 _HEAD = re.compile(r"[ \t\n\r]*(\[[ \t\n\r]*)?")
 # Up to the last record boundary; group 1 ends its piece. (A literal after ".*" is searched for at C speed.)
-_LAST_BOUNDARY = re.compile(r".*(\})[ \t\n\r]*,[ \t\n\r]*(?=\{)", re.DOTALL)
+_LAST_BOUNDARY = re.compile(r'.*(\})[ \t\n\r]*,[ \t\n\r]*(?=\{[ \t\n\r]*"[^"\\]*"[ \t\n\r]*:)', re.DOTALL)
 # Joins the ids of one piece.
 _SEPARATOR = "\0"
 
@@ -473,7 +484,9 @@ def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
                  digests: dict[str, str] | None = None) -> dict[str, list] | None:
     """The columns ``keep`` of the record array of the file at ``path``, read
     by the column faces of the table ``fields``, a block of the file at a
-    time; with ``digests``, also the SHA-256 of its bytes under its name.
+    time, cut into pieces before a record's "{" and first key; with
+    ``digests``, also the SHA-256 of its bytes under its name, as
+    :func:`read_text` records it.
 
     None where the file is not a nonempty UTF-8 array whose every piece
     parses as JSON and passes the column faces, and whose ids are distinct:
@@ -508,8 +521,6 @@ def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
                     scan = brace if brace >= 0 else len(pending)
                     continue
                 objects = _parse_piece(pending[:cut.end(1)] + "]")
-                if type(objects) is int and (cut := _LAST_BOUNDARY.match(pending, 0, objects)):
-                    objects = _parse_piece(pending[:cut.end(1)] + "]")  # the cut fell in a string: cut before it
                 if not _append(fields, objects, columns, streamed):
                     return None
                 # The piece's records die before the next block is read.
@@ -528,7 +539,7 @@ def read_records(path: Path, fields: tuple, keep: tuple[str, ...],
     if not all(ids.distinct() for ids in streamed.values()):
         return None
     if digests is not None:
-        digests[path.name] = "sha256:" + hasher.hexdigest()
+        _record_digest(digests, path, hasher)
     return columns
 
 
@@ -573,11 +584,11 @@ def _texts(handle, hasher):
 
 
 def _parse_piece(piece: str) -> Any:
-    """The JSON value of ``piece``; on a fault None, or if it leaves a string open, where the string opens."""
+    """The JSON value of ``piece``, or None on a fault."""
     try:
         objects = json.loads(piece)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer of too many digits
-        return exc.pos if getattr(exc, "msg", None) == "Unterminated string starting at" else None
+    except (ValueError, RecursionError):  # a JSONDecodeError, or an integer of too many digits
+        return None
     return None if _lone_surrogate(piece, objects) else objects
 
 

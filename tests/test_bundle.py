@@ -586,16 +586,36 @@ def test_srgm_class_histories_checked_at_load(tmp_path, efforts, windows, reason
         run_assessment(load_bundle(write_bundle(tmp_path / "b", defects=defects, config=config)))
 
 
-@pytest.mark.parametrize("source", ["m.json", "corpus:corpus.json"])
+@pytest.mark.parametrize("source", ["m.json", "corpus:corpus.json", "corpus:defects.json"])
 def test_input_digests_are_sha256_of_the_files(tmp_path, source):
+    # A bundle file read again, as the corpus, keeps its one digest.
     corpus = [{"id": "c1", "description": "x", "class": "checking", "observed_modes": ["A"]}]
-    directory = write_bundle(tmp_path / "b", **{"corpus.json": corpus,
+    directory = write_bundle(tmp_path / "b", defects=corpus, **{"corpus.json": corpus,
                                                 "m.json": builtin_causality().to_dict()})
     bundle = load_bundle(directory, matrix_source=source)
     name = source.removeprefix("corpus:")
     assert bundle.input_digests == {
         file: "sha256:" + hashlib.sha256((directory / file).read_bytes()).hexdigest()
         for file in ("defects.json", "effort.json", "rtm.json", "tca.json", "config.json", name)}
+
+
+@pytest.mark.parametrize("source, name", [("corpus:../other/defects.json", "defects.json"),
+                                          ("../other/config.json", "config.json")])
+def test_an_input_of_a_bundle_file_name_with_other_bytes_is_refused(tmp_path, source, name):
+    # A report keys its input digests by file name, so a corpus or matrix outside the bundle that
+    # shares a bundle file's name would overwrite that file's digest: one fault line instead, from
+    # the block reader of a corpus and from the whole-text reader of a matrix.
+    defects = [{"id": "c1", "description": "x", "class": "checking", "observed_modes": ["A"]}]
+    directory = write_bundle(tmp_path / "b", defects=defects)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "defects.json").write_text(json.dumps(defects), encoding="utf-8")  # the records, not the bytes
+    (other / "config.json").write_text(json.dumps(builtin_causality().to_dict()), encoding="utf-8")
+    with pytest.raises(BundleError) as err:
+        load_bundle(directory, matrix_source=source)
+    assert str(err.value) == (
+        f"{name}: top level: {directory / '..' / 'other' / name} differs from the input of this name already "
+        "read, and a report keys input digests by file name; rename one of them")
 
 
 @pytest.mark.parametrize("description, decoded", [

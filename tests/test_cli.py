@@ -550,6 +550,16 @@ def assert_one_error_line(result, prefix):
     assert lines[0].startswith(f"orcas: error: {prefix}")
 
 
+def test_convert_defects_reads_past_a_utf8_bom(tmp_path, capsysbinary):
+    # Spreadsheets write "CSV UTF-8" with a BOM, which is not part of the first column's name.
+    text = "id,description,class\nD-1,x,algorithm\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+    plain = stdout_and_file(capsysbinary, tmp_path, "convert", "defects", tmp_path / "plain.csv")
+    assert plain[0] == 0
+    assert stdout_and_file(capsysbinary, tmp_path, "convert", "defects", tmp_path / "bom.csv") == plain
+
+
 def test_convert_defects_rejects_non_utf8_csv_in_one_line(tmp_path):
     csv_path = tmp_path / "log.csv"
     raw = b"id,description,class\nD-1,caf\xe9,checking\n"
@@ -767,7 +777,7 @@ def assess_bundles(workdir, tmp_path):
 
 
 def test_assess_streams_the_bytes_emit_report_returns(workdir, tmp_path, capsysbinary):
-    # The report is written a block at a time, to stdout or to the -o file; the library's bytes are the same.
+    # The report is written piece by piece, to stdout or to the -o file; the library's bytes are the same.
     for directory in assess_bundles(workdir, tmp_path):
         code, stdout, written = stdout_and_file(capsysbinary, tmp_path, "assess", directory)
         assert code in (0, 2)

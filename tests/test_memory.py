@@ -12,8 +12,8 @@ whatever the file's layout and line ends. They check ids that are not kept
 as they arrive, holding only the last where the ids increase, and otherwise
 sort them at the end of the file, never in a set. A bundle load holds well
 under half its defect file's size: it keeps only the columns its stages
-read, and no defect id. A JSON report is written a block at a time, never
-held whole.
+read, and no defect id. A JSON report is written piece by piece, each piece
+passed to the sink as soon as it is encoded, never held whole.
 """
 
 from __future__ import annotations
@@ -112,17 +112,16 @@ def test_a_bundle_with_unordered_ids_loads_under_the_held_id_peak(workdir, tmp_p
     assert peak < SHUFFLED_LOAD_PEAK * (directory / "defects.json").stat().st_size
 
 
-# The bound on the peak of writing a JSON report, as a fraction of its size: the writer holds a
-# 64 KiB block's pieces, text and bytes, and the reprs of a slice of a float list. On the seed-1
-# mo-a report (0.68 MiB) it measures 0.41; canonical_json_bytes, which returns the whole bytes,
-# measures 2.0.
+# The bound on the peak of writing a JSON report, as a fraction of its size: the writer holds one
+# piece, text and bytes, at most the reprs of a slice of a float list. On the seed-1 mo-a report
+# (0.68 MiB) it measures 0.15; canonical_json_bytes, which returns the whole bytes, measures 3.0.
 STREAM_PEAK = 0.5
 
 
 def test_a_streamed_report_is_never_held_whole(workdir):
     report = run_assessment(load_bundle(workdir / "mo-a"))
     size = (workdir / "mo-a.json").stat().st_size
-    peak, _ = peak_and_kept(lambda: write_json(report, lambda block: None))
+    peak, _ = peak_and_kept(lambda: write_json(report, lambda piece: None))
     assert peak < STREAM_PEAK * size
 
 

@@ -12,15 +12,14 @@ ends, and may hold a BOM, escapes, text that looks like a record boundary in
 a string, ids in file order or shuffled, an id that holds the separator of
 the streamed id check, a nested object at a line start, or one fault in the
 first, a middle or the last record; a repeated id is placed anywhere. A file
-whose descriptions hold a record boundary is still read in pieces, and a
-detection effort that breaks a bundle's campaign rules is named as the whole
-text names it.
+whose strings look like record boundaries is still read in pieces, each
+parsed once, and a detection effort that breaks a bundle's campaign rules is
+named as the whole text names it.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from unittest.mock import patch
 
 import pytest
@@ -43,12 +42,10 @@ LOADERS = {"defects.json": load_defects_file, "corpus.json": load_corpus_file, "
 # looks like a record boundary or its parts once written ("\n{" is written "\\n{"), and the
 # separator of the streamed id check.
 TEXTS = st.lists(st.sampled_from(["a", " ", '"', "\\", "é", "中", "😀", "\n{", ",", "}", "]", "},{", "} , {",
-                                  schema._SEPARATOR]), max_size=4).map("".join)
+                                  ":", schema._SEPARATOR]), max_size=4).map("".join)
 FAULTS = ("missing comma", "missing comma after an empty record", "duplicate id", "bad class", "unknown key",
           "nested object", "nested objects", "lone surrogate", "raw newline", "trailing comma", "not an array",
           "no opening bracket", "empty")
-# A record boundary, as the block reader finds one.
-BOUNDARY = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
 @st.composite
@@ -118,9 +115,9 @@ def record_files(draw):
         text = draw(st.sampled_from(["[]", "[\n]\n", "", "\n"]))
     text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
     bom = draw(st.booleans()) and draw(st.booleans())
-    # A boundary in a string may be a doubt (the cut again before the string may find no boundary),
-    # and so may be an id that holds the separator: the whole text may be read.
-    doubt = any(BOUNDARY.search(value) or (key in ("id", "req_id") and schema._SEPARATOR in value)
+    # An id that holds the separator may be a doubt: the whole text may be read. Text that looks
+    # like a record boundary is not, as no boundary lies in a string of a file without fault.
+    doubt = any(key in ("id", "req_id") and schema._SEPARATOR in value
                 for obj in objects for key, value in obj.items() if isinstance(value, str))
     return kind, ("\ufeff" * bom + text).encode("utf-8", "surrogatepass"), fault is None and not bom and not doubt
 
@@ -174,22 +171,30 @@ def defect_file(path, descriptions, efforts=None, fault_at=None):
     return path
 
 
-@pytest.mark.parametrize("block", [150, 200, 256, 333, 1000])
-@pytest.mark.parametrize("fault_at", [None, 1, 17])
+@pytest.mark.parametrize("block", [64, 100, 150, 200, 256, 333, 512, 1000])
+@pytest.mark.parametrize("fault_at", [None, 1, 17, 19])
 def test_a_cut_in_a_string_is_cut_again_before_the_string(tmp_path, block, fault_at):
-    # Every description but the last holds record boundaries, so many a block's text ends in one.
-    # The block reader cuts again before the string it fell in, and with blocks longer than a
-    # record (at most 118 bytes here), reads the file in pieces; a fault is named as the whole text
-    # names it. (A cut in the last string of the file has no boundary before it: a doubt.)
-    path = defect_file(tmp_path / "defects.json",
-                       [f"see {{x}},{{y}} and {{z}} , {{w}} {i}" for i in range(19)] + ["the last"], fault_at=fault_at)
+    # Every description, the last one's too, quotes initializers and ends in "},{", so many a
+    # block's text ends in a string that looks like a record boundary. No cut falls in a string,
+    # so none is cut again: a clean file is read in pieces and every piece parses, the last
+    # block's too; a fault is named as the whole text names it.
+    path = defect_file(tmp_path / "defects.json", [f"see {{x}},{{y}} {i} }},{{" for i in range(20)],
+                       fault_at=fault_at)
     row, fields, _, _ = _ARRAYS["defects.json"]
     whole = outcome(lambda path, digests: records_from_json(
         "defects.json", parse_json(read_text(path, digests=digests), path.name), path.name), path)
+    parse, pieces = schema._parse_piece, []
+
+    def parse_piece(piece):
+        pieces.append(parse(piece))
+        return pieces[-1]
+
     with patch.object(schema, "_BLOCK", block):
         assert outcome(lambda path, digests: load_defects_file(path, digests=digests), path) == whole
         if fault_at is None:
-            assert schema.read_records(path, fields, row._fields) == whole[0]
+            with patch.object(schema, "_parse_piece", parse_piece):
+                assert schema.read_records(path, fields, row._fields) == whole[0]
+            assert len(pieces) > 1 and all(type(objects) is list for objects in pieces)
         else:
             assert whole == f"defects.json: record 'D-{fault_at:03}': class: invalid value 'bogus' " + (
                 "(expected one of: " + ", ".join(DefectClass) + ")")
